@@ -13,10 +13,10 @@ pass's output exactly.
 ``--trace 0`` reports the end-to-end metrics:
 
 * ``wall_s``: median seconds of one pass, untraced;
-* ``setup_s``: median, over fresh interpreter processes, of the seconds
-  from process start to the first operation it could time: interpreter
-  start, ``import qkrf`` and a small warm-up run that finishes the lazy
-  imports;
+* ``setup_s``: median, over fresh interpreter processes started between
+  the passes, of the seconds from process start to the first operation it
+  could time: interpreter start, ``import qkrf`` and a small warm-up run
+  that finishes the lazy imports;
 * ``peak_rss_mb``: peak resident memory of the measuring process.
 
 ``--trace 1`` alternates untraced and traced passes and reports the
@@ -53,7 +53,7 @@ import workloads
 ROOT = Path.cwd()
 SRC = ROOT / "src"
 OUT = ROOT / ".qkrfbench"
-SETUP_SAMPLES = 5
+SETUP_SAMPLES = 10
 RUN_SECONDS = 35
 
 WHY = {
@@ -142,19 +142,18 @@ def _nproc() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _cap_blas_threads() -> None:
-    """One BLAS thread unless the environment asks for more, never above nproc.
+def _one_thread() -> None:
+    """One BLAS thread and ``QKRF_THREADS`` at its default of 1.
 
     The package's matrices have at most 129 rows, where a second BLAS
     thread gains little and, when another process shares the cores,
-    slows a pass several times over.  Must run before numpy is imported.
+    slows a pass several times over.  ``QKRF_THREADS`` above 1 would run
+    the per-level loops in a thread pool, which changes the timed work
+    and breaks the tracer's single span stack.  Must run before numpy and
+    qkrf are imported.
     """
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        try:
-            wanted = int(os.environ.get(var, 1))
-        except ValueError:
-            wanted = 1
-        os.environ[var] = str(max(1, min(wanted, _nproc())))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "QKRF_THREADS"):
+        os.environ[var] = "1"
 
 
 def _import_qkrf():
@@ -182,22 +181,19 @@ def _setup_child() -> int:
     return 0
 
 
-def measure_setup(samples: int) -> list:
+def measure_setup() -> float:
     """Seconds from spawning a fresh interpreter until it is ready to time."""
-    times = []
-    for _ in range(samples):
-        start = time.perf_counter()
-        with subprocess.Popen(
-            [sys.executable, str(Path(__file__).resolve()), "--setup-child"],
-            cwd=ROOT, stdout=subprocess.PIPE, text=True,
-        ) as child:
-            line = child.stdout.readline()
-            elapsed = time.perf_counter() - start
-            child.stdout.read()
-            if child.wait(timeout=60) != 0 or line.strip() != "ready":
-                raise RuntimeError("setup process failed")
-        times.append(elapsed)
-    return times
+    start = time.perf_counter()
+    with subprocess.Popen(
+        [sys.executable, str(Path(__file__).resolve()), "--setup-child"],
+        cwd=ROOT, stdout=subprocess.PIPE, text=True,
+    ) as child:
+        line = child.stdout.readline()
+        elapsed = time.perf_counter() - start
+        child.stdout.read()
+        if child.wait(timeout=60) != 0 or line.strip() != "ready":
+            raise RuntimeError("setup process failed")
+    return elapsed
 
 
 # ---------------------------------------------------------------------------
@@ -270,18 +266,23 @@ def layer_metrics(tracer) -> dict:
     return values
 
 
-def measure(qkrf, configs, seconds: float, trace: bool, expected, spans_path: Path):
+def measure(qkrf, configs, seconds: float, trace: bool, expected, spans_path: Path,
+            setup_samples: int):
     """Timed passes until ``seconds`` have gone by.
 
     With ``trace``, traced passes alternate with untraced ones so that both
-    see the same machine.
+    see the same machine.  The ``setup_samples`` set-up timings are taken
+    between passes, one per ``seconds / setup_samples``, so that like the
+    passes they span the whole run and average over the host's slow and
+    fast phases.
     """
     out = OUT / f"run-{os.getpid()}"
     tracer = spans.Tracer(qkrf)
-    untraced, traced, layers, cpu = [], [], [], []
+    untraced, traced, layers, cpu, setup = [], [], [], [], []
     try:
         passes = []
-        deadline = time.perf_counter() + seconds
+        start = time.perf_counter()
+        deadline = start + seconds
         while time.perf_counter() < deadline or not untraced or (trace and not traced):
             if trace and len(passes) % 2 == 1:
                 tracer.reset()
@@ -295,11 +296,14 @@ def measure(qkrf, configs, seconds: float, trace: bool, expected, spans_path: Pa
                 result = run_pass(qkrf, configs, out, expected)
                 untraced.append(sum(result["seconds"]))
             passes.append(result)
+            while (len(setup) < setup_samples
+                   and time.perf_counter() - start >= len(setup) * seconds / setup_samples):
+                setup.append(measure_setup())
         if trace:
             tracer.write(str(spans_path))
     finally:
         shutil.rmtree(out, ignore_errors=True)
-    return passes, untraced, traced, layers, cpu
+    return passes, untraced, traced, layers, cpu, setup
 
 
 # ---------------------------------------------------------------------------
@@ -307,21 +311,12 @@ def measure(qkrf, configs, seconds: float, trace: bool, expected, spans_path: Pa
 
 
 def _git_commit() -> str:
-    """HEAD of the checkout, read from .git without running git."""
-    head = ROOT / ".git" / "HEAD"
     try:
-        ref = head.read_text().strip()
-        if ref.startswith("ref: "):
-            path = ROOT / ".git" / ref[5:]
-            if path.is_file():
-                return path.read_text().strip()
-            for line in (ROOT / ".git" / "packed-refs").read_text().splitlines():
-                if line.endswith(" " + ref[5:]):
-                    return line.split()[0]
-            return "unknown"
-        return ref
-    except OSError:
-        return "unknown (not a git checkout)"
+        done = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT,
+                              capture_output=True, text=True, timeout=10)
+    except (OSError, subprocess.TimeoutExpired):
+        return "unknown"
+    return done.stdout.strip() if done.returncode == 0 else "unknown"
 
 
 def provenance(seed: int, samples: dict) -> dict:
@@ -335,7 +330,7 @@ def provenance(seed: int, samples: dict) -> dict:
         "scipy": scipy.__version__,
         "blas": f"{blas.get('name')} {blas.get('version')}",
         "blas_threads": int(os.environ["OPENBLAS_NUM_THREADS"]),
-        "QKRF_THREADS": os.environ.get("QKRF_THREADS", "1 (default)"),
+        "QKRF_THREADS": int(os.environ["QKRF_THREADS"]),
         "nproc": _nproc(),
         "commit": _git_commit(),
         "seed": seed,
@@ -393,7 +388,7 @@ def main(argv=None) -> int:
     if not (SRC / "qkrf" / "__init__.py").is_file():
         print(f"error: no qkrf source under {SRC}; run from a checkout root", file=sys.stderr)
         return 2
-    _cap_blas_threads()
+    _one_thread()
     if args.setup_child:
         return _setup_child()
     if args.workload is None:
@@ -403,15 +398,18 @@ def main(argv=None) -> int:
     if args.record:
         return record_reference(args.workload, args.seed, configs)
 
-    setup = [] if args.trace else measure_setup(SETUP_SAMPLES)
     qkrf = _import_qkrf()
     _warm_up(qkrf, OUT / f"run-{os.getpid()}-warmup")
     shutil.rmtree(OUT / f"run-{os.getpid()}-warmup", ignore_errors=True)
 
     expected = gate.load_reference().get(args.workload, {}).get(str(args.seed))
+    if expected is None:
+        print(f"warning: no reference recorded for {args.workload} seed {args.seed}; "
+              "only the seed-independent checks apply", file=sys.stderr)
     spans_path = OUT / f"spans-{args.workload}.json.gz"
-    passes, untraced, traced, layers, cpu = measure(
-        qkrf, configs, args.seconds, bool(args.trace), expected, spans_path
+    passes, untraced, traced, layers, cpu, setup = measure(
+        qkrf, configs, args.seconds, bool(args.trace), expected, spans_path,
+        0 if args.trace else SETUP_SAMPLES,
     )
     failed, notes = _count_failures(passes)
     for note in notes:

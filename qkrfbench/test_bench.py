@@ -24,7 +24,7 @@ WORKLOAD = "quantized-dense"  # random dense starts: where nondeterminism would 
 
 @pytest.fixture(scope="module")
 def qkrf():
-    run._cap_blas_threads()
+    run._one_thread()
     return run._import_qkrf()
 
 
@@ -38,6 +38,14 @@ def test_configs_depend_only_on_the_seed():
     for name in workloads.WORKLOADS:
         assert workloads.configs(name, 5) == workloads.configs(name, 5)
         assert workloads.configs(name, 5) != workloads.configs(name, 6)
+
+
+def test_threads_are_one_whatever_the_environment_asks(monkeypatch):
+    monkeypatch.setenv("QKRF_THREADS", "2")
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
+    run._one_thread()
+    for var in ("QKRF_THREADS", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        assert run.os.environ[var] == "1"
 
 
 def test_same_seed_gives_the_same_outputs(qkrf, first_pass, tmp_path):
