@@ -17,6 +17,10 @@ pass's output exactly.
   the passes, of the seconds from process start to the first operation it
   could time: interpreter start, ``import qkrf`` and a small warm-up run
   that finishes the lazy imports;
+
+  both scaled to a reference host speed by a fixed calibration kernel
+  timed between the operations (``calibrate.py``); the raw medians are
+  in the provenance line;
 * ``peak_rss_mb``: peak resident memory of the measuring process.
 
 ``--trace 1`` alternates untraced and traced passes and reports the
@@ -45,6 +49,7 @@ import sys
 import time
 from pathlib import Path
 
+import calibrate
 import gate
 import probes
 import spans
@@ -200,8 +205,11 @@ def measure_setup() -> float:
 # passes
 
 
-def run_pass(qkrf, configs: list, out: Path, expected: list | None) -> dict:
-    """Run every operation once; time each call and check its output."""
+def run_pass(qkrf, configs: list, out: Path, expected: list | None, between=None) -> dict:
+    """Run every operation once; time each call and check its output.
+
+    ``between(seconds)``, if given, runs untimed after each operation.
+    """
     seconds, outputs, problems = [], [], []
     for i, config in enumerate(configs):
         start = time.perf_counter()
@@ -213,6 +221,8 @@ def run_pass(qkrf, configs: list, out: Path, expected: list | None) -> dict:
             problems.append([f"{type(exc).__name__}: {exc}"])
             continue
         seconds.append(time.perf_counter() - start)
+        if between is not None:
+            between(seconds[-1])
         outputs.append(gate.outputs(manifest))
         want = None if expected is None else (expected[i] if i < len(expected) else {})
         problems.append(gate.check(manifest, want))
@@ -274,10 +284,12 @@ def measure(qkrf, configs, seconds: float, trace: bool, expected, spans_path: Pa
     see the same machine.  The ``setup_samples`` set-up timings are taken
     between passes, one per ``seconds / setup_samples``, so that like the
     passes they span the whole run and average over the host's slow and
-    fast phases.
+    fast phases.  Untraced runs also time the calibration kernel after
+    each operation.
     """
     out = OUT / f"run-{os.getpid()}"
     tracer = spans.Tracer(qkrf)
+    calibration = None if trace else calibrate.Calibration()
     untraced, traced, layers, cpu, setup = [], [], [], [], []
     try:
         passes = []
@@ -293,7 +305,8 @@ def measure(qkrf, configs, seconds: float, trace: bool, expected, spans_path: Pa
                 layers.append(layer_metrics(tracer))
                 traced.append(sum(result["seconds"]))
             else:
-                result = run_pass(qkrf, configs, out, expected)
+                result = run_pass(qkrf, configs, out, expected,
+                                  calibration and calibration.after)
                 untraced.append(sum(result["seconds"]))
             passes.append(result)
             while (len(setup) < setup_samples
@@ -303,7 +316,7 @@ def measure(qkrf, configs, seconds: float, trace: bool, expected, spans_path: Pa
             tracer.write(str(spans_path))
     finally:
         shutil.rmtree(out, ignore_errors=True)
-    return passes, untraced, traced, layers, cpu, setup
+    return passes, untraced, traced, layers, cpu, setup, calibration
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +420,7 @@ def main(argv=None) -> int:
         print(f"warning: no reference recorded for {args.workload} seed {args.seed}; "
               "only the seed-independent checks apply", file=sys.stderr)
     spans_path = OUT / f"spans-{args.workload}.json.gz"
-    passes, untraced, traced, layers, cpu, setup = measure(
+    passes, untraced, traced, layers, cpu, setup, calibration = measure(
         qkrf, configs, args.seconds, bool(args.trace), expected, spans_path,
         0 if args.trace else SETUP_SAMPLES,
     )
@@ -426,12 +439,17 @@ def main(argv=None) -> int:
         samples = {"traced_passes": len(traced), "untraced_passes": len(untraced),
                    "probe_calls": probe_samples}
     else:
+        scale = calibration.scale()
         values = {
-            "wall_s": statistics.median(untraced),
-            "setup_s": statistics.median(setup),
+            "wall_s": scale * statistics.median(untraced),
+            "setup_s": scale * statistics.median(setup),
             "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         }
         samples = {"wall_s": len(untraced), "setup_s": len(setup), "peak_rss_mb": 1,
+                   "calibration_chunks": len(calibration.seconds),
+                   "host_scale": scale,
+                   "raw_wall_s": statistics.median(untraced),
+                   "raw_setup_s": statistics.median(setup),
                    "pass_seconds": untraced, "setup_seconds": setup}
 
     print(json.dumps({"provenance": provenance(args.seed, samples),

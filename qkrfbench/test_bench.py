@@ -7,12 +7,14 @@ from __future__ import annotations
 
 import json
 import shutil
+import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import calibrate
 import gate
 import run
 import spans
@@ -97,6 +99,17 @@ def test_gate_ignores_the_standing_failures():
                      "op": "<=", "passed": False}],
     })
     assert gate.check(manifest, None) == []
+
+
+def test_calibration_takes_its_share_of_each_operation():
+    run._one_thread()
+    calibration = calibrate.Calibration()
+    calibration.after(0.0)
+    assert len(calibration.seconds) == 1
+    calibration.after(20 * calibration.seconds[0] / calibrate.SHARE)
+    assert len(calibration.seconds) > 5
+    assert calibration.scale() == pytest.approx(
+        calibrate.REF_S / statistics.median(calibration.seconds))
 
 
 def test_refuses_to_run_without_the_package(tmp_path):
