@@ -7,12 +7,30 @@ import json
 import sys
 from typing import Optional, Sequence
 
+from .energies import FunctionalError
 from .experiments import (
     DESCRIPTIONS,
     ExperimentError,
     RunManifest,
     metric_passes,
     run_experiment,
+)
+from .flows import FlowError
+from .geometry import KahlerConeError, ModelError
+from .hermforms import HermitianError, PositivityError
+from .maps import QuantizationError
+from .nanorms import NANormError
+
+# Numerical failures of a config that passed validation (exit code 3).
+RUN_ERRORS = (
+    FlowError,
+    QuantizationError,
+    ModelError,
+    KahlerConeError,
+    NANormError,
+    HermitianError,
+    PositivityError,
+    FunctionalError,
 )
 
 
@@ -48,6 +66,9 @@ def _cmd_run(args) -> int:
     except ExperimentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RUN_ERRORS as exc:
+        print(f"error: run failed: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     for line in manifest.summary_lines():
         print(line)
     print(

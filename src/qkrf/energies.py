@@ -19,13 +19,13 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .geometry import (
     KahlerConeError,
     PolarizedModel,
     PotentialField,
     ProjectiveLineModel,
+    logsumexp,
     radial_canonical_measure,
 )
 from .hermforms import HermForm, gen_eig

@@ -31,7 +31,6 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
-from scipy.special import logsumexp
 
 TWO_PI = 2.0 * math.pi
 
@@ -522,6 +521,41 @@ def discrete_model_to_json(model: DiscreteModel) -> dict:
 
 # ---------------------------------------------------------------------------
 # measures and integration
+
+
+def logsumexp(a, axis=None):
+    """log(sum(exp(a))) over ``axis`` (all entries when None), by max shift.
+
+    The arithmetic is that of ``scipy.special.logsumexp``: the entries equal
+    to the maximum are taken out of the shifted sum and added back as
+    log1p(rest / ties) + log(ties), so results agree with it to the last
+    bit, without its per-call array-API overhead on short vectors.  An
+    all -inf input gives -inf, a +inf entry gives +inf, a NaN gives NaN.
+    With ``axis=None`` the result is a Python float.
+    """
+    a = np.asarray(a, dtype=float)
+    if axis is None:
+        top = a.max()
+        if not math.isfinite(top):
+            with np.errstate(divide="ignore", over="ignore"):
+                return float(np.log(np.sum(np.exp(a))))
+        shifted = np.exp(a - top)
+        ties = a == top
+        shifted[ties] = 0.0
+        n = np.count_nonzero(ties)
+        return float(np.log1p(shifted.sum() / n) + np.log(n) + top)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        top = np.max(a, axis=axis, keepdims=True)
+        ties = a == top
+        shifted = np.exp(a - top)
+        shifted[ties] = 0.0
+        n = np.count_nonzero(ties, axis=axis, keepdims=True)
+        rest = np.sum(shifted, axis=axis, keepdims=True) / n
+        out = np.log1p(rest) + np.log(n) + top
+        bad = ~np.isfinite(out)
+        if bad.any():
+            out[bad] = np.log(np.sum(np.exp(a), axis=axis, keepdims=True))[bad]
+    return np.squeeze(out, axis=axis)
 
 
 def canonical_measure(phi: PotentialField) -> np.ndarray:

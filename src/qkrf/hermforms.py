@@ -70,13 +70,21 @@ class HermForm:
         entries = _check_and_symmetrize(
             np.asarray(self.entries, dtype=complex), "form matrix"
         )
-        eigs = np.linalg.eigvalsh(entries)
-        if eigs[0] <= 0.0:
+        diagonal = _offdiagonal_is_zero(entries)
+        # LAPACK returns a diagonal matrix's eigenvalues exactly, so the
+        # smallest diagonal entry is the number eigvalsh would give (beyond
+        # magnitudes of about 1e+-145 LAPACK rescales first, which can move
+        # the last bit of its answer but never the sign).
+        if diagonal:
+            smallest = np.min(np.real(np.diagonal(entries)))
+        else:
+            smallest = np.linalg.eigvalsh(entries)[0]
+        if smallest <= 0.0:
             raise PositivityError(
-                f"form is not positive definite: smallest eigenvalue {eigs[0]:.6e}"
+                f"form is not positive definite: smallest eigenvalue {smallest:.6e}"
             )
         object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "_diagonal", _offdiagonal_is_zero(entries))
+        object.__setattr__(self, "_diagonal", diagonal)
 
     @property
     def dim(self) -> int:

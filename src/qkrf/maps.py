@@ -24,13 +24,13 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.special import logsumexp
 
 from .geometry import (
     ModelError,
     PolarizedModel,
     PotentialField,
     ProjectiveLineModel,
+    logsumexp,
 )
 from .hermforms import HermForm, HermitianError, PositivityError
 

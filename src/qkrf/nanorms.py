@@ -22,11 +22,10 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .energies import canonical_conjugate_weights, conjugate_value, f_k_na
 from .flows import FlowTrace, quantized_flow_run
-from .geometry import PolarizedModel, PotentialField
+from .geometry import PolarizedModel, PotentialField, logsumexp
 from .hermforms import HermForm, _orthonormalize_adapted
 from .maps import balancing, orthonormal_orthogonal, project
 

@@ -161,3 +161,17 @@ def test_cli_config_errors_exit_two(tmp_path, capsys):
     assert cli_main(["run", str(invalid)]) == 2
     err = capsys.readouterr().err
     assert "duality.panel" in err
+
+
+def test_cli_numerical_failure_exits_three(tmp_path, capsys):
+    # Passes the schema, but 0.015 is not a whole number of 0.01 steps.
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(
+        json.dumps({"experiment": "monotonicity", "t_max": 0.015, "dt": 0.01})
+    )
+    out_dir = tmp_path / "out"
+    assert cli_main(["run", str(config_path), "--output-dir", str(out_dir)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: run failed: FlowError:")
+    assert "Traceback" not in err

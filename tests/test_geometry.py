@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 
 from qkrf.geometry import (
     KahlerConeError,
@@ -15,8 +16,61 @@ from qkrf.geometry import (
     discrete_model_to_json,
     gauss_legendre_01,
     integrate,
+    logsumexp,
     ma_density,
 )
+
+# Agreement with scipy.special.logsumexp, the reference, to a few float64 ulps.
+LSE_TOL = 8 * np.finfo(float).eps
+
+
+def _assert_lse_close(got, ref):
+    got, ref = np.asarray(got), np.asarray(ref)
+    assert got.shape == ref.shape
+    finite = np.isfinite(ref)
+    assert np.array_equal(got[~finite], ref[~finite], equal_nan=True)
+    err = np.abs(got[finite] - ref[finite])
+    assert np.all(err <= LSE_TOL * np.maximum(1.0, np.abs(ref[finite])))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e3])
+def test_logsumexp_matches_scipy_on_random_vectors(scale):
+    rng = np.random.default_rng(2718)
+    for n in (1, 2, 7, 128, 257):
+        a = scale * rng.standard_normal(n)
+        got = logsumexp(a)
+        assert isinstance(got, float)
+        _assert_lse_close(got, scipy.special.logsumexp(a))
+        a[-1] = a.max()  # a tied maximum
+        _assert_lse_close(logsumexp(a), scipy.special.logsumexp(a))
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        [-np.inf, -np.inf, -np.inf],
+        [0.5, np.inf, -2.0],
+        [-np.inf, np.inf],
+        [-np.inf, 3.0, -np.inf, -1.0],
+        [np.nan, 1.0],
+    ],
+)
+def test_logsumexp_edge_entries_match_scipy(a):
+    got = logsumexp(np.array(a))
+    assert isinstance(got, float)
+    _assert_lse_close(got, scipy.special.logsumexp(np.array(a)))
+
+
+def test_logsumexp_axis_matches_scipy():
+    rng = np.random.default_rng(3141)
+    a = 40.0 * rng.standard_normal((9, 300))
+    a[:, 0] = -np.inf
+    a[0, 1] = np.inf
+    a[2:4, 2] = -np.inf
+    a[1, 3] = a[5, 3] = a[:, 3].max()
+    got = logsumexp(a, axis=0)
+    assert got.shape == (300,)
+    _assert_lse_close(got, scipy.special.logsumexp(a, axis=0))
 
 
 def test_gauss_legendre_exactness():

@@ -49,6 +49,32 @@ def test_diagonal_detection_and_sqnorm():
     assert h.sqnorm(c) == pytest.approx(8.0)
 
 
+@pytest.mark.parametrize(
+    "diag", [[2.0, 0.0, 1.0], [2.0, -0.5, 1.0], [1e-3, -1e-300, 5.0]]
+)
+def test_diagonal_form_positivity_message_matches_eigvalsh(diag):
+    m = np.diag(diag).astype(complex)
+    with pytest.raises(PositivityError) as err:
+        HermForm(1, m)
+    smallest = np.linalg.eigvalsh(m)[0]
+    assert str(err.value) == (
+        f"form is not positive definite: smallest eigenvalue {smallest:.6e}"
+    )
+
+
+def test_indefinite_dense_form_with_positive_diagonal_raises():
+    m = np.array([[1.0, 2.0j], [-2.0j, 1.0]])
+    with pytest.raises(PositivityError, match=r"smallest eigenvalue -1\.000000e\+00"):
+        HermForm(1, m)
+
+
+def test_is_diagonal_for_diagonal_and_dense_forms():
+    assert HermForm(1, np.diag([1.0, 2.0, 3.0])).is_diagonal
+    dense = np.diag([2.0, 2.0, 2.0]).astype(complex)
+    dense[0, 2], dense[2, 0] = 0.5j, -0.5j
+    assert not HermForm(1, dense).is_diagonal
+
+
 def test_scaled_requires_positive_factor():
     h = HermForm(1, np.eye(3))
     with pytest.raises(PositivityError):
