@@ -21,7 +21,6 @@ from .experiments import (
     RunManifest,
     entropy_convergence_report,
     family_potential,
-    fit_decay,
     run_experiment,
 )
 from .flows import (
@@ -31,6 +30,7 @@ from .flows import (
     classical_krf_run,
     concat_traces,
     euler_gap_report,
+    fit_decay,
     flow_vs_krf_gap,
     load_trace,
     monotonicity_probe,

@@ -45,8 +45,11 @@ class FunctionalError(ValueError):
 # classical functionals (radial backend)
 
 
-def _admissible_laplacian(model: ProjectiveLineModel, psi: np.ndarray) -> np.ndarray:
-    lap = model.radial_laplacian(psi)
+def _admissible_laplacian(
+    model: ProjectiveLineModel, psi: np.ndarray, lap: Optional[np.ndarray] = None
+) -> np.ndarray:
+    if lap is None:
+        lap = model.radial_laplacian(psi)
     margin = 2.0 + lap
     if np.any(margin <= 0.0):
         bad = int(np.argmin(margin))
@@ -81,9 +84,14 @@ def l_functional(phi: PotentialField) -> float:
     return float(np.log(model.volume) - logint)
 
 
-def log_ricci_profile(model: ProjectiveLineModel, psi: np.ndarray) -> np.ndarray:
-    """log of d mu_psi / (V^(-1) omega_psi) on the radial grid."""
-    lap = _admissible_laplacian(model, psi)
+def log_ricci_profile(
+    model: ProjectiveLineModel, psi: np.ndarray, lap: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """log of d mu_psi / (V^(-1) omega_psi) on the radial grid.
+
+    ``lap`` is the radial Laplacian of psi when the caller already has it.
+    """
+    lap = _admissible_laplacian(model, psi, lap)
     logz = logsumexp(np.log(model.radial_mu0_weights) - psi)
     return np.log(2.0) - psi - logz - np.log1p(0.5 * lap)
 

@@ -26,7 +26,9 @@ import numpy as np
 
 from .energies import entropy_classical, f_k_na, s_k
 from .flows import (
+    TIME_TOL,
     euler_gap_report,
+    fit_decay,
     flow_vs_krf_gap,
     format_float,
     monotonicity_probe,
@@ -190,6 +192,32 @@ DESCRIPTIONS = {
 }
 
 
+# RK4 is stable on the negative real axis down to about -2.785, and the
+# quantized flow relaxes at rate up to k.
+RK4_STABILITY_LIMIT = 2.785
+# Experiments that fit a decay rate in k.
+RATE_EXPERIMENTS = ("euler-gap", "thmA-gap")
+
+
+def _check_consistency(name: str, params: dict) -> None:
+    """Reject field combinations that pass the schema but cannot run."""
+    if name in RATE_EXPERIMENTS and len(set(params["k_list"])) < 3:
+        raise ExperimentError(f"{name}.k_list: rate fitting needs at least three distinct levels")
+    if "dt" not in params:
+        return
+    k, dt, t_max = params["k"], params["dt"], params["t_max"]
+    if k * dt > RK4_STABILITY_LIMIT:
+        raise ExperimentError(
+            f"{name}.dt: k*dt = {k * dt:.6g} exceeds the RK4 stability limit "
+            f"{RK4_STABILITY_LIMIT} of the level-{k} flow"
+        )
+    steps = round(t_max / dt)
+    if steps < 2 or abs(steps * dt - t_max) > TIME_TOL * max(1.0, t_max):
+        raise ExperimentError(
+            f"{name}.t_max: {t_max} is not a whole number of at least two steps dt = {dt}"
+        )
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     experiment: str
@@ -212,6 +240,7 @@ class ExperimentConfig:
             if key not in params:
                 raise ExperimentError(f"{name}.{key}: unknown field")
             params[key] = _validate_field(f"{name}.{key}", key, value)
+        _check_consistency(name, params)
         return cls(name, params)
 
     def to_dict(self) -> dict:
@@ -314,30 +343,6 @@ def write_table_csv(path, header: Sequence[str], rows: Sequence[Sequence]) -> No
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(cell(x) for x in row) + "\n")
-
-
-def fit_decay(k_values: Sequence[int], errors: Sequence[float]) -> tuple:
-    """Least-squares slope of log error against log k, with a half-width.
-
-    The half-width is the standard error of the slope estimated from the
-    fit residuals; an exact power law returns a slope at round-off level.
-    """
-    k = np.asarray(k_values, dtype=float)
-    err = np.asarray(errors, dtype=float)
-    if k.size < 3:
-        raise ExperimentError("rate fitting needs at least three points")
-    if np.any(err <= 0.0) or not np.all(np.isfinite(err)):
-        raise ExperimentError("rate fitting needs positive finite errors")
-    x = np.log(k)
-    y = np.log(err)
-    design = np.column_stack([x, np.ones_like(x)])
-    coef, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
-    resid = y - design @ coef
-    dof = max(1, k.size - 2)
-    sigma2 = float(resid @ resid) / dof
-    spread = float(np.sum((x - x.mean()) ** 2))
-    half_width = math.sqrt(sigma2 / spread) if spread > 0 else float("inf")
-    return float(coef[0]), half_width
 
 
 def entropy_convergence_report(

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
+import scipy.linalg
 
 from .energies import e_k, l_functional, log_ricci_profile, ma_energy
 from .geometry import (
@@ -41,6 +42,10 @@ from .hermforms import HermForm, PositivityError, gen_eig, log_gap, matrix_exp, 
 from .maps import QuantizationError, balancing, fubini_study, project
 
 TIME_TOL = 1e-9
+# classical solver: local tolerance, first trial step, extrapolation substeps
+CLASSICAL_TOL = 1e-12
+CLASSICAL_FIRST_STEP = 1e-3
+EXTRAPOLATION_STEPS = (1, 2, 3, 4, 5, 6)
 SERIES_FIELDS = ("E", "L", "S", "E_k", "D_k", "S_k")
 TRACE_KINDS = ("quantized", "bergman", "classical")
 
@@ -345,22 +350,62 @@ def bergman_iterate(
 # classical radial flow
 
 
+def radial_laplacian_matrix(model: ProjectiveLineModel) -> np.ndarray:
+    """The matrix D diag(u(1-u)) D of ``model.radial_laplacian``.
+
+    It comes in Fortran order, the layout LAPACK factors in place.
+    """
+    scaled = (model.u * (1.0 - model.u))[:, None] * model.diff
+    return (scaled.T @ model.diff.T).T
+
+
+def krf_jacobian_terms(
+    model: ProjectiveLineModel, psi: np.ndarray, lap: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Terms (a, mu) of the Jacobian of psi -> -rho(psi), given lap = L psi.
+
+    The Jacobian is J = diag(a) L + I - 1 mu^T, with L the radial
+    Laplacian matrix, a = 1/(2 + L psi) and mu the canonical measure.
+    """
+    return 1.0 / (2.0 + lap), radial_canonical_measure(model, psi)
+
+
+def fill_shifted_jacobian(
+    out: np.ndarray,
+    lap_matrix: np.ndarray,
+    terms: tuple[np.ndarray, np.ndarray],
+    h: float,
+) -> np.ndarray:
+    """Overwrite ``out`` with I - h J for the Jacobian J given by its terms."""
+    a, mu = terms
+    np.multiply(lap_matrix, (-h * a)[:, None], out=out)
+    out += h * mu
+    out.flat[:: out.shape[0] + 1] += 1.0 - h
+    return out
+
+
 def classical_krf_run(
     model: ProjectiveLineModel,
     phi0: PotentialField,
     t_max: float,
-    dt: Optional[float] = None,
     sample_dt: Optional[float] = None,
     t0: float = 0.0,
-    max_restarts: int = 6,
 ) -> FlowTrace:
-    """Integrate d psi/dt = -rho(psi) on the radial grid with RK4.
+    """Integrate d psi/dt = -rho(psi) on the radial grid.
 
-    The default step is 1/M^2 for M radial nodes, matching the stiffest
-    mode of the weighted Legendre operator that drives the density term;
-    the step is then snapped so a whole number of steps fits between
-    samples.  If a stage leaves the Kahler cone the whole run restarts
-    with the step halved, up to ``max_restarts`` times.
+    The weighted Legendre operator behind the density term has modes
+    near -M^2 for M radial nodes, so the flow is stiff.  Each macro step
+    H runs the linearly implicit Euler method with n = 1, ..., 6 substeps
+    against the exact Jacobian at the step's start and extrapolates the
+    six results to order 6 (Hairer & Wanner, Solving ODEs II, IV.9).  A
+    step is accepted when the last two diagonal entries of the
+    extrapolation table agree to CLASSICAL_TOL relative to 1 + |psi|_inf;
+    a substep or result that leaves the Kahler cone rejects the step and
+    halves it.  Steps are shortened to land on every sample time.
+    Without ``sample_dt`` there are at most 200 samples, no closer than
+    1/M^2.  ``meta`` counts accepted ``steps``, ``rejected`` steps (also
+    as ``restarts``), field evaluations ``nfev`` and ``factorizations``;
+    ``dt`` is the mean accepted step.
     """
     model.require_radial()
     if phi0.model is not model:
@@ -368,46 +413,84 @@ def classical_krf_run(
     psi0 = phi0.require_profile()
     if t_max <= 0.0:
         raise FlowError("t_max must be positive")
-    m = model.radial_count
-    target_dt = (1.0 / (m * m)) if dt is None else float(dt)
-    if target_dt <= 0.0:
-        raise FlowError("step size must be positive")
     if sample_dt is None:
-        n_samples = min(200, max(1, int(round(t_max / target_dt))))
+        m = model.radial_count
+        n_samples = min(200, max(1, int(round(t_max * m * m))))
         sample_dt = t_max / n_samples
     else:
         sample_dt = float(sample_dt)
         n_samples = _step_count(t_max, sample_dt, "classical flow sampling")
-    steps_per_sample = max(1, int(math.ceil(sample_dt / target_dt - TIME_TOL)))
 
-    def field_at(psi: np.ndarray) -> np.ndarray:
-        return -log_ricci_profile(model, psi)
+    lap_matrix = radial_laplacian_matrix(model)
+    shifted = np.empty_like(lap_matrix)
+    stats = {"steps": 0, "rejected": 0, "nfev": 0, "factorizations": 0}
 
-    last_error: Optional[Exception] = None
-    for attempt in range(max_restarts + 1):
-        h = sample_dt / steps_per_sample
-        psi = psi0.copy()
-        times = [t0]
-        profiles = [psi0.copy()]
-        try:
-            for i in range(n_samples):
-                for j in range(steps_per_sample):
-                    f1 = field_at(psi)
-                    f2 = field_at(psi + 0.5 * h * f1)
-                    f3 = field_at(psi + 0.5 * h * f2)
-                    f4 = field_at(psi + h * f3)
-                    psi = psi + (h / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
-                times.append(t0 + (i + 1) * sample_dt)
-                profiles.append(psi.copy())
-            break
-        except KahlerConeError as exc:
-            last_error = exc
-            steps_per_sample *= 2
-    else:
-        raise FlowError(
-            f"classical flow kept leaving the Kahler cone after {max_restarts} "
-            f"step halvings: {last_error}"
-        )
+    def field_at(psi: np.ndarray, lap: np.ndarray) -> np.ndarray:
+        stats["nfev"] += 1
+        return -log_ricci_profile(model, psi, lap)
+
+    def solve(lu, rhs: np.ndarray) -> np.ndarray:
+        return scipy.linalg.lu_solve(lu, rhs, check_finite=False)
+
+    def macro_step(psi: np.ndarray, lap: np.ndarray, f0: np.ndarray, h: float) -> tuple:
+        """State at t + h with its error estimate, Laplacian and field."""
+        terms = krf_jacobian_terms(model, psi, lap)
+        row: list = []
+        for j, n in enumerate(EXTRAPOLATION_STEPS):
+            sub = h / n
+            fill_shifted_jacobian(shifted, lap_matrix, terms, sub)
+            lu = scipy.linalg.lu_factor(shifted, overwrite_a=True, check_finite=False)
+            stats["factorizations"] += 1
+            # Substeps carry the increment d = y - psi and its Laplacian
+            # separately: the rounding of psi + d, seen through the stiff
+            # Laplacian, would otherwise be amplified by the extrapolation.
+            d = solve(lu, sub * f0)
+            for _ in range(n - 1):
+                f = field_at(psi + d, lap + model.radial_laplacian(d))
+                d += solve(lu, sub * f)
+            new_row = [d]
+            for i in range(j):
+                ratio = n / EXTRAPOLATION_STEPS[j - i - 1] - 1.0
+                new_row.append(new_row[i] + (new_row[i] - row[i]) / ratio)
+            row = new_row
+        error = float(np.max(np.abs(row[-1] - row[-2]))) / (1.0 + float(np.max(np.abs(psi))))
+        new_psi = psi + row[-1]
+        new_lap = model.radial_laplacian(new_psi)
+        return new_psi, error, new_lap, field_at(new_psi, new_lap)
+
+    psi = psi0
+    lap = model.radial_laplacian(psi)
+    f = field_at(psi, lap)
+    h = min(sample_dt, CLASSICAL_FIRST_STEP)
+    times = [t0]
+    profiles = [psi0.copy()]
+    for i in range(n_samples):
+        left = sample_dt
+        while left > 0.0:
+            pieces = max(1, math.ceil(left / h - TIME_TOL))
+            step = left / pieces
+            cone_error = None
+            try:
+                new_psi, error, new_lap, new_f = macro_step(psi, lap, f, step)
+            except KahlerConeError as exc:
+                error, cone_error = math.inf, exc
+            # the estimate is the local error of the order K - 1 column, O(H^K)
+            ratio = 0.9 * (CLASSICAL_TOL / max(error, 1e-300)) ** (1 / len(EXTRAPOLATION_STEPS))
+            if error <= CLASSICAL_TOL:
+                stats["steps"] += 1
+                psi, lap, f = new_psi, new_lap, new_f
+                left = 0.0 if pieces == 1 else left - step
+                h = step * min(4.0, ratio)
+                continue
+            stats["rejected"] += 1
+            h = step * (max(0.2, ratio) if math.isfinite(error) else 0.5)
+            if h < TIME_TOL * sample_dt:
+                raise FlowError(
+                    f"classical flow step underflow near t = {t0 + i * sample_dt:.6f}"
+                    + (f": {cone_error}" if cone_error is not None else "")
+                )
+        times.append(t0 + (i + 1) * sample_dt)
+        profiles.append(psi)
 
     states = [PotentialField(model, None, p) for p in profiles]
     series = {
@@ -420,10 +503,11 @@ def classical_krf_run(
         series["S"].append(float(np.dot(radial_canonical_measure(model, p), rho)))
     s_values = np.asarray(series["S"])
     meta = {
-        "dt": float(sample_dt / steps_per_sample),
+        "dt": float(n_samples * sample_dt / stats["steps"]),
         "sample_dt": float(sample_dt),
-        "restarts": int(attempt),
+        "restarts": stats["rejected"],
         "max_s_increase": float(np.max(np.diff(s_values))) if s_values.size > 1 else 0.0,
+        **stats,
     }
     return FlowTrace("classical", None, np.asarray(times), states, series, meta)
 
@@ -432,11 +516,33 @@ def classical_krf_run(
 # convergence reports
 
 
+def fit_decay(k_values: Sequence[int], errors: Sequence[float]) -> tuple:
+    """Least-squares slope of log error against log k, with a half-width.
+
+    The half-width is the standard error of the slope estimated from the
+    fit residuals; an exact power law returns a slope at round-off level.
+    """
+    k = np.asarray(k_values, dtype=float)
+    err = np.asarray(errors, dtype=float)
+    if k.size < 3:
+        raise FlowError("rate fitting needs at least three points")
+    if np.any(err <= 0.0) or not np.all(np.isfinite(err)):
+        raise FlowError("rate fitting needs positive finite errors")
+    x = np.log(k)
+    y = np.log(err)
+    design = np.column_stack([x, np.ones_like(x)])
+    coef, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
+    resid = y - design @ coef
+    dof = max(1, k.size - 2)
+    sigma2 = float(resid @ resid) / dof
+    spread = float(np.sum((x - x.mean()) ** 2))
+    half_width = math.sqrt(sigma2 / spread) if spread > 0 else float("inf")
+    return float(coef[0]), half_width
+
+
 def _fit(k_values: Sequence[int], errors: Sequence[float]) -> tuple[float, float]:
     if len(k_values) < 3:
         return float("nan"), float("nan")
-    from .experiments import fit_decay
-
     return fit_decay(k_values, errors)
 
 

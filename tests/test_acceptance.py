@@ -132,7 +132,7 @@ def test_criterion_05_entropy_convergence(p1_entropy):
     assert report["worst_tail_increase"] <= 0.0
     assert ratio <= 0.02, (
         f"|S_12 - S|/S = {ratio:.4f}; the gap decreases like c/k with "
-        f"c/S near 3, so reaching 2 percent needs levels around k = 160, "
+        f"c/S near 3, so reaching 2 percent needs levels around k = 192, "
         f"far beyond k = 12 (values are resolution-stable to 1e-15)"
     )
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qkrf.cli import main as cli_main
+from qkrf.flows import FlowError
 from qkrf.experiments import (
     DEFAULTS,
     DESCRIPTIONS,
@@ -37,9 +38,9 @@ def test_fit_decay_noisy_seeded():
 
 
 def test_fit_decay_guards():
-    with pytest.raises(ExperimentError):
+    with pytest.raises(FlowError):
         fit_decay([2, 4], [0.1, 0.05])
-    with pytest.raises(ExperimentError):
+    with pytest.raises(FlowError):
         fit_decay([2, 4, 8], [0.1, 0.0, 0.01])
 
 
@@ -81,6 +82,19 @@ def test_config_field_errors_carry_paths():
         ExperimentConfig.from_dict({"experiment": "monotonicity", "turbo": True})
     with pytest.raises(ExperimentError, match="thmB-entropy.amplitude"):
         ExperimentConfig.from_dict({"experiment": "thmB-entropy", "amplitude": 2.0})
+
+
+def test_config_rejects_inconsistent_steps():
+    with pytest.raises(ExperimentError, match="monotonicity.t_max"):
+        ExperimentConfig.from_dict({"experiment": "monotonicity", "t_max": 0.015, "dt": 0.01})
+    with pytest.raises(ExperimentError, match="slope-identity.t_max"):
+        ExperimentConfig.from_dict({"experiment": "slope-identity", "t_max": 0.05, "dt": 0.05})
+    with pytest.raises(ExperimentError, match="slope-identity.dt: k\\*dt = 32 exceeds"):
+        ExperimentConfig.from_dict({"experiment": "slope-identity", "k": 32, "dt": 1})
+    with pytest.raises(ExperimentError, match="euler-gap.k_list"):
+        ExperimentConfig.from_dict({"experiment": "euler-gap", "k_list": [2, 4, 4]})
+    cfg = ExperimentConfig.from_dict({"experiment": "monotonicity", "k": 32, "dt": 0.08, "t_max": 0.16})
+    assert cfg.params["dt"] == 0.08
 
 
 def test_every_experiment_has_defaults_and_description():
@@ -163,11 +177,29 @@ def test_cli_config_errors_exit_two(tmp_path, capsys):
     assert "duality.panel" in err
 
 
+@pytest.mark.parametrize(
+    "config, field",
+    [
+        ({"experiment": "monotonicity", "t_max": 0.015, "dt": 0.01}, "monotonicity.t_max"),
+        ({"experiment": "slope-identity", "k": 32, "dt": 1}, "slope-identity.dt"),
+    ],
+)
+def test_cli_inconsistent_steps_exit_two(tmp_path, capsys, config, field):
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps(config))
+    out_dir = tmp_path / "out"
+    assert cli_main(["run", str(config_path), "--output-dir", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: {field}:")
+    assert not out_dir.exists()
+
+
 def test_cli_numerical_failure_exits_three(tmp_path, capsys):
-    # Passes the schema, but 0.015 is not a whole number of 0.01 steps.
+    # Passes the schema, but the horizon is shorter than one step at k = 2.
     config_path = tmp_path / "cfg.json"
     config_path.write_text(
-        json.dumps({"experiment": "monotonicity", "t_max": 0.015, "dt": 0.01})
+        json.dumps({"experiment": "euler-gap", "k_list": [2, 4, 8], "t_max": 0.1})
     )
     out_dir = tmp_path / "out"
     assert cli_main(["run", str(config_path), "--output-dir", str(out_dir)]) == 3

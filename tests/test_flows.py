@@ -1,18 +1,25 @@
 import numpy as np
 import pytest
 
+from qkrf import flows
+from qkrf.energies import log_ricci_profile
+from qkrf.experiments import family_potential
 from qkrf.flows import (
     FlowError,
     bergman_iterate,
     classical_krf_run,
     concat_traces,
+    fill_shifted_jacobian,
     format_float,
+    krf_jacobian_terms,
     load_trace,
     monotonicity_probe,
     quantized_flow_run,
+    radial_laplacian_matrix,
     slope_identity_check,
     write_series_csv,
 )
+from qkrf.geometry import KahlerConeError, build_p1_model
 from qkrf.hermforms import HermForm, log_gap, random_herm_pd
 from qkrf.maps import balancing, project
 
@@ -95,6 +102,80 @@ def test_classical_entropy_decreases(p1, bump):
     trace = classical_krf_run(p1, bump, t_max=0.5, sample_dt=0.05)
     assert trace.meta["max_s_increase"] <= 1e-12
     assert trace.series["S"][-1] < trace.series["S"][0]
+    assert trace.meta["steps"] >= 1
+    assert trace.meta["rejected"] == trace.meta["restarts"]
+    assert trace.meta["factorizations"] == 6 * (trace.meta["steps"] + trace.meta["rejected"])
+
+
+@pytest.mark.parametrize("family", ["bump", "sine"])
+def test_classical_jacobian_matches_finite_differences(family):
+    model = build_p1_model(1, radial_nodes=64, angular_nodes=8)
+    psi = family_potential(model, family, 0.3).require_profile()
+    n = psi.size
+    terms = krf_jacobian_terms(model, psi, model.radial_laplacian(psi))
+    shifted = fill_shifted_jacobian(
+        np.empty((n, n), order="F"), radial_laplacian_matrix(model), terms, 1.0
+    )
+    jac = np.eye(n) - shifted
+    eps = 1e-7
+    fd = np.empty_like(jac)
+    for j in range(n):
+        e = np.zeros(n)
+        e[j] = eps
+        fd[:, j] = (log_ricci_profile(model, psi - e) - log_ricci_profile(model, psi + e)) / (2 * eps)
+    assert np.max(np.abs(fd - jac)) <= 1e-6 * np.max(np.abs(jac))
+
+
+def test_classical_flow_matches_tight_reference(p1, bump):
+    """Agreement with DOP853 at rtol 1e-12, its step capped below the stiff limit."""
+    from scipy.integrate import solve_ivp
+
+    trace = classical_krf_run(p1, bump, t_max=0.05, sample_dt=0.01)
+    ref = solve_ivp(
+        lambda t, y: -log_ricci_profile(p1, y),
+        (0.0, 0.05),
+        bump.require_profile(),
+        method="DOP853",
+        rtol=1e-12,
+        atol=1e-12,
+        t_eval=trace.times,
+        first_step=1e-6,
+        max_step=2e-4,
+    )
+    assert ref.success
+    deviation = max(
+        np.max(np.abs(s.require_profile() - y)) for s, y in zip(trace.states, ref.y.T)
+    )
+    assert deviation <= 1e-11
+
+
+def test_classical_cone_exit_rejects_only_that_step(p1, bump, monkeypatch):
+    clean = classical_krf_run(p1, bump, t_max=0.05, sample_dt=0.01)
+    calls = []
+
+    def leaves_cone_once(model, psi, lap=None):
+        calls.append(None)
+        if len(calls) == 3:
+            raise KahlerConeError("injected")
+        return log_ricci_profile(model, psi, lap)
+
+    monkeypatch.setattr(flows, "log_ricci_profile", leaves_cone_once)
+    trace = classical_krf_run(p1, bump, t_max=0.05, sample_dt=0.01)
+    assert trace.meta["rejected"] == clean.meta["rejected"] + 1
+    for a, b in zip(trace.states, clean.states):
+        assert np.max(np.abs(a.require_profile() - b.require_profile())) <= 1e-12
+
+
+@pytest.mark.parametrize("amplitude", [-0.5, -0.6])
+def test_classical_flow_near_cone_edge(p1, amplitude):
+    """Sine starts near the cone's edge (-0.6 made the old RK4 run restart)."""
+    phi0 = family_potential(p1, "sine", amplitude)
+    trace = classical_krf_run(p1, phi0, t_max=0.1, sample_dt=0.01)
+    assert trace.size == 11
+    assert trace.meta["steps"] >= 1
+    assert trace.meta["rejected"] >= 0
+    assert trace.meta["rejected"] == trace.meta["restarts"]
+    assert trace.meta["max_s_increase"] <= 1e-12
 
 
 def test_quantized_flow_converges_to_balanced(p1, bump):
