@@ -3,7 +3,6 @@
 __version__ = "0.1.0"
 
 from .energies import (
-    EnergyReport,
     FunctionalError,
     conjugate_value,
     d_k,

@@ -15,7 +15,6 @@ geodesic rays at large time stay finite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -33,9 +32,6 @@ from .maps import balancing, fubini_study
 
 if TYPE_CHECKING:
     from .nanorms import NAForm
-
-ENTROPY_FLOOR = -1e-9
-
 
 class FunctionalError(ValueError):
     """Invalid input to an energy functional."""
@@ -129,7 +125,7 @@ def e_k(h: HermForm, h_ref: HermForm) -> float:
     if h.is_diagonal and h_ref.is_diagonal:
         logs = np.log(h.diagonal()) - np.log(h_ref.diagonal())
     else:
-        logs = np.log(gen_eig(h.entries, h_ref.entries))
+        logs = np.log(gen_eig(h, h_ref))
     return float(-np.sum(logs) / (h.level * h.dim))
 
 
@@ -141,7 +137,7 @@ def d_k(model: PolarizedModel, h: HermForm, h_ref: HermForm) -> float:
 def balancing_norms(model: PolarizedModel, h: HermForm, balanced: Optional[HermForm] = None) -> np.ndarray:
     """Generalized eigenvalues of (b_k(h), h), ascending; they sum to N_k."""
     b = balancing(model, h) if balanced is None else balanced
-    return gen_eig(b.entries, h.entries)
+    return gen_eig(b, h)
 
 
 def s_k(model: PolarizedModel, h: HermForm, balanced: Optional[HermForm] = None) -> float:
@@ -192,40 +188,3 @@ def f_k_na(nu: "NAForm") -> float:
     lam = np.asarray(nu.weights, dtype=float)
     return float(np.log(lam.size) - logsumexp(-lam / nu.level))
 
-
-# ---------------------------------------------------------------------------
-# per-time energy records
-
-
-def _check_floor(name: str, value: Optional[float]) -> Optional[float]:
-    if value is None:
-        return None
-    v = float(value)
-    if np.isfinite(v) and v < ENTROPY_FLOOR:
-        raise FunctionalError(f"{name} = {v:.3e} below the entropy floor")
-    return v
-
-
-@dataclass(frozen=True)
-class EnergyReport:
-    """Snapshot of the functionals along a flow; absent entries are None."""
-
-    E: Optional[float] = None
-    L: Optional[float] = None
-    S: Optional[float] = None
-    E_k: Optional[float] = None
-    D_k: Optional[float] = None
-    S_k: Optional[float] = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "S", _check_floor("S", self.S))
-        object.__setattr__(self, "S_k", _check_floor("S_k", self.S_k))
-
-    CSV_FIELDS = ("E", "L", "S", "E_k", "D_k", "S_k")
-
-    def csv_values(self) -> list[float]:
-        out = []
-        for name in self.CSV_FIELDS:
-            v = getattr(self, name)
-            out.append(float("nan") if v is None else float(v))
-        return out

@@ -127,7 +127,7 @@ class FlowTrace:
 def _encode_state(state) -> dict:
     if isinstance(state, HermForm):
         if state.is_diagonal:
-            return {"diag": [float(x) for x in state.diagonal()]}
+            return {"diag": [float(x) for x in state.data]}
         return {
             "re": np.real(state.entries).tolist(),
             "im": np.imag(state.entries).tolist(),
@@ -141,11 +141,8 @@ def _decode_state(model: PolarizedModel, kind: str, level: Optional[int], blob: 
     if kind == "classical":
         return PotentialField(model, None, np.asarray(blob["profile"], dtype=float))
     if "diag" in blob:
-        entries = np.diag(np.asarray(blob["diag"], dtype=float)).astype(complex)
-    else:
-        entries = np.asarray(blob["re"], dtype=float) + 1j * np.asarray(
-            blob["im"], dtype=float
-        )
+        return HermForm(level, np.asarray(blob["diag"], dtype=float))
+    entries = np.asarray(blob["re"], dtype=float) + 1j * np.asarray(blob["im"], dtype=float)
     return HermForm(level, entries)
 
 
@@ -219,7 +216,7 @@ def _quantized_samples(
     if not with_energies:
         return
     b = balancing(model, form)
-    norms = gen_eig(b.entries, form.entries)
+    norms = gen_eig(b, form)
     n = norms.size
     l_value = l_functional(fubini_study(model, form))
     ek_value = e_k(form, h_ref)
@@ -264,9 +261,7 @@ def quantized_flow_run(
     diagonal = model.supports_radial and h0.is_diagonal
 
     def to_form(q) -> HermForm:
-        if diagonal:
-            return HermForm(k, np.diag(np.exp(q)).astype(complex))
-        return HermForm(k, matrix_exp(q))
+        return HermForm(k, np.exp(q) if diagonal else matrix_exp(q))
 
     def vector_field(q, t: float):
         try:
@@ -274,7 +269,7 @@ def quantized_flow_run(
             b = balancing(model, form)
             if diagonal:
                 return k * (np.log(b.diagonal()) - q)
-            return k * (matrix_log(b.entries).entries - q)
+            return k * (matrix_log(b).entries - q)
         except (PositivityError, QuantizationError, KahlerConeError) as exc:
             raise FlowError(
                 f"quantized flow left the positive cone near t = {t:.6f}: {exc}"
@@ -283,7 +278,7 @@ def quantized_flow_run(
     if diagonal:
         q = np.log(h0.diagonal())
     else:
-        q = matrix_log(h0.entries).entries
+        q = matrix_log(h0).entries
 
     times = [t0]
     states = [h0]

@@ -34,7 +34,8 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
-# Guard against accidentally gigantic kernels (N_k^2 times node count).
+# Guard against accidentally gigantic section tables: the most array
+# entries one model may hold in its section caches.
 RESOURCE_LIMIT = 2**31
 
 
@@ -301,9 +302,6 @@ class ProjectiveLineModel(PolarizedModel):
             raise ModelError("need at least 16 radial nodes")
         if angular_nodes < 8:
             raise ModelError("need at least 8 angular nodes")
-        nk_top = 2 * k_max + 1
-        if nk_top * nk_top * radial_nodes * angular_nodes > RESOURCE_LIMIT:
-            raise ModelError("kernel storage would exceed the resource limit")
         self.k_max = int(k_max)
         self.volume = 2.0
         self.radial_count = int(radial_nodes)
@@ -324,10 +322,17 @@ class ProjectiveLineModel(PolarizedModel):
         self.mu0_density = np.full(self.node_count, 1.0 / math.pi)
         self._sections: dict[int, np.ndarray] = {}
         self._radial_sq: dict[int, np.ndarray] = {}
+        self._charged = 0
 
     def nk(self, k: int) -> int:
         self.require_level(k)
         return 2 * k + 1
+
+    def _charge(self, count: int, what: str) -> None:
+        """Count ``count`` cached entries against RESOURCE_LIMIT before allocating them."""
+        if self._charged + count > RESOURCE_LIMIT:
+            raise ModelError(f"{what}: {count} more entries exceed the resource limit")
+        self._charged += count
 
     @cached_property
     def radial_mu0_weights(self) -> np.ndarray:
@@ -344,6 +349,7 @@ class ProjectiveLineModel(PolarizedModel):
         self.require_level(k)
         cached = self._radial_sq.get(k)
         if cached is None:
+            self._charge((2 * k + 1) * self.radial_count, f"radial sections at level {k}")
             m = np.arange(2 * k + 1, dtype=float)[:, None]
             logu = np.log(self.u)[None, :]
             log1mu = np.log1p(-self.u)[None, :]
@@ -355,6 +361,7 @@ class ProjectiveLineModel(PolarizedModel):
         self.require_level(k)
         cached = self._sections.get(k)
         if cached is None:
+            self._charge((2 * k + 1) * self.node_count, f"sections at level {k}")
             m = np.arange(2 * k + 1, dtype=float)
             radial = np.sqrt(self.radial_section_sq(k))
             phases = np.exp(1j * np.outer(m, self.theta))

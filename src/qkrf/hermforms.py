@@ -1,18 +1,22 @@
 """Positive Hermitian forms: spectra, logarithms, geodesics, relative entropy.
 
-A form on the level-k section space is stored by its matrix in the
+A form on the level-k section space is given by its matrix in the
 reference basis, with the physics convention that the pairing is
 antilinear in the first slot, so the squared norm of a coefficient
 column c is c^H M c and an orthonormal frame S satisfies S^H M S = I.
-All operations symmetrize their inputs, (A + A^H)/2, before any spectral
-call, and dense spectral operations refuse eigenvalues below a relative
-floor instead of clamping them; silent regularization would corrupt the
+A diagonal form is held as its real diagonal vector, checked in O(N),
+and every spectral operation on diagonal forms is elementwise; the
+dense matrix of such a form is built only when asked for.  Matrix
+inputs are checked and symmetrized, (A + A^H)/2, once, when they enter,
+and dense spectral operations refuse eigenvalues below a relative floor
+instead of clamping them; silent regularization would corrupt the
 decay-rate measurements built on top of this module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Union
 
 import numpy as np
@@ -40,11 +44,11 @@ def _as_matrix(a) -> np.ndarray:
 
 
 def _check_and_symmetrize(a: np.ndarray, what: str) -> np.ndarray:
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise HermitianError(f"{what} must be a square matrix, got shape {a.shape}")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
+        raise HermitianError(f"{what} must be a nonempty square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a.view(float))):
         raise HermitianError(f"{what} has non-finite entries")
-    scale = float(np.max(np.abs(a))) if a.size else 0.0
+    scale = float(np.max(np.abs(a)))
     resid = float(np.max(np.abs(a - a.conj().T)))
     if resid > HERMITIAN_TOL * max(scale, 1.0):
         raise HermitianError(
@@ -57,50 +61,81 @@ def _offdiagonal_is_zero(a: np.ndarray) -> bool:
     return bool(np.count_nonzero(a - np.diag(np.diagonal(a))) == 0)
 
 
+def _hermitian_data(a, what: str) -> np.ndarray:
+    """Checked data of a Hermitian input: its real diagonal if it is diagonal.
+
+    A form's data is taken as it is.  A 1-D input is a diagonal, checked in
+    O(N); a matrix is checked in full and symmetrized.
+    """
+    if isinstance(a, HermForm):
+        return a.data
+    a = a.entries if isinstance(a, TangentForm) else np.asarray(a)
+    if a.ndim != 1:
+        m = _check_and_symmetrize(a.astype(complex, copy=False), what)
+        return np.real(np.diagonal(m)).copy() if _offdiagonal_is_zero(m) else m
+    if a.size == 0:
+        raise HermitianError(f"{what} must be nonempty")
+    if np.iscomplexobj(a):
+        raise HermitianError(f"{what}: a diagonal must be given as a real vector")
+    d = np.array(a, dtype=float)
+    if not np.all(np.isfinite(d)):
+        raise HermitianError(f"{what} has non-finite entries")
+    return d
+
+
+def _dense(data: np.ndarray) -> np.ndarray:
+    return np.diag(data).astype(complex) if data.ndim == 1 else data
+
+
 @dataclass(frozen=True)
 class HermForm:
-    """A positive definite Hermitian form on the level-k section space."""
+    """A positive definite Hermitian form on the level-k section space.
+
+    ``data`` is either the real diagonal (a 1-D vector) of a diagonal form
+    or the matrix of a dense one.  A matrix found to be diagonal is stored
+    as its diagonal, so ``is_diagonal`` is exact and costs nothing.
+    """
 
     level: int
-    entries: np.ndarray
+    data: np.ndarray
 
     def __post_init__(self):
         if self.level < 1:
             raise HermitianError("level must be a positive integer")
-        entries = _check_and_symmetrize(
-            np.asarray(self.entries, dtype=complex), "form matrix"
-        )
-        diagonal = _offdiagonal_is_zero(entries)
+        data = _hermitian_data(self.data, "form")
         # LAPACK returns a diagonal matrix's eigenvalues exactly, so the
         # smallest diagonal entry is the number eigvalsh would give (beyond
         # magnitudes of about 1e+-145 LAPACK rescales first, which can move
         # the last bit of its answer but never the sign).
-        if diagonal:
-            smallest = np.min(np.real(np.diagonal(entries)))
-        else:
-            smallest = np.linalg.eigvalsh(entries)[0]
+        smallest = data.min() if data.ndim == 1 else np.linalg.eigvalsh(data)[0]
         if smallest <= 0.0:
             raise PositivityError(
                 f"form is not positive definite: smallest eigenvalue {smallest:.6e}"
             )
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "_diagonal", diagonal)
+        object.__setattr__(self, "data", data)
 
     @property
     def dim(self) -> int:
-        return self.entries.shape[0]
+        return self.data.shape[0]
 
     @property
     def is_diagonal(self) -> bool:
-        return self._diagonal
+        return self.data.ndim == 1
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        """The complex matrix of the form; built on first use for a diagonal form."""
+        return _dense(self.data)
 
     def diagonal(self) -> np.ndarray:
-        return np.real(np.diagonal(self.entries)).copy()
+        if self.is_diagonal:
+            return self.data.copy()
+        return np.real(np.diagonal(self.data)).copy()
 
     def scaled(self, c: float) -> "HermForm":
         if c <= 0.0:
             raise PositivityError("scaling factor must be positive")
-        return HermForm(self.level, c * self.entries)
+        return HermForm(self.level, c * self.data)
 
     def sqnorm(self, coeffs: np.ndarray) -> float:
         """Squared norm of the section with the given coefficient column."""
@@ -163,14 +198,13 @@ def _floor_check(values: np.ndarray, what: str) -> None:
 
 
 def matrix_log(a: Union[np.ndarray, HermForm]) -> TangentForm:
-    """Hermitian logarithm of a positive definite matrix."""
-    m = _as_matrix(a)
-    if _offdiagonal_is_zero(m):
-        d = np.real(np.diagonal(m))
-        if d.min() <= 0.0:
-            raise PositivityError(f"matrix log of a nonpositive diagonal entry {d.min():.6e}")
-        return TangentForm(np.diag(np.log(d)).astype(complex))
-    pair = eigh(m)
+    """Hermitian logarithm of a positive definite form or matrix."""
+    data = _hermitian_data(a, "matrix")
+    if data.ndim == 1:
+        if data.min() <= 0.0:
+            raise PositivityError(f"matrix log of a nonpositive diagonal entry {data.min():.6e}")
+        return TangentForm(np.diag(np.log(data)).astype(complex))
+    pair = SpectralPair(*np.linalg.eigh(data))
     _floor_check(pair.values, "matrix log")
     return TangentForm(pair.apply(np.log))
 
@@ -189,18 +223,17 @@ def gen_eig(a, b) -> np.ndarray:
 
     These are the eigenvalues of b^(-1/2) a b^(-1/2); in a basis that is
     b-orthonormal and a-orthogonal they are the squared a-norms of the
-    frame vectors.
+    frame vectors.  Forms and matrices are both accepted.
     """
-    am = _check_and_symmetrize(_as_matrix(a), "left matrix")
-    bm = _check_and_symmetrize(_as_matrix(b), "right matrix")
-    if am.shape != bm.shape:
+    da = _hermitian_data(a, "left matrix")
+    db = _hermitian_data(b, "right matrix")
+    if da.shape[0] != db.shape[0]:
         raise HermitianError("generalized eigenvalue inputs differ in shape")
-    if _offdiagonal_is_zero(am) and _offdiagonal_is_zero(bm):
-        da = np.real(np.diagonal(am))
-        db = np.real(np.diagonal(bm))
+    if da.ndim == 1 and db.ndim == 1:
         if db.min() <= 0.0:
             raise PositivityError("right matrix has a nonpositive diagonal entry")
         return np.sort(da / db)
+    am, bm = _dense(da), _dense(db)
     _floor_check(np.linalg.eigvalsh(bm), "generalized eigenvalues")
     return scipy.linalg.eigh(am, bm, eigvals_only=True)
 
@@ -292,7 +325,3 @@ def random_herm_pd(rng: np.random.Generator, n: int, spread: float = 1.0) -> np.
     m = (q * eigs) @ q.conj().T
     return 0.5 * (m + m.conj().T)
 
-
-def random_tangent(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
-    x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return scale * 0.5 * (x + x.conj().T)

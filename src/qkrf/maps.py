@@ -14,8 +14,9 @@ potentials.  The Bergman sums are contractions of the inverse form against
 the pointwise section kernel, so no explicit orthonormalization is ever
 performed.  Rotation-invariant data rides a diagonal fast path: the
 reference monomial Gram is exponentially ill scaled in k, and keeping
-diagonal forms as diagonals preserves full relative accuracy elementwise
-where a dense spectral route would drown the small entries in rounding.
+diagonal forms as diagonal vectors preserves full relative accuracy
+elementwise where a dense spectral route would drown the small entries in
+rounding.
 """
 
 from __future__ import annotations
@@ -58,7 +59,9 @@ class BergmanData:
 
 def _bergman_sum_dense(model: PolarizedModel, h: HermForm) -> np.ndarray:
     a = model.sections(h.level)
-    t = np.linalg.solve(h.entries, a.conj())
+    # one LU of the form for all node columns; the form is checked and finite
+    lu = scipy.linalg.lu_factor(h.entries, check_finite=False)
+    t = scipy.linalg.lu_solve(lu, a.conj(), check_finite=False)
     return np.real(np.einsum("ax,ax->x", a, t))
 
 
@@ -109,8 +112,7 @@ def project(phi: PotentialField, k: int, normalized: bool = True) -> HermForm:
         if normalized:
             logw = logw - logsumexp(np.log(model.radial_mu0_weights) - psi)
         weights = np.exp(logw)
-        diag = model.radial_section_sq(k) @ weights
-        entries = np.diag(diag).astype(complex)
+        gram = model.radial_section_sq(k) @ weights
     else:
         values = phi.values
         logw = np.log(model.mu0_weights) - (k + 1) * values
@@ -118,11 +120,11 @@ def project(phi: PotentialField, k: int, normalized: bool = True) -> HermForm:
             logw = logw - logsumexp(np.log(model.mu0_weights) - values)
         weights = np.exp(logw)
         a = model.sections(k)
-        entries = (a.conj() * weights) @ a.T
+        gram = (a.conj() * weights) @ a.T
     try:
-        form = HermForm(k, entries)
+        form = HermForm(k, gram)
     except PositivityError as exc:
-        eigs = np.linalg.eigvalsh(0.5 * (entries + entries.conj().T))
+        eigs = np.sort(gram) if gram.ndim == 1 else np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))
         cond = float("inf") if eigs[0] <= 0 else float(eigs[-1] / eigs[0])
         raise QuantizationError(
             f"Gram matrix numerically singular at level {k} "

@@ -1,0 +1,100 @@
+"""Property test of the CLI: a config drawn over the schema never ends in a traceback.
+
+Configs are drawn field by field from ``FIELD_SPECS`` for every
+experiment, at small sizes: levels up to 3, at most 32 radial and 16
+angular nodes, and horizons of at most 50 time steps.  Whatever is drawn,
+``qkrf run`` must exit 0 (metrics passed), 1 (a metric failed), 2 (the
+config was rejected) or 3 (the run failed numerically).
+"""
+
+import contextlib
+import io
+import json
+import math
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qkrf.cli import main as cli_main
+from qkrf.experiments import DEFAULTS, FIELD_SPECS
+
+MAX_STEPS = 50
+# Upper bounds that keep one run small, below the schema's own bounds.
+SMALL = {
+    "k": 3,
+    "k_max": 3,
+    "k_list": 3,
+    "radial_nodes": 32,
+    "angular_nodes": 16,
+    "runs": 2,
+    "panel": 3,
+    "pairs": 40,
+    "fine_factor": 3,
+}
+# Time steps per unit of t_max at the largest level k, for the runs whose
+# step is fixed by the config: RK4 at 1/(refine k), and duality at 1/(4k).
+STEPS_PER_UNIT = {
+    "euler-gap": lambda p: max(p["k_list"]) * p["refine"],
+    "thmA-gap": lambda p: max(p["k_list"]) * p["refine"],
+    "duality": lambda p: 4 * max(p["k_list"]),
+}
+
+
+def _field(key: str) -> st.SearchStrategy:
+    kind, *bounds = FIELD_SPECS[key]
+    if kind == "choice":
+        return st.sampled_from(bounds[0])
+    lo, hi = bounds
+    hi = min(hi, SMALL.get(key, hi))
+    if kind == "int":
+        return st.integers(lo, hi)
+    if kind == "int_list":
+        return st.lists(st.integers(lo, hi), min_size=1, max_size=6)
+    return st.floats(lo, hi, allow_nan=False)
+
+
+def _t_max(draw, name: str, params: dict) -> float:
+    lo, hi = FIELD_SPECS["t_max"][1:]
+    if "dt" in params:
+        # whole step counts (slope-identity also runs at dt / 2), or off the grid
+        steps = draw(st.integers(0, MAX_STEPS // 2))
+        stretch = draw(st.sampled_from([1.0, 1.0, 1.0, 1.0 + 1e-6, 0.5 + 1e-3]))
+        return min(max(steps * params["dt"] * stretch, lo), hi)
+    per_unit = STEPS_PER_UNIT[name](params)
+    common = math.lcm(*params["k_list"])
+    on_grid = st.integers(1, MAX_STEPS * common // per_unit or 1).map(lambda j: j / common)
+    return draw(st.one_of(on_grid, st.floats(lo, MAX_STEPS / per_unit)))
+
+
+@st.composite
+def configs(draw, name: str) -> dict:
+    params = {key: draw(_field(key)) for key in DEFAULTS[name] if key != "t_max"}
+    params["seed"] = draw(_field("seed"))
+    if "t_max" in DEFAULTS[name]:
+        params["t_max"] = _t_max(draw, name, params)
+    return {"experiment": name, **params}
+
+
+def run_cli(config: dict) -> tuple[int, str]:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(config))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+            code = cli_main(["run", str(path), "--output-dir", str(Path(tmp) / "out")])
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(DEFAULTS))
+def test_cli_run_never_ends_in_a_traceback(name):
+    @settings(max_examples=5, deadline=None, derandomize=True, database=None)
+    @given(configs(name))
+    def check(config):
+        code, output = run_cli(config)
+        assert code in (0, 1, 2, 3), output
+        assert "Traceback" not in output
+
+    check()

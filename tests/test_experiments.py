@@ -124,23 +124,40 @@ def test_run_writes_manifest_and_is_deterministic(tmp_path):
     assert any("PASS" in line for line in loaded.summary_lines())
 
 
-def test_threads_env_does_not_change_results(tmp_path):
-    cfg = ExperimentConfig.from_dict({"experiment": "na-panel", "pairs": 100})
+def _run_per_thread_count(cfg, tmp_path, counts) -> list:
+    """Manifests of one config run under each QKRF_THREADS value, into tmp_path/<count>."""
     old = os.environ.get("QKRF_THREADS")
     try:
-        os.environ["QKRF_THREADS"] = "1"
-        m1 = run_experiment(cfg, output_dir=str(tmp_path / "serial"))
-        os.environ["QKRF_THREADS"] = "4"
-        m2 = run_experiment(cfg, output_dir=str(tmp_path / "parallel"))
+        manifests = []
+        for threads in counts:
+            os.environ["QKRF_THREADS"] = threads
+            manifests.append(run_experiment(cfg, output_dir=str(tmp_path / threads)))
     finally:
         if old is None:
             os.environ.pop("QKRF_THREADS", None)
         else:
             os.environ["QKRF_THREADS"] = old
+    return manifests
+
+
+def test_threads_env_does_not_change_results(tmp_path):
+    cfg = ExperimentConfig.from_dict({"experiment": "na-panel", "pairs": 100})
+    m1, m2 = _run_per_thread_count(cfg, tmp_path, ("1", "4"))
     assert m1.metrics == m2.metrics
-    a = (tmp_path / "serial" / "na-panel.csv").read_bytes()
-    b = (tmp_path / "parallel" / "na-panel.csv").read_bytes()
+    a = (tmp_path / "1" / "na-panel.csv").read_bytes()
+    b = (tmp_path / "4" / "na-panel.csv").read_bytes()
     assert a == b
+
+
+def test_threads_env_keeps_euler_gap_csvs_identical(tmp_path):
+    cfg = ExperimentConfig.from_dict(
+        {"experiment": "euler-gap", "k_list": [2, 3, 4], "radial_nodes": 32,
+         "angular_nodes": 24, "t_max": 1.0}
+    )
+    m1, m2 = _run_per_thread_count(cfg, tmp_path, ("1", "2"))
+    assert m1.metrics == m2.metrics
+    for name in ("euler-gap.csv", "euler-gap-fit.csv"):
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
 
 def test_cli_list_experiments(capsys):

@@ -238,3 +238,24 @@ def test_write_series_csv_values(tmp_path):
     assert float(row[3]) == 1.0 / 3.0
     assert row[2] == "nan"
     assert row[1] == "2"
+
+
+def test_diagonal_flow_keeps_states_vector_held(p1, bump):
+    h0 = project(bump, 3)
+    trace = quantized_flow_run(p1, h0, t_max=0.5, dt=0.125, sample_every=2)
+    assert trace.meta["diagonal_path"]
+    for state in trace.states:
+        assert state.is_diagonal and state.data.ndim == 1
+        assert "entries" not in vars(state)
+
+
+def test_diagonal_trace_save_load_is_exact(p1, bump, tmp_path):
+    trace = quantized_flow_run(p1, project(bump, 3), t_max=0.5, dt=0.125)
+    json_path, _ = trace.save(str(tmp_path / "diag"))
+    back = load_trace(p1, json_path)
+    assert len(back.states) == len(trace.states)
+    for a, b in zip(back.states, trace.states):
+        assert a.is_diagonal and b.is_diagonal
+        assert np.array_equal(a.data, b.data)
+    for name in trace.series:
+        assert np.array_equal(back.series[name], trace.series[name])

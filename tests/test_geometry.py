@@ -5,9 +5,11 @@ import pytest
 import scipy.special
 
 from qkrf.geometry import (
+    RESOURCE_LIMIT,
     KahlerConeError,
     ModelError,
     PotentialField,
+    ProjectiveLineModel,
     build_discrete_model,
     build_p1_model,
     canonical_measure,
@@ -19,6 +21,7 @@ from qkrf.geometry import (
     logsumexp,
     ma_density,
 )
+from qkrf.maps import balancing, project
 
 # Agreement with scipy.special.logsumexp, the reference, to a few float64 ulps.
 LSE_TOL = 8 * np.finfo(float).eps
@@ -103,6 +106,25 @@ def test_model_guards():
         build_p1_model(0)
     with pytest.raises(ModelError):
         build_p1_model(2, radial_nodes=8, angular_nodes=16)
+
+
+def test_high_level_model_builds_and_balances():
+    """The diagonal path at k = 128 needs only (2k + 1) x radial nodes of storage."""
+    model = build_p1_model(128)
+    h = project(model.zero_potential(), 128)
+    b = balancing(model, h)
+    assert h.is_diagonal and b.is_diagonal
+    assert np.allclose(b.diagonal(), h.diagonal(), rtol=1e-9, atol=0.0)
+    assert not model._sections
+
+
+def test_sections_past_the_resource_limit_raise():
+    k = 2**24
+    model = ProjectiveLineModel(k_max=k, radial_nodes=16, angular_nodes=8)
+    assert (2 * k + 1) * model.node_count > RESOURCE_LIMIT
+    with pytest.raises(ModelError, match="resource limit"):
+        model.sections(k)
+    assert model.sections(1).shape == (3, model.node_count)
 
 
 def test_section_gram_matches_beta_integrals(p1):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qkrf.energies import e_k
 from qkrf.hermforms import (
     HermForm,
     HermitianError,
@@ -168,3 +169,71 @@ def test_random_herm_pd_is_deterministic_and_pd():
     b = random_herm_pd(np.random.default_rng(42), 6, spread=1.5)
     assert np.array_equal(a, b)
     assert np.min(np.linalg.eigvalsh(a)) > 0.0
+
+
+@pytest.mark.parametrize(
+    "diag",
+    [
+        [2.0, 0.0, 1.0],
+        [2.0, -0.5, 1.0],
+        [1e-3, -1e-300, 5.0],
+        [1.0, np.nan, 2.0],
+        [1.0, np.inf, 2.0],
+        [-np.inf, 1.0, 2.0],
+    ],
+)
+def test_vector_and_matrix_inputs_fail_alike(diag):
+    errors = []
+    for data in (np.array(diag), np.diag(diag)):
+        with pytest.raises((HermitianError, PositivityError)) as err:
+            HermForm(1, data)
+        errors.append((type(err.value), str(err.value)))
+    assert errors[0] == errors[1]
+
+
+def test_vector_form_checks_shape_and_type():
+    with pytest.raises(HermitianError):
+        HermForm(1, np.array([]))
+    with pytest.raises(HermitianError):
+        HermForm(1, np.array([1.0 + 1.0j, 2.0]))
+    with pytest.raises(HermitianError):
+        HermForm(1, np.ones((2, 3)))
+
+
+def test_vector_form_copies_its_input():
+    d = np.array([1.0, 2.0, 3.0])
+    h = HermForm(1, d)
+    d[0] = -1.0
+    assert np.array_equal(h.diagonal(), [1.0, 2.0, 3.0])
+
+
+def test_vector_and_matrix_diagonal_forms_agree_bitwise():
+    rng = np.random.default_rng(17)
+    d = np.exp(3.0 * rng.standard_normal(7))
+    d_ref = np.exp(rng.standard_normal(7))
+    dense = random_herm_pd(rng, 7)
+    vec, mat = HermForm(3, d), HermForm(3, np.diag(d))
+    ref_vec, ref_mat = HermForm(3, d_ref), HermForm(3, np.diag(d_ref))
+    assert vec.is_diagonal and mat.is_diagonal
+    assert np.array_equal(vec.diagonal(), mat.diagonal())
+    assert np.array_equal(vec.diagonal(), d)
+    assert np.array_equal(vec.entries, mat.entries)
+    assert vec.entries.dtype == complex and vec.entries.shape == (7, 7)
+    assert np.array_equal(gen_eig(vec, ref_vec), gen_eig(mat, ref_mat))
+    assert np.array_equal(gen_eig(dense, vec), gen_eig(dense, mat))
+    assert log_gap(vec, ref_vec) == log_gap(mat, ref_mat)
+    assert e_k(vec, ref_vec) == e_k(mat, ref_mat)
+    assert np.array_equal(matrix_log(vec).entries, matrix_log(mat).entries)
+    assert np.array_equal(vec.scaled(2.5).diagonal(), mat.scaled(2.5).diagonal())
+
+
+def test_diagonal_paths_leave_the_dense_matrix_unbuilt():
+    h = HermForm(2, np.array([2.0, 1.0, 4.0, 1.0, 2.0]))
+    ref = HermForm(2, np.ones(5))
+    gen_eig(h, ref)
+    log_gap(h, ref)
+    e_k(h, ref)
+    matrix_log(h)
+    h.scaled(2.0)
+    assert "entries" not in vars(h) and "entries" not in vars(ref)
+    assert h.entries is h.entries
