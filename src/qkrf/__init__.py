@@ -12,7 +12,6 @@ from .energies import (
     l_functional,
     ma_energy,
     s_k,
-    s_k_conjugate,
 )
 from .experiments import (
     ExperimentConfig,
@@ -27,15 +26,12 @@ from .flows import (
     FlowTrace,
     bergman_iterate,
     classical_krf_run,
-    concat_traces,
     euler_gap_report,
     fit_decay,
     flow_vs_krf_gap,
-    load_trace,
     monotonicity_probe,
     quantized_flow_run,
     slope_identity_check,
-    write_series_csv,
 )
 from .geometry import (
     DiscreteModel,
@@ -44,30 +40,15 @@ from .geometry import (
     PolarizedModel,
     PotentialField,
     ProjectiveLineModel,
-    build_discrete_model,
     build_p1_model,
     canonical_measure,
-    discrete_model_from_json,
-    discrete_model_to_json,
     ma_density,
 )
-from .hermforms import (
-    HermForm,
-    PositivityError,
-    gen_eig,
-    geodesic,
-    geodesic_ray,
-    log_gap,
-    matrix_exp,
-    matrix_log,
-    random_herm_pd,
-    rel_entropy,
-)
+from .hermforms import HermForm, PositivityError, gen_eig, log_gap, random_herm_pd
 from .maps import (
     QuantizationError,
     balancing,
     bergman_data,
-    beta_map,
     fubini_study,
     orthonormal_orthogonal,
     project,
@@ -80,10 +61,7 @@ from .nanorms import (
     diagonal_na,
     duality_gap,
     extract_na_from_flow,
-    extraction_identity_residual,
     l_na_slope,
-    na_form_from_json,
-    na_form_to_json,
     na_norm_value,
     random_na,
     ray_l_value,
@@ -91,4 +69,26 @@ from .nanorms import (
     trivial_na,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # models and potentials
+    "PolarizedModel", "ProjectiveLineModel", "DiscreteModel", "PotentialField",
+    "build_p1_model", "canonical_measure", "ma_density", "ModelError", "KahlerConeError",
+    # Hermitian forms and the quantization maps
+    "HermForm", "gen_eig", "log_gap", "random_herm_pd", "PositivityError",
+    "project", "fubini_study", "balancing", "bergman_data", "orthonormal_orthogonal",
+    "QuantizationError",
+    # functionals
+    "ma_energy", "l_functional", "entropy_classical", "e_k", "d_k", "s_k",
+    "conjugate_value", "f_k_na", "FunctionalError",
+    # flows and their reports
+    "FlowTrace", "quantized_flow_run", "bergman_iterate", "classical_krf_run",
+    "euler_gap_report", "flow_vs_krf_gap", "slope_identity_check", "monotonicity_probe",
+    "fit_decay", "FlowError",
+    # non-Archimedean norms and duality
+    "NAForm", "DHMeasure", "trivial_na", "diagonal_na", "random_na", "na_norm_value",
+    "dh_empirical", "ray_l_value", "l_na_slope", "s_k_na", "extract_na_from_flow",
+    "duality_gap", "NANormError",
+    # experiments
+    "ExperimentConfig", "RunManifest", "run_experiment", "family_potential",
+    "entropy_convergence_report", "ExperimentError",
+]

@@ -12,7 +12,7 @@ from .experiments import (
     DESCRIPTIONS,
     ExperimentError,
     RunManifest,
-    metric_passes,
+    make_metric,
     run_experiment,
 )
 from .flows import FlowError
@@ -88,18 +88,17 @@ def _cmd_list() -> int:
 def _cmd_check(args) -> int:
     try:
         manifest = RunManifest.from_json(args.manifest)
-    except (OSError, TypeError, KeyError, json.JSONDecodeError) as exc:
+        # decide every metric afresh from its value, threshold and comparison
+        manifest.metrics = [
+            make_metric(m["name"], m["value"], m["threshold"], m["op"])
+            for m in manifest.metrics
+        ]
+    except (OSError, TypeError, KeyError, ValueError) as exc:
         print(f"error: cannot read manifest: {exc}", file=sys.stderr)
         return 2
-    ok = True
-    for m in manifest.metrics:
-        passed = metric_passes(m)
-        ok = ok and passed
-        print(
-            f"{'PASS' if passed else 'FAIL'} {manifest.experiment}:{m['name']} "
-            f"value={m['value']:.6g} {m['op']} {m['threshold']:.6g}"
-        )
-    return 0 if ok else 1
+    for line in manifest.summary_lines():
+        print(line)
+    return 0 if all(m["passed"] for m in manifest.metrics) else 1
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

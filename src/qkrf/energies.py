@@ -1,16 +1,17 @@
 """Energy and entropy functionals, classical and quantized.
 
 Classical side (radial backend): the Monge-Ampere energy E, the
-normalized integral L(phi) = -log((1/V) int e^(-phi) d mu0), the Ricci
-density of the canonical probability measure against the normalized
-Monge-Ampere measure, and the relative entropy S between the two.
+normalized integral L(phi) = -log((1/V) int e^(-phi) d mu0), the log
+Ricci density rho of the canonical probability measure against the
+normalized Monge-Ampere measure, and the relative entropy S between the
+two.
 
 Quantized side at level k: the determinant energy E_k, the scale
 invariant D_k = L o fubini_study - E_k, the quantized entropy
-S_k(H) = rel_entropy(b_k(H), H) with the 1/N_k normalization, its
-Legendre-type variational form, and the free energy F^NA of a
-non-Archimedean norm.  All exponential sums go through log-sum-exp so
-geodesic rays at large time stay finite.
+S_k(H) = (1/N_k) sum B_i log B_i over the generalized eigenvalues B_i
+of (b_k(H), H), the pairing of its Legendre-type variational form, and
+the free energy F^NA of a non-Archimedean norm.  All exponential sums go
+through log-sum-exp so geodesic rays at large time stay finite.
 """
 
 from __future__ import annotations
@@ -92,18 +93,6 @@ def log_ricci_profile(
     return np.log(2.0) - psi - logz - np.log1p(0.5 * lap)
 
 
-def ricci_density(phi: PotentialField) -> np.ndarray:
-    """Density e^rho of the canonical measure against V^(-1) omega_phi^n.
-
-    Its defect e^rho - 1 integrates to zero against the normalized
-    Monge-Ampere measure, and rho vanishes identically at phi = 0.
-    """
-    model = phi.model
-    model.require_radial()
-    psi = phi.require_profile()
-    return model.tile_radial(np.exp(log_ricci_profile(model, psi)))
-
-
 def entropy_classical(phi: PotentialField) -> float:
     """Relative entropy of d mu_phi against V^(-1) omega_phi^n; nonnegative."""
     model = phi.model
@@ -164,20 +153,6 @@ def conjugate_value(b_norms: np.ndarray, k: int, lam: np.ndarray) -> float:
     n = b.size
     linear = -float(np.dot(lam / k, b)) / n
     return linear - float(logsumexp(-lam / k) - np.log(n))
-
-
-def s_k_conjugate(
-    model: PolarizedModel, h: HermForm, trials: list[np.ndarray]
-) -> float:
-    """Best trial value of the variational form of the quantized entropy.
-
-    Every trial is a lower bound for s_k(h); the canonical weights
-    -k log B_i attain it.
-    """
-    if not trials:
-        raise FunctionalError("need at least one trial weight vector")
-    b = balancing_norms(model, h)
-    return max(conjugate_value(b, h.level, lam) for lam in trials)
 
 
 def f_k_na(nu: "NAForm") -> float:

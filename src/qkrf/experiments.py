@@ -27,7 +27,7 @@ import numpy as np
 from .energies import entropy_classical, f_k_na, s_k
 from .flows import (
     TIME_TOL,
-    euler_gap_report,
+    euler_gap_at_level,
     fit_decay,
     flow_vs_krf_gap,
     format_float,
@@ -39,10 +39,11 @@ from .geometry import PotentialField, ProjectiveLineModel, ma_density
 from .hermforms import HermForm, random_herm_pd
 from .maps import balancing, project
 from .nanorms import (
+    DUALITY_STEP,
     dh_empirical,
     diagonal_na,
     duality_gap,
-    extraction_identity_residual,
+    extract_na_from_flow,
     l_na_slope,
     na_norm_value,
     random_na,
@@ -182,7 +183,7 @@ DEFAULTS = {
 
 DESCRIPTIONS = {
     "balanced-fixed-point": "round-metric Gram is a balancing fixed point, k = 1..k_max",
-    "euler-gap": "Bergman iterates track the integrated flow at rate 1/k",
+    "euler-gap": "log-gap between Bergman iterates and the integrated flow, fitted in k",
     "thmA-gap": "quantized potentials track the classical flow at rate 1/k",
     "thmB-entropy": "quantized entropy converges to the classical entropy",
     "slope-identity": "entropy equals minus the slope of L along the flow",
@@ -199,10 +200,37 @@ RK4_STABILITY_LIMIT = 2.785
 RATE_EXPERIMENTS = ("euler-gap", "thmA-gap")
 
 
+def _whole_steps(span: float, dt: float) -> int:
+    """How many steps dt make up span; 0 when span is off the step grid."""
+    steps = round(span / dt)
+    return steps if abs(steps * dt - span) <= TIME_TOL * max(1.0, span) else 0
+
+
 def _check_consistency(name: str, params: dict) -> None:
     """Reject field combinations that pass the schema but cannot run."""
     if name in RATE_EXPERIMENTS and len(set(params["k_list"])) < 3:
         raise ExperimentError(f"{name}.k_list: rate fitting needs at least three distinct levels")
+    if name == "thmA-gap":
+        # flow_vs_krf_gap samples the classical flow every 1/lcm(k_list) and
+        # compares it one quantized step ahead, at 1/k, at every level k
+        t_max, levels = params["t_max"], params["k_list"]
+        common = math.lcm(*levels)
+        if abs(round(t_max * common) - t_max * common) > TIME_TOL:
+            raise ExperimentError(
+                f"{name}.t_max: {t_max} is not a multiple of 1/lcm(k_list) = 1/{common}"
+            )
+        if t_max * min(levels) + TIME_TOL < 1.0:
+            raise ExperimentError(
+                f"{name}.t_max: {t_max} is shorter than one step 1/{min(levels)} "
+                f"at level {min(levels)}"
+            )
+    if name == "duality":
+        for k in params["k_list"]:
+            if not _whole_steps(params["t_max"], DUALITY_STEP / k):
+                raise ExperimentError(
+                    f"{name}.t_max: {params['t_max']} is not a whole number of "
+                    f"flow steps {DUALITY_STEP}/k at level {k}"
+                )
     if "dt" not in params:
         return
     k, dt, t_max = params["k"], params["dt"], params["t_max"]
@@ -211,8 +239,7 @@ def _check_consistency(name: str, params: dict) -> None:
             f"{name}.dt: k*dt = {k * dt:.6g} exceeds the RK4 stability limit "
             f"{RK4_STABILITY_LIMIT} of the level-{k} flow"
         )
-    steps = round(t_max / dt)
-    if steps < 2 or abs(steps * dt - t_max) > TIME_TOL * max(1.0, t_max):
+    if _whole_steps(t_max, dt) < 2:
         raise ExperimentError(
             f"{name}.t_max: {t_max} is not a whole number of at least two steps dt = {dt}"
         )
@@ -301,13 +328,6 @@ def make_metric(name: str, value: float, threshold: float, op: str) -> dict:
     }
 
 
-def metric_passes(m: dict) -> bool:
-    value, threshold, op = float(m["value"]), float(m["threshold"]), m["op"]
-    if math.isnan(value):
-        return False
-    return value <= threshold if op == "<=" else value >= threshold
-
-
 # ---------------------------------------------------------------------------
 # shared utilities
 
@@ -345,17 +365,22 @@ def write_table_csv(path, header: Sequence[str], rows: Sequence[Sequence]) -> No
             fh.write(",".join(cell(x) for x in row) + "\n")
 
 
+# Levels from which the entropy gap |S_k - S| must not increase.
+TAIL_FROM = 4
+
+
 def entropy_convergence_report(
     model: ProjectiveLineModel,
     phi0: PotentialField,
     k_list: Sequence[int],
     fine_factor: int = 2,
-    decreasing_from: int = 4,
 ) -> dict:
     """Rows (k, S_k(p_k(phi0)), S(phi0), |difference|) with a refined oracle.
 
     The classical entropy is taken from a grid ``fine_factor`` times
     finer; the same refinement controls the discretization of each S_k.
+    ``worst_tail_increase`` is the largest step up of |difference| over
+    the levels k >= TAIL_FROM.
     """
     model.require_radial()
     k_values = sorted(set(int(k) for k in k_list))
@@ -369,7 +394,6 @@ def entropy_convergence_report(
         fine_model, None, model.interpolate_radial(psi, fine_model.u)
     )
     s_classical = entropy_classical(fine_phi)
-    s_coarse = entropy_classical(phi0)
 
     def one_level(k: int) -> tuple:
         coarse = s_k(model, project(phi0, k))
@@ -380,14 +404,13 @@ def entropy_convergence_report(
     s_k_values = [p[0] for p in pairs]
     s_k_fine = [p[1] for p in pairs]
     diffs = [abs(v - s_classical) for v in s_k_values]
-    tail = [d for k, d in zip(k_values, diffs) if k >= decreasing_from]
+    tail = [d for k, d in zip(k_values, diffs) if k >= TAIL_FROM]
     worst_increase = max(np.diff(tail)) if len(tail) > 1 else 0.0
     return {
         "k_values": k_values,
         "s_k": s_k_values,
         "s_k_fine": s_k_fine,
         "s_classical": s_classical,
-        "s_classical_coarse": s_coarse,
         "diffs": diffs,
         "worst_tail_increase": float(worst_increase),
         "final_ratio": float(diffs[-1] / s_classical) if s_classical > 0 else 0.0,
@@ -416,9 +439,7 @@ def _run_balanced_fixed_point(params: dict, out: Path) -> tuple:
     def one_level(k: int) -> tuple:
         h = project(zero, k)
         b = balancing(model, h)
-        residual = float(
-            np.linalg.norm(b.entries - h.entries) / np.linalg.norm(h.entries)
-        )
+        residual = float(np.linalg.norm(b.data - h.data) / np.linalg.norm(h.data))
         return k, residual, s_k(model, h, balanced=b)
 
     rows = _parallel_map(one_level, list(model.levels))
@@ -439,13 +460,10 @@ def _run_euler_gap(params: dict, out: Path) -> tuple:
     model = _model_from(params, max(k_values))
     phi0 = family_potential(model, params["family"], params["amplitude"])
 
-    def one_level(k: int) -> float:
-        report = euler_gap_report(
-            model, phi0, params["t_max"], [k], refine=params["refine"]
-        )
-        return report["errors"][0]
-
-    errors = _parallel_map(one_level, k_values)
+    errors = _parallel_map(
+        lambda k: euler_gap_at_level(model, phi0, params["t_max"], k, params["refine"]),
+        k_values,
+    )
     slope, half_width = fit_decay(k_values, errors)
     write_table_csv(
         out / "euler-gap.csv", ["k", "error"], list(zip(k_values, errors))
@@ -540,8 +558,7 @@ def _run_slope_identity(params: dict, out: Path) -> tuple:
         out / "slope-identity.csv", ["grid", "dt", "max_residual"], results
     )
     identity_residual = max(
-        extraction_identity_residual(model, last_trace, t)
-        for t in last_trace.times[:3]
+        extract_na_from_flow(model, last_trace, t)[1] for t in last_trace.times[:3]
     )
     metrics = [
         make_metric("slope_identity_ratio_low", ratio, 1.5, ">="),

@@ -17,6 +17,9 @@ Forms produced along radial runs stay exactly diagonal, so every
 spectral operation rides the elementwise paths and the iteration is
 immune to the severe ill-scaling of the monomial Gram matrices at
 large k.
+
+Every run starts at t = 0 from its initial state.  ``FlowTrace.save``
+writes a run's states as JSON and its series as CSV, as run artifacts.
 """
 
 from __future__ import annotations
@@ -137,49 +140,6 @@ def _encode_state(state) -> dict:
     raise FlowError(f"cannot serialize state of type {type(state).__name__}")
 
 
-def _decode_state(model: PolarizedModel, kind: str, level: Optional[int], blob: dict):
-    if kind == "classical":
-        return PotentialField(model, None, np.asarray(blob["profile"], dtype=float))
-    if "diag" in blob:
-        return HermForm(level, np.asarray(blob["diag"], dtype=float))
-    entries = np.asarray(blob["re"], dtype=float) + 1j * np.asarray(blob["im"], dtype=float)
-    return HermForm(level, entries)
-
-
-def load_trace(model: PolarizedModel, json_path: str) -> FlowTrace:
-    """Rebuild a trace saved by FlowTrace.save against the same model."""
-    with open(json_path) as fh:
-        payload = json.load(fh)
-    kind = payload["kind"]
-    level = payload["level"]
-    states = [_decode_state(model, kind, level, blob) for blob in payload["states"]]
-    series = {k: np.asarray(v, dtype=float) for k, v in payload["series"].items()}
-    return FlowTrace(
-        kind, level, np.asarray(payload["times"], dtype=float), states, series,
-        payload.get("meta", {}),
-    )
-
-
-def concat_traces(first: FlowTrace, second: FlowTrace) -> FlowTrace:
-    """Join a resumed segment onto its predecessor (shared endpoint dropped)."""
-    if first.kind != second.kind or first.level != second.level:
-        raise FlowError("traces disagree in kind or level")
-    if abs(second.times[0] - first.times[-1]) > TIME_TOL:
-        raise FlowError("second trace does not start where the first ends")
-    keys = set(first.series) & set(second.series)
-    series = {k: np.concatenate([first.series[k], second.series[k][1:]]) for k in keys}
-    meta = dict(first.meta)
-    meta["resumed_at"] = float(second.times[0])
-    return FlowTrace(
-        first.kind,
-        first.level,
-        np.concatenate([first.times, second.times[1:]]),
-        list(first.states) + list(second.states[1:]),
-        series,
-        meta,
-    )
-
-
 def write_series_csv(path: str, times: np.ndarray, level: Optional[int], series: dict) -> None:
     """Fixed-order CSV: t,k,E,L,S,E_k,D_k,S_k with 17 significant digits."""
     k_col = int(level) if level else 0
@@ -234,16 +194,15 @@ def quantized_flow_run(
     dt: float,
     method: str = "rk4",
     sample_every: int = 1,
-    h_ref: Optional[HermForm] = None,
     with_energies: bool = True,
-    t0: float = 0.0,
 ) -> FlowTrace:
-    """Integrate the quantized flow from h0 over [t0, t0 + t_max].
+    """Integrate the quantized flow from h0 over [0, t_max].
 
     The state is Q = log H in the reference basis; one Euler step of
     size 1/k lands exactly on b_k(H).  States are sampled every
-    ``sample_every`` steps (the initial state included).  Any stage that
-    leaves the positive cone aborts the run with the failure time.
+    ``sample_every`` steps (the initial state included); the energies
+    take h0 as the reference form of E_k.  Any stage that leaves the
+    positive cone aborts the run with the failure time.
     """
     if method not in ("rk4", "euler"):
         raise FlowError(f"unknown integration method {method!r}")
@@ -256,7 +215,6 @@ def quantized_flow_run(
     n_steps = _step_count(t_max, dt, "quantized flow")
     if n_steps % sample_every != 0:
         raise FlowError("step count is not a multiple of sample_every")
-    reference = h0 if h_ref is None else h_ref
 
     diagonal = model.supports_radial and h0.is_diagonal
 
@@ -269,23 +227,20 @@ def quantized_flow_run(
             b = balancing(model, form)
             if diagonal:
                 return k * (np.log(b.diagonal()) - q)
-            return k * (matrix_log(b).entries - q)
+            return k * (matrix_log(b) - q)
         except (PositivityError, QuantizationError, KahlerConeError) as exc:
             raise FlowError(
                 f"quantized flow left the positive cone near t = {t:.6f}: {exc}"
             ) from exc
 
-    if diagonal:
-        q = np.log(h0.diagonal())
-    else:
-        q = matrix_log(h0).entries
+    q = np.log(h0.diagonal()) if diagonal else matrix_log(h0)
 
-    times = [t0]
+    times = [0.0]
     states = [h0]
     record = {name: [] for name in ("L", "E_k", "D_k", "S_k", "relent_ref")}
-    _quantized_samples(model, reference, h0, record, with_energies)
+    _quantized_samples(model, h0, h0, record, with_energies)
 
-    t = t0
+    t = 0.0
     for step in range(1, n_steps + 1):
         if method == "euler":
             q = q + dt * vector_field(q, t)
@@ -295,12 +250,12 @@ def quantized_flow_run(
             f3 = vector_field(q + 0.5 * dt * f2, t + 0.5 * dt)
             f4 = vector_field(q + dt * f3, t + dt)
             q = q + (dt / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
-        t = t0 + step * dt
+        t = step * dt
         if step % sample_every == 0:
             form = to_form(q)
             times.append(t)
             states.append(form)
-            _quantized_samples(model, reference, form, record, with_energies)
+            _quantized_samples(model, h0, form, record, with_energies)
 
     series = {name: values for name, values in record.items() if values}
     meta = {
@@ -317,25 +272,23 @@ def bergman_iterate(
     model: PolarizedModel,
     h0: HermForm,
     steps: int,
-    h_ref: Optional[HermForm] = None,
     with_energies: bool = True,
 ) -> FlowTrace:
-    """Iterate the balancing map; step j sits at time j/k."""
+    """Iterate the balancing map; step j sits at time j/k, E_k is taken against h0."""
     if steps < 1:
         raise FlowError("need at least one iteration step")
     k = h0.level
     model.require_level(k)
-    reference = h0 if h_ref is None else h_ref
     times = [0.0]
     states = [h0]
     record = {name: [] for name in ("L", "E_k", "D_k", "S_k", "relent_ref")}
-    _quantized_samples(model, reference, h0, record, with_energies)
+    _quantized_samples(model, h0, h0, record, with_energies)
     form = h0
     for j in range(1, steps + 1):
         form = balancing(model, form)
         times.append(j / k)
         states.append(form)
-        _quantized_samples(model, reference, form, record, with_energies)
+        _quantized_samples(model, h0, form, record, with_energies)
     series = {name: values for name, values in record.items() if values}
     meta = {"steps": int(steps), "with_energies": bool(with_energies)}
     return FlowTrace("bergman", k, np.asarray(times), states, series, meta)
@@ -383,10 +336,9 @@ def classical_krf_run(
     model: ProjectiveLineModel,
     phi0: PotentialField,
     t_max: float,
-    sample_dt: Optional[float] = None,
-    t0: float = 0.0,
+    sample_dt: float,
 ) -> FlowTrace:
-    """Integrate d psi/dt = -rho(psi) on the radial grid.
+    """Integrate d psi/dt = -rho(psi) on the radial grid, sampled every sample_dt.
 
     The weighted Legendre operator behind the density term has modes
     near -M^2 for M radial nodes, so the flow is stiff.  Each macro step
@@ -397,8 +349,7 @@ def classical_krf_run(
     extrapolation table agree to CLASSICAL_TOL relative to 1 + |psi|_inf;
     a substep or result that leaves the Kahler cone rejects the step and
     halves it.  Steps are shortened to land on every sample time.
-    Without ``sample_dt`` there are at most 200 samples, no closer than
-    1/M^2.  ``meta`` counts accepted ``steps``, ``rejected`` steps (also
+    ``meta`` counts accepted ``steps``, ``rejected`` steps (also
     as ``restarts``), field evaluations ``nfev`` and ``factorizations``;
     ``dt`` is the mean accepted step.
     """
@@ -408,13 +359,8 @@ def classical_krf_run(
     psi0 = phi0.require_profile()
     if t_max <= 0.0:
         raise FlowError("t_max must be positive")
-    if sample_dt is None:
-        m = model.radial_count
-        n_samples = min(200, max(1, int(round(t_max * m * m))))
-        sample_dt = t_max / n_samples
-    else:
-        sample_dt = float(sample_dt)
-        n_samples = _step_count(t_max, sample_dt, "classical flow sampling")
+    sample_dt = float(sample_dt)
+    n_samples = _step_count(t_max, sample_dt, "classical flow sampling")
 
     lap_matrix = radial_laplacian_matrix(model)
     shifted = np.empty_like(lap_matrix)
@@ -457,7 +403,7 @@ def classical_krf_run(
     lap = model.radial_laplacian(psi)
     f = field_at(psi, lap)
     h = min(sample_dt, CLASSICAL_FIRST_STEP)
-    times = [t0]
+    times = [0.0]
     profiles = [psi0.copy()]
     for i in range(n_samples):
         left = sample_dt
@@ -481,10 +427,10 @@ def classical_krf_run(
             h = step * (max(0.2, ratio) if math.isfinite(error) else 0.5)
             if h < TIME_TOL * sample_dt:
                 raise FlowError(
-                    f"classical flow step underflow near t = {t0 + i * sample_dt:.6f}"
+                    f"classical flow step underflow near t = {i * sample_dt:.6f}"
                     + (f": {cone_error}" if cone_error is not None else "")
                 )
-        times.append(t0 + (i + 1) * sample_dt)
+        times.append((i + 1) * sample_dt)
         profiles.append(psi)
 
     states = [PotentialField(model, None, p) for p in profiles]
@@ -535,10 +481,30 @@ def fit_decay(k_values: Sequence[int], errors: Sequence[float]) -> tuple:
     return float(coef[0]), half_width
 
 
-def _fit(k_values: Sequence[int], errors: Sequence[float]) -> tuple[float, float]:
-    if len(k_values) < 3:
-        return float("nan"), float("nan")
-    return fit_decay(k_values, errors)
+def euler_gap_at_level(
+    model: PolarizedModel,
+    phi0: PotentialField,
+    t_max: float,
+    k: int,
+    refine: int = 4,
+) -> float:
+    """Largest log_gap between the Bergman iterates and the flow at level k.
+
+    The flow from project(phi0, k) is integrated with RK4 at step
+    1/(refine k) and compared with the iterates at every time j/k <= t_max.
+    """
+    if refine < 2:
+        raise FlowError("refine must be at least 2 to separate the two evolutions")
+    j_max = int(math.floor(t_max * k + TIME_TOL))
+    if j_max < 1:
+        raise FlowError(f"horizon {t_max} is shorter than one step at level {k}")
+    h0 = project(phi0, k)
+    truth = quantized_flow_run(
+        model, h0, t_max=j_max / k, dt=1.0 / (refine * k),
+        sample_every=refine, with_energies=False,
+    )
+    iterates = bergman_iterate(model, h0, steps=j_max, with_energies=False)
+    return max(log_gap(truth.states[j], iterates.states[j]) for j in range(j_max + 1))
 
 
 def euler_gap_report(
@@ -548,43 +514,15 @@ def euler_gap_report(
     k_list: Sequence[int],
     refine: int = 4,
 ) -> dict:
-    """Gap between Bergman iterates and the integrated flow, per level.
-
-    For each k the flow is integrated with RK4 at step 1/(refine k) and
-    sampled at the iteration times j/k; the report records the largest
-    log_gap over j/k <= t_max and the fitted decay slope in k.
-    """
-    if refine < 2:
-        raise FlowError("refine must be at least 2 to separate the two evolutions")
+    """``euler_gap_at_level`` for each level, with its fitted decay slope in k."""
     k_values = sorted(set(int(k) for k in k_list))
-    if not k_values or k_values[0] < 1:
-        raise FlowError("k_list must contain positive levels")
-    errors = []
-    gap_tables = {}
-    for k in k_values:
-        j_max = int(math.floor(t_max * k + TIME_TOL))
-        if j_max < 1:
-            raise FlowError(f"horizon {t_max} is shorter than one step at level {k}")
-        h0 = project(phi0, k)
-        truth = quantized_flow_run(
-            model, h0, t_max=j_max / k, dt=1.0 / (refine * k),
-            sample_every=refine, with_energies=False,
-        )
-        iterates = bergman_iterate(model, h0, steps=j_max, with_energies=False)
-        gaps = [
-            log_gap(truth.states[j], iterates.states[j]) for j in range(j_max + 1)
-        ]
-        gap_tables[k] = np.asarray(gaps)
-        errors.append(max(gaps))
-    slope, half_width = _fit(k_values, errors)
+    errors = [euler_gap_at_level(model, phi0, t_max, k, refine) for k in k_values]
+    slope, half_width = fit_decay(k_values, errors)
     return {
         "k_values": k_values,
         "errors": errors,
         "slope": slope,
         "slope_half_width": half_width,
-        "t_max": float(t_max),
-        "refine": int(refine),
-        "gap_tables": gap_tables,
     }
 
 
@@ -632,9 +570,8 @@ def flow_vs_krf_gap(
         )
 
     errors = []
-    gap_tables = {}
     for k in k_values:
-        j_max = int(round(t_max * k)) - 1
+        j_max = int(math.floor(t_max * k + TIME_TOL)) - 1
         if j_max < 0:
             raise FlowError(f"horizon {t_max} is shorter than one step at level {k}")
         h0 = project(phi0, k)
@@ -647,18 +584,14 @@ def flow_vs_krf_gap(
             target = classical.state_at((j + 1) / k).require_profile()
             quantized = fubini_study(model, run.states[j]).require_profile()
             gaps.append(float(np.max(np.abs(target - quantized))))
-        gap_tables[k] = np.asarray(gaps)
         errors.append(max(gaps))
-    slope, half_width = _fit(k_values, errors)
+    slope, half_width = fit_decay(k_values, errors)
     return {
         "k_values": k_values,
         "errors": errors,
         "slope": slope,
         "slope_half_width": half_width,
-        "t_max": float(t_max),
-        "refine": int(refine),
         "resolution_gap": resolution_gap,
-        "gap_tables": gap_tables,
     }
 
 
@@ -691,9 +624,8 @@ def monotonicity_probe(trace: FlowTrace) -> dict:
     """Worst margin of the asymptotic entropy monotonicity bound.
 
     Checks dS_k/dt <= ((k+1)/N_k) R^2 along the trace, with R the
-    trace-convention relative entropy -sum log B_i of H against b_k(H)
-    (its normalized cousin is R/N_k; both appear in the report).  The
-    finite-difference slack is estimated from the recorded series'
+    trace-convention relative entropy -sum log B_i of H against b_k(H).
+    The finite-difference slack is estimated from the recorded series'
     second differences.
     """
     if trace.kind != "quantized":
@@ -720,5 +652,4 @@ def monotonicity_probe(trace: FlowTrace) -> dict:
         "worst": worst,
         "slack": slack,
         "passed": bool(worst <= slack),
-        "normalized_relent": relent / n,
     }

@@ -24,7 +24,6 @@ barycentric spectral differentiation on the Gauss-Legendre nodes.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -260,11 +259,6 @@ class PolarizedModel:
         """
         raise NotImplementedError
 
-    def potential(
-        self, values: Optional[np.ndarray] = None, profile: Optional[np.ndarray] = None
-    ) -> PotentialField:
-        return PotentialField(self, values, profile)
-
     def zero_potential(self) -> PotentialField:
         if self.supports_radial:
             return PotentialField(self, None, np.zeros(self.radial_count))
@@ -377,17 +371,6 @@ class ProjectiveLineModel(PolarizedModel):
             raise ModelError("profile length does not match the radial grid")
         return np.repeat(profile, self.angular_count)
 
-    def radialize(self, values: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-        """Extract the radial profile of rotation-invariant node values."""
-        grid = np.asarray(values, dtype=float).reshape(
-            self.radial_count, self.angular_count
-        )
-        profile = grid[:, 0].copy()
-        spread = float(np.max(np.abs(grid - profile[:, None])))
-        if spread > tol * (1.0 + float(np.max(np.abs(profile)))):
-            raise ModelError("node values are not rotation invariant")
-        return profile
-
     def radial_laplacian(self, profile: np.ndarray) -> np.ndarray:
         """The degenerate radial operator (u(1-u) psi')' on the spectral grid."""
         dpsi = self.diff @ profile
@@ -479,55 +462,8 @@ def build_p1_model(
     return ProjectiveLineModel(k_max, radial_nodes, angular_nodes)
 
 
-def build_discrete_model(
-    section_values: dict[int, np.ndarray], base_weights: np.ndarray
-) -> DiscreteModel:
-    return DiscreteModel(section_values, base_weights)
-
-
-def discrete_model_from_json(source) -> DiscreteModel:
-    """Load a discrete model from a JSON file path or parsed document.
-
-    Expected document shape::
-
-        {"points": m, "weights": [...], "levels": {"k": [[[re, im], ...], ...]}}
-    """
-    if isinstance(source, (str, bytes)):
-        with open(source, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    else:
-        doc = source
-    try:
-        m = int(doc["points"])
-        weights = np.asarray(doc["weights"], dtype=float)
-        levels_doc = doc["levels"]
-    except (KeyError, TypeError) as exc:
-        raise ModelError(f"malformed discrete model document: {exc}") from exc
-    if weights.shape != (m,):
-        raise ModelError("weights length does not match the declared point count")
-    values: dict[int, np.ndarray] = {}
-    for key, rows in levels_doc.items():
-        arr = np.asarray(rows, dtype=float)
-        if arr.ndim != 3 or arr.shape[2] != 2 or arr.shape[1] != m:
-            raise ModelError(f"level {key}: expected (N_k, points, 2) re/im entries")
-        values[int(key)] = arr[..., 0] + 1j * arr[..., 1]
-    return DiscreteModel(values, weights)
-
-
-def discrete_model_to_json(model: DiscreteModel) -> dict:
-    doc = {
-        "points": model.node_count,
-        "weights": model.node_weights.tolist(),
-        "levels": {},
-    }
-    for k in model.levels:
-        arr = model.sections(k)
-        doc["levels"][str(k)] = np.stack([arr.real, arr.imag], axis=-1).tolist()
-    return doc
-
-
 # ---------------------------------------------------------------------------
-# measures and integration
+# measures
 
 
 def logsumexp(a, axis=None):
@@ -600,12 +536,3 @@ def ma_density(phi: PotentialField) -> np.ndarray:
             f"not a Kahler potential: density {dens[bad]:.3e} at u={model.u[bad]:.6f}"
         )
     return model.tile_radial(dens)
-
-
-def integrate(values: np.ndarray, measure_weights: np.ndarray) -> float:
-    """Quadrature pairing of node values against measure weights."""
-    values = np.asarray(values, dtype=float)
-    measure_weights = np.asarray(measure_weights, dtype=float)
-    if values.shape != measure_weights.shape:
-        raise ModelError("integrand and measure have different lengths")
-    return float(np.dot(values, measure_weights))

@@ -9,8 +9,8 @@ The three basic maps at level k are
                             probability measure e^(-phi) mu0 / Z,
     balancing    : H     -> project(fubini_study(H)),
 
-together with the Bergman endomorphism beta = fubini_study o project on
-potentials.  The Bergman sums are contractions of the inverse form against
+and the Bergman approximation of a potential is fubini_study o project.
+The Bergman sums are contractions of the inverse form against
 the pointwise section kernel, so no explicit orthonormalization is ever
 performed.  Rotation-invariant data rides a diagonal fast path: the
 reference monomial Gram is exponentially ill scaled in k, and keeping
@@ -95,29 +95,21 @@ def fubini_study(model: PolarizedModel, h: HermForm) -> PotentialField:
     return bergman_data(model, h).potential
 
 
-def project(phi: PotentialField, k: int, normalized: bool = True) -> HermForm:
-    """Gram form of the reference basis against e^(-k phi) d mu_phi.
-
-    ``normalized=False`` drops the canonical-measure normalization and
-    integrates against the raw e^(-(k+1) phi) mu0 instead; this variant is
-    exposed for comparison runs only and no identity in this package
-    relies on it.
-    """
+def project(phi: PotentialField, k: int) -> HermForm:
+    """Gram form of the reference basis against e^(-k phi) d mu_phi."""
     model = phi.model
     model.require_level(k)
     n = model.nk(k)
     if model.supports_radial and phi.is_radial:
         psi = phi.radial_profile
         logw = np.log(model.radial_mu0_weights) - (k + 1) * psi
-        if normalized:
-            logw = logw - logsumexp(np.log(model.radial_mu0_weights) - psi)
+        logw = logw - logsumexp(np.log(model.radial_mu0_weights) - psi)
         weights = np.exp(logw)
         gram = model.radial_section_sq(k) @ weights
     else:
         values = phi.values
         logw = np.log(model.mu0_weights) - (k + 1) * values
-        if normalized:
-            logw = logw - logsumexp(np.log(model.mu0_weights) - values)
+        logw = logw - logsumexp(np.log(model.mu0_weights) - values)
         weights = np.exp(logw)
         a = model.sections(k)
         gram = (a.conj() * weights) @ a.T
@@ -137,11 +129,6 @@ def project(phi: PotentialField, k: int, normalized: bool = True) -> HermForm:
 def balancing(model: PolarizedModel, h: HermForm) -> HermForm:
     """One application of the balancing map b_k = project o fubini_study."""
     return project(fubini_study(model, h), h.level)
-
-
-def beta_map(phi: PotentialField, k: int) -> PotentialField:
-    """Bergman approximation beta_k = fubini_study o project at level k."""
-    return fubini_study(phi.model, project(phi, k))
 
 
 def orthonormal_orthogonal(h: HermForm, b: HermForm) -> tuple[np.ndarray, np.ndarray]:

@@ -22,17 +22,27 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+import scipy.linalg
 
 from .energies import canonical_conjugate_weights, conjugate_value, f_k_na
 from .flows import FlowTrace, quantized_flow_run
 from .geometry import PolarizedModel, PotentialField, logsumexp
-from .hermforms import HermForm, _orthonormalize_adapted
+from .hermforms import HermForm, HermitianError, PositivityError
 from .maps import balancing, orthonormal_orthogonal, project
 
 logger = logging.getLogger(__name__)
 
 SUPPORT_TOL = 1e-12
 CONDITION_LIMIT = 1e13
+# ray slope ladder: difference width, rungs, target uncertainty, horizon doublings
+SLOPE_DELTA = 1.0
+SLOPE_RUNGS = 4
+SLOPE_TOL = 1e-3
+MAX_DOUBLINGS = 4
+# duality probe: the flow step at level k is DUALITY_STEP / k, and norms
+# are extracted at the last EXTRACT_COUNT sampled times
+DUALITY_STEP = 0.25
+EXTRACT_COUNT = 3
 
 
 class NANormError(ValueError):
@@ -193,6 +203,26 @@ def _neville_to_zero(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     return np.asarray(out)
 
 
+def _orthonormalize_adapted(h0: HermForm, basis: np.ndarray) -> np.ndarray:
+    """Make an adapted basis h0-orthonormal without mixing the filtration.
+
+    Triangular (Gram-Schmidt) normalization in the stored descending-weight
+    order preserves every leading span, hence the norm the basis encodes.
+    """
+    if basis.shape != (h0.dim, h0.dim):
+        raise HermitianError("adapted basis shape does not match the form")
+    gram = basis.conj().T @ h0.entries @ basis
+    gram = 0.5 * (gram + gram.conj().T)
+    try:
+        low = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError as exc:
+        raise PositivityError("adapted basis is numerically degenerate") from exc
+    tri = scipy.linalg.solve_triangular(
+        low.conj().T, np.eye(h0.dim, dtype=complex), lower=False
+    )
+    return basis @ tri
+
+
 def _ray_log_amplitudes(
     model: PolarizedModel, nu: NAForm, h0: HermForm
 ) -> np.ndarray:
@@ -218,48 +248,39 @@ def ray_l_value(
 
 
 def l_na_slope(
-    model: PolarizedModel,
-    nu: NAForm,
-    h0: HermForm,
-    t_max: float = 40.0,
-    delta: float = 1.0,
-    rungs: int = 4,
-    tol: float = 1e-3,
-    max_doublings: int = 4,
+    model: PolarizedModel, nu: NAForm, h0: HermForm, t_max: float = 40.0
 ) -> SlopeEstimate:
     """Asymptotic growth rate of L along the geodesic ray of a norm.
 
-    Finite-difference slopes of L(f_k(H_t)) over [t - delta, t] are taken
-    on a ladder of times below t_max and extrapolated to t = infinity by
-    Neville's scheme in 1/t.  At a fixed quadrature grid the slopes
-    converge exponentially in t, so deeper tableau columns can amplify
-    the residual of the lowest rung instead of cancelling it; the
-    estimate is therefore the tableau diagonal entry with the smallest
-    step from its predecessor, and the uncertainty is that step.
+    Finite-difference slopes of L(f_k(H_t)) over [t - SLOPE_DELTA, t] are
+    taken on a ladder of SLOPE_RUNGS times below t_max and extrapolated
+    to t = infinity by Neville's scheme in 1/t.  At a fixed quadrature
+    grid the slopes converge exponentially in t, so deeper tableau
+    columns can amplify the residual of the lowest rung instead of
+    cancelling it; the estimate is therefore the tableau diagonal entry
+    with the smallest step from its predecessor, and the uncertainty is
+    that step.
 
     The convergence rate is set by the smallest active weight gap, so a
     norm with near-degenerate weights may be far from its asymptote at
-    t_max.  When the uncertainty exceeds tol the horizon is doubled, up
-    to max_doublings times, keeping the estimate honest for such norms.
+    t_max.  When the uncertainty exceeds SLOPE_TOL the horizon is
+    doubled, up to MAX_DOUBLINGS times, keeping the estimate honest for
+    such norms.
     """
     if t_max < 10.0:
         raise NANormError("slope estimation needs t_max >= 10")
     if h0.level != nu.level or h0.dim != nu.dim:
         raise NANormError("base form level does not match the norm")
-    if rungs < 2:
-        raise NANormError("need at least two ladder rungs")
-    if delta <= 0.0 or delta >= t_max / (2.0 * rungs):
-        raise NANormError("delta must sit well inside the ladder spacing")
     log_amplitudes = _ray_log_amplitudes(model, nu, h0)
     estimate = None
     horizon = float(t_max)
-    for _ in range(max_doublings + 1):
-        times = horizon * (1.0 - np.arange(rungs) / (2.0 * rungs))
+    for _ in range(MAX_DOUBLINGS + 1):
+        times = horizon * (1.0 - np.arange(SLOPE_RUNGS) / (2.0 * SLOPE_RUNGS))
         slopes = []
         for t in times:
             upper = ray_l_value(model, nu, h0, t, log_amplitudes)
-            lower = ray_l_value(model, nu, h0, t - delta, log_amplitudes)
-            slopes.append((upper - lower) / delta)
+            lower = ray_l_value(model, nu, h0, t - SLOPE_DELTA, log_amplitudes)
+            slopes.append((upper - lower) / SLOPE_DELTA)
         slopes = np.asarray(slopes)
         extrapolants = _neville_to_zero(1.0 / times, slopes)
         steps = np.abs(np.diff(extrapolants))
@@ -269,7 +290,7 @@ def l_na_slope(
         estimate = SlopeEstimate(
             value=value,
             uncertainty=uncertainty,
-            converged=bool(uncertainty <= tol),
+            converged=bool(uncertainty <= SLOPE_TOL),
             ladder_times=times,
             ladder_slopes=slopes,
             extrapolants=extrapolants,
@@ -294,14 +315,13 @@ def s_k_na(
     nu: NAForm,
     h0: HermForm,
     t_max: float = 40.0,
-    tol: float = 1e-3,
 ) -> NAEntropy:
     """Non-Archimedean entropy: ray slope of L minus the free energy.
 
     Translation of the weights by a constant moves both terms by c/k, so
     the value is translation invariant up to the estimator uncertainty.
     """
-    estimate = l_na_slope(model, nu, h0, t_max=t_max, tol=tol)
+    estimate = l_na_slope(model, nu, h0, t_max=t_max)
     free = f_k_na(nu)
     return NAEntropy(
         value=float(estimate.value - free),
@@ -318,29 +338,23 @@ def s_k_na(
 
 def extract_na_from_flow(
     model: PolarizedModel, trace: FlowTrace, t_j: float
-) -> NAForm:
-    """Norm read off a flow state: orthonormal-orthogonal frame and -k log B_i.
+) -> tuple[NAForm, float]:
+    """Norm read off a flow state, and the residual of its entropy identity.
 
-    The adapted basis is H_t-orthonormal and b_k(H_t)-orthogonal; the
-    weights are descending because the frame norms come out ascending.
+    The adapted basis is H_t-orthonormal and b_k(H_t)-orthogonal, with
+    the canonical conjugate weights -k log B_i of its b_k(H_t)-norms B_i;
+    they are descending because the norms come out ascending.  The
+    residual |S_k(H_t) - conjugate value at these weights| is pure algebra
+    and vanishes up to rounding.
     """
     if trace.kind not in ("quantized", "bergman"):
         raise NANormError("extraction needs a quantized trace")
     h = trace.state_at(t_j)
     frame, norms = orthonormal_orthogonal(h, balancing(model, h))
-    lam = -h.level * np.log(norms)
-    return NAForm(h.level, lam, frame)
-
-
-def extraction_identity_residual(
-    model: PolarizedModel, trace: FlowTrace, t_j: float
-) -> float:
-    """|S_k(H_t) - conjugate value at the extracted weights|; pure algebra."""
-    h = trace.state_at(t_j)
-    _, norms = orthonormal_orthogonal(h, balancing(model, h))
-    s_k_value = float(np.sum(norms * np.log(norms)) / norms.size)
     lam = canonical_conjugate_weights(norms, h.level)
-    return abs(s_k_value - conjugate_value(norms, h.level, lam))
+    s_k_value = float(np.sum(norms * np.log(norms)) / norms.size)
+    residual = abs(s_k_value - conjugate_value(norms, h.level, lam))
+    return NAForm(h.level, lam, frame), residual
 
 
 def duality_gap(
@@ -348,34 +362,28 @@ def duality_gap(
     k: int,
     phi0: PotentialField,
     t_max: float = 12.0,
-    dt: Optional[float] = None,
     panel: int = 5,
     seed: int = 0,
     slope_t_max: float = 40.0,
-    extract_count: int = 3,
 ) -> dict:
     """Fixed-k duality probe: flow infimum of S_k against extracted norms.
 
-    Runs the quantized flow toward its balanced limit, extracts norms at
-    the last sampled times, and compares min S_k with -S_k^NA for the
+    Runs the quantized flow toward its balanced limit at step
+    DUALITY_STEP / k, extracts norms at the last EXTRACT_COUNT sampled
+    times, and compares min S_k with -S_k^NA for the
     extracted norms and for a seeded panel (the trivial norm included).
     The one-sided inequality -S_k^NA <= min S_k holds for every tested
     norm up to the slope-estimator uncertainty.
     """
     model.require_level(k)
     h0 = project(phi0, k)
-    step = (0.25 / k) if dt is None else float(dt)
-    trace = quantized_flow_run(model, h0, t_max=t_max, dt=step)
-    s_series = trace.series["S_k"]
-    min_s_k = float(np.min(s_series))
-    near_stationary = bool(s_series[-1] <= max(1e-9, 1e-6 * max(s_series[0], 0.0)))
+    trace = quantized_flow_run(model, h0, t_max=t_max, dt=DUALITY_STEP / k)
+    min_s_k = float(np.min(trace.series["S_k"]))
 
     base = project(model.zero_potential(), k)
-    count = min(extract_count, trace.size)
     extracted = []
-    for t_j in trace.times[-count:]:
-        nu_j = extract_na_from_flow(model, trace, t_j)
-        residual = extraction_identity_residual(model, trace, t_j)
+    for t_j in trace.times[-EXTRACT_COUNT:]:
+        nu_j, residual = extract_na_from_flow(model, trace, t_j)
         entropy = s_k_na(model, nu_j, base, t_max=slope_t_max)
         alt = s_k_na(model, nu_j, trace.state_at(t_j), t_max=slope_t_max)
         extracted.append(
@@ -414,36 +422,11 @@ def duality_gap(
             }
         )
 
-    minus_values = [row["minus_s_na"] for row in panel_rows]
-    gap = float(abs(min_s_k - max(row["minus_s_na"] for row in panel_rows)))
     return {
         "k": int(k),
         "min_s_k": min_s_k,
-        "near_stationary": near_stationary,
-        "final_s_k": float(s_series[-1]),
         "extracted": extracted,
         "panel": panel_rows,
-        "panel_max_minus_s_na": float(max(minus_values)),
+        "panel_max_minus_s_na": float(max(row["minus_s_na"] for row in panel_rows)),
         "one_sided_all": bool(all(row["one_sided_ok"] for row in panel_rows)),
-        "gap": gap,
-        "dt": step,
-        "t_max": float(t_max),
     }
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def na_form_to_json(nu: NAForm) -> dict:
-    basis = [
-        [[float(z.real), float(z.imag)] for z in row] for row in nu.adapted_basis
-    ]
-    return {"k": int(nu.level), "weights": [float(x) for x in nu.weights], "basis": basis}
-
-
-def na_form_from_json(payload: dict) -> NAForm:
-    basis = np.asarray(
-        [[complex(re, im) for re, im in row] for row in payload["basis"]]
-    )
-    return NAForm(int(payload["k"]), np.asarray(payload["weights"], dtype=float), basis)

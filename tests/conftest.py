@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qkrf.experiments import family_potential
-from qkrf.geometry import build_discrete_model, build_p1_model
+from qkrf.geometry import DiscreteModel, build_p1_model
 
 
 @pytest.fixture(scope="session")
@@ -28,7 +28,7 @@ def discrete():
     for k in (1, 2, 3):
         n = 2 * k + 1
         values[k] = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
-    return build_discrete_model(values, weights)
+    return DiscreteModel(values, weights)
 
 
 @pytest.fixture(scope="session")

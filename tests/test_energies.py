@@ -10,12 +10,11 @@ from qkrf.energies import (
     entropy_classical,
     f_k_na,
     l_functional,
+    log_ricci_profile,
     ma_energy,
-    ricci_density,
     s_k,
-    s_k_conjugate,
 )
-from qkrf.geometry import PotentialField, canonical_measure, integrate
+from qkrf.geometry import PotentialField, canonical_measure
 from qkrf.hermforms import HermForm, random_herm_pd
 from qkrf.maps import balancing, project
 from qkrf.nanorms import NAForm
@@ -39,16 +38,17 @@ def test_l_functional_radial_matches_dense(p1, bump):
 
 
 def test_ricci_density_round_metric(p1):
-    rho = ricci_density(p1.zero_potential())
-    assert np.allclose(rho, 1.0, atol=1e-12)
+    rho = log_ricci_profile(p1, p1.zero_potential().require_profile())
+    assert np.allclose(rho, 0.0, atol=1e-12)
 
 
 def test_ricci_defect_integrates_to_zero(p1, bump):
     """e^rho - 1 has zero mean against the normalized volume form."""
     from qkrf.geometry import ma_density
 
-    defect = ricci_density(bump) - 1.0
-    mass = integrate(defect * ma_density(bump), p1.node_weights) / p1.volume
+    psi = bump.require_profile()
+    defect = p1.tile_radial(np.exp(log_ricci_profile(p1, psi))) - 1.0
+    mass = np.dot(defect * ma_density(bump), p1.node_weights) / p1.volume
     assert mass == pytest.approx(0.0, abs=1e-12)
 
 
@@ -118,11 +118,10 @@ def test_conjugate_trials_never_exceed(p1):
     value = s_k(p1, h)
     b = balancing_norms(p1, h)
     trials = [rng.standard_normal(5) for _ in range(40)]
-    assert s_k_conjugate(p1, h, trials) <= value + 1e-12
     best = max(conjugate_value(b, 2, lam) for lam in trials)
     assert best <= value + 1e-12
     with pytest.raises(FunctionalError):
-        s_k_conjugate(p1, h, [])
+        conjugate_value(b, 2, np.zeros(4))
 
 
 def test_f_k_na_translation_and_trivial(p1):
@@ -135,11 +134,9 @@ def test_f_k_na_translation_and_trivial(p1):
 
 def test_balanced_entropy_matches_rel_entropy(p1):
     """s_k is the normalized relative entropy of b_k(H) against H."""
-    from qkrf.hermforms import rel_entropy
+    from qkrf.hermforms import gen_eig
 
     rng = np.random.default_rng(83)
     h = HermForm(1, random_herm_pd(rng, 3, spread=0.5))
-    b = balancing(p1, h)
-    assert s_k(p1, h) == pytest.approx(
-        rel_entropy(b.entries, h.entries), abs=1e-12
-    )
+    mu = gen_eig(balancing(p1, h).entries, h.entries)
+    assert s_k(p1, h) == pytest.approx(float(np.sum(mu * np.log(mu)) / 3.0), abs=1e-12)

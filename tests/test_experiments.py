@@ -14,7 +14,7 @@ from qkrf.experiments import (
     RunManifest,
     family_potential,
     fit_decay,
-    metric_passes,
+    make_metric,
     run_experiment,
 )
 
@@ -97,16 +97,53 @@ def test_config_rejects_inconsistent_steps():
     assert cfg.params["dt"] == 0.08
 
 
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        # duality steps at 1/(4k): 1.1 is 4.4 steps at k = 1
+        ({"experiment": "duality", "t_max": 1.1}, "duality.t_max: 1.1 is not a whole number"),
+        ({"experiment": "duality", "k_list": [2, 3], "t_max": 0.125}, "at level 3"),
+        # thmA-gap samples the classical flow every 1/lcm(k_list) = 1/32
+        ({"experiment": "thmA-gap", "t_max": 0.1}, "thmA-gap.t_max: 0.1 is not a multiple"),
+        ({"experiment": "thmA-gap", "t_max": 0.125}, "thmA-gap.t_max: 0.125 is shorter"),
+    ],
+)
+def test_config_rejects_off_grid_horizons(config, message):
+    with pytest.raises(ExperimentError, match=message):
+        ExperimentConfig.from_dict(config)
+
+
+def test_benchmark_configs_parse():
+    thma = ExperimentConfig.from_dict(
+        {"experiment": "thmA-gap", "k_list": [16, 32, 64], "t_max": 0.0625}
+    )
+    assert thma.params["t_max"] == 0.0625
+    duality = ExperimentConfig.from_dict(
+        {"experiment": "duality", "k_list": [1, 2], "t_max": 12.0}
+    )
+    assert duality.params["t_max"] == 12.0
+
+
+def test_thma_gap_runs_on_a_horizon_between_level_steps(tmp_path):
+    # 7/16 is on the 1/lcm(k_list) grid but not a whole number of steps 1/4
+    cfg = {"experiment": "thmA-gap", "k_list": [4, 8, 16], "t_max": 0.4375,
+           "radial_nodes": 32, "angular_nodes": 72}
+    manifest = run_experiment(cfg, output_dir=str(tmp_path))
+    assert {m["name"] for m in manifest.metrics} == {"thma_slope", "thma_resolution_gap"}
+
+
 def test_every_experiment_has_defaults_and_description():
     assert set(DEFAULTS) == set(DESCRIPTIONS)
     assert "thmA-gap" in DEFAULTS and "thmB-entropy" in DEFAULTS
 
 
 def test_metric_passes_rules():
-    assert metric_passes({"value": 0.5, "threshold": 1.0, "op": "<="})
-    assert not metric_passes({"value": 2.0, "threshold": 1.0, "op": "<="})
-    assert metric_passes({"value": 2.0, "threshold": 1.0, "op": ">="})
-    assert not metric_passes({"value": float("nan"), "threshold": 1.0, "op": "<="})
+    assert make_metric("m", 0.5, 1.0, "<=")["passed"]
+    assert not make_metric("m", 2.0, 1.0, "<=")["passed"]
+    assert make_metric("m", 2.0, 1.0, ">=")["passed"]
+    assert not make_metric("m", float("nan"), 1.0, "<=")["passed"]
+    with pytest.raises(ExperimentError):
+        make_metric("m", 0.5, 1.0, "<")
 
 
 def test_run_writes_manifest_and_is_deterministic(tmp_path):
@@ -199,6 +236,9 @@ def test_cli_config_errors_exit_two(tmp_path, capsys):
     [
         ({"experiment": "monotonicity", "t_max": 0.015, "dt": 0.01}, "monotonicity.t_max"),
         ({"experiment": "slope-identity", "k": 32, "dt": 1}, "slope-identity.dt"),
+        ({"experiment": "duality", "t_max": 1.1}, "duality.t_max"),
+        ({"experiment": "thmA-gap", "t_max": 0.1}, "thmA-gap.t_max"),
+        ({"experiment": "thmA-gap", "t_max": 0.125}, "thmA-gap.t_max"),
     ],
 )
 def test_cli_inconsistent_steps_exit_two(tmp_path, capsys, config, field):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -8,11 +10,9 @@ from qkrf.flows import (
     FlowError,
     bergman_iterate,
     classical_krf_run,
-    concat_traces,
     fill_shifted_jacobian,
     format_float,
     krf_jacobian_terms,
-    load_trace,
     monotonicity_probe,
     quantized_flow_run,
     radial_laplacian_matrix,
@@ -46,49 +46,53 @@ def test_euler_matches_bergman_iterate(p1, bump):
 
 
 def test_resume_equals_single_run(p1, bump):
+    """The flow is autonomous: a run restarted from its midpoint continues it."""
     h0 = project(bump, 2)
     full = quantized_flow_run(p1, h0, t_max=1.0, dt=0.05)
     first = quantized_flow_run(p1, h0, t_max=0.5, dt=0.05)
-    second = quantized_flow_run(
-        p1, first.states[-1], t_max=0.5, dt=0.05, t0=0.5, h_ref=h0
-    )
-    joined = concat_traces(first, second)
-    assert np.allclose(joined.times, full.times, atol=1e-12)
-    for a, b in zip(joined.states, full.states):
+    second = quantized_flow_run(p1, first.states[-1], t_max=0.5, dt=0.05)
+    assert np.allclose(second.times + 0.5, full.times[10:], atol=1e-12)
+    for a, b in zip(first.states + second.states[1:], full.states):
         assert np.allclose(a.entries, b.entries, atol=1e-11)
-    assert np.allclose(joined.series["S_k"], full.series["S_k"], atol=1e-10)
-    assert joined.meta["resumed_at"] == pytest.approx(0.5)
+    joined = np.concatenate([first.series["S_k"], second.series["S_k"][1:]])
+    assert np.allclose(joined, full.series["S_k"], atol=1e-10)
 
 
-def test_concat_rejects_disjoint_traces(p1, bump):
-    h0 = project(bump, 1)
-    a = quantized_flow_run(p1, h0, t_max=0.5, dt=0.25, with_energies=False)
-    b = quantized_flow_run(p1, h0, t_max=0.5, dt=0.25, t0=2.0, with_energies=False)
-    with pytest.raises(FlowError):
-        concat_traces(a, b)
+def _saved_payload(trace, prefix) -> tuple[dict, str]:
+    json_path, csv_path = trace.save(str(prefix))
+    with open(json_path) as fh:
+        return json.load(fh), csv_path
 
 
 def test_trace_save_load_round_trip(p1, bump, tmp_path):
     h0 = project(bump, 2)
     trace = quantized_flow_run(p1, h0, t_max=0.5, dt=0.125)
-    json_path, csv_path = trace.save(str(tmp_path / "run"))
-    back = load_trace(p1, json_path)
-    assert back.kind == trace.kind and back.level == trace.level
-    assert np.array_equal(back.times, trace.times)
-    for a, b in zip(back.states, trace.states):
-        assert np.array_equal(a.entries, b.entries)
+    payload, csv_path = _saved_payload(trace, tmp_path / "run")
+    assert payload["kind"] == trace.kind and payload["level"] == trace.level
+    assert np.array_equal(payload["times"], trace.times)
+    for blob, state in zip(payload["states"], trace.states):
+        assert np.array_equal(blob["diag"], state.data)
     for name in trace.series:
-        assert np.array_equal(back.series[name], trace.series[name])
+        assert np.array_equal(payload["series"][name], trace.series[name])
     header = open(csv_path).readline().strip()
     assert header == "t,k,E,L,S,E_k,D_k,S_k"
 
 
+def test_dense_trace_save_is_exact(p1, tmp_path):
+    rng = np.random.default_rng(89)
+    h0 = HermForm(2, random_herm_pd(rng, 5, spread=0.5))
+    trace = quantized_flow_run(p1, h0, t_max=0.1, dt=0.05, with_energies=False)
+    payload, _ = _saved_payload(trace, tmp_path / "dense")
+    for blob, state in zip(payload["states"], trace.states):
+        entries = np.asarray(blob["re"]) + 1j * np.asarray(blob["im"])
+        assert np.array_equal(entries, state.entries)
+
+
 def test_classical_save_load_round_trip(p1, bump, tmp_path):
     trace = classical_krf_run(p1, bump, t_max=0.1, sample_dt=0.05)
-    json_path, _ = trace.save(str(tmp_path / "classical"))
-    back = load_trace(p1, json_path)
-    for a, b in zip(back.states, trace.states):
-        assert np.array_equal(a.require_profile(), b.require_profile())
+    payload, _ = _saved_payload(trace, tmp_path / "classical")
+    for blob, state in zip(payload["states"], trace.states):
+        assert np.array_equal(blob["profile"], state.require_profile())
 
 
 def test_classical_flow_fixes_round_metric(p1):
@@ -251,11 +255,10 @@ def test_diagonal_flow_keeps_states_vector_held(p1, bump):
 
 def test_diagonal_trace_save_load_is_exact(p1, bump, tmp_path):
     trace = quantized_flow_run(p1, project(bump, 3), t_max=0.5, dt=0.125)
-    json_path, _ = trace.save(str(tmp_path / "diag"))
-    back = load_trace(p1, json_path)
-    assert len(back.states) == len(trace.states)
-    for a, b in zip(back.states, trace.states):
-        assert a.is_diagonal and b.is_diagonal
-        assert np.array_equal(a.data, b.data)
+    payload, _ = _saved_payload(trace, tmp_path / "diag")
+    assert len(payload["states"]) == len(trace.states)
+    for blob, state in zip(payload["states"], trace.states):
+        assert state.is_diagonal and set(blob) == {"diag"}
+        assert np.array_equal(blob["diag"], state.data)
     for name in trace.series:
-        assert np.array_equal(back.series[name], trace.series[name])
+        assert np.array_equal(payload["series"][name], trace.series[name])

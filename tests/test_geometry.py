@@ -6,18 +6,15 @@ import scipy.special
 
 from qkrf.geometry import (
     RESOURCE_LIMIT,
+    DiscreteModel,
     KahlerConeError,
     ModelError,
     PotentialField,
     ProjectiveLineModel,
-    build_discrete_model,
     build_p1_model,
     canonical_measure,
     diff_matrix,
-    discrete_model_from_json,
-    discrete_model_to_json,
     gauss_legendre_01,
-    integrate,
     logsumexp,
     ma_density,
 )
@@ -142,16 +139,6 @@ def test_section_gram_matches_beta_integrals(p1):
         assert np.allclose(diag, expected, atol=1e-13)
 
 
-def test_radialize_round_trip(p1):
-    profile = np.sin(p1.u)
-    values = p1.tile_radial(profile)
-    assert np.allclose(p1.radialize(values), profile, atol=1e-12)
-    values = values.copy()
-    values[1] += 0.01
-    with pytest.raises(ModelError):
-        p1.radialize(values)
-
-
 def test_potential_field_shift_and_radial_flag(p1):
     phi = PotentialField(p1, None, 0.1 * p1.u)
     assert phi.is_radial
@@ -175,11 +162,11 @@ def test_ma_density_round_metric(p1):
     zero = p1.zero_potential()
     density = ma_density(zero)
     assert np.allclose(density, p1.mu0_density, atol=1e-12)
-    assert integrate(density, p1.node_weights) == pytest.approx(p1.volume, abs=1e-10)
+    assert np.dot(density, p1.node_weights) == pytest.approx(p1.volume, abs=1e-10)
 
 
 def test_ma_density_integrates_to_volume(p1, bump):
-    assert integrate(ma_density(bump), p1.node_weights) == pytest.approx(
+    assert np.dot(ma_density(bump), p1.node_weights) == pytest.approx(
         p1.volume, abs=1e-10
     )
 
@@ -197,21 +184,12 @@ def test_interpolate_radial_reproduces_nodes(p1):
     assert mid[0] == pytest.approx(0.125, abs=1e-10)
 
 
-def test_discrete_model_json_round_trip(discrete):
-    doc = discrete_model_to_json(discrete)
-    back = discrete_model_from_json(doc)
-    assert back.levels == discrete.levels
-    assert np.allclose(back.node_weights, discrete.node_weights)
-    for k in discrete.levels:
-        assert np.allclose(back.sections(k), discrete.sections(k))
-
-
 def test_discrete_model_validation():
     good = np.eye(3, dtype=complex)
     with pytest.raises(ModelError):
-        build_discrete_model({1: good}, np.array([0.5, 0.4, 0.4]))
+        DiscreteModel({1: good}, np.array([0.5, 0.4, 0.4]))
     rank_deficient = np.ones((2, 3), dtype=complex)
     with pytest.raises(ModelError):
-        build_discrete_model({1: rank_deficient}, np.full(3, 1.0 / 3.0))
+        DiscreteModel({1: rank_deficient}, np.full(3, 1.0 / 3.0))
     with pytest.raises(ModelError):
-        build_discrete_model({}, np.full(3, 1.0 / 3.0))
+        DiscreteModel({}, np.full(3, 1.0 / 3.0))

@@ -1,21 +1,19 @@
 import numpy as np
 import pytest
 
-from qkrf.energies import e_k
+from qkrf.energies import e_k, l_functional, s_k
 from qkrf.hermforms import (
     HermForm,
     HermitianError,
     PositivityError,
     gen_eig,
-    geodesic,
-    geodesic_ray,
     log_gap,
     matrix_exp,
     matrix_log,
     random_herm_pd,
-    rel_entropy,
 )
-from qkrf.nanorms import NAForm
+from qkrf.maps import fubini_study, project
+from qkrf.nanorms import NAForm, ray_l_value
 
 
 def test_form_rejects_indefinite_matrix():
@@ -47,7 +45,8 @@ def test_diagonal_detection_and_sqnorm():
     assert h.is_diagonal
     c = np.zeros(5, dtype=complex)
     c[2] = 1.0 + 1.0j
-    assert h.sqnorm(c) == pytest.approx(8.0)
+    # the squared norm of a coefficient column c is c^H M c
+    assert np.vdot(c, h.entries @ c).real == pytest.approx(8.0)
 
 
 @pytest.mark.parametrize(
@@ -87,14 +86,14 @@ def test_log_exp_round_trip():
     rng = np.random.default_rng(7)
     for n in (3, 5, 9):
         a = random_herm_pd(rng, n, spread=1.0)
-        back = matrix_exp(matrix_log(a))
+        back = matrix_exp(matrix_log(HermForm(1, a)))
         assert np.allclose(back, a, atol=1e-12)
 
 
 def test_matrix_log_diagonal():
     h = HermForm(1, np.diag([1.0, np.e, np.e**2]))
     q = matrix_log(h)
-    assert np.allclose(np.diagonal(q.entries).real, [0.0, 1.0, 2.0], atol=1e-14)
+    assert np.allclose(np.diagonal(q).real, [0.0, 1.0, 2.0], atol=1e-14)
 
 
 def test_gen_eig_congruence_invariance():
@@ -110,42 +109,35 @@ def test_gen_eig_congruence_invariance():
     assert np.allclose(gen_eig(b, b), np.ones(5), atol=1e-13)
 
 
-def test_rel_entropy_oracle():
-    """Normalized entropy of the generalized spectrum, diagonal oracle."""
-    a = np.diag([0.5, 0.3, 0.2])
-    b = np.diag([0.4, 0.4, 0.2])
+def test_rel_entropy_oracle(p1):
+    """S_k with a given b_k(H) is the normalized entropy of gen_eig(b_k(H), H)."""
+    b = HermForm(1, np.array([0.5, 0.3, 0.2]))
+    h = HermForm(1, np.array([0.4, 0.4, 0.2]))
     ratios = np.array([0.5 / 0.4, 0.3 / 0.4, 1.0])
     expected = float(np.sum(ratios * np.log(ratios)) / 3.0)
-    assert rel_entropy(a, b) == pytest.approx(expected, abs=1e-14)
-    assert rel_entropy(a, a) == pytest.approx(0.0, abs=1e-14)
+    assert s_k(p1, h, balanced=b) == pytest.approx(expected, abs=1e-14)
+    assert s_k(p1, h, balanced=h) == pytest.approx(0.0, abs=1e-14)
 
 
-def test_geodesic_endpoints_and_midpoint():
-    rng = np.random.default_rng(3)
-    h0 = HermForm(1, random_herm_pd(rng, 3))
-    h1 = HermForm(1, random_herm_pd(rng, 3))
-    assert np.allclose(geodesic(h0, h1, 0.0).entries, h0.entries, atol=1e-12)
-    assert np.allclose(geodesic(h0, h1, 1.0).entries, h1.entries, atol=1e-12)
-    da = HermForm(1, np.diag([1.0, 4.0, 9.0]))
-    db = HermForm(1, np.diag([4.0, 1.0, 9.0]))
-    mid = geodesic(da, db, 0.5)
-    assert np.allclose(mid.entries, np.diag([2.0, 2.0, 9.0]), atol=1e-12)
-
-
-def test_geodesic_ray_constant_direction_rescales():
+def test_geodesic_ray_constant_direction_rescales(p1):
+    """Constant weights c move the ray's form to e^(-ct) h0, so L moves by ct/k."""
     rng = np.random.default_rng(5)
     h0 = HermForm(1, random_herm_pd(rng, 3))
     nu = NAForm(1, np.full(3, 0.7), np.eye(3, dtype=complex))
-    moved = geodesic_ray(h0, nu, 2.0)
-    assert np.allclose(moved.entries, np.exp(-1.4) * h0.entries, atol=1e-12)
+    start = ray_l_value(p1, nu, h0, 0.0)
+    assert start == pytest.approx(l_functional(fubini_study(p1, h0)), abs=1e-12)
+    assert ray_l_value(p1, nu, h0, 2.0) == pytest.approx(start + 1.4, abs=1e-12)
 
 
-def test_geodesic_ray_diagonal_weights():
+def test_geodesic_ray_diagonal_weights(p1):
+    """On an h0-orthonormal adapted basis the ray at time t is diag(e^(-w t))."""
     w = np.array([1.0, 0.5, 0.0])
-    nu = NAForm(1, w, np.eye(3, dtype=complex))
-    h0 = HermForm(1, np.eye(3))
-    moved = geodesic_ray(h0, nu, 3.0)
-    assert np.allclose(moved.entries, np.diag(np.exp(-3.0 * w)), atol=1e-12)
+    h0 = project(p1.zero_potential(), 1)
+    nu = NAForm(1, w, np.diag(1.0 / np.sqrt(h0.diagonal())).astype(complex))
+    moved = HermForm(1, h0.diagonal() * np.exp(-3.0 * w))
+    assert ray_l_value(p1, nu, h0, 3.0) == pytest.approx(
+        l_functional(fubini_study(p1, moved)), abs=1e-12
+    )
 
 
 def test_log_gap_scale_oracle():
@@ -223,7 +215,7 @@ def test_vector_and_matrix_diagonal_forms_agree_bitwise():
     assert np.array_equal(gen_eig(dense, vec), gen_eig(dense, mat))
     assert log_gap(vec, ref_vec) == log_gap(mat, ref_mat)
     assert e_k(vec, ref_vec) == e_k(mat, ref_mat)
-    assert np.array_equal(matrix_log(vec).entries, matrix_log(mat).entries)
+    assert np.array_equal(matrix_log(vec), matrix_log(mat))
     assert np.array_equal(vec.scaled(2.5).diagonal(), mat.scaled(2.5).diagonal())
 
 

@@ -6,7 +6,6 @@ from qkrf.hermforms import HermForm, random_herm_pd
 from qkrf.maps import (
     balancing,
     bergman_data,
-    beta_map,
     fubini_study,
     orthonormal_orthogonal,
     project,
@@ -35,12 +34,13 @@ def test_project_shift_equivariance(p1, bump):
 
 
 def test_project_unnormalized_scaling(p1, bump):
+    """project integrates against e^(-(k+1) phi) mu0 / Z, Z the canonical mass."""
     from scipy.special import logsumexp
 
     z = np.exp(logsumexp(np.log(p1.mu0_weights) - bump.values))
-    raw = project(bump, 1, normalized=False)
-    norm = project(bump, 1)
-    assert np.allclose(raw.entries, z * norm.entries, rtol=1e-11)
+    a = p1.sections(1)
+    raw = (a.conj() * (p1.mu0_weights * np.exp(-2.0 * bump.values))) @ a.T
+    assert np.allclose(raw, z * project(bump, 1).entries, rtol=1e-11, atol=1e-14)
 
 
 def test_fubini_study_scaling(p1):
@@ -60,8 +60,9 @@ def test_balanced_fixed_point_small_levels(p1):
 
 
 def test_beta_map_constant_at_round_metric(p1):
+    """The Bergman approximation fubini_study o project of the round metric is constant."""
     for k in (1, 3):
-        prof = beta_map(p1.zero_potential(), k).require_profile()
+        prof = fubini_study(p1, project(p1.zero_potential(), k)).require_profile()
         assert np.max(prof) - np.min(prof) <= 1e-11
 
 

@@ -12,10 +12,7 @@ from qkrf.nanorms import (
     diagonal_na,
     duality_gap,
     extract_na_from_flow,
-    extraction_identity_residual,
     l_na_slope,
-    na_form_from_json,
-    na_form_to_json,
     na_norm_value,
     random_na,
     s_k_na,
@@ -122,10 +119,6 @@ def test_slope_estimator_guards(p1):
         l_na_slope(p1, trivial_na(p1, 1), h0, t_max=5.0)
     with pytest.raises(NANormError):
         l_na_slope(p1, trivial_na(p1, 2), h0)
-    with pytest.raises(NANormError):
-        l_na_slope(p1, trivial_na(p1, 1), h0, rungs=1)
-    with pytest.raises(NANormError):
-        l_na_slope(p1, trivial_na(p1, 1), h0, delta=30.0)
 
 
 def test_s_k_na_translation_invariance(p1):
@@ -141,13 +134,13 @@ def test_extraction_identity_on_flow(p1, bump):
     h0 = project(bump, 2)
     trace = quantized_flow_run(p1, h0, t_max=1.0, dt=0.25)
     for t in (0.0, 0.5, 1.0):
-        assert extraction_identity_residual(p1, trace, t) <= 1e-12
+        assert extract_na_from_flow(p1, trace, t)[1] <= 1e-12
 
 
 def test_extracted_norm_structure(p1, bump):
     h0 = project(bump, 1)
     trace = quantized_flow_run(p1, h0, t_max=1.0, dt=0.25)
-    nu = extract_na_from_flow(p1, trace, 1.0)
+    nu, _ = extract_na_from_flow(p1, trace, 1.0)
     assert nu.level == 1 and nu.dim == 3
     assert np.all(np.diff(nu.weights) <= 1e-12)
 
@@ -160,11 +153,3 @@ def test_duality_gap_report_shape(p1, bump):
     for row in report["extracted"]:
         assert row["identity_residual"] <= 1e-9
 
-
-def test_na_form_json_round_trip(p1):
-    rng = np.random.default_rng(107)
-    nu = random_na(rng, p1, 2, spread=0.7)
-    back = na_form_from_json(na_form_to_json(nu))
-    assert back.level == nu.level
-    assert np.array_equal(back.weights, nu.weights)
-    assert np.allclose(back.adapted_basis, nu.adapted_basis, atol=1e-15)
