@@ -108,14 +108,17 @@ def entropy_classical(phi: PotentialField) -> float:
 
 
 def e_k(h: HermForm, h_ref: HermForm) -> float:
-    """Determinant energy -(1/(k N_k)) log det(h_ref^(-1) h)."""
-    if h.level != h_ref.level:
-        raise FunctionalError("determinant energy needs forms at the same level")
+    """Determinant energy -(1/(k N_k)) log det(h_ref^(-1) h).
+
+    The log determinant is the sum of the forms' log-eigenvalues; two
+    diagonal forms take it entrywise.
+    """
+    if h.level != h_ref.level or h.dim != h_ref.dim:
+        raise FunctionalError("determinant energy needs forms of the same level and dimension")
+    scale = h.level * h.dim
     if h.is_diagonal and h_ref.is_diagonal:
-        logs = np.log(h.diagonal()) - np.log(h_ref.diagonal())
-    else:
-        logs = np.log(gen_eig(h, h_ref))
-    return float(-np.sum(logs) / (h.level * h.dim))
+        return float(-np.sum(np.log(h.diagonal()) - np.log(h_ref.diagonal())) / scale)
+    return float(-(np.sum(h.logs) - np.sum(h_ref.logs)) / scale)
 
 
 def d_k(model: PolarizedModel, h: HermForm, h_ref: HermForm) -> float:

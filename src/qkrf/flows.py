@@ -41,8 +41,16 @@ from .geometry import (
     ProjectiveLineModel,
     radial_canonical_measure,
 )
-from .hermforms import HermForm, PositivityError, gen_eig, log_gap, matrix_exp, matrix_log
-from .maps import QuantizationError, balancing, fubini_study, project
+from .hermforms import (
+    HermForm,
+    HermitianError,
+    PositivityError,
+    gen_eig,
+    log_gap,
+    matrix_exp,
+    matrix_log,
+)
+from .maps import QuantizationError, balancing, bergman_data, fubini_study, project
 
 TIME_TOL = 1e-9
 # classical solver: local tolerance, first trial step, extrapolation substeps
@@ -175,16 +183,24 @@ def _quantized_samples(
 ) -> None:
     if not with_energies:
         return
-    b = balancing(model, form)
-    norms = gen_eig(b, form)
+    potential = bergman_data(model, form).potential
+    norms = gen_eig(project(potential, form.level), form)
     n = norms.size
-    l_value = l_functional(fubini_study(model, form))
+    l_value = l_functional(potential)
     ek_value = e_k(form, h_ref)
     record["L"].append(l_value)
     record["E_k"].append(ek_value)
     record["D_k"].append(l_value - ek_value)
     record["S_k"].append(float(np.sum(norms * np.log(norms)) / n))
     record["relent_ref"].append(float(-np.sum(np.log(norms))))
+
+
+# a state that raises one of these has left the positive cone
+CONE_ERRORS = (HermitianError, PositivityError, QuantizationError, KahlerConeError)
+
+
+def _left_cone(t: float, exc: Exception) -> FlowError:
+    return FlowError(f"quantized flow left the positive cone near t = {t:.6f}: {exc}")
 
 
 def quantized_flow_run(
@@ -219,19 +235,16 @@ def quantized_flow_run(
     diagonal = model.supports_radial and h0.is_diagonal
 
     def to_form(q) -> HermForm:
-        return HermForm(k, np.exp(q) if diagonal else matrix_exp(q))
+        return HermForm(k, np.exp(q)) if diagonal else matrix_exp(k, q)
 
     def vector_field(q, t: float):
         try:
-            form = to_form(q)
-            b = balancing(model, form)
+            b = balancing(model, to_form(q))
             if diagonal:
                 return k * (np.log(b.diagonal()) - q)
             return k * (matrix_log(b) - q)
-        except (PositivityError, QuantizationError, KahlerConeError) as exc:
-            raise FlowError(
-                f"quantized flow left the positive cone near t = {t:.6f}: {exc}"
-            ) from exc
+        except CONE_ERRORS as exc:
+            raise _left_cone(t, exc) from exc
 
     q = np.log(h0.diagonal()) if diagonal else matrix_log(h0)
 
@@ -252,10 +265,13 @@ def quantized_flow_run(
             q = q + (dt / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
         t = step * dt
         if step % sample_every == 0:
-            form = to_form(q)
+            try:
+                form = to_form(q)
+                _quantized_samples(model, h0, form, record, with_energies)
+            except CONE_ERRORS as exc:
+                raise _left_cone(t, exc) from exc
             times.append(t)
             states.append(form)
-            _quantized_samples(model, h0, form, record, with_energies)
 
     series = {name: values for name, values in record.items() if values}
     meta = {

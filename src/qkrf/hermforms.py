@@ -5,27 +5,33 @@ reference basis, with the physics convention that the pairing is
 antilinear in the first slot, so the squared norm of a coefficient
 column c is c^H M c and an orthonormal frame S satisfies S^H M S = I.
 A diagonal form is held as its real diagonal vector, checked in O(N),
-and every spectral operation on diagonal forms is elementwise; the
-dense matrix of such a form is built only when asked for.  Matrices
-enter through ``HermForm`` (or ``gen_eig``), which checks and
-symmetrizes them, (A + A^H)/2, once.  ``matrix_log`` and ``matrix_exp``
-are the quantized flow's maps between forms and Hermitian matrices
-Q = log H; they trust their input.  Dense spectral operations refuse
-eigenvalues below a relative floor instead of clamping them; silent
-regularization would corrupt the decay-rate measurements built on top
-of this module.
+and every spectral operation on diagonal forms is elementwise.  A dense
+form is held in its eigenframe, H = V diag(e^lam) V^*, decomposed once;
+its logarithm, its generalized spectra against other matrices and its
+Bergman sums all read that frame.  The matrix of either kind of form is
+built only when asked for.  Matrices enter through ``HermForm`` (or
+``gen_eig``), which checks and symmetrizes them, (A + A^H)/2, once.
+``matrix_log`` and ``matrix_exp`` are the quantized flow's maps between
+forms and Hermitian matrices Q = log H; ``matrix_exp`` builds its form
+from the eigen-decomposition of Q, positive by construction, and checks
+only that Q and the exponentials of its eigenvalues are finite.  Dense
+spectral operations refuse eigenvalues
+below a relative floor instead of clamping them; silent regularization
+would corrupt the decay-rate measurements built on top of this module.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 HERMITIAN_TOL = 1e-12
 EIG_FLOOR = 1e-14
+# e^lam and e^-lam are positive finite floats for |lam| below this
+LOG_RANGE = float(np.log(np.finfo(float).max))
 
 
 class HermitianError(ValueError):
@@ -57,11 +63,11 @@ def _offdiagonal_is_zero(a: np.ndarray) -> bool:
 def _hermitian_data(a, what: str) -> np.ndarray:
     """Checked data of a Hermitian input: its real diagonal if it is diagonal.
 
-    A form's data is taken as it is.  A 1-D input is a diagonal, checked in
-    O(N); a matrix is checked in full and symmetrized.
+    A form gives its diagonal or its matrix as it is.  A 1-D input is a
+    diagonal, checked in O(N); a matrix is checked in full and symmetrized.
     """
     if isinstance(a, HermForm):
-        return a.data
+        return a.data if a.is_diagonal else a.entries
     a = np.asarray(a)
     if a.ndim != 1:
         m = _check_and_symmetrize(a.astype(complex, copy=False), what)
@@ -76,36 +82,47 @@ def _hermitian_data(a, what: str) -> np.ndarray:
     return d
 
 
-def _dense(data: np.ndarray) -> np.ndarray:
-    return np.diag(data).astype(complex) if data.ndim == 1 else data
-
-
 @dataclass(frozen=True)
 class HermForm:
     """A positive definite Hermitian form on the level-k section space.
 
-    ``data`` is either the real diagonal (a 1-D vector) of a diagonal form
-    or the matrix of a dense one.  A matrix found to be diagonal is stored
-    as its diagonal, so ``is_diagonal`` is exact and costs nothing.
+    ``data`` holds the eigenvalues of the form in its eigenframe
+    ``frame``: H = V diag(data) V^*.  A diagonal form has no frame (the
+    reference basis is its eigenframe) and ``data`` is its real diagonal,
+    in basis order.  A dense form has a unitary ``frame`` and ascending
+    ``data``; ``logs`` are the logarithms lam of its eigenvalues.  A
+    matrix given to the constructor is checked and symmetrized; it is
+    stored as its diagonal when its off-diagonal part is zero and
+    decomposed once otherwise, so ``is_diagonal`` is exact and costs
+    nothing.
     """
 
     level: int
     data: np.ndarray
+    frame: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.level < 1:
             raise HermitianError("level must be a positive integer")
-        data = _hermitian_data(self.data, "form")
-        # LAPACK returns a diagonal matrix's eigenvalues exactly, so the
-        # smallest diagonal entry is the number eigvalsh would give (beyond
-        # magnitudes of about 1e+-145 LAPACK rescales first, which can move
-        # the last bit of its answer but never the sign).
-        smallest = data.min() if data.ndim == 1 else np.linalg.eigvalsh(data)[0]
+        matrix = _hermitian_data(self.data, "form")
+        if matrix.ndim == 1:
+            # LAPACK returns a diagonal matrix's eigenvalues exactly, so the
+            # smallest diagonal entry is the number eigh would give (beyond
+            # magnitudes of about 1e+-145 LAPACK rescales first, which can move
+            # the last bit of its answer but never the sign).
+            values, frame = matrix, None
+            smallest = values.min()
+        else:
+            values, frame = np.linalg.eigh(matrix)
+            smallest = values[0]
         if smallest <= 0.0:
             raise PositivityError(
                 f"form is not positive definite: smallest eigenvalue {smallest:.6e}"
             )
-        object.__setattr__(self, "data", data)
+        object.__setattr__(self, "data", values)
+        if frame is not None:
+            object.__setattr__(self, "frame", frame)
+            object.__setattr__(self, "entries", matrix)
 
     @property
     def dim(self) -> int:
@@ -113,22 +130,30 @@ class HermForm:
 
     @property
     def is_diagonal(self) -> bool:
-        return self.data.ndim == 1
+        return self.frame is None
+
+    @cached_property
+    def logs(self) -> np.ndarray:
+        """Logarithms of the eigenvalues ``data``."""
+        return np.log(self.data)
 
     @cached_property
     def entries(self) -> np.ndarray:
-        """The complex matrix of the form; built on first use for a diagonal form."""
-        return _dense(self.data)
+        """The complex matrix of the form; built on first use unless it was given."""
+        if self.frame is None:
+            return np.diag(self.data).astype(complex)
+        m = (self.frame * self.data) @ self.frame.conj().T
+        return 0.5 * (m + m.conj().T)
 
     def diagonal(self) -> np.ndarray:
         if self.is_diagonal:
             return self.data.copy()
-        return np.real(np.diagonal(self.data)).copy()
+        return np.real(np.diagonal(self.entries)).copy()
 
     def scaled(self, c: float) -> "HermForm":
         if c <= 0.0:
             raise PositivityError("scaling factor must be positive")
-        return HermForm(self.level, c * self.data)
+        return HermForm(self.level, c * (self.data if self.is_diagonal else self.entries))
 
 
 def _floor_check(values: np.ndarray, what: str) -> None:
@@ -144,22 +169,41 @@ def matrix_log(h: HermForm) -> np.ndarray:
     """Hermitian logarithm of a positive definite form, as a complex matrix."""
     if h.is_diagonal:
         return np.diag(np.log(h.data)).astype(complex)
-    values, frame = np.linalg.eigh(h.data)
-    _floor_check(values, "matrix log")
-    core = (frame * np.log(values)) @ frame.conj().T
+    _floor_check(h.data, "matrix log")
+    core = (h.frame * h.logs) @ h.frame.conj().T
     return 0.5 * (core + core.conj().T)
 
 
-def matrix_exp(q: np.ndarray) -> np.ndarray:
-    """Exponential of a Hermitian matrix; positive definite up to rounding.
+def matrix_exp(level: int, q: np.ndarray) -> HermForm:
+    """The level-k form e^Q of a Hermitian matrix Q, held in the eigenframe of Q.
 
-    The result is not symmetrized: it becomes a form through ``HermForm``,
-    which checks and symmetrizes it.
+    Q is taken as Hermitian: the flow builds it from forms.  It must be
+    finite, and so must e^lam and e^-lam for its eigenvalues lam; e^Q is
+    then positive by construction and is not checked again.
     """
-    if _offdiagonal_is_zero(q):
-        return np.diag(np.exp(np.real(np.diagonal(q)))).astype(complex)
-    values, frame = np.linalg.eigh(q)
-    return (frame * np.exp(values)) @ frame.conj().T
+    if not np.all(np.isfinite(q)):
+        raise HermitianError("matrix exponent has non-finite entries")
+    logs, frame = np.linalg.eigh(q)
+    if not -LOG_RANGE < logs[0] <= logs[-1] < LOG_RANGE:
+        raise PositivityError(
+            f"matrix exponent has eigenvalues from {logs[0]:.6e} to {logs[-1]:.6e}, "
+            f"beyond the floating range +-{LOG_RANGE:.6e} of their exponentials"
+        )
+    # built around __post_init__, whose checks hold by construction
+    form = object.__new__(HermForm)
+    for name, value in (
+        ("level", level), ("data", np.exp(logs)), ("frame", frame), ("logs", logs)
+    ):
+        object.__setattr__(form, name, value)
+    return form
+
+
+def _eigenframe(b, what: str) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """Eigenvalues and eigenframe of a form or a Hermitian input (None if diagonal)."""
+    if isinstance(b, HermForm):
+        return b.data, b.frame
+    db = _hermitian_data(b, what)
+    return (db, None) if db.ndim == 1 else np.linalg.eigh(db)
 
 
 def gen_eig(a, b) -> np.ndarray:
@@ -167,19 +211,24 @@ def gen_eig(a, b) -> np.ndarray:
 
     These are the eigenvalues of b^(-1/2) a b^(-1/2); in a basis that is
     b-orthonormal and a-orthogonal they are the squared a-norms of the
-    frame vectors.  Forms and matrices are both accepted.
+    frame vectors.  In the eigenframe b = V diag(e^lam) V^* they are the
+    eigenvalues of e^(-lam/2) V^* a V e^(-lam/2).  Forms and matrices are
+    both accepted.
     """
     da = _hermitian_data(a, "left matrix")
-    db = _hermitian_data(b, "right matrix")
-    if da.shape[0] != db.shape[0]:
+    values, frame = _eigenframe(b, "right matrix")
+    if da.shape[0] != values.shape[0]:
         raise HermitianError("generalized eigenvalue inputs differ in shape")
-    if da.ndim == 1 and db.ndim == 1:
-        if db.min() <= 0.0:
+    if da.ndim == 1 and frame is None:
+        if values.min() <= 0.0:
             raise PositivityError("right matrix has a nonpositive diagonal entry")
-        return np.sort(da / db)
-    am, bm = _dense(da), _dense(db)
-    _floor_check(np.linalg.eigvalsh(bm), "generalized eigenvalues")
-    return scipy.linalg.eigh(am, bm, eigvals_only=True)
+        return np.sort(da / values)
+    _floor_check(np.sort(values) if frame is None else values, "generalized eigenvalues")
+    am = np.diag(da).astype(complex) if da.ndim == 1 else da
+    if frame is not None:
+        am = frame.conj().T @ am @ frame
+    scale = 1.0 / np.sqrt(values)
+    return np.linalg.eigvalsh(scale[:, None] * am * scale)
 
 
 def log_gap(h1: HermForm, h2: HermForm) -> float:
@@ -203,4 +252,3 @@ def random_herm_pd(rng: np.random.Generator, n: int, spread: float = 1.0) -> np.
     eigs = np.exp(spread * rng.standard_normal(n))
     m = (q * eigs) @ q.conj().T
     return 0.5 * (m + m.conj().T)
-

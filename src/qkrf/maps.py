@@ -10,10 +10,12 @@ The three basic maps at level k are
     balancing    : H     -> project(fubini_study(H)),
 
 and the Bergman approximation of a potential is fubini_study o project.
-The Bergman sums are contractions of the inverse form against
-the pointwise section kernel, so no explicit orthonormalization is ever
-performed.  Rotation-invariant data rides a diagonal fast path: the
-reference monomial Gram is exponentially ill scaled in k, and keeping
+The Bergman sums are read in the form's eigenframe: for
+H = V diag(e^lam) V^* the sum at a node x is
+sum_i e^(-lam_i) |(V^T a(x))_i|^2, with a(x) the reference sections at
+x, so no solve and no explicit orthonormalization is ever performed.
+Rotation-invariant data rides a diagonal fast path: the reference
+monomial Gram is exponentially ill scaled in k, and keeping
 diagonal forms as diagonal vectors preserves full relative accuracy
 elementwise where a dense spectral route would drown the small entries in
 rounding.
@@ -59,10 +61,8 @@ class BergmanData:
 
 def _bergman_sum_dense(model: PolarizedModel, h: HermForm) -> np.ndarray:
     a = model.sections(h.level)
-    # one LU of the form for all node columns; the form is checked and finite
-    lu = scipy.linalg.lu_factor(h.entries, check_finite=False)
-    t = scipy.linalg.lu_solve(lu, a.conj(), check_finite=False)
-    return np.real(np.einsum("ax,ax->x", a, t))
+    amplitudes = a if h.is_diagonal else h.frame.T @ a
+    return (amplitudes.real**2 + amplitudes.imag**2).T @ (1.0 / h.data)
 
 
 def _bergman_sum_radial(model: ProjectiveLineModel, h: HermForm) -> np.ndarray:

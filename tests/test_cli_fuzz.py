@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qkrf import experiments
 from qkrf.cli import main as cli_main
 from qkrf.experiments import DEFAULTS, FIELD_SPECS
 
@@ -119,3 +120,20 @@ def test_cli_run_never_ends_in_a_traceback(name):
             assert not GRID_ERRORS.search(output), output
 
     check()
+
+
+def test_cli_run_of_an_unstable_dense_flow_exits_3(monkeypatch):
+    """A dense run that leaves the positive cone ends in exit 3 and names the time.
+
+    The schema rejects RK4 steps beyond the stability limit, so the test
+    lifts that limit and dt's bound to reach such a run from a config.
+    """
+    monkeypatch.setattr(experiments, "RK4_STABILITY_LIMIT", math.inf)
+    monkeypatch.setitem(FIELD_SPECS, "dt", ("float", 1e-9, 2.0))
+    code, output = run_cli({
+        "experiment": "monotonicity", "k": 2, "dt": 2.0, "t_max": 40.0, "runs": 1,
+        "radial_nodes": 32, "angular_nodes": 16,
+    })
+    assert code == 3, output
+    assert "run failed: FlowError: quantized flow left the positive cone near t = " in output
+    assert "Traceback" not in output

@@ -262,3 +262,30 @@ def test_diagonal_trace_save_load_is_exact(p1, bump, tmp_path):
         assert np.array_equal(blob["diag"], state.data)
     for name in trace.series:
         assert np.array_equal(payload["series"][name], trace.series[name])
+
+
+@pytest.mark.parametrize("with_energies", [True, False])
+def test_unstable_dense_run_ends_in_flow_error_naming_the_time(p1, with_energies):
+    """RK4 at k dt = 4 is unstable, and Q grows until the run must stop.
+
+    A form held in its eigenframe stays positive however wide its spectrum,
+    so the run no longer fails in the form's own positivity check: the
+    generalized-eigenvalue floor of the sampled S_k, or the floating range
+    of e^Q, stops it.
+    """
+    rng = np.random.default_rng(0)
+    h0 = HermForm(2, random_herm_pd(rng, 5, spread=0.5))
+    with pytest.raises(FlowError, match=r"left the positive cone near t = \d+\.\d{6}: ") as err:
+        quantized_flow_run(p1, h0, t_max=40.0, dt=2.0, with_energies=with_energies)
+    assert "not positive definite" not in str(err.value)
+
+
+def test_non_finite_dense_state_raises_flow_error(p1):
+    """An Euler step of 1e308 overflows Q to inf; the run ends in FlowError at that time."""
+    rng = np.random.default_rng(0)
+    h0 = HermForm(2, random_herm_pd(rng, 5, spread=0.5))
+    failure = r"near t = \d+\.\d{6}: matrix exponent has non-finite entries"
+    with np.errstate(over="ignore"), pytest.raises(FlowError, match=failure):
+        quantized_flow_run(
+            p1, h0, t_max=1e308, dt=1e308, method="euler", with_energies=False
+        )

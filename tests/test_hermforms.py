@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from qkrf.energies import e_k, l_functional, s_k
 from qkrf.hermforms import (
@@ -12,7 +13,7 @@ from qkrf.hermforms import (
     matrix_log,
     random_herm_pd,
 )
-from qkrf.maps import fubini_study, project
+from qkrf.maps import bergman_data, fubini_study, project
 from qkrf.nanorms import NAForm, ray_l_value
 
 
@@ -86,7 +87,7 @@ def test_log_exp_round_trip():
     rng = np.random.default_rng(7)
     for n in (3, 5, 9):
         a = random_herm_pd(rng, n, spread=1.0)
-        back = matrix_exp(matrix_log(HermForm(1, a)))
+        back = matrix_exp(1, matrix_log(HermForm(1, a))).entries
         assert np.allclose(back, a, atol=1e-12)
 
 
@@ -229,3 +230,101 @@ def test_diagonal_paths_leave_the_dense_matrix_unbuilt():
     h.scaled(2.0)
     assert "entries" not in vars(h) and "entries" not in vars(ref)
     assert h.entries is h.entries
+
+
+# ---------------------------------------------------------------------------
+# operations in the eigenframe against the explicit routes
+
+EPS = np.finfo(float).eps
+# Tolerance in units of eps * cond(H): the explicit routes (an LU solve, an
+# eigh of the matrix, a generalized eigh) lose accuracy in proportion to the
+# condition number of the form they work against.  The frame results sit
+# within 10 of these units of them on these cases.
+FRAME_TOL = 64.0
+
+
+def _frame_cases():
+    for k in (1, 2, 3):
+        for spread in (0.5, 3.0):
+            for built in ("matrix", "matrix_exp"):
+                yield pytest.param(k, spread, built, id=f"k{k}-spread{spread}-{built}")
+
+
+def _seeded_pair(k: int, spread: float, built: str):
+    """A dense form and a reference form at level k, and the form's condition."""
+    rng = np.random.default_rng([k, int(10 * spread)])
+    n = 2 * k + 1
+    h = HermForm(k, random_herm_pd(rng, n, spread=spread))
+    if built == "matrix_exp":
+        h = matrix_exp(k, matrix_log(h))
+    ref = HermForm(k, random_herm_pd(rng, n, spread=spread))
+    values = np.linalg.eigvalsh(h.entries)
+    assert not h.is_diagonal and not ref.is_diagonal
+    return h, ref, values[-1] / values[0]
+
+
+@pytest.mark.parametrize("k, spread, built", _frame_cases())
+def test_frame_bergman_sum_matches_an_lu_solve(p1, k, spread, built):
+    h, _, cond = _seeded_pair(k, spread, built)
+    a = p1.sections(k)
+    lu = scipy.linalg.lu_factor(h.entries)
+    explicit = np.real(np.einsum("ax,ax->x", a, scipy.linalg.lu_solve(lu, a.conj())))
+    density = bergman_data(p1, h).density * h.dim
+    assert np.max(np.abs(density - explicit) / explicit) <= FRAME_TOL * EPS * cond
+
+
+@pytest.mark.parametrize("k, spread, built", _frame_cases())
+def test_frame_matrix_log_matches_eigh(k, spread, built):
+    h, _, cond = _seeded_pair(k, spread, built)
+    values, vectors = np.linalg.eigh(h.entries)
+    explicit = (vectors * np.log(values)) @ vectors.conj().T
+    assert np.max(np.abs(matrix_log(h) - explicit)) <= FRAME_TOL * EPS * cond
+
+
+@pytest.mark.parametrize("k, spread, built", _frame_cases())
+def test_frame_gen_eig_matches_generalized_eigh(k, spread, built):
+    h, ref, cond = _seeded_pair(k, spread, built)
+    explicit = scipy.linalg.eigh(ref.entries, h.entries, eigvals_only=True)
+    got = gen_eig(ref, h)
+    assert np.all(np.diff(got) >= 0.0)
+    assert np.max(np.abs(got - explicit)) <= FRAME_TOL * EPS * cond * explicit[-1]
+
+
+@pytest.mark.parametrize("k, spread, built", _frame_cases())
+def test_frame_e_k_matches_the_gen_eig_route(k, spread, built):
+    h, ref, cond = _seeded_pair(k, spread, built)
+    ref_values = np.linalg.eigvalsh(ref.entries)
+    explicit = -np.sum(np.log(gen_eig(h, ref))) / (k * h.dim)
+    tol = FRAME_TOL * EPS * max(cond, ref_values[-1] / ref_values[0])
+    assert e_k(h, ref) == pytest.approx(explicit, abs=tol)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_outside_matrix_errors_keep_their_messages(seed):
+    rng = np.random.default_rng(seed)
+    m = random_herm_pd(rng, 5, spread=0.5)
+    values = np.linalg.eigvalsh(m)
+    indefinite = m - 0.5 * (values[1] + values[2]) * np.eye(5)
+    # the message reads the smallest eigenvalue eigvalsh gives
+    smallest = np.linalg.eigvalsh(indefinite)[0]
+    assert smallest < 0.0
+    with pytest.raises(PositivityError) as err:
+        HermForm(2, indefinite)
+    assert str(err.value) == f"form is not positive definite: smallest eigenvalue {smallest:.6e}"
+
+    skew = m.copy()
+    skew[0, 1] += 1e-6
+    resid = float(np.max(np.abs(skew - skew.conj().T)))
+    scale = float(np.max(np.abs(skew)))
+    with pytest.raises(HermitianError) as err:
+        HermForm(2, skew)
+    assert str(err.value) == f"form is not Hermitian: asymmetry {resid:.3e} at scale {scale:.3e}"
+
+
+def test_matrix_exp_refuses_a_non_finite_exponent():
+    q = np.zeros((3, 3), dtype=complex)
+    q[1, 1] = np.nan
+    with pytest.raises(HermitianError, match="non-finite"):
+        matrix_exp(1, q)
+    with pytest.raises(PositivityError, match="floating range"):
+        matrix_exp(1, np.diag([-800.0, 0.0, 1.0]).astype(complex))
