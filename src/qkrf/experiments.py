@@ -663,12 +663,10 @@ def _run_na_panel(params: dict, out: Path) -> tuple:
             nu = random_na(rng, model, k, spread=1.0, diagonal=trial % 2 == 0)
             a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            lhs = na_norm_value(nu, a + b)
-            rhs = max(na_norm_value(nu, a), na_norm_value(nu, b))
-            scale_dev = abs(
-                na_norm_value(nu, (2.0 - 1.5j) * a) - na_norm_value(nu, a)
+            lhs, at_a, at_b, scaled = na_norm_value(
+                nu, np.column_stack([a + b, a, b, (2.0 - 1.5j) * a])
             )
-            if lhs > rhs or scale_dev != 0.0:
+            if lhs > max(at_a, at_b) or scaled != at_a:
                 violations += 1
     rows.append(("ultrametric_violations", float(violations), 0.0))
 

@@ -130,7 +130,7 @@ class FlowTrace:
             "meta": self.meta,
         }
         with open(json_path, "w") as fh:
-            json.dump(payload, fh)
+            fh.write(json.dumps(payload))
         write_series_csv(csv_path, self.times, self.level, self.series)
         return json_path, csv_path
 

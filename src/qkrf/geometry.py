@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -259,6 +259,26 @@ class PolarizedModel:
         """
         raise NotImplementedError
 
+    def bergman_sum(
+        self, k: int, frame: Optional[np.ndarray], inverse: np.ndarray
+    ) -> np.ndarray:
+        """Bergman sum a(x)^T H^-1 conj(a(x)) of a level-k form at every node.
+
+        The form is H = V diag(1 / inverse) V^*, with V = ``frame`` (the
+        reference basis when None) and a(x) the reference sections at x.
+        The sum is read as sum_i inverse_i |(V^T a(x))_i|^2, a sum of
+        nonnegative terms over the section table.
+        """
+        a = self.sections(k)
+        amplitudes = a if frame is None else frame.T @ a
+        return (amplitudes.real**2 + amplitudes.imag**2).T @ inverse
+
+    def gram(self, k: int, weights: np.ndarray) -> np.ndarray:
+        """Gram matrix G_mn = sum_x weights(x) conj(a_m(x)) a_n(x), Hermitian."""
+        a = self.sections(k)
+        g = (a.conj() * weights) @ a.T
+        return 0.5 * (g + g.conj().T)
+
     def zero_potential(self) -> PotentialField:
         if self.supports_radial:
             return PotentialField(self, None, np.zeros(self.radial_count))
@@ -273,6 +293,17 @@ class PolarizedModel:
     def require_radial(self) -> None:
         if not self.supports_radial:
             raise ModelError("operation requires the radial (projective line) backend")
+
+
+class _ModeTables(NamedTuple):
+    """Per-level tables of the projective line's structured contractions."""
+
+    products: np.ndarray  # (4k+1, radial) sigma_s(r), s = m + n
+    phases: np.ndarray  # (2N, angular) cos(d theta) rows, then sin(d theta)
+    bergman_src: np.ndarray
+    bergman_scale: np.ndarray
+    gram_src: np.ndarray
+    gram_sign: np.ndarray
 
 
 class ProjectiveLineModel(PolarizedModel):
@@ -316,6 +347,7 @@ class ProjectiveLineModel(PolarizedModel):
         self.mu0_density = np.full(self.node_count, 1.0 / math.pi)
         self._sections: dict[int, np.ndarray] = {}
         self._radial_sq: dict[int, np.ndarray] = {}
+        self._modes: dict[int, _ModeTables] = {}
         self._charged = 0
 
     def nk(self, k: int) -> int:
@@ -364,6 +396,93 @@ class ProjectiveLineModel(PolarizedModel):
             )
             self._sections[k] = cached
         return cached
+
+    def _mode_tables(self, k: int) -> _ModeTables:
+        """The level-k tables of the structured contractions, built once.
+
+        With a_m(r, theta) = rho_m(r) e^(i m theta), every product of two
+        sections is rho_m rho_n = sigma_(m+n)(r) = u^(s/2) (1-u)^(2k-s/2),
+        s = m + n, times the angular mode e^(i (m-n) theta).  The pairs
+        lo <= hi of section indices, with d = hi - lo and s = lo + hi,
+        give the gathers that read the Bergman coefficients from H^-1 and
+        write the Gram from its d >= 0 modes.
+        """
+        self.require_level(k)
+        cached = self._modes.get(k)
+        if cached is None:
+            n, s, a = 2 * k + 1, 4 * k + 1, self.angular_count
+            self._charge(
+                s * self.radial_count + 2 * n * a + 4 * s * n + 4 * n * n,
+                f"angular mode tables at level {k}",
+            )
+            half = np.arange(s, dtype=float)[:, None] / 2.0
+            products = np.exp(
+                half * np.log(self.u)[None, :] + (2 * k - half) * np.log1p(-self.u)[None, :]
+            )
+            # the angle d * theta_j reduced mod 2 pi exactly, on its index
+            turns = np.outer(np.arange(n), np.arange(a)) % a
+            angle = (TWO_PI / a) * turns
+            phases = np.vstack([np.cos(angle), np.sin(angle)])
+
+            lo, hi = np.triu_indices(n)
+            d, total = hi - lo, lo + hi
+            # Bergman coefficients, laid out (s, [re d | im d]) and scaled so
+            # that B = Re sum_d w_d c_d e^(i d theta), w_0 = 1 and w_d = 2
+            # otherwise, is products^T @ (coefficients @ phases)
+            weight = np.where(d == 0, 1.0, 2.0)
+            bergman_src = np.zeros(s * 2 * n, dtype=np.intp)
+            bergman_scale = np.zeros(s * 2 * n)
+            bergman_src[total * 2 * n + d] = hi * 2 * n + 2 * lo
+            bergman_scale[total * 2 * n + d] = weight
+            bergman_src[total * 2 * n + n + d] = hi * 2 * n + 2 * lo + 1
+            bergman_scale[total * 2 * n + n + d] = -weight
+            # Gram entries as (real, imaginary) float pairs in row-major
+            # order, read from the (s, [cos d | sin d]) table: the upper
+            # triangle from the d >= 0 modes, the lower from their conjugates
+            gram_src = np.empty(2 * n * n, dtype=np.intp)
+            gram_sign = np.ones(2 * n * n)
+            upper, lower = lo * 2 * n + 2 * hi, hi * 2 * n + 2 * lo
+            gram_src[upper] = gram_src[lower] = total * 2 * n + d
+            gram_src[upper + 1] = gram_src[lower + 1] = total * 2 * n + n + d
+            gram_sign[lower[d > 0] + 1] = -1.0
+            cached = _ModeTables(
+                products, phases, bergman_src, bergman_scale, gram_src, gram_sign
+            )
+            self._modes[k] = cached
+        return cached
+
+    def bergman_sum(
+        self, k: int, frame: Optional[np.ndarray], inverse: np.ndarray
+    ) -> np.ndarray:
+        """Bergman sum of a level-k form through the angular modes of the grid.
+
+        B(r, theta) = Re sum_(d >= 0) w_d c_d(r) e^(i d theta), with
+        c_d(r) = sum_(m-n=d) (H^-1)_mn sigma_(m+n)(r): the same sum as the
+        section contraction, regrouped, in O(N^2 M + N M A) operations
+        instead of O(N^2 M A).
+        """
+        t = self._mode_tables(k)
+        n = 2 * k + 1
+        if frame is None:
+            inv_h = np.diag(inverse).astype(complex)
+        else:
+            inv_h = (frame * inverse) @ frame.conj().T
+        coefficients = t.bergman_scale * inv_h.view(float).ravel()[t.bergman_src]
+        modes = coefficients.reshape(4 * k + 1, 2 * n) @ t.phases
+        return (t.products.T @ modes).ravel()
+
+    def gram(self, k: int, weights: np.ndarray) -> np.ndarray:
+        """Gram matrix through the angular modes of the grid, Hermitian by construction.
+
+        G_mn = sum_r sigma_(m+n)(r) w_(n-m)(r), with the angular transforms
+        w_d(r) = sum_theta w(r, theta) e^(i d theta) of the weights; only
+        the d >= 0 entries are summed, the others are their conjugates.
+        """
+        t = self._mode_tables(k)
+        n = 2 * k + 1
+        transforms = weights.reshape(self.radial_count, self.angular_count) @ t.phases.T
+        table = t.products @ transforms
+        return (t.gram_sign * table.ravel()[t.gram_src]).view(complex).reshape(n, n)
 
     def tile_radial(self, profile: np.ndarray) -> np.ndarray:
         profile = np.asarray(profile, dtype=float)

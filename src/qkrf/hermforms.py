@@ -14,7 +14,10 @@ built only when asked for.  Matrices enter through ``HermForm`` (or
 ``matrix_log`` and ``matrix_exp`` are the quantized flow's maps between
 forms and Hermitian matrices Q = log H; ``matrix_exp`` builds its form
 from the eigen-decomposition of Q, positive by construction, and checks
-only that Q and the exponentials of its eigenvalues are finite.  Dense
+only that Q and the exponentials of its eigenvalues are finite.  The
+dense Gram forms of ``maps.project`` are Hermitian by construction too:
+they are decomposed by the same one ``eigh`` and checked only for
+finiteness and positivity.  Dense
 spectral operations refuse eigenvalues
 below a relative floor instead of clamping them; silent regularization
 would corrupt the decay-rate measurements built on top of this module.
@@ -82,6 +85,13 @@ def _hermitian_data(a, what: str) -> np.ndarray:
     return d
 
 
+def _require_positive(smallest: float) -> None:
+    if smallest <= 0.0:
+        raise PositivityError(
+            f"form is not positive definite: smallest eigenvalue {smallest:.6e}"
+        )
+
+
 @dataclass(frozen=True)
 class HermForm:
     """A positive definite Hermitian form on the level-k section space.
@@ -115,10 +125,7 @@ class HermForm:
         else:
             values, frame = np.linalg.eigh(matrix)
             smallest = values[0]
-        if smallest <= 0.0:
-            raise PositivityError(
-                f"form is not positive definite: smallest eigenvalue {smallest:.6e}"
-            )
+        _require_positive(smallest)
         object.__setattr__(self, "data", values)
         if frame is not None:
             object.__setattr__(self, "frame", frame)
@@ -181,19 +188,38 @@ def matrix_exp(level: int, q: np.ndarray) -> HermForm:
     finite, and so must e^lam and e^-lam for its eigenvalues lam; e^Q is
     then positive by construction and is not checked again.
     """
-    if not np.all(np.isfinite(q)):
-        raise HermitianError("matrix exponent has non-finite entries")
-    logs, frame = np.linalg.eigh(q)
-    if not -LOG_RANGE < logs[0] <= logs[-1] < LOG_RANGE:
-        raise PositivityError(
-            f"matrix exponent has eigenvalues from {logs[0]:.6e} to {logs[-1]:.6e}, "
-            f"beyond the floating range +-{LOG_RANGE:.6e} of their exponentials"
-        )
-    # built around __post_init__, whose checks hold by construction
+    return _eigen_form(level, q, exponent=True)
+
+
+def _eigen_form(level: int, m: np.ndarray, exponent: bool = False) -> HermForm:
+    """The form of a Hermitian matrix built in the package, decomposed by one eigh.
+
+    ``m`` is Hermitian by construction, so it is neither checked for
+    symmetry nor symmetrized; it must be finite.  With ``exponent`` the
+    form is e^m, positive when e^lam and e^-lam are finite for the
+    eigenvalues lam of m.  Otherwise the form is m itself, positive when
+    its smallest eigenvalue is, and held as its diagonal vector when m is
+    exactly diagonal.  The form is built around ``__post_init__``, whose
+    checks hold by construction.
+    """
+    what = "matrix exponent" if exponent else "form"
+    if not np.all(np.isfinite(m)):
+        raise HermitianError(f"{what} has non-finite entries")
+    if not exponent and _offdiagonal_is_zero(m):
+        return HermForm(level, np.real(np.diagonal(m)))
+    values, frame = np.linalg.eigh(m)
+    if exponent:
+        if not -LOG_RANGE < values[0] <= values[-1] < LOG_RANGE:
+            raise PositivityError(
+                f"matrix exponent has eigenvalues from {values[0]:.6e} to {values[-1]:.6e}, "
+                f"beyond the floating range +-{LOG_RANGE:.6e} of their exponentials"
+            )
+        held = {"data": np.exp(values), "logs": values}
+    else:
+        _require_positive(values[0])
+        held = {"data": values, "entries": m}
     form = object.__new__(HermForm)
-    for name, value in (
-        ("level", level), ("data", np.exp(logs)), ("frame", frame), ("logs", logs)
-    ):
+    for name, value in (("level", level), ("frame", frame), *held.items()):
         object.__setattr__(form, name, value)
     return form
 

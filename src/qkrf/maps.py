@@ -10,10 +10,13 @@ The three basic maps at level k are
     balancing    : H     -> project(fubini_study(H)),
 
 and the Bergman approximation of a potential is fubini_study o project.
-The Bergman sums are read in the form's eigenframe: for
-H = V diag(e^lam) V^* the sum at a node x is
-sum_i e^(-lam_i) |(V^T a(x))_i|^2, with a(x) the reference sections at
-x, so no solve and no explicit orthonormalization is ever performed.
+The Bergman sum a(x)^T H^-1 conj(a(x)) at a node x, with a(x) the
+reference sections at x, and the Gram contraction are the model's:
+``PolarizedModel.bergman_sum`` and ``PolarizedModel.gram``.  The generic
+ones contract the section table, the Bergman sum in the form's eigenframe
+H = V diag(e^lam) V^* as sum_i e^(-lam_i) |(V^T a(x))_i|^2; the
+projective line regroups both over the angular modes of its tensor grid.
+No solve and no explicit orthonormalization is ever performed.
 Rotation-invariant data rides a diagonal fast path: the reference
 monomial Gram is exponentially ill scaled in k, and keeping
 diagonal forms as diagonal vectors preserves full relative accuracy
@@ -35,7 +38,7 @@ from .geometry import (
     ProjectiveLineModel,
     logsumexp,
 )
-from .hermforms import HermForm, HermitianError, PositivityError
+from .hermforms import HermForm, HermitianError, PositivityError, _eigen_form
 
 
 class QuantizationError(ValueError):
@@ -59,12 +62,6 @@ class BergmanData:
     potential: PotentialField
 
 
-def _bergman_sum_dense(model: PolarizedModel, h: HermForm) -> np.ndarray:
-    a = model.sections(h.level)
-    amplitudes = a if h.is_diagonal else h.frame.T @ a
-    return (amplitudes.real**2 + amplitudes.imag**2).T @ (1.0 / h.data)
-
-
 def _bergman_sum_radial(model: ProjectiveLineModel, h: HermForm) -> np.ndarray:
     r2 = model.radial_section_sq(h.level)
     return r2.T @ (1.0 / h.diagonal())
@@ -82,7 +79,7 @@ def bergman_data(model: PolarizedModel, h: HermForm) -> BergmanData:
         phi = PotentialField(model, None, profile)
         density = model.tile_radial(rad / n)
     else:
-        full = _bergman_sum_dense(model, h)
+        full = model.bergman_sum(k, h.frame, 1.0 / h.data)
         if np.any(full <= 0.0) or not np.all(np.isfinite(full)):
             raise QuantizationError("Bergman sum is not strictly positive")
         phi = PotentialField(model, (np.log(full) - np.log(n)) / k, None)
@@ -110,13 +107,11 @@ def project(phi: PotentialField, k: int) -> HermForm:
         values = phi.values
         logw = np.log(model.mu0_weights) - (k + 1) * values
         logw = logw - logsumexp(np.log(model.mu0_weights) - values)
-        weights = np.exp(logw)
-        a = model.sections(k)
-        gram = (a.conj() * weights) @ a.T
+        gram = model.gram(k, np.exp(logw))
     try:
-        form = HermForm(k, gram)
+        form = HermForm(k, gram) if gram.ndim == 1 else _eigen_form(k, gram)
     except PositivityError as exc:
-        eigs = np.sort(gram) if gram.ndim == 1 else np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))
+        eigs = np.sort(gram) if gram.ndim == 1 else np.linalg.eigvalsh(gram)
         cond = float("inf") if eigs[0] <= 0 else float(eigs[-1] / eigs[0])
         raise QuantizationError(
             f"Gram matrix numerically singular at level {k} "

@@ -123,18 +123,26 @@ def random_na(
     return NAForm(k, lam, basis)
 
 
-def na_norm_value(nu: NAForm, coeffs: np.ndarray) -> float:
-    """Norm of the section with the given reference-basis coefficients."""
+def na_norm_value(nu: NAForm, coeffs: np.ndarray) -> float | np.ndarray:
+    """Norm of the section with the given reference-basis coefficients.
+
+    ``coeffs`` is one coefficient vector, whose norm is returned as a
+    float, or an (N, m) matrix of coefficient columns, whose m norms are
+    returned as an array from a single solve against the adapted basis.
+    """
     c = np.asarray(coeffs, dtype=complex)
-    if c.shape != (nu.dim,):
-        raise NANormError("coefficient vector has the wrong length")
-    comps = np.linalg.solve(nu.adapted_basis, c)
-    mags = np.abs(comps)
-    top = float(mags.max())
-    if top == 0.0:
+    if c.ndim not in (1, 2) or c.shape[0] != nu.dim or c.size == 0:
+        raise NANormError(
+            f"coefficients must be a vector or columns of length {nu.dim}, got shape {c.shape}"
+        )
+    mags = np.abs(np.linalg.solve(nu.adapted_basis, c))
+    top = mags.max(axis=0)
+    if np.any(top == 0.0):
         raise NANormError("the zero section has no norm")
     support = mags > SUPPORT_TOL * top
-    return float(np.exp(-np.min(nu.weights[support])))
+    weights = nu.weights if c.ndim == 1 else nu.weights[:, None]
+    values = np.exp(-np.min(np.where(support, weights, np.inf), axis=0))
+    return float(values) if c.ndim == 1 else values
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from qkrf.geometry import (
     DiscreteModel,
     KahlerConeError,
     ModelError,
+    PolarizedModel,
     PotentialField,
     ProjectiveLineModel,
     build_p1_model,
@@ -18,6 +19,7 @@ from qkrf.geometry import (
     logsumexp,
     ma_density,
 )
+from qkrf.hermforms import HermForm, matrix_exp, matrix_log, random_herm_pd
 from qkrf.maps import balancing, project
 
 # Agreement with scipy.special.logsumexp, the reference, to a few float64 ulps.
@@ -193,3 +195,107 @@ def test_discrete_model_validation():
         DiscreteModel({1: rank_deficient}, np.full(3, 1.0 / 3.0))
     with pytest.raises(ModelError):
         DiscreteModel({}, np.full(3, 1.0 / 3.0))
+
+
+# ---------------------------------------------------------------------------
+# the projective line's contractions over angular modes against the section
+# table, which the generic PolarizedModel implementations contract
+
+EPS = np.finfo(float).eps
+# In units of eps * cond(H) for Bergman sums, as in the frame tests of
+# test_hermforms, and of eps * sqrt(G_mm G_nn), the Cauchy-Schwarz bound of
+# an entry, for Grams.  Both routes sum the same terms in different orders.
+STRUCTURED_TOL = 64.0
+
+
+def _structured_cases():
+    for k in (1, 2, 3, 6):
+        # the smallest angular grid the model accepts, and one past 4k + 8
+        for angular in (8, 4 * k + 40):
+            for spread in (0.5, 3.0):
+                yield pytest.param(k, angular, spread, id=f"k{k}-a{angular}-spread{spread}")
+
+
+_MODELS = {}
+
+
+def _model(k: int, angular: int) -> ProjectiveLineModel:
+    if (k, angular) not in _MODELS:
+        _MODELS[k, angular] = ProjectiveLineModel(k, radial_nodes=48, angular_nodes=angular)
+    return _MODELS[k, angular]
+
+
+@pytest.mark.parametrize("built", ["matrix", "matrix_exp", "diagonal"])
+@pytest.mark.parametrize("k, angular, spread", _structured_cases())
+def test_structured_bergman_sum_matches_the_section_contraction(k, angular, spread, built):
+    model = _model(k, angular)
+    rng = np.random.default_rng([k, angular, int(10 * spread)])
+    n = 2 * k + 1
+    if built == "diagonal":
+        h = HermForm(k, np.exp(spread * rng.standard_normal(n)))
+    else:
+        h = HermForm(k, random_herm_pd(rng, n, spread=spread))
+        if built == "matrix_exp":
+            h = matrix_exp(k, matrix_log(h))
+    cond = h.data.max() / h.data.min()
+    got = model.bergman_sum(k, h.frame, 1.0 / h.data)
+    ref = PolarizedModel.bergman_sum(model, k, h.frame, 1.0 / h.data)
+    assert got.shape == (model.node_count,)
+    assert np.max(np.abs(got - ref) / ref) <= STRUCTURED_TOL * EPS * cond
+
+
+@pytest.mark.parametrize("k, angular, spread", _structured_cases())
+def test_structured_gram_matches_the_section_contraction(k, angular, spread):
+    model = _model(k, angular)
+    rng = np.random.default_rng([k, angular, int(10 * spread)])
+    weights = model.node_weights * np.exp(spread * rng.standard_normal(model.node_count))
+    got = model.gram(k, weights)
+    ref = PolarizedModel.gram(model, k, weights)
+    assert np.array_equal(got, got.conj().T)
+    bound = np.sqrt(np.outer(np.real(np.diagonal(ref)), np.real(np.diagonal(ref))))
+    assert np.all(np.abs(got - ref) <= STRUCTURED_TOL * EPS * bound)
+
+
+def test_discrete_model_keeps_the_section_contraction(discrete):
+    assert DiscreteModel.bergman_sum is PolarizedModel.bergman_sum
+    assert DiscreteModel.gram is PolarizedModel.gram
+    rng = np.random.default_rng(67)
+    h = HermForm(2, random_herm_pd(rng, discrete.nk(2)))
+    a = discrete.sections(2)
+    amplitudes = h.frame.T @ a
+    expected = (amplitudes.real**2 + amplitudes.imag**2).T @ (1.0 / h.data)
+    assert np.array_equal(discrete.bergman_sum(2, h.frame, 1.0 / h.data), expected)
+    phi = PotentialField(discrete, rng.standard_normal(discrete.node_count), None)
+    gram = project(phi, 2).entries
+    assert np.array_equal(gram, gram.conj().T)
+
+
+def test_dense_bergman_sum_at_level_128_builds_no_section_table():
+    """Only the mode tables are built: the section table would hold 36M entries."""
+    model = build_p1_model(128)
+    rng = np.random.default_rng(128)
+    h = HermForm(128, random_herm_pd(rng, model.nk(128), spread=0.5))
+    got = model.bergman_sum(128, h.frame, 1.0 / h.data)
+    assert not model._sections
+    nodes = rng.choice(model.node_count, size=64, replace=False)
+    r, j = np.divmod(nodes, model.angular_count)
+    m = np.arange(model.nk(128))[:, None]
+    a = np.sqrt(model.radial_section_sq(128)[:, r]) * np.exp(1j * m * model.theta[j])
+    amplitudes = h.frame.T @ a
+    ref = (amplitudes.real**2 + amplitudes.imag**2).T @ (1.0 / h.data)
+    cond = h.data[-1] / h.data[0]
+    assert np.max(np.abs(got[nodes] - ref) / ref) <= STRUCTURED_TOL * EPS * cond
+
+
+def test_mode_tables_past_the_level_or_resource_limit_raise():
+    model = _model(3, 20)
+    with pytest.raises(ModelError, match="outside the supported range"):
+        model.bergman_sum(4, None, np.ones(9))
+    with pytest.raises(ModelError, match="outside the supported range"):
+        model.gram(4, np.ones(model.node_count))
+    k = 2**26
+    big = ProjectiveLineModel(k_max=k, radial_nodes=16, angular_nodes=8)
+    assert (4 * k + 1) * big.radial_count > RESOURCE_LIMIT
+    with pytest.raises(ModelError, match="resource limit"):
+        big.gram(k, np.ones(big.node_count))
+    assert big.gram(1, np.ones(big.node_count)).shape == (3, 3)

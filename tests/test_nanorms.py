@@ -48,6 +48,40 @@ def test_na_norm_value_support_rule(p1):
         na_norm_value(nu, np.zeros(3))
 
 
+def _norm_columns(rng: np.random.Generator, nu: NAForm) -> np.ndarray:
+    """Random coefficient columns, and adapted-basis columns whose support is partial."""
+    n = nu.dim
+    random = rng.standard_normal((n, 4)) + 1j * rng.standard_normal((n, 4))
+    picks = rng.integers(0, n, size=2)
+    adapted = nu.adapted_basis[:, picks] * (1.0 - 0.5j)
+    return np.column_stack([random, adapted, (2.0 - 1.5j) * random[:, 0]])
+
+
+def test_batched_norms_equal_the_per_column_calls_bitwise(p1):
+    rng = np.random.default_rng(2026)
+    for trial in range(500):
+        nu = random_na(rng, p1, 1 + trial % 3, spread=1.0, diagonal=trial % 2 == 0)
+        columns = _norm_columns(rng, nu)
+        batched = na_norm_value(nu, columns)
+        single = [na_norm_value(nu, columns[:, j]) for j in range(columns.shape[1])]
+        assert all(type(value) is float for value in single)
+        assert batched.shape == (columns.shape[1],)
+        assert np.array_equal(batched, single)
+
+
+def test_batched_norms_reject_bad_columns(p1):
+    nu = random_na(np.random.default_rng(7), p1, 2, spread=1.0)
+    columns = np.ones((5, 3), dtype=complex)
+    for j in range(3):
+        zeroed = columns.copy()
+        zeroed[:, j] = 0.0
+        with pytest.raises(NANormError, match="zero section"):
+            na_norm_value(nu, zeroed)
+    for bad in (np.ones((4, 3)), np.ones(6), np.ones((5, 0)), np.ones((5, 3, 2))):
+        with pytest.raises(NANormError, match="length 5"):
+            na_norm_value(nu, bad)
+
+
 def test_ultrametric_inequality_seeded(p1):
     """Norm of a sum never exceeds the larger of the two norms."""
     rng = np.random.default_rng(101)
