@@ -12,6 +12,9 @@ S_k(H) = (1/N_k) sum B_i log B_i over the generalized eigenvalues B_i
 of (b_k(H), H), the pairing of its Legendre-type variational form, and
 the free energy F^NA of a non-Archimedean norm.  All exponential sums go
 through log-sum-exp so geodesic rays at large time stay finite.
+
+Integrals against mu0 read the models' cached log weights.  L, S and S_k
+from balancing norms are defined here only; flows and ray slopes call them.
 """
 
 from __future__ import annotations
@@ -75,9 +78,8 @@ def l_functional(phi: PotentialField) -> float:
     """L(phi) = -log((1/V) int e^(-phi) d mu0), computed in log space."""
     model = phi.model
     if model.supports_radial and phi.is_radial:
-        logint = logsumexp(np.log(model.radial_weights) - phi.radial_profile)
-        return float(-logint)
-    logint = logsumexp(np.log(model.mu0_weights) - phi.values)
+        return float(-logsumexp(model.log_radial_weights - phi.radial_profile))
+    logint = logsumexp(model.log_mu0_weights - phi.values)
     return float(np.log(model.volume) - logint)
 
 
@@ -89,7 +91,7 @@ def log_ricci_profile(
     ``lap`` is the radial Laplacian of psi when the caller already has it.
     """
     lap = _admissible_laplacian(model, psi, lap)
-    logz = logsumexp(np.log(model.radial_mu0_weights) - psi)
+    logz = logsumexp(model.log_radial_mu0_weights - psi)
     return np.log(2.0) - psi - logz - np.log1p(0.5 * lap)
 
 
@@ -138,8 +140,12 @@ def s_k(model: PolarizedModel, h: HermForm, balanced: Optional[HermForm] = None)
     The B_i sum to N_k, so the value is nonnegative and vanishes exactly
     at balanced forms.
     """
-    mu = balancing_norms(model, h, balanced)
-    return float(np.sum(mu * np.log(mu)) / mu.size)
+    return entropy_of_norms(balancing_norms(model, h, balanced))
+
+
+def entropy_of_norms(b_norms: np.ndarray) -> float:
+    """(1/N) sum B_i log B_i of balancing norms B, the value of S_k."""
+    return float(np.sum(b_norms * np.log(b_norms)) / b_norms.size)
 
 
 def canonical_conjugate_weights(b_norms: np.ndarray, k: int) -> np.ndarray:

@@ -34,6 +34,7 @@ from .flows import (
     monotonicity_probe,
     quantized_flow_run,
     slope_identity_check,
+    whole_steps,
 )
 from .geometry import PotentialField, ProjectiveLineModel, ma_density
 from .hermforms import HermForm, random_herm_pd
@@ -200,12 +201,6 @@ RK4_STABILITY_LIMIT = 2.785
 RATE_EXPERIMENTS = ("euler-gap", "thmA-gap")
 
 
-def _whole_steps(span: float, dt: float) -> int:
-    """How many steps dt make up span; 0 when span is off the step grid."""
-    steps = round(span / dt)
-    return steps if abs(steps * dt - span) <= TIME_TOL * max(1.0, span) else 0
-
-
 def _check_consistency(name: str, params: dict) -> None:
     """Reject field combinations that pass the schema but cannot run."""
     if name in RATE_EXPERIMENTS and len(set(params["k_list"])) < 3:
@@ -226,7 +221,7 @@ def _check_consistency(name: str, params: dict) -> None:
             )
     if name == "duality":
         for k in params["k_list"]:
-            if not _whole_steps(params["t_max"], DUALITY_STEP / k):
+            if not whole_steps(params["t_max"], DUALITY_STEP / k):
                 raise ExperimentError(
                     f"{name}.t_max: {params['t_max']} is not a whole number of "
                     f"flow steps {DUALITY_STEP}/k at level {k}"
@@ -239,7 +234,7 @@ def _check_consistency(name: str, params: dict) -> None:
             f"{name}.dt: k*dt = {k * dt:.6g} exceeds the RK4 stability limit "
             f"{RK4_STABILITY_LIMIT} of the level-{k} flow"
         )
-    if _whole_steps(t_max, dt) < 2:
+    if whole_steps(t_max, dt) < 2:
         raise ExperimentError(
             f"{name}.t_max: {t_max} is not a whole number of at least two steps dt = {dt}"
         )

@@ -32,7 +32,14 @@ from typing import Optional, Sequence
 import numpy as np
 import scipy.linalg
 
-from .energies import e_k, l_functional, log_ricci_profile, ma_energy
+from .energies import (
+    e_k,
+    entropy_classical,
+    entropy_of_norms,
+    l_functional,
+    log_ricci_profile,
+    ma_energy,
+)
 from .geometry import (
     KahlerConeError,
     ModelError,
@@ -165,13 +172,10 @@ def write_series_csv(path: str, times: np.ndarray, level: Optional[int], series:
 # quantized flow
 
 
-def _step_count(t_span: float, dt: float, what: str) -> int:
-    if dt <= 0.0:
-        raise FlowError(f"{what}: step size must be positive")
-    n = int(round(t_span / dt))
-    if n < 1 or abs(n * dt - t_span) > TIME_TOL * max(1.0, abs(t_span)):
-        raise FlowError(f"{what}: span {t_span} is not a whole number of steps {dt}")
-    return n
+def whole_steps(span: float, dt: float) -> int:
+    """How many steps dt > 0 make up span; 0 when span is off that step grid."""
+    n = int(round(span / dt)) if dt > 0.0 else 0
+    return n if n >= 1 and abs(n * dt - span) <= TIME_TOL * max(1.0, abs(span)) else 0
 
 
 def _quantized_samples(
@@ -185,13 +189,12 @@ def _quantized_samples(
         return
     potential = bergman_data(model, form).potential
     norms = gen_eig(project(potential, form.level), form)
-    n = norms.size
     l_value = l_functional(potential)
     ek_value = e_k(form, h_ref)
     record["L"].append(l_value)
     record["E_k"].append(ek_value)
     record["D_k"].append(l_value - ek_value)
-    record["S_k"].append(float(np.sum(norms * np.log(norms)) / n))
+    record["S_k"].append(entropy_of_norms(norms))
     record["relent_ref"].append(float(-np.sum(np.log(norms))))
 
 
@@ -228,7 +231,9 @@ def quantized_flow_run(
     model.require_level(k)
     if model.nk(k) != h0.dim:
         raise ModelError("initial form does not match the section space")
-    n_steps = _step_count(t_max, dt, "quantized flow")
+    n_steps = whole_steps(t_max, dt)
+    if not n_steps:
+        raise FlowError(f"quantized flow: span {t_max} is not a whole number of steps {dt}")
     if n_steps % sample_every != 0:
         raise FlowError("step count is not a multiple of sample_every")
 
@@ -376,7 +381,9 @@ def classical_krf_run(
     if t_max <= 0.0:
         raise FlowError("t_max must be positive")
     sample_dt = float(sample_dt)
-    n_samples = _step_count(t_max, sample_dt, "classical flow sampling")
+    n_samples = whole_steps(t_max, sample_dt)
+    if not n_samples:
+        raise FlowError(f"classical flow: span {t_max} is not a whole number of steps {sample_dt}")
 
     lap_matrix = radial_laplacian_matrix(model)
     shifted = np.empty_like(lap_matrix)
@@ -453,11 +460,8 @@ def classical_krf_run(
     series = {
         "E": [ma_energy(s) for s in states],
         "L": [l_functional(s) for s in states],
-        "S": [],
+        "S": [entropy_classical(s) for s in states],
     }
-    for p in profiles:
-        rho = log_ricci_profile(model, p)
-        series["S"].append(float(np.dot(radial_canonical_measure(model, p), rho)))
     s_values = np.asarray(series["S"])
     meta = {
         "dt": float(n_samples * sample_dt / stats["steps"]),

@@ -20,6 +20,9 @@ whose pointwise reference amplitudes are
 For a radial potential psi(u) the curvature form of the twisted metric
 has density (2 + (u(1-u) psi')') / (2 pi), with the derivative taken by
 barycentric spectral differentiation on the Gauss-Legendre nodes.
+
+The models own the reference measure mu0 and cache its log weights;
+``twisted_weights`` is the one log-space normalization of e^(-p phi) mu0.
 """
 
 from __future__ import annotations
@@ -151,9 +154,9 @@ class QuadratureGrid:
 class PotentialField:
     """A real potential sampled on a model's quadrature nodes.
 
-    ``radial_profile`` holds the values on the radial grid when the field
-    is rotation invariant; the 2-D node values are then tiled on demand.
-    When both representations are supplied they must agree.
+    Exactly one representation is given: ``node_values`` at every 2-D
+    node, or ``radial_profile`` on the radial grid when the field is
+    rotation invariant, whose node values are then tiled on demand.
     """
 
     model: "PolarizedModel"
@@ -161,34 +164,19 @@ class PotentialField:
     radial_profile: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if self.node_values is None and self.radial_profile is None:
-            raise ModelError("potential needs node values or a radial profile")
-        if self.node_values is not None:
-            v = np.asarray(self.node_values, dtype=float)
-            if v.shape != (self.model.node_count,):
-                raise ModelError(
-                    f"potential has {v.shape} values, expected ({self.model.node_count},)"
-                )
-            if not np.all(np.isfinite(v)):
-                raise ModelError("potential values must be finite")
-            object.__setattr__(self, "node_values", v)
-        if self.radial_profile is not None:
-            if not self.model.supports_radial:
-                raise ModelError("radial profile on a backend without radial structure")
-            p = np.asarray(self.radial_profile, dtype=float)
-            if p.shape != (self.model.radial_count,):
-                raise ModelError(
-                    f"profile has {p.shape} values, expected ({self.model.radial_count},)"
-                )
-            if not np.all(np.isfinite(p)):
-                raise ModelError("potential profile must be finite")
-            object.__setattr__(self, "radial_profile", p)
-        if self.node_values is not None and self.radial_profile is not None:
-            tiled = self.model.tile_radial(self.radial_profile)
-            err = float(np.max(np.abs(tiled - self.node_values)))
-            scale = 1.0 + float(np.max(np.abs(self.node_values)))
-            if err > 1e-10 * scale:
-                raise ModelError("radial profile does not reproduce node values")
+        radial = self.radial_profile is not None
+        if radial == (self.node_values is not None):
+            raise ModelError("potential needs exactly one of node values and a radial profile")
+        if radial and not self.model.supports_radial:
+            raise ModelError("radial profile on a backend without radial structure")
+        name = "radial_profile" if radial else "node_values"
+        count = self.model.radial_count if radial else self.model.node_count
+        v = np.asarray(getattr(self, name), dtype=float)
+        if v.shape != (count,):
+            raise ModelError(f"potential {name} has shape {v.shape}, expected ({count},)")
+        if not np.all(np.isfinite(v)):
+            raise ModelError(f"potential {name} must be finite")
+        object.__setattr__(self, name, v)
 
     @cached_property
     def values(self) -> np.ndarray:
@@ -207,9 +195,9 @@ class PotentialField:
         return self.radial_profile
 
     def shifted(self, c: float) -> "PotentialField":
-        values = None if self.node_values is None else self.node_values + c
-        profile = None if self.radial_profile is None else self.radial_profile + c
-        return PotentialField(self.model, values, profile)
+        if self.is_radial:
+            return PotentialField(self.model, None, self.radial_profile + c)
+        return PotentialField(self.model, self.node_values + c)
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +207,6 @@ class PotentialField:
 class PolarizedModel:
     """Common interface of the quantization backends."""
 
-    complex_dim: int
     volume: float
     k_max: int
     supports_radial: bool = False
@@ -240,6 +227,10 @@ class PolarizedModel:
     def mu0_weights(self) -> np.ndarray:
         """Quadrature weights of the reference measure (sums to the volume)."""
         return self.node_weights * self.mu0_density
+
+    @cached_property
+    def log_mu0_weights(self) -> np.ndarray:
+        return np.log(self.mu0_weights)
 
     @property
     def levels(self) -> range:
@@ -317,7 +308,6 @@ class ProjectiveLineModel(PolarizedModel):
     angular_nodes > 4 k_max.
     """
 
-    complex_dim = 1
     supports_radial = True
 
     def __init__(self, k_max: int, radial_nodes: int, angular_nodes: int):
@@ -364,6 +354,14 @@ class ProjectiveLineModel(PolarizedModel):
     def radial_mu0_weights(self) -> np.ndarray:
         """Radial weights of the reference measure (sums to the volume)."""
         return 2.0 * self.radial_weights
+
+    @cached_property
+    def log_radial_mu0_weights(self) -> np.ndarray:
+        return np.log(self.radial_mu0_weights)
+
+    @cached_property
+    def log_radial_weights(self) -> np.ndarray:
+        return np.log(self.radial_weights)
 
     def radial_section_sq(self, k: int) -> np.ndarray:
         """Squared reference amplitudes u^m (1-u)^(2k-m) on the radial grid.
@@ -512,7 +510,6 @@ class DiscreteModel(PolarizedModel):
     as complex arrays of shape (N_k, points) and must have full row rank.
     """
 
-    complex_dim = 0
     supports_radial = False
 
     def __init__(self, section_values: dict[int, np.ndarray], base_weights: np.ndarray):
@@ -620,22 +617,23 @@ def logsumexp(a, axis=None):
     return np.squeeze(out, axis=axis)
 
 
-def canonical_measure(phi: PotentialField) -> np.ndarray:
-    """Quadrature weights of the probability measure e^(-phi) mu0 / Z.
+def twisted_weights(log_mu0: np.ndarray, values: np.ndarray, power: int = 1) -> np.ndarray:
+    """Weights of e^(-power phi) mu0 / Z, Z = int e^(-phi) mu0, from log mu0 and phi's values.
 
-    The normalization is done in log space, so arbitrarily large potential
-    swings (geodesic rays at large time) do not overflow.  The returned
-    weights sum to 1 exactly up to rounding.
+    Normalized in log space, so large potential swings (geodesic rays at
+    large time) do not overflow.  At power 1 they sum to 1 up to rounding.
     """
-    model = phi.model
-    logw = np.log(model.mu0_weights) - phi.values
-    return np.exp(logw - logsumexp(logw))
+    return np.exp(log_mu0 - power * values - logsumexp(log_mu0 - values))
+
+
+def canonical_measure(phi: PotentialField) -> np.ndarray:
+    """Quadrature weights of the probability measure e^(-phi) mu0 / Z."""
+    return twisted_weights(phi.model.log_mu0_weights, phi.values)
 
 
 def radial_canonical_measure(model: ProjectiveLineModel, profile: np.ndarray) -> np.ndarray:
     """Radial reduction of ``canonical_measure`` for rotation-invariant data."""
-    logw = np.log(model.radial_mu0_weights) - profile
-    return np.exp(logw - logsumexp(logw))
+    return twisted_weights(model.log_radial_mu0_weights, profile)
 
 
 def ma_density(phi: PotentialField) -> np.ndarray:

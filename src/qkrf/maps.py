@@ -36,7 +36,7 @@ from .geometry import (
     PolarizedModel,
     PotentialField,
     ProjectiveLineModel,
-    logsumexp,
+    twisted_weights,
 )
 from .hermforms import HermForm, HermitianError, PositivityError, _eigen_form
 
@@ -98,16 +98,10 @@ def project(phi: PotentialField, k: int) -> HermForm:
     model.require_level(k)
     n = model.nk(k)
     if model.supports_radial and phi.is_radial:
-        psi = phi.radial_profile
-        logw = np.log(model.radial_mu0_weights) - (k + 1) * psi
-        logw = logw - logsumexp(np.log(model.radial_mu0_weights) - psi)
-        weights = np.exp(logw)
+        weights = twisted_weights(model.log_radial_mu0_weights, phi.radial_profile, k + 1)
         gram = model.radial_section_sq(k) @ weights
     else:
-        values = phi.values
-        logw = np.log(model.mu0_weights) - (k + 1) * values
-        logw = logw - logsumexp(np.log(model.mu0_weights) - values)
-        gram = model.gram(k, np.exp(logw))
+        gram = model.gram(k, twisted_weights(model.log_mu0_weights, phi.values, k + 1))
     try:
         form = HermForm(k, gram) if gram.ndim == 1 else _eigen_form(k, gram)
     except PositivityError as exc:

@@ -24,7 +24,13 @@ from typing import Optional, Sequence
 import numpy as np
 import scipy.linalg
 
-from .energies import canonical_conjugate_weights, conjugate_value, f_k_na
+from .energies import (
+    canonical_conjugate_weights,
+    conjugate_value,
+    entropy_of_norms,
+    f_k_na,
+    l_functional,
+)
 from .flows import FlowTrace, quantized_flow_run
 from .geometry import PolarizedModel, PotentialField, logsumexp
 from .hermforms import HermForm, HermitianError, PositivityError
@@ -248,11 +254,8 @@ def ray_l_value(
     """L of the Fubini-Study potential at ray time t, fully in log space."""
     if log_amplitudes is None:
         log_amplitudes = _ray_log_amplitudes(model, nu, h0)
-    k = nu.level
     log_bergman = logsumexp(nu.weights[:, None] * t + log_amplitudes, axis=0)
-    phi_values = (log_bergman - math.log(nu.dim)) / k
-    log_mass = logsumexp(np.log(model.mu0_weights) - phi_values)
-    return float(math.log(model.volume) - log_mass)
+    return l_functional(PotentialField(model, (log_bergman - math.log(nu.dim)) / nu.level))
 
 
 def l_na_slope(
@@ -360,8 +363,7 @@ def extract_na_from_flow(
     h = trace.state_at(t_j)
     frame, norms = orthonormal_orthogonal(h, balancing(model, h))
     lam = canonical_conjugate_weights(norms, h.level)
-    s_k_value = float(np.sum(norms * np.log(norms)) / norms.size)
-    residual = abs(s_k_value - conjugate_value(norms, h.level, lam))
+    residual = abs(entropy_of_norms(norms) - conjugate_value(norms, h.level, lam))
     return NAForm(h.level, lam, frame), residual
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qkrf import flows
-from qkrf.energies import log_ricci_profile
+from qkrf.energies import entropy_classical, log_ricci_profile
 from qkrf.experiments import family_potential
 from qkrf.flows import (
     FlowError,
@@ -17,6 +17,7 @@ from qkrf.flows import (
     quantized_flow_run,
     radial_laplacian_matrix,
     slope_identity_check,
+    whole_steps,
     write_series_csv,
 )
 from qkrf.geometry import KahlerConeError, build_p1_model
@@ -109,6 +110,21 @@ def test_classical_entropy_decreases(p1, bump):
     assert trace.meta["steps"] >= 1
     assert trace.meta["rejected"] == trace.meta["restarts"]
     assert trace.meta["factorizations"] == 6 * (trace.meta["steps"] + trace.meta["rejected"])
+
+
+@pytest.mark.parametrize("family", ["bump", "sine"])
+def test_classical_entropy_series_is_entropy_classical(p1, family):
+    trace = classical_krf_run(p1, family_potential(p1, family, 0.3), t_max=0.2, sample_dt=0.1)
+    assert np.array_equal(trace.series["S"], [entropy_classical(s) for s in trace.states])
+
+
+@pytest.mark.parametrize(
+    "span, dt, steps",
+    [(1.0, 0.25, 4), (1.0 + 1e-12, 0.25, 4), (1.0, 0.3, 0), (0.1, 0.25, 0),
+     (1.0, 0.0, 0), (1.0, -0.25, 0)],
+)
+def test_whole_steps(span, dt, steps):
+    assert whole_steps(span, dt) == steps
 
 
 @pytest.mark.parametrize("family", ["bump", "sine"])

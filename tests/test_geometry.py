@@ -152,6 +152,23 @@ def test_potential_field_shift_and_radial_flag(p1):
         dense.require_profile()
 
 
+def test_potential_field_takes_exactly_one_representation(p1):
+    profile = 0.1 * p1.u
+    with pytest.raises(ModelError, match="exactly one"):
+        PotentialField(p1, p1.tile_radial(profile), profile)
+    with pytest.raises(ModelError, match="exactly one"):
+        PotentialField(p1)
+
+
+@pytest.mark.parametrize("name", ["mu0_weights", "radial_mu0_weights", "radial_weights"])
+def test_log_weights_are_cached_logs_of_the_weights(p1, discrete, name):
+    models = [p1, discrete] if name == "mu0_weights" else [p1]
+    for model in models:
+        logs = getattr(model, f"log_{name}")
+        assert getattr(model, f"log_{name}") is logs
+        assert np.array_equal(logs, np.log(getattr(model, name)))
+
+
 def test_canonical_measure_is_shift_invariant_probability(p1, bump):
     w = canonical_measure(bump)
     assert np.all(w > 0.0)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qkrf.geometry import ModelError
+from qkrf.geometry import ModelError, PotentialField
 from qkrf.hermforms import HermForm, random_herm_pd
 from qkrf.maps import (
     balancing,
@@ -41,6 +41,16 @@ def test_project_unnormalized_scaling(p1, bump):
     a = p1.sections(1)
     raw = (a.conj() * (p1.mu0_weights * np.exp(-2.0 * bump.values))) @ a.T
     assert np.allclose(raw, z * project(bump, 1).entries, rtol=1e-11, atol=1e-14)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_project_of_tiled_radial_potential_matches_the_radial_gram(p1, bump, k):
+    """The node-valued and the radial normalization give the same Gram."""
+    radial = project(bump, k)
+    dense = project(PotentialField(p1, p1.tile_radial(bump.require_profile())), k)
+    assert radial.is_diagonal and not dense.is_diagonal
+    expected = np.diag(radial.diagonal())
+    assert np.max(np.abs(dense.entries - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
 def test_fubini_study_scaling(p1):
