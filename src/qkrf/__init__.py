@@ -18,6 +18,7 @@ from .experiments import (
     ExperimentError,
     RunManifest,
     entropy_convergence_report,
+    euler_gap_report,
     family_potential,
     run_experiment,
 )
@@ -26,7 +27,6 @@ from .flows import (
     FlowTrace,
     bergman_iterate,
     classical_krf_run,
-    euler_gap_report,
     fit_decay,
     flow_vs_krf_gap,
     monotonicity_probe,

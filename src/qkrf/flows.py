@@ -2,10 +2,11 @@
 
 Three evolutions share the FlowTrace record: the quantized flow, the
 matrix ODE dQ/dt = k (log b_k(H) - Q) on Q = log H taken in the fixed
-reference basis; the Bergman iteration H -> b_k(H), which coincides with
-the quantized flow's Euler step of size 1/k; and the classical radial
-flow d psi/dt = -rho(psi) on the projective line, where rho is the log
-density of the canonical measure against the normalized volume form.
+reference basis and integrated with RK4; the Bergman iteration
+H -> b_k(H), which is that ODE's Euler step of size 1/k; and the
+classical radial flow d psi/dt = -rho(psi) on the projective line, where
+rho is the log density of the canonical measure against the normalized
+volume form.
 
 The report functions at the bottom measure how the discrete evolutions
 track their continuum limits: Bergman iterates against the integrated
@@ -178,24 +179,20 @@ def whole_steps(span: float, dt: float) -> int:
     return n if n >= 1 and abs(n * dt - span) <= TIME_TOL * max(1.0, abs(span)) else 0
 
 
-def _quantized_samples(
-    model: PolarizedModel,
-    h_ref: HermForm,
-    form: HermForm,
-    record: dict,
-    with_energies: bool,
-) -> None:
-    if not with_energies:
-        return
-    potential = bergman_data(model, form).potential
-    norms = gen_eig(project(potential, form.level), form)
-    l_value = l_functional(potential)
-    ek_value = e_k(form, h_ref)
-    record["L"].append(l_value)
-    record["E_k"].append(ek_value)
-    record["D_k"].append(l_value - ek_value)
-    record["S_k"].append(entropy_of_norms(norms))
-    record["relent_ref"].append(float(-np.sum(np.log(norms))))
+def level_steps(t_max: float, k: int) -> int:
+    """How many whole steps 1/k fit in t_max; FlowError when not one does."""
+    steps = int(math.floor(t_max * k + TIME_TOL))
+    if steps < 1:
+        raise FlowError(f"{t_max} is shorter than one step 1/{k} at level {k}")
+    return steps
+
+
+def common_grid(t_max: float, k_values: Sequence[int]) -> int:
+    """lcm(k_values), whose inverse steps every level; FlowError when t_max is off that grid."""
+    common = math.lcm(*k_values)
+    if abs(round(t_max * common) - t_max * common) > TIME_TOL:
+        raise FlowError(f"{t_max} is not a multiple of 1/lcm(k_list) = 1/{common}")
+    return common
 
 
 # a state that raises one of these has left the positive cone
@@ -211,20 +208,18 @@ def quantized_flow_run(
     h0: HermForm,
     t_max: float,
     dt: float,
-    method: str = "rk4",
     sample_every: int = 1,
     with_energies: bool = True,
 ) -> FlowTrace:
-    """Integrate the quantized flow from h0 over [0, t_max].
+    """Integrate the quantized flow from h0 over [0, t_max] with RK4 at step dt.
 
-    The state is Q = log H in the reference basis; one Euler step of
-    size 1/k lands exactly on b_k(H).  States are sampled every
-    ``sample_every`` steps (the initial state included); the energies
-    take h0 as the reference form of E_k.  Any stage that leaves the
-    positive cone aborts the run with the failure time.
+    The state is Q = log H in the reference basis.  States are sampled
+    every ``sample_every`` steps (the initial state included); with
+    ``with_energies`` each sample also records L, E_k (against h0 as the
+    reference form), D_k, S_k and the relative entropy against b_k(H).
+    Any stage that leaves the positive cone aborts the run with the
+    failure time.
     """
-    if method not in ("rk4", "euler"):
-        raise FlowError(f"unknown integration method {method!r}")
     if sample_every < 1:
         raise FlowError("sample_every must be at least 1")
     k = h0.level
@@ -251,28 +246,38 @@ def quantized_flow_run(
         except CONE_ERRORS as exc:
             raise _left_cone(t, exc) from exc
 
-    q = np.log(h0.diagonal()) if diagonal else matrix_log(h0)
+    record = {name: [] for name in ("L", "E_k", "D_k", "S_k", "relent_ref")}
 
+    def sample(form: HermForm) -> None:
+        if not with_energies:
+            return
+        potential = bergman_data(model, form).potential
+        norms = gen_eig(project(potential, k), form)
+        l_value = l_functional(potential)
+        ek_value = e_k(form, h0)
+        record["L"].append(l_value)
+        record["E_k"].append(ek_value)
+        record["D_k"].append(l_value - ek_value)
+        record["S_k"].append(entropy_of_norms(norms))
+        record["relent_ref"].append(float(-np.sum(np.log(norms))))
+
+    q = np.log(h0.diagonal()) if diagonal else matrix_log(h0)
     times = [0.0]
     states = [h0]
-    record = {name: [] for name in ("L", "E_k", "D_k", "S_k", "relent_ref")}
-    _quantized_samples(model, h0, h0, record, with_energies)
+    sample(h0)
 
     t = 0.0
     for step in range(1, n_steps + 1):
-        if method == "euler":
-            q = q + dt * vector_field(q, t)
-        else:
-            f1 = vector_field(q, t)
-            f2 = vector_field(q + 0.5 * dt * f1, t + 0.5 * dt)
-            f3 = vector_field(q + 0.5 * dt * f2, t + 0.5 * dt)
-            f4 = vector_field(q + dt * f3, t + dt)
-            q = q + (dt / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
+        f1 = vector_field(q, t)
+        f2 = vector_field(q + 0.5 * dt * f1, t + 0.5 * dt)
+        f3 = vector_field(q + 0.5 * dt * f2, t + 0.5 * dt)
+        f4 = vector_field(q + dt * f3, t + dt)
+        q = q + (dt / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
         t = step * dt
         if step % sample_every == 0:
             try:
                 form = to_form(q)
-                _quantized_samples(model, h0, form, record, with_energies)
+                sample(form)
             except CONE_ERRORS as exc:
                 raise _left_cone(t, exc) from exc
             times.append(t)
@@ -280,7 +285,7 @@ def quantized_flow_run(
 
     series = {name: values for name, values in record.items() if values}
     meta = {
-        "method": method,
+        "method": "rk4",
         "dt": float(dt),
         "sample_dt": float(dt * sample_every),
         "diagonal_path": bool(diagonal),
@@ -289,30 +294,20 @@ def quantized_flow_run(
     return FlowTrace("quantized", k, np.asarray(times), states, series, meta)
 
 
-def bergman_iterate(
-    model: PolarizedModel,
-    h0: HermForm,
-    steps: int,
-    with_energies: bool = True,
-) -> FlowTrace:
-    """Iterate the balancing map; step j sits at time j/k, E_k is taken against h0."""
+def bergman_iterate(model: PolarizedModel, h0: HermForm, steps: int) -> FlowTrace:
+    """Iterate the balancing map H -> b_k(H), the Euler step 1/k of the quantized flow.
+
+    Step j sits at time j/k.  The trace holds the iterates only, no series.
+    """
     if steps < 1:
         raise FlowError("need at least one iteration step")
     k = h0.level
     model.require_level(k)
-    times = [0.0]
     states = [h0]
-    record = {name: [] for name in ("L", "E_k", "D_k", "S_k", "relent_ref")}
-    _quantized_samples(model, h0, h0, record, with_energies)
-    form = h0
-    for j in range(1, steps + 1):
-        form = balancing(model, form)
-        times.append(j / k)
-        states.append(form)
-        _quantized_samples(model, h0, form, record, with_energies)
-    series = {name: values for name, values in record.items() if values}
-    meta = {"steps": int(steps), "with_energies": bool(with_energies)}
-    return FlowTrace("bergman", k, np.asarray(times), states, series, meta)
+    for _ in range(steps):
+        states.append(balancing(model, states[-1]))
+    times = np.arange(steps + 1) / k
+    return FlowTrace("bergman", k, times, states, {}, {"steps": int(steps)})
 
 
 # ---------------------------------------------------------------------------
@@ -515,35 +510,14 @@ def euler_gap_at_level(
     """
     if refine < 2:
         raise FlowError("refine must be at least 2 to separate the two evolutions")
-    j_max = int(math.floor(t_max * k + TIME_TOL))
-    if j_max < 1:
-        raise FlowError(f"horizon {t_max} is shorter than one step at level {k}")
+    j_max = level_steps(t_max, k)
     h0 = project(phi0, k)
     truth = quantized_flow_run(
         model, h0, t_max=j_max / k, dt=1.0 / (refine * k),
         sample_every=refine, with_energies=False,
     )
-    iterates = bergman_iterate(model, h0, steps=j_max, with_energies=False)
+    iterates = bergman_iterate(model, h0, steps=j_max)
     return max(log_gap(truth.states[j], iterates.states[j]) for j in range(j_max + 1))
-
-
-def euler_gap_report(
-    model: PolarizedModel,
-    phi0: PotentialField,
-    t_max: float,
-    k_list: Sequence[int],
-    refine: int = 4,
-) -> dict:
-    """``euler_gap_at_level`` for each level, with its fitted decay slope in k."""
-    k_values = sorted(set(int(k) for k in k_list))
-    errors = [euler_gap_at_level(model, phi0, t_max, k, refine) for k in k_values]
-    slope, half_width = fit_decay(k_values, errors)
-    return {
-        "k_values": k_values,
-        "errors": errors,
-        "slope": slope,
-        "slope_half_width": half_width,
-    }
 
 
 def flow_vs_krf_gap(
@@ -565,10 +539,9 @@ def flow_vs_krf_gap(
     k_values = sorted(set(int(k) for k in k_list))
     if not k_values or k_values[0] < 1:
         raise FlowError("k_list must contain positive levels")
-    common = math.lcm(*k_values)
-    if abs(round(t_max * common) - t_max * common) > TIME_TOL:
-        raise FlowError("t_max must be a multiple of 1/lcm(k_list)")
-    sample_dt = 1.0 / common
+    sample_dt = 1.0 / common_grid(t_max, k_values)
+    # the last compared step j_max sits one step 1/k before the horizon
+    j_maxes = [level_steps(t_max, k) - 1 for k in k_values]
 
     classical = classical_krf_run(model, phi0, t_max, sample_dt=sample_dt)
 
@@ -590,10 +563,7 @@ def flow_vs_krf_gap(
         )
 
     errors = []
-    for k in k_values:
-        j_max = int(math.floor(t_max * k + TIME_TOL)) - 1
-        if j_max < 0:
-            raise FlowError(f"horizon {t_max} is shorter than one step at level {k}")
+    for k, j_max in zip(k_values, j_maxes):
         h0 = project(phi0, k)
         run = quantized_flow_run(
             model, h0, t_max=max(j_max, 1) / k, dt=1.0 / (refine * k),

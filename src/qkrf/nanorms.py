@@ -16,7 +16,6 @@ so no ill-conditioned matrix at large ray time is ever assembled.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -35,8 +34,6 @@ from .flows import FlowTrace, quantized_flow_run
 from .geometry import PolarizedModel, PotentialField, logsumexp
 from .hermforms import HermForm, HermitianError, PositivityError
 from .maps import balancing, orthonormal_orthogonal, project
-
-logger = logging.getLogger(__name__)
 
 SUPPORT_TOL = 1e-12
 CONDITION_LIMIT = 1e13
@@ -81,10 +78,6 @@ class NAForm:
         sv = np.linalg.svd(basis, compute_uv=False)
         if sv[-1] <= 0.0 or sv[0] / sv[-1] > CONDITION_LIMIT:
             raise NANormError("adapted basis is numerically singular")
-        logger.debug(
-            "NAForm level=%d dim=%d basis condition %.3e",
-            self.level, weights.size, sv[0] / sv[-1],
-        )
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "adapted_basis", basis)
 

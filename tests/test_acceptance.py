@@ -16,10 +16,9 @@ from qkrf.energies import (
     ma_energy,
     s_k,
 )
-from qkrf.experiments import entropy_convergence_report, family_potential
+from qkrf.experiments import entropy_convergence_report, euler_gap_report, family_potential
 from qkrf.flows import (
     classical_krf_run,
-    euler_gap_report,
     flow_vs_krf_gap,
     monotonicity_probe,
     quantized_flow_run,

@@ -5,8 +5,8 @@ experiment, at small sizes: levels up to 3, at most 32 radial and 16
 angular nodes, and horizons of at most 50 time steps.  Horizons are drawn
 on the experiment's time grid, just off it, and below one step.  Whatever
 is drawn, ``qkrf run`` must exit 0 (metrics passed), 1 (a metric failed),
-2 (the config was rejected) or 3 (the run failed numerically), and a run
-must not fail on its time grid where parsing can reject the horizon.
+2 (the config was rejected) or 3 (the run failed numerically), and no run
+fails on its time grid: parsing rejects every horizon off it.
 """
 
 import contextlib
@@ -52,8 +52,7 @@ GRID = {
     "thmA-gap": lambda p: 1 / math.lcm(*p["k_list"]),
     "duality": lambda p: 0.25 / math.lcm(*p["k_list"]),
 }
-# Run failures of a horizon off its time grid.  Parsing rejects them (exit 2)
-# everywhere but in euler-gap, whose horizon below one step fails the run.
+# Run failures of a horizon off its time grid, which parsing rejects (exit 2).
 GRID_ERRORS = re.compile(
     r"whole number of steps|multiple of 1/lcm|shorter than one step|not sampled"
 )
@@ -116,7 +115,7 @@ def test_cli_run_never_ends_in_a_traceback(name):
         code, output = run_cli(config)
         assert code in (0, 1, 2, 3), output
         assert "Traceback" not in output
-        if code == 3 and name != "euler-gap":
+        if code == 3:
             assert not GRID_ERRORS.search(output), output
 
     check()

@@ -106,6 +106,11 @@ def test_config_rejects_inconsistent_steps():
         # thmA-gap samples the classical flow every 1/lcm(k_list) = 1/32
         ({"experiment": "thmA-gap", "t_max": 0.1}, "thmA-gap.t_max: 0.1 is not a multiple"),
         ({"experiment": "thmA-gap", "t_max": 0.125}, "thmA-gap.t_max: 0.125 is shorter"),
+        # euler-gap compares the evolutions at every step 1/k, here from 1/2
+        (
+            {"experiment": "euler-gap", "k_list": [2, 4, 8], "t_max": 0.1},
+            "euler-gap.t_max: 0.1 is shorter than one step 1/2 at level 2",
+        ),
     ],
 )
 def test_config_rejects_off_grid_horizons(config, message):
@@ -239,6 +244,7 @@ def test_cli_config_errors_exit_two(tmp_path, capsys):
         ({"experiment": "duality", "t_max": 1.1}, "duality.t_max"),
         ({"experiment": "thmA-gap", "t_max": 0.1}, "thmA-gap.t_max"),
         ({"experiment": "thmA-gap", "t_max": 0.125}, "thmA-gap.t_max"),
+        ({"experiment": "euler-gap", "k_list": [2, 4, 8], "t_max": 0.1}, "euler-gap.t_max"),
     ],
 )
 def test_cli_inconsistent_steps_exit_two(tmp_path, capsys, config, field):
@@ -253,14 +259,14 @@ def test_cli_inconsistent_steps_exit_two(tmp_path, capsys, config, field):
 
 
 def test_cli_numerical_failure_exits_three(tmp_path, capsys):
-    # Passes the schema, but the horizon is shorter than one step at k = 2.
+    # Passes the schema, but -0.8 sin(pi u) is not a Kahler potential.
     config_path = tmp_path / "cfg.json"
     config_path.write_text(
-        json.dumps({"experiment": "euler-gap", "k_list": [2, 4, 8], "t_max": 0.1})
+        json.dumps({"experiment": "euler-gap", "family": "sine", "amplitude": -0.8})
     )
     out_dir = tmp_path / "out"
     assert cli_main(["run", str(config_path), "--output-dir", str(out_dir)]) == 3
     err = capsys.readouterr().err
     assert err.count("\n") == 1
-    assert err.startswith("error: run failed: FlowError:")
+    assert err.startswith("error: run failed: KahlerConeError:")
     assert "Traceback" not in err

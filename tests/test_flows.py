@@ -9,10 +9,12 @@ from qkrf.experiments import family_potential
 from qkrf.flows import (
     FlowError,
     bergman_iterate,
+    common_grid,
     classical_krf_run,
     fill_shifted_jacobian,
     format_float,
     krf_jacobian_terms,
+    level_steps,
     monotonicity_probe,
     quantized_flow_run,
     radial_laplacian_matrix,
@@ -21,29 +23,21 @@ from qkrf.flows import (
     write_series_csv,
 )
 from qkrf.geometry import KahlerConeError, build_p1_model
-from qkrf.hermforms import HermForm, log_gap, random_herm_pd
+from qkrf.hermforms import HermForm, random_herm_pd
 from qkrf.maps import balancing, project
 
 
-def test_one_euler_step_is_one_balancing(p1, bump):
-    """An Euler step of size 1/k lands exactly on b_k(H)."""
-    for k in (1, 2):
-        h0 = project(bump, k)
-        trace = quantized_flow_run(
-            p1, h0, t_max=1.0 / k, dt=1.0 / k, method="euler", with_energies=False
-        )
-        direct = balancing(p1, h0)
-        assert np.allclose(trace.states[-1].entries, direct.entries, atol=1e-13)
-
-
-def test_euler_matches_bergman_iterate(p1, bump):
-    h0 = project(bump, 2)
-    euler = quantized_flow_run(
-        p1, h0, t_max=2.0, dt=0.5, method="euler", with_energies=False
-    )
-    iterates = bergman_iterate(p1, h0, steps=4, with_energies=False)
-    for a, b in zip(euler.states, iterates.states):
-        assert log_gap(a, b) <= 1e-12
+def test_bergman_iterate_is_repeated_balancing(p1):
+    """Step j of the iteration is b_k applied j times, sampled at time j/k."""
+    rng = np.random.default_rng(3)
+    h0 = HermForm(2, random_herm_pd(rng, 5, spread=0.5))
+    trace = bergman_iterate(p1, h0, steps=3)
+    assert np.array_equal(trace.times, [0.0, 0.5, 1.0, 1.5])
+    assert trace.series == {}
+    form = h0
+    for state in trace.states[1:]:
+        form = balancing(p1, form)
+        assert np.array_equal(state.entries, form.entries)
 
 
 def test_resume_equals_single_run(p1, bump):
@@ -125,6 +119,17 @@ def test_classical_entropy_series_is_entropy_classical(p1, family):
 )
 def test_whole_steps(span, dt, steps):
     assert whole_steps(span, dt) == steps
+
+
+def test_level_steps_and_common_grid():
+    assert level_steps(1.0, 4) == 4
+    assert level_steps(0.7, 2) == 1
+    assert level_steps(1.0 - 1e-12, 2) == 2
+    with pytest.raises(FlowError, match="0.1 is shorter than one step 1/2 at level 2"):
+        level_steps(0.1, 2)
+    assert common_grid(0.4375, [4, 8, 16]) == 16
+    with pytest.raises(FlowError, match=r"0.1 is not a multiple of 1/lcm\(k_list\) = 1/8"):
+        common_grid(0.1, [2, 4, 8])
 
 
 @pytest.mark.parametrize("family", ["bump", "sine"])
@@ -213,8 +218,6 @@ def test_flow_step_validation(p1, bump):
         quantized_flow_run(p1, h0, t_max=1.0, dt=0.3, with_energies=False)
     with pytest.raises(FlowError):
         quantized_flow_run(p1, h0, t_max=1.0, dt=0.25, sample_every=3)
-    with pytest.raises(FlowError):
-        quantized_flow_run(p1, h0, t_max=1.0, dt=0.25, method="heun")
 
 
 def test_state_at_requires_sampled_time(p1, bump):
@@ -297,11 +300,9 @@ def test_unstable_dense_run_ends_in_flow_error_naming_the_time(p1, with_energies
 
 
 def test_non_finite_dense_state_raises_flow_error(p1):
-    """An Euler step of 1e308 overflows Q to inf; the run ends in FlowError at that time."""
+    """An RK4 step of 1e308 overflows Q to inf; the run ends in FlowError at that time."""
     rng = np.random.default_rng(0)
-    h0 = HermForm(2, random_herm_pd(rng, 5, spread=0.5))
+    h0 = HermForm(2, random_herm_pd(rng, 5, spread=2.0))
     failure = r"near t = \d+\.\d{6}: matrix exponent has non-finite entries"
     with np.errstate(over="ignore"), pytest.raises(FlowError, match=failure):
-        quantized_flow_run(
-            p1, h0, t_max=1e308, dt=1e308, method="euler", with_energies=False
-        )
+        quantized_flow_run(p1, h0, t_max=1e308, dt=1e308, with_energies=False)
