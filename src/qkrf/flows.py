@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .energies import (
     e_k,
@@ -379,6 +378,7 @@ def classical_krf_run(
     n_samples = whole_steps(t_max, sample_dt)
     if not n_samples:
         raise FlowError(f"classical flow: span {t_max} is not a whole number of steps {sample_dt}")
+    import scipy.linalg  # imported on first use, to keep scipy out of qkrf's start-up
 
     lap_matrix = radial_laplacian_matrix(model)
     shifted = np.empty_like(lap_matrix)

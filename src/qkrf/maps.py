@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .geometry import (
     ModelError,
@@ -125,11 +124,16 @@ def orthonormal_orthogonal(h: HermForm, b: HermForm) -> tuple[np.ndarray, np.nda
 
     Returns (frame, norms): columns satisfy S^H h S = I and
     S^H b S = diag(norms), norms ascending.  The norms are the generalized
-    eigenvalues of (b, h).
+    eigenvalues of (b, h).  The frame is built from h's eigenframe
+    h = V diag(e^lam) V^*, as in ``gen_eig``: with W = V diag(e^(-lam/2))
+    (V = I for a diagonal h) and W^H b W = U diag(norms) U^*, S = W U.
     """
     if h.dim != b.dim:
         raise HermitianError("forms differ in dimension")
-    norms, frame = scipy.linalg.eigh(b.entries, h.entries)
+    scale = 1.0 / np.sqrt(h.data)
+    whitened = b.entries if h.is_diagonal else h.frame.conj().T @ b.entries @ h.frame
+    norms, rotation = np.linalg.eigh(scale[:, None] * whitened * scale)
     if norms[0] <= 0.0:
         raise PositivityError("second form is not positive on the frame")
-    return frame, norms
+    frame = scale[:, None] * rotation
+    return (frame if h.is_diagonal else h.frame @ frame), norms

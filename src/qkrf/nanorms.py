@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .energies import (
     canonical_conjugate_weights,
@@ -224,6 +223,8 @@ def _orthonormalize_adapted(h0: HermForm, basis: np.ndarray) -> np.ndarray:
         low = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError as exc:
         raise PositivityError("adapted basis is numerically degenerate") from exc
+    import scipy.linalg  # imported on first use, to keep scipy out of qkrf's start-up
+
     tri = scipy.linalg.solve_triangular(
         low.conj().T, np.eye(h0.dim, dtype=complex), lower=False
     )

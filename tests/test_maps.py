@@ -97,15 +97,23 @@ def test_bergman_density_radial_matches_dense(p1):
     assert np.allclose(a, b, rtol=1e-10)
 
 
-def test_orthonormal_orthogonal_property(p1):
+def test_orthonormal_orthogonal_property():
+    """Dense and diagonal h; the norms are scipy's generalized eigenvalues of (b, h)."""
+    import scipy.linalg
+
     rng = np.random.default_rng(41)
-    h = HermForm(1, random_herm_pd(rng, 3))
-    b = HermForm(1, random_herm_pd(rng, 3))
-    frame, norms = orthonormal_orthogonal(h, b)
-    assert np.allclose(frame.conj().T @ h.entries @ frame, np.eye(3), atol=1e-11)
-    off = frame.conj().T @ b.entries @ frame - np.diag(norms)
-    assert np.max(np.abs(off)) <= 1e-11
-    assert np.all(np.diff(norms) >= -1e-13)
+    dense = HermForm(1, random_herm_pd(rng, 3))
+    diagonal = HermForm(1, np.exp(rng.standard_normal(3)))
+    assert not dense.is_diagonal and diagonal.is_diagonal
+    for h in (dense, diagonal):
+        b = HermForm(1, random_herm_pd(rng, 3))
+        frame, norms = orthonormal_orthogonal(h, b)
+        assert np.allclose(frame.conj().T @ h.entries @ frame, np.eye(3), atol=1e-11)
+        off = frame.conj().T @ b.entries @ frame - np.diag(norms)
+        assert np.max(np.abs(off)) <= 1e-11
+        assert np.all(np.diff(norms) >= -1e-13)
+        explicit = scipy.linalg.eigh(b.entries, h.entries, eigvals_only=True)
+        assert np.allclose(norms, explicit, rtol=1e-12, atol=0.0)
 
 
 def test_discrete_backend_maps(discrete):
