@@ -48,7 +48,6 @@ from .hermforms import HermForm, PositivityError, gen_eig, log_gap, random_herm_
 from .maps import (
     QuantizationError,
     balancing,
-    bergman_data,
     fubini_study,
     orthonormal_orthogonal,
     project,
@@ -75,7 +74,7 @@ __all__ = [
     "build_p1_model", "canonical_measure", "ma_density", "ModelError", "KahlerConeError",
     # Hermitian forms and the quantization maps
     "HermForm", "gen_eig", "log_gap", "random_herm_pd", "PositivityError",
-    "project", "fubini_study", "balancing", "bergman_data", "orthonormal_orthogonal",
+    "project", "fubini_study", "balancing", "orthonormal_orthogonal",
     "QuantizationError",
     # functionals
     "ma_energy", "l_functional", "entropy_classical", "e_k", "d_k", "s_k",

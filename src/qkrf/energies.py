@@ -77,7 +77,7 @@ def ma_energy(phi: PotentialField) -> float:
 def l_functional(phi: PotentialField) -> float:
     """L(phi) = -log((1/V) int e^(-phi) d mu0), computed in log space."""
     model = phi.model
-    if model.supports_radial and phi.is_radial:
+    if phi.is_radial:
         return float(-logsumexp(model.log_radial_weights - phi.radial_profile))
     logint = logsumexp(model.log_mu0_weights - phi.values)
     return float(np.log(model.volume) - logint)
@@ -119,7 +119,7 @@ def e_k(h: HermForm, h_ref: HermForm) -> float:
         raise FunctionalError("determinant energy needs forms of the same level and dimension")
     scale = h.level * h.dim
     if h.is_diagonal and h_ref.is_diagonal:
-        return float(-np.sum(np.log(h.diagonal()) - np.log(h_ref.diagonal())) / scale)
+        return float(-np.sum(h.logs - h_ref.logs) / scale)
     return float(-(np.sum(h.logs) - np.sum(h_ref.logs)) / scale)
 
 

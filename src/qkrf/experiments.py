@@ -102,7 +102,6 @@ FIELD_SPECS = {
     "panel": ("int", 1, 64),
     "pairs": ("int", 1, 100000),
     "slope_t_max": ("float", 10.0, 10000.0),
-    "threshold": ("float", 0.0, 1.0),
     "fine_factor": ("int", 2, 4),
     "output_dir": ("str",),
 }
@@ -163,7 +162,7 @@ DEFAULTS = {
     "thmB-entropy": {
         "k_list": [2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12],
         "radial_nodes": 128, "angular_nodes": 56,
-        "family": "bump", "amplitude": 0.5, "threshold": 0.02, "fine_factor": 2,
+        "family": "bump", "amplitude": 0.5, "fine_factor": 2,
     },
     "slope-identity": {
         "k": 2, "radial_nodes": 96, "angular_nodes": 16,
@@ -544,7 +543,7 @@ def _run_thmb_entropy(params: dict, out: Path) -> tuple:
 
     metrics = [
         make_metric("thmb_tail_increase", report["worst_tail_increase"], 0.0, "<="),
-        make_metric("thmb_final_ratio", report["final_ratio"], params["threshold"], "<="),
+        make_metric("thmb_final_ratio", report["final_ratio"], 0.02, "<="),
         make_metric("thmb_zero_case", max(r[1] for r in zero_rows), 1e-8, "<="),
         make_metric("thmb_resolution_control", report["resolution_control"], 1e-8, "<="),
     ]
@@ -571,7 +570,7 @@ def _run_slope_identity(params: dict, out: Path) -> tuple:
         out / "slope-identity.csv", ["grid", "dt", "max_residual"], results
     )
     identity_residual = max(
-        extract_na_from_flow(model, last_trace, t)[1] for t in last_trace.times[:3]
+        extract_na_from_flow(model, h)[1] for h in last_trace.states[:3]
     )
     metrics = [
         make_metric("slope_identity_ratio_low", ratio, 1.5, ">="),

@@ -57,7 +57,7 @@ from .hermforms import (
     matrix_exp,
     matrix_log,
 )
-from .maps import QuantizationError, balancing, bergman_data, fubini_study, project
+from .maps import QuantizationError, balancing, fubini_study, project
 
 TIME_TOL = 1e-9
 # classical solver: local tolerance, first trial step, extrapolation substeps
@@ -240,7 +240,7 @@ def quantized_flow_run(
         try:
             b = balancing(model, to_form(q))
             if diagonal:
-                return k * (np.log(b.diagonal()) - q)
+                return k * (b.logs - q)
             return k * (matrix_log(b) - q)
         except CONE_ERRORS as exc:
             raise _left_cone(t, exc) from exc
@@ -250,7 +250,7 @@ def quantized_flow_run(
     def sample(form: HermForm) -> None:
         if not with_energies:
             return
-        potential = bergman_data(model, form).potential
+        potential = fubini_study(model, form)
         norms = gen_eig(project(potential, k), form)
         l_value = l_functional(potential)
         ek_value = e_k(form, h0)
@@ -260,7 +260,7 @@ def quantized_flow_run(
         record["S_k"].append(entropy_of_norms(norms))
         record["relent_ref"].append(float(-np.sum(np.log(norms))))
 
-    q = np.log(h0.diagonal()) if diagonal else matrix_log(h0)
+    q = h0.logs if diagonal else matrix_log(h0)
     times = [0.0]
     states = [h0]
     sample(h0)

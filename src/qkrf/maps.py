@@ -10,8 +10,10 @@ The three basic maps at level k are
     balancing    : H     -> project(fubini_study(H)),
 
 and the Bergman approximation of a potential is fubini_study o project.
-The Bergman sum a(x)^T H^-1 conj(a(x)) at a node x, with a(x) the
-reference sections at x, and the Gram contraction are the model's:
+``fubini_study`` is the one Bergman map: it takes the logarithm of the
+Bergman sum a(x)^T H^-1 conj(a(x)) at each node x, with a(x) the
+reference sections at x, and keeps no separate density.  That sum and the
+Gram contraction are the model's:
 ``PolarizedModel.bergman_sum`` and ``PolarizedModel.gram``.  The generic
 ones contract the section table, the Bergman sum in the form's eigenframe
 H = V diag(e^lam) V^* as sum_i e^(-lam_i) |(V^T a(x))_i|^2; the
@@ -26,77 +28,46 @@ rounding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .geometry import (
     ModelError,
     PolarizedModel,
     PotentialField,
-    ProjectiveLineModel,
     twisted_weights,
 )
 from .hermforms import HermForm, HermitianError, PositivityError, _eigen_form
 
 
 class QuantizationError(ValueError):
-    """Numerically singular Gram or invalid Bergman data."""
-
-
-def _check_form(model: PolarizedModel, h: HermForm) -> int:
-    model.require_level(h.level)
-    n = model.nk(h.level)
-    if h.dim != n:
-        raise ModelError(f"form dimension {h.dim} does not match N_k = {n}")
-    return n
-
-
-@dataclass(frozen=True)
-class BergmanData:
-    """Bergman density B_H and the induced potential at the quadrature nodes."""
-
-    level: int
-    density: np.ndarray
-    potential: PotentialField
-
-
-def _bergman_sum_radial(model: ProjectiveLineModel, h: HermForm) -> np.ndarray:
-    r2 = model.radial_section_sq(h.level)
-    return r2.T @ (1.0 / h.diagonal())
-
-
-def bergman_data(model: PolarizedModel, h: HermForm) -> BergmanData:
-    """Bergman density of a form, B_H = (1/N_k) sum_i |s_i|^2_ref."""
-    n = _check_form(model, h)
-    k = h.level
-    if model.supports_radial and h.is_diagonal:
-        rad = _bergman_sum_radial(model, h)
-        if np.any(rad <= 0.0) or not np.all(np.isfinite(rad)):
-            raise QuantizationError("Bergman sum is not strictly positive")
-        profile = (np.log(rad) - np.log(n)) / k
-        phi = PotentialField(model, None, profile)
-        density = model.tile_radial(rad / n)
-    else:
-        full = model.bergman_sum(k, h.frame, 1.0 / h.data)
-        if np.any(full <= 0.0) or not np.all(np.isfinite(full)):
-            raise QuantizationError("Bergman sum is not strictly positive")
-        phi = PotentialField(model, (np.log(full) - np.log(n)) / k, None)
-        density = full / n
-    return BergmanData(k, density, phi)
+    """Numerically singular Gram or a Bergman sum that is not positive."""
 
 
 def fubini_study(model: PolarizedModel, h: HermForm) -> PotentialField:
-    """Fubini-Study potential of a form; scales as f(cH) = f(H) - log(c)/k."""
-    return bergman_data(model, h).potential
+    """Fubini-Study potential of a form; scales as f(cH) = f(H) - log(c)/k.
+
+    A diagonal form on a model with radial structure gives a radial profile.
+    """
+    k = h.level
+    n = model.nk(k)
+    if h.dim != n:
+        raise ModelError(f"form dimension {h.dim} does not match N_k = {n}")
+    radial = model.supports_radial and h.is_diagonal
+    if radial:
+        total = model.radial_section_sq(k).T @ (1.0 / h.data)
+    else:
+        total = model.bergman_sum(k, h.frame, 1.0 / h.data)
+    if np.any(total <= 0.0) or not np.all(np.isfinite(total)):
+        raise QuantizationError("Bergman sum is not strictly positive")
+    values = (np.log(total) - np.log(n)) / k
+    return PotentialField(model, None, values) if radial else PotentialField(model, values)
 
 
 def project(phi: PotentialField, k: int) -> HermForm:
     """Gram form of the reference basis against e^(-k phi) d mu_phi."""
     model = phi.model
-    model.require_level(k)
     n = model.nk(k)
-    if model.supports_radial and phi.is_radial:
+    if phi.is_radial:
         weights = twisted_weights(model.log_radial_mu0_weights, phi.radial_profile, k + 1)
         gram = model.radial_section_sq(k) @ weights
     else:

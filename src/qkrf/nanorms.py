@@ -29,7 +29,7 @@ from .energies import (
     f_k_na,
     l_functional,
 )
-from .flows import FlowTrace, quantized_flow_run
+from .flows import quantized_flow_run
 from .geometry import PolarizedModel, PotentialField, logsumexp
 from .hermforms import HermForm, HermitianError, PositivityError
 from .maps import balancing, orthonormal_orthogonal, project
@@ -341,10 +341,8 @@ def s_k_na(
 # extraction from the quantized flow and the duality report
 
 
-def extract_na_from_flow(
-    model: PolarizedModel, trace: FlowTrace, t_j: float
-) -> tuple[NAForm, float]:
-    """Norm read off a flow state, and the residual of its entropy identity.
+def extract_na_from_flow(model: PolarizedModel, h: HermForm) -> tuple[NAForm, float]:
+    """Norm read off a flow state H_t, and the residual of its entropy identity.
 
     The adapted basis is H_t-orthonormal and b_k(H_t)-orthogonal, with
     the canonical conjugate weights -k log B_i of its b_k(H_t)-norms B_i;
@@ -352,9 +350,6 @@ def extract_na_from_flow(
     residual |S_k(H_t) - conjugate value at these weights| is pure algebra
     and vanishes up to rounding.
     """
-    if trace.kind not in ("quantized", "bergman"):
-        raise NANormError("extraction needs a quantized trace")
-    h = trace.state_at(t_j)
     frame, norms = orthonormal_orthogonal(h, balancing(model, h))
     lam = canonical_conjugate_weights(norms, h.level)
     residual = abs(entropy_of_norms(norms) - conjugate_value(norms, h.level, lam))
@@ -386,10 +381,10 @@ def duality_gap(
 
     base = project(model.zero_potential(), k)
     extracted = []
-    for t_j in trace.times[-EXTRACT_COUNT:]:
-        nu_j, residual = extract_na_from_flow(model, trace, t_j)
+    for t_j, h in zip(trace.times[-EXTRACT_COUNT:], trace.states[-EXTRACT_COUNT:]):
+        nu_j, residual = extract_na_from_flow(model, h)
         entropy = s_k_na(model, nu_j, base, t_max=slope_t_max)
-        alt = s_k_na(model, nu_j, trace.state_at(t_j), t_max=slope_t_max)
+        alt = s_k_na(model, nu_j, h, t_max=slope_t_max)
         extracted.append(
             {
                 "t": float(t_j),

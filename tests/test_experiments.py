@@ -236,6 +236,14 @@ def test_cli_config_errors_exit_two(tmp_path, capsys):
     assert "duality.panel" in err
 
 
+def test_cli_rejects_a_threshold_field(tmp_path, capsys):
+    """Pass/fail thresholds are fixed by the experiments, not set by a config."""
+    config = tmp_path / "threshold.json"
+    config.write_text(json.dumps({"experiment": "thmB-entropy", "threshold": 0.5}))
+    assert cli_main(["run", str(config), "--output-dir", str(tmp_path / "out")]) == 2
+    assert "thmB-entropy.threshold: unknown field" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "config, field",
     [

@@ -69,7 +69,8 @@ def test_trace_save_load_round_trip(p1, bump, tmp_path):
         assert np.array_equal(blob["diag"], state.data)
     for name in trace.series:
         assert np.array_equal(payload["series"][name], trace.series[name])
-    header = open(csv_path).readline().strip()
+    with open(csv_path) as fh:
+        header = fh.readline().strip()
     assert header == "t,k,E,L,S,E_k,D_k,S_k"
 
 
@@ -255,7 +256,8 @@ def test_write_series_csv_values(tmp_path):
     series = {"L": np.array([1.0 / 3.0, 0.25]), "S_k": np.array([0.5, 0.125])}
     path = str(tmp_path / "series.csv")
     write_series_csv(path, times, 2, series)
-    lines = open(path).read().splitlines()
+    with open(path) as fh:
+        lines = fh.read().splitlines()
     assert lines[0] == "t,k,E,L,S,E_k,D_k,S_k"
     row = lines[1].split(",")
     assert float(row[3]) == 1.0 / 3.0

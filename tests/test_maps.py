@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from qkrf.geometry import ModelError, PotentialField
+from qkrf.flows import FlowError, quantized_flow_run
+from qkrf.geometry import DiscreteModel, ModelError, PotentialField, ProjectiveLineModel
 from qkrf.hermforms import HermForm, random_herm_pd
 from qkrf.maps import (
+    QuantizationError,
     balancing,
-    bergman_data,
     fubini_study,
     orthonormal_orthogonal,
     project,
@@ -79,8 +80,8 @@ def test_beta_map_constant_at_round_metric(p1):
 def test_bergman_density_constant_at_fixed_point(p1):
     """The normalized Bergman density of the balanced form is identically 1."""
     h = project(p1.zero_potential(), 2)
-    data = bergman_data(p1, h)
-    assert np.allclose(data.density, 1.0, rtol=1e-10)
+    density = np.exp(2 * fubini_study(p1, h).values)
+    assert np.allclose(density, 1.0, rtol=1e-10)
 
 
 def test_bergman_density_radial_matches_dense(p1):
@@ -92,9 +93,52 @@ def test_bergman_density_radial_matches_dense(p1):
     nudged[0, 1] = nudged[1, 0] = 1e-300
     dense = HermForm(2, nudged)
     assert diag.is_diagonal and not dense.is_diagonal
-    a = bergman_data(p1, diag).density
-    b = bergman_data(p1, dense).density
+    a = np.exp(2 * fubini_study(p1, diag).values)
+    b = np.exp(2 * fubini_study(p1, dense).values)
     assert np.allclose(a, b, rtol=1e-10)
+
+
+def _huge_diagonal_form():
+    """A level-32 diagonal form whose radial Bergman sum underflows to 0 mid-grid.
+
+    Its inverse entries are about 1e-308, and the squared reference
+    amplitudes u^m (1-u)^(64-m) near u = 1/2 are about 2^-64, so their
+    products fall below the smallest subnormal.
+    """
+    model = ProjectiveLineModel(32, radial_nodes=16, angular_nodes=8)
+    return model, HermForm(32, np.full(model.nk(32), 1e308))
+
+
+def test_fubini_study_refuses_a_radial_sum_that_underflows():
+    model, h = _huge_diagonal_form()
+    with pytest.raises(QuantizationError, match="not strictly positive"):
+        fubini_study(model, h)
+
+
+def test_fubini_study_refuses_a_dense_sum_that_overflows():
+    """Reference sections near 1e200 square beyond the floating range."""
+    rng = np.random.default_rng(61)
+    values = 1e200 * (rng.standard_normal((3, 8)) + 1j * rng.standard_normal((3, 8)))
+    model = DiscreteModel({1: values}, np.full(8, 1.0 / 8.0))
+    h = HermForm(1, random_herm_pd(rng, 3))
+    assert not h.is_diagonal
+    with np.errstate(over="ignore"), pytest.raises(QuantizationError, match="not strictly positive"):
+        fubini_study(model, h)
+
+
+def test_project_refuses_a_singular_gram():
+    """A potential that puts all the twisted mass on one atom leaves a rank-one Gram."""
+    sections = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]], dtype=complex)
+    model = DiscreteModel({1: sections}, np.full(3, 1.0 / 3.0))
+    phi = PotentialField(model, np.array([0.0, 1000.0, 1000.0]))
+    with pytest.raises(QuantizationError, match="condition estimate inf"):
+        project(phi, 1)
+
+
+def test_quantized_flow_turns_a_bergman_failure_into_a_flow_error():
+    model, h = _huge_diagonal_form()
+    with pytest.raises(FlowError, match="left the positive cone near t = 0.000000"):
+        quantized_flow_run(model, h, t_max=1 / 32, dt=1 / 32, with_energies=False)
 
 
 def test_orthonormal_orthogonal_property():

@@ -168,13 +168,13 @@ def test_extraction_identity_on_flow(p1, bump):
     h0 = project(bump, 2)
     trace = quantized_flow_run(p1, h0, t_max=1.0, dt=0.25)
     for t in (0.0, 0.5, 1.0):
-        assert extract_na_from_flow(p1, trace, t)[1] <= 1e-12
+        assert extract_na_from_flow(p1, trace.state_at(t))[1] <= 1e-12
 
 
 def test_extracted_norm_structure(p1, bump):
     h0 = project(bump, 1)
     trace = quantized_flow_run(p1, h0, t_max=1.0, dt=0.25)
-    nu, _ = extract_na_from_flow(p1, trace, 1.0)
+    nu, _ = extract_na_from_flow(p1, trace.state_at(1.0))
     assert nu.level == 1 and nu.dim == 3
     assert np.all(np.diff(nu.weights) <= 1e-12)
 

@@ -15,7 +15,7 @@ PUBLIC = [
     "build_p1_model", "canonical_measure", "ma_density", "ModelError", "KahlerConeError",
     # Hermitian forms and the quantization maps
     "HermForm", "gen_eig", "log_gap", "random_herm_pd", "PositivityError",
-    "project", "fubini_study", "balancing", "bergman_data", "orthonormal_orthogonal",
+    "project", "fubini_study", "balancing", "orthonormal_orthogonal",
     "QuantizationError",
     # functionals
     "ma_energy", "l_functional", "entropy_classical", "e_k", "d_k", "s_k",
@@ -47,7 +47,6 @@ def test_names_the_benchmark_calls_exist():
         "quantized_flow_run", "l_na_slope",
     ):
         assert callable(getattr(qkrf, name)), name
-    assert callable(qkrf.maps.bergman_data)
     assert callable(qkrf.energies.log_ricci_profile)
 
 
