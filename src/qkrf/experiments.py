@@ -246,7 +246,7 @@ class ExperimentConfig:
         if not isinstance(payload, dict):
             raise ExperimentError("config: expected a JSON object")
         name = payload.get("experiment")
-        if name not in DEFAULTS:
+        if not isinstance(name, str) or name not in DEFAULTS:
             known = ", ".join(sorted(DEFAULTS))
             raise ExperimentError(f"experiment: must be one of {known}")
         params = dict(DEFAULTS[name])

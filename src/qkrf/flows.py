@@ -198,10 +198,6 @@ def common_grid(t_max: float, k_values: Sequence[int]) -> int:
 CONE_ERRORS = (HermitianError, PositivityError, QuantizationError, KahlerConeError)
 
 
-def _left_cone(t: float, exc: Exception) -> FlowError:
-    return FlowError(f"quantized flow left the positive cone near t = {t:.6f}: {exc}")
-
-
 def quantized_flow_run(
     model: PolarizedModel,
     h0: HermForm,
@@ -212,17 +208,20 @@ def quantized_flow_run(
 ) -> FlowTrace:
     """Integrate the quantized flow from h0 over [0, t_max] with RK4 at step dt.
 
-    The state is Q = log H in the reference basis.  States are sampled
-    every ``sample_every`` steps (the initial state included); with
+    The state is Q = log H in the reference basis.  Each state reached
+    at the end of a step (h0 itself at t = 0) is formed and balanced
+    once: its b_k(H) is the next step's first RK4 stage and the sample's
+    b_k(H), so the first stage reads b_k(h0).  States are sampled every
+    ``sample_every`` steps (the initial state included); with
     ``with_energies`` each sample also records L, E_k (against h0 as the
     reference form), D_k, S_k and the relative entropy against b_k(H).
-    Any stage that leaves the positive cone aborts the run with the
-    failure time.
+    A state or stage that leaves the positive cone, the initial state
+    included, aborts the run with a ``FlowError`` naming the time of the
+    last state reached, within one step dt of the failure.
     """
     if sample_every < 1:
         raise FlowError("sample_every must be at least 1")
     k = h0.level
-    model.require_level(k)
     if model.nk(k) != h0.dim:
         raise ModelError("initial form does not match the section space")
     n_steps = whole_steps(t_max, dt)
@@ -233,54 +232,42 @@ def quantized_flow_run(
 
     diagonal = model.supports_radial and h0.is_diagonal
 
-    def to_form(q) -> HermForm:
-        return HermForm(k, np.exp(q)) if diagonal else matrix_exp(k, q)
-
-    def vector_field(q, t: float):
-        try:
-            b = balancing(model, to_form(q))
-            if diagonal:
-                return k * (b.logs - q)
-            return k * (matrix_log(b) - q)
-        except CONE_ERRORS as exc:
-            raise _left_cone(t, exc) from exc
+    def evaluate(q, form: Optional[HermForm] = None):
+        """(H, b_k(H), k (log b_k(H) - q)) at q = log H, forming H from q unless given."""
+        if form is None:
+            form = HermForm(k, np.exp(q)) if diagonal else matrix_exp(k, q)
+        b = balancing(model, form)
+        return form, b, k * ((b.logs if diagonal else matrix_log(b)) - q)
 
     record = {name: [] for name in ("L", "E_k", "D_k", "S_k", "relent_ref")}
-
-    def sample(form: HermForm) -> None:
-        if not with_energies:
-            return
-        potential = fubini_study(model, form)
-        norms = gen_eig(project(potential, k), form)
-        l_value = l_functional(potential)
-        ek_value = e_k(form, h0)
-        record["L"].append(l_value)
-        record["E_k"].append(ek_value)
-        record["D_k"].append(l_value - ek_value)
-        record["S_k"].append(entropy_of_norms(norms))
-        record["relent_ref"].append(float(-np.sum(np.log(norms))))
-
+    times, states = [], []
     q = h0.logs if diagonal else matrix_log(h0)
-    times = [0.0]
-    states = [h0]
-    sample(h0)
-
     t = 0.0
-    for step in range(1, n_steps + 1):
-        f1 = vector_field(q, t)
-        f2 = vector_field(q + 0.5 * dt * f1, t + 0.5 * dt)
-        f3 = vector_field(q + 0.5 * dt * f2, t + 0.5 * dt)
-        f4 = vector_field(q + dt * f3, t + dt)
-        q = q + (dt / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
-        t = step * dt
-        if step % sample_every == 0:
-            try:
-                form = to_form(q)
-                sample(form)
-            except CONE_ERRORS as exc:
-                raise _left_cone(t, exc) from exc
+    try:
+        for step in range(n_steps + 1):
+            if step:
+                f2 = evaluate(q + 0.5 * dt * f1)[2]
+                f3 = evaluate(q + 0.5 * dt * f2)[2]
+                f4 = evaluate(q + dt * f3)[2]
+                q = q + (dt / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
+                t = step * dt
+            form, b, f1 = evaluate(q, None if step else h0)
+            if step % sample_every:
+                continue
             times.append(t)
             states.append(form)
+            if with_energies:
+                potential = fubini_study(model, form)
+                norms = gen_eig(b, form)
+                l_value = l_functional(potential)
+                ek_value = e_k(form, h0)
+                record["L"].append(l_value)
+                record["E_k"].append(ek_value)
+                record["D_k"].append(l_value - ek_value)
+                record["S_k"].append(entropy_of_norms(norms))
+                record["relent_ref"].append(float(-np.sum(np.log(norms))))
+    except CONE_ERRORS as exc:
+        raise FlowError(f"quantized flow left the positive cone near t = {t:.6f}: {exc}") from exc
 
     series = {name: values for name, values in record.items() if values}
     meta = {
@@ -301,7 +288,6 @@ def bergman_iterate(model: PolarizedModel, h0: HermForm, steps: int) -> FlowTrac
     if steps < 1:
         raise FlowError("need at least one iteration step")
     k = h0.level
-    model.require_level(k)
     states = [h0]
     for _ in range(steps):
         states.append(balancing(model, states[-1]))

@@ -89,8 +89,7 @@ class NAForm:
 
 
 def trivial_na(model: PolarizedModel, k: int) -> NAForm:
-    n = model.nk(k)
-    return NAForm(k, np.zeros(n), np.eye(n, dtype=complex))
+    return diagonal_na(model, k, np.zeros(model.nk(k)))
 
 
 def diagonal_na(model: PolarizedModel, k: int, weights: Sequence[float]) -> NAForm:
@@ -115,7 +114,7 @@ def random_na(
     n = model.nk(k)
     lam = np.sort(spread * rng.standard_normal(n))[::-1]
     if diagonal:
-        return NAForm(k, lam, np.eye(n, dtype=complex))
+        return diagonal_na(model, k, lam)
     x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     basis = np.linalg.qr(x)[0]
     return NAForm(k, lam, basis)
@@ -374,7 +373,6 @@ def duality_gap(
     The one-sided inequality -S_k^NA <= min S_k holds for every tested
     norm up to the slope-estimator uncertainty.
     """
-    model.require_level(k)
     h0 = project(phi0, k)
     trace = quantized_flow_run(model, h0, t_max=t_max, dt=DUALITY_STEP / k)
     min_s_k = float(np.min(trace.series["S_k"]))

@@ -236,6 +236,14 @@ def test_cli_config_errors_exit_two(tmp_path, capsys):
     assert "duality.panel" in err
 
 
+@pytest.mark.parametrize("name", [["euler-gap"], {"a": 1}])
+def test_cli_non_string_experiment_exits_two(tmp_path, capsys, name):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"experiment": name}))
+    assert cli_main(["run", str(config), "--output-dir", str(tmp_path / "out")]) == 2
+    assert "experiment: must be one of" in capsys.readouterr().err
+
+
 def test_cli_rejects_a_threshold_field(tmp_path, capsys):
     """Pass/fail thresholds are fixed by the experiments, not set by a config."""
     config = tmp_path / "threshold.json"

@@ -301,6 +301,36 @@ def test_unstable_dense_run_ends_in_flow_error_naming_the_time(p1, with_energies
     assert "not positive definite" not in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "t_max, sample_every, with_energies, grams, exponentials",
+    [(0.1, 1, True, 9, 8), (0.2, 2, False, 17, 16)],
+)
+def test_quantized_flow_forms_and_balances_each_state_once(
+    p1, monkeypatch, t_max, sample_every, with_energies, grams, exponentials
+):
+    """h0 and each end-of-step state are balanced once, every RK4 stage once more.
+
+    Every dense ``project`` takes one Gram, and every state other than h0
+    is formed with one exponential.
+    """
+    calls = {"gram": 0, "exp": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(p1, "gram", counted("gram", p1.gram))
+    monkeypatch.setattr(flows, "matrix_exp", counted("exp", flows.matrix_exp))
+    h0 = HermForm(2, random_herm_pd(np.random.default_rng(3), 5, spread=0.5))
+    quantized_flow_run(
+        p1, h0, t_max=t_max, dt=0.05, sample_every=sample_every, with_energies=with_energies
+    )
+    assert calls == {"gram": grams, "exp": exponentials}
+
+
 def test_non_finite_dense_state_raises_flow_error(p1):
     """An RK4 step of 1e308 overflows Q to inf; the run ends in FlowError at that time."""
     rng = np.random.default_rng(0)

@@ -135,10 +135,11 @@ def test_project_refuses_a_singular_gram():
         project(phi, 1)
 
 
-def test_quantized_flow_turns_a_bergman_failure_into_a_flow_error():
+@pytest.mark.parametrize("with_energies", [True, False])
+def test_quantized_flow_turns_a_bergman_failure_into_a_flow_error(with_energies):
     model, h = _huge_diagonal_form()
     with pytest.raises(FlowError, match="left the positive cone near t = 0.000000"):
-        quantized_flow_run(model, h, t_max=1 / 32, dt=1 / 32, with_energies=False)
+        quantized_flow_run(model, h, t_max=1 / 32, dt=1 / 32, with_energies=with_energies)
 
 
 def test_orthonormal_orthogonal_property():
