@@ -48,10 +48,10 @@ from .nanorms import (
     duality_gap,
     extract_na_from_flow,
     l_na_slope,
-    na_norm_value,
     random_na,
     s_k_na,
     trivial_na,
+    ultrametric_trials,
 )
 
 
@@ -222,6 +222,11 @@ def _check_consistency(name: str, params: dict) -> None:
                     f"{name}.t_max: {params['t_max']} is not a whole number of "
                     f"flow steps {DUALITY_STEP}/k at level {k}"
                 )
+    if name == "na-panel" and params["pairs"] < len(set(params["k_list"])):
+        raise ExperimentError(
+            f"{name}.pairs: {params['pairs']} trials leave a level of k_list untested; "
+            f"the pairs are split evenly over its {len(set(params['k_list']))} levels"
+        )
     if "dt" not in params:
         return
     k, dt, t_max = params["k"], params["dt"], params["t_max"]
@@ -670,16 +675,10 @@ def _run_na_panel(params: dict, out: Path) -> tuple:
 
     violations = 0
     for k in k_values:
-        n = model.nk(k)
-        for trial in range(params["pairs"] // len(k_values)):
-            nu = random_na(rng, model, k, spread=1.0, diagonal=trial % 2 == 0)
-            a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            lhs, at_a, at_b, scaled = na_norm_value(
-                nu, np.column_stack([a + b, a, b, (2.0 - 1.5j) * a])
-            )
-            if lhs > max(at_a, at_b) or scaled != at_a:
-                violations += 1
+        lhs, at_a, at_b, scaled = ultrametric_trials(
+            rng, model, k, params["pairs"] // len(k_values)
+        ).T
+        violations += int(np.count_nonzero((lhs > np.maximum(at_a, at_b)) | (scaled != at_a)))
     rows.append(("ultrametric_violations", float(violations), 0.0))
 
     probe = diagonal_na(model, 1, [2.0, 1.0, 0.0])

@@ -36,6 +36,8 @@ from .maps import balancing, orthonormal_orthogonal, project
 
 SUPPORT_TOL = 1e-12
 CONDITION_LIMIT = 1e13
+# byte budget of the trial stacks in ultrametric_trials
+PANEL_CHUNK_BYTES = 1 << 20
 # ray slope ladder: difference width, rungs, target uncertainty, horizon doublings
 SLOPE_DELTA = 1.0
 SLOPE_RUNGS = 4
@@ -74,9 +76,7 @@ class NAForm:
         basis = np.asarray(self.adapted_basis, dtype=complex)
         if basis.shape != (weights.size, weights.size):
             raise NANormError("adapted basis shape does not match the weights")
-        sv = np.linalg.svd(basis, compute_uv=False)
-        if sv[-1] <= 0.0 or sv[0] / sv[-1] > CONDITION_LIMIT:
-            raise NANormError("adapted basis is numerically singular")
+        _require_regular(basis)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "adapted_basis", basis)
 
@@ -98,9 +98,23 @@ def diagonal_na(model: PolarizedModel, k: int, weights: Sequence[float]) -> NAFo
     lam = np.asarray(weights, dtype=float)
     if lam.shape != (n,):
         raise NANormError(f"need {n} weights at level {k}")
-    order = np.argsort(-lam, kind="stable")
-    basis = np.eye(n, dtype=complex)[:, order]
-    return NAForm(k, lam[order], basis)
+    return NAForm(k, *_diagonal_frames(lam))
+
+
+def _diagonal_frames(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Descending weights and permuted reference bases for weights (..., N)."""
+    order = np.argsort(-lam, axis=-1, kind="stable")
+    basis = np.eye(lam.shape[-1], dtype=complex)[order].swapaxes(-1, -2)
+    return np.take_along_axis(lam, order, axis=-1), basis
+
+
+def _require_regular(bases: np.ndarray) -> None:
+    """Reject adapted bases (..., N, N) past CONDITION_LIMIT, one SVD per matrix."""
+    sv = np.linalg.svd(bases, compute_uv=False)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        singular = (sv[..., -1] <= 0.0) | (sv[..., 0] / sv[..., -1] > CONDITION_LIMIT)
+    if np.any(singular):
+        raise NANormError("adapted basis is numerically singular")
 
 
 def random_na(
@@ -127,19 +141,72 @@ def na_norm_value(nu: NAForm, coeffs: np.ndarray) -> float | np.ndarray:
     float, or an (N, m) matrix of coefficient columns, whose m norms are
     returned as an array from a single solve against the adapted basis.
     """
-    c = np.asarray(coeffs, dtype=complex)
-    if c.ndim not in (1, 2) or c.shape[0] != nu.dim or c.size == 0:
+    values = _norm_values(nu.weights, nu.adapted_basis, np.asarray(coeffs, dtype=complex))
+    return float(values) if values.ndim == 0 else values
+
+
+def _norm_values(weights: np.ndarray, bases: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """The support rule over a stack of norms, weights (..., N) and bases (..., N, N).
+
+    ``coeffs`` holds one vector (..., N) or m columns (..., N, m) per
+    norm, and the norms come back with shape (...) or (..., m).  A
+    section's norm is e^(-lam_i) for the smallest weight whose adapted
+    coordinate exceeds SUPPORT_TOL times its largest one.
+    """
+    columns = coeffs.ndim == weights.ndim + 1
+    c = coeffs if columns else coeffs[..., None]
+    if c.ndim != weights.ndim + 1 or c.shape[:-1] != weights.shape or c.shape[-1] == 0:
         raise NANormError(
-            f"coefficients must be a vector or columns of length {nu.dim}, got shape {c.shape}"
+            f"coefficients must be a vector or columns of length {weights.shape[-1]}, "
+            f"got shape {coeffs.shape}"
         )
-    mags = np.abs(np.linalg.solve(nu.adapted_basis, c))
-    top = mags.max(axis=0)
+    mags = np.abs(np.linalg.solve(bases, c))
+    top = mags.max(axis=-2, keepdims=True)
     if np.any(top == 0.0):
         raise NANormError("the zero section has no norm")
     support = mags > SUPPORT_TOL * top
-    weights = nu.weights if c.ndim == 1 else nu.weights[:, None]
-    values = np.exp(-np.min(np.where(support, weights, np.inf), axis=0))
-    return float(values) if c.ndim == 1 else values
+    values = np.exp(-np.min(np.where(support, weights[..., None], np.inf), axis=-2))
+    return values if columns else values[..., 0]
+
+
+def ultrametric_trials(
+    rng: np.random.Generator, model: PolarizedModel, k: int, trials: int
+) -> np.ndarray:
+    """Norms of a + b, a, b and (2 - 1.5i) a under seeded norms, one row per trial.
+
+    Trial t takes the norm ``random_na(rng, model, k, diagonal=t % 2 == 0)``
+    and then a and b, each as real and imaginary parts of N normals, in
+    the order a loop over the trials would draw them.  The generator
+    draws one sequential stream, so each chunk of trials takes one draw,
+    and the rows and the generator's final state equal that loop's bit
+    for bit.  Trials are stacked PANEL_CHUNK_BYTES at a time: one QR,
+    one condition check and one solve per chunk.
+    """
+    n = model.nk(k)
+    # a trial holds about four complex N x N arrays (its draw, the QR input,
+    # the basis and its LU factor) and a few N x 4 ones
+    chunk = max(1, PANEL_CHUNK_BYTES // (64 * n * (n + 4)))
+    odd = np.arange(trials) % 2 == 1
+    sizes = 5 * n + 2 * n * n * odd  # normals drawn per trial
+    values = np.empty((trials, 4))
+    for lo in range(0, trials, chunk):
+        size, is_odd = sizes[lo : lo + chunk], odd[lo : lo + chunk]
+        start = np.cumsum(size) - size
+        draw = rng.standard_normal(int(size.sum()))
+        lam = np.sort(draw[start[:, None] + np.arange(n)], axis=-1)[:, ::-1]
+        weights = lam.copy()
+        bases = np.empty(lam.shape + (n,), dtype=complex)
+        weights[~is_odd], bases[~is_odd] = _diagonal_frames(lam[~is_odd])
+        x = draw[(start[is_odd] + n)[:, None] + np.arange(2 * n * n)].reshape(-1, 2, n, n)
+        bases[is_odd] = np.linalg.qr(x[:, 0] + 1j * x[:, 1])[0]
+        _require_regular(bases)
+        ab = draw[(start + size - 4 * n)[:, None] + np.arange(4 * n)].reshape(-1, 4, n)
+        a = ab[:, 0] + 1j * ab[:, 1]
+        b = ab[:, 2] + 1j * ab[:, 3]
+        values[lo : lo + chunk] = _norm_values(
+            weights, bases, np.stack([a + b, a, b, (2.0 - 1.5j) * a], axis=-1)
+        )
+    return values
 
 
 # ---------------------------------------------------------------------------

@@ -261,6 +261,9 @@ def test_cli_rejects_a_threshold_field(tmp_path, capsys):
         ({"experiment": "thmA-gap", "t_max": 0.1}, "thmA-gap.t_max"),
         ({"experiment": "thmA-gap", "t_max": 0.125}, "thmA-gap.t_max"),
         ({"experiment": "euler-gap", "k_list": [2, 4, 8], "t_max": 0.1}, "euler-gap.t_max"),
+        # one trial for two levels: the panel would test nothing
+        ({"experiment": "na-panel", "pairs": 1}, "na-panel.pairs"),
+        ({"experiment": "na-panel", "k_list": [1, 2, 3, 3], "pairs": 2}, "na-panel.pairs"),
     ],
 )
 def test_cli_inconsistent_steps_exit_two(tmp_path, capsys, config, field):

@@ -5,6 +5,7 @@ from qkrf.energies import f_k_na
 from qkrf.hermforms import HermForm
 from qkrf.maps import project
 from qkrf.flows import quantized_flow_run
+from qkrf import nanorms
 from qkrf.nanorms import (
     NAForm,
     NANormError,
@@ -17,6 +18,7 @@ from qkrf.nanorms import (
     random_na,
     s_k_na,
     trivial_na,
+    ultrametric_trials,
 )
 
 
@@ -92,6 +94,69 @@ def test_ultrametric_inequality_seeded(p1):
         lhs = na_norm_value(nu, x + y)
         rhs = max(na_norm_value(nu, x), na_norm_value(nu, y))
         assert lhs <= rhs * (1.0 + 1e-12)
+
+
+def _per_trial_panel(rng, model, k, trials):
+    """The na-panel loop one trial at a time: random_na, then a and b, one solve each."""
+    n = model.nk(k)
+    rows = []
+    for trial in range(trials):
+        nu = random_na(rng, model, k, spread=1.0, diagonal=trial % 2 == 0)
+        a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        rows.append(na_norm_value(nu, np.column_stack([a + b, a, b, (2.0 - 1.5j) * a])))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize(
+    "k_list, pairs, budget",
+    [
+        ([1, 2], 1000, None),  # the default panel
+        ([1, 2, 3], 1001, None),  # an odd trial count per level
+        ([1, 2, 3], 101, 4000),  # several chunks, split at even and odd trials
+        ([2], 5, 1),  # one trial per chunk
+    ],
+)
+def test_stacked_trials_equal_the_per_trial_loop_bitwise(p1, monkeypatch, k_list, pairs, budget):
+    if budget is not None:
+        monkeypatch.setattr(nanorms, "PANEL_CHUNK_BYTES", budget)
+    for seed in (0, 11):
+        reference, stacked = np.random.default_rng(seed), np.random.default_rng(seed)
+        violations = []
+        for k in k_list:
+            expected = _per_trial_panel(reference, p1, k, pairs // len(k_list))
+            values = ultrametric_trials(stacked, p1, k, pairs // len(k_list))
+            assert values.shape == expected.shape
+            assert np.array_equal(values, expected)
+            lhs, at_a, at_b, scaled = values.T
+            violations.append(np.count_nonzero((lhs > np.maximum(at_a, at_b)) | (scaled != at_a)))
+            per_trial = sum(r[0] > max(r[1], r[2]) or r[3] != r[1] for r in expected)
+            assert violations[-1] == per_trial
+        # the generator is left where the per-trial loop leaves it
+        assert stacked.standard_normal() == reference.standard_normal()
+
+
+class _ZeroDraws:
+    """A generator stand-in whose normals are all zero."""
+
+    def standard_normal(self, size=None):
+        return np.zeros(size)
+
+
+def test_stacked_trials_raise_the_single_form_errors(p1, monkeypatch):
+    with pytest.raises(NANormError) as single:
+        na_norm_value(diagonal_na(p1, 1, [0.0, 0.0, 0.0]), np.zeros(3))
+    with pytest.raises(NANormError) as stacked:
+        ultrametric_trials(_ZeroDraws(), p1, 1, 4)
+    assert str(stacked.value) == str(single.value) == "the zero section has no norm"
+
+    with pytest.raises(NANormError) as single:
+        NAForm(1, np.array([2.0, 1.0, 0.0]), np.zeros((3, 3)))
+    # the odd trial's QR returns a singular basis
+    monkeypatch.setattr(np.linalg, "qr", lambda x: (np.zeros_like(x), None))
+    with pytest.raises(NANormError) as stacked:
+        ultrametric_trials(np.random.default_rng(0), p1, 1, 2)
+    assert str(stacked.value) == str(single.value) == "adapted basis is numerically singular"
 
 
 def test_dh_empirical_moments(p1):
