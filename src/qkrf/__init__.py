@@ -31,6 +31,7 @@ from .flows import (
     flow_vs_krf_gap,
     monotonicity_probe,
     quantized_flow_run,
+    quantized_flow_runs,
     slope_identity_check,
 )
 from .geometry import (
@@ -80,7 +81,8 @@ __all__ = [
     "ma_energy", "l_functional", "entropy_classical", "e_k", "d_k", "s_k",
     "conjugate_value", "f_k_na", "FunctionalError",
     # flows and their reports
-    "FlowTrace", "quantized_flow_run", "bergman_iterate", "classical_krf_run",
+    "FlowTrace", "quantized_flow_run", "quantized_flow_runs", "bergman_iterate",
+    "classical_krf_run",
     "euler_gap_report", "flow_vs_krf_gap", "slope_identity_check", "monotonicity_probe",
     "fit_decay", "FlowError",
     # non-Archimedean norms and duality

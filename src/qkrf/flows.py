@@ -19,6 +19,13 @@ spectral operation rides the elementwise paths and the iteration is
 immune to the severe ill-scaling of the monomial Gram matrices at
 large k.
 
+``quantized_flow_runs`` integrates several starts of one level as one
+stack: each RK4 stage forms, balances and takes the logarithm of all of
+them at once, through the batch axes of the ``maps`` and ``hermforms``
+kernels.  Every start keeps its own contractions, so a stacked run
+equals its start's run alone, bit for bit; ``quantized_flow_run`` is the
+stack of one start.
+
 Every run starts at t = 0 from its initial state.  ``FlowTrace.save``
 writes a run's states as JSON and its series as CSV, as run artifacts.
 """
@@ -52,12 +59,15 @@ from .hermforms import (
     HermForm,
     HermitianError,
     PositivityError,
-    gen_eig,
+    _exponent_eigh,
+    _frame_log,
+    _framed_gen_eig,
+    _held_form,
+    _require,
+    _require_positive,
     log_gap,
-    matrix_exp,
-    matrix_log,
 )
-from .maps import QuantizationError, balancing, fubini_study, project
+from .maps import QuantizationError, _bergman_step, balancing, fubini_study, project
 
 TIME_TOL = 1e-9
 # classical solver: local tolerance, first trial step, extrapolation substeps
@@ -196,6 +206,8 @@ def common_grid(t_max: float, k_values: Sequence[int]) -> int:
 
 # a state that raises one of these has left the positive cone
 CONE_ERRORS = (HermitianError, PositivityError, QuantizationError, KahlerConeError)
+# byte budget of the node-sized work arrays of one stacked RK4 stage
+FLOW_CHUNK_BYTES = 1 << 24
 
 
 def quantized_flow_run(
@@ -208,68 +220,64 @@ def quantized_flow_run(
 ) -> FlowTrace:
     """Integrate the quantized flow from h0 over [0, t_max] with RK4 at step dt.
 
-    The state is Q = log H in the reference basis.  Each state reached
-    at the end of a step (h0 itself at t = 0) is formed and balanced
-    once: its b_k(H) is the next step's first RK4 stage and the sample's
-    b_k(H), so the first stage reads b_k(h0).  States are sampled every
-    ``sample_every`` steps (the initial state included); with
-    ``with_energies`` each sample also records L, E_k (against h0 as the
-    reference form), D_k, S_k and the relative entropy against b_k(H).
-    A state or stage that leaves the positive cone, the initial state
-    included, aborts the run with a ``FlowError`` naming the time of the
-    last state reached, within one step dt of the failure.
+    The run of one start of ``quantized_flow_runs``, which says what is
+    sampled and how a state that leaves the positive cone ends the run.
+    """
+    return quantized_flow_runs(model, [h0], t_max, dt, sample_every, with_energies)[0]
+
+
+def quantized_flow_runs(
+    model: PolarizedModel,
+    starts: Sequence[HermForm],
+    t_max: float,
+    dt: float,
+    sample_every: int = 1,
+    with_energies: bool = True,
+) -> list[FlowTrace]:
+    """Integrate the quantized flow from each start over [0, t_max] with RK4 at step dt.
+
+    The state is Q = log H in the reference basis.  The starts share one
+    level and one path (all diagonal on a radial model, or all dense) and
+    are integrated as one stack: Q is an (R, N, N) stack of matrices, or
+    an (R, N) stack of diagonals, and each RK4 stage balances all R forms
+    in one ``maps._bergman_step``, one eigh of Q and one of the Grams.
+    Every start's contractions run on its own slice, so its trace equals
+    that of a run from it alone, bit for bit.  The starts are stacked at
+    most FLOW_CHUNK_BYTES of node-sized work arrays at a time.
+
+    Each state reached at the end of a step (the start itself at t = 0)
+    is formed and balanced once: its b_k(H) is the next step's first RK4
+    stage and the sample's b_k(H), so the first stage reads b_k(h0).
+    States are sampled every ``sample_every`` steps (the initial state
+    included); with ``with_energies`` each sample also records L, E_k
+    (against the start as the reference form), D_k, S_k and the relative
+    entropy against b_k(H).  A state or stage that leaves the positive
+    cone, the initial state included, aborts all runs with a ``FlowError``
+    naming the time of the last state reached, within one step dt of the
+    failure, and, among several starts, the index of the failing start.
     """
     if sample_every < 1:
         raise FlowError("sample_every must be at least 1")
-    k = h0.level
-    if model.nk(k) != h0.dim:
+    if not starts:
+        raise FlowError("quantized flow needs at least one start")
+    k = starts[0].level
+    n = model.nk(k)
+    if any(h.level != k for h in starts):
+        raise FlowError("quantized flow starts must share one level")
+    if any(h.dim != n for h in starts):
         raise ModelError("initial form does not match the section space")
+    diagonal = model.supports_radial and starts[0].is_diagonal
+    if any((model.supports_radial and h.is_diagonal) != diagonal for h in starts):
+        raise FlowError("quantized flow starts must share one path: all diagonal or all dense")
     n_steps = whole_steps(t_max, dt)
     if not n_steps:
         raise FlowError(f"quantized flow: span {t_max} is not a whole number of steps {dt}")
     if n_steps % sample_every != 0:
         raise FlowError("step count is not a multiple of sample_every")
 
-    diagonal = model.supports_radial and h0.is_diagonal
-
-    def evaluate(q, form: Optional[HermForm] = None):
-        """(H, b_k(H), k (log b_k(H) - q)) at q = log H, forming H from q unless given."""
-        if form is None:
-            form = HermForm(k, np.exp(q)) if diagonal else matrix_exp(k, q)
-        b = balancing(model, form)
-        return form, b, k * ((b.logs if diagonal else matrix_log(b)) - q)
-
-    record = {name: [] for name in ("L", "E_k", "D_k", "S_k", "relent_ref")}
-    times, states = [], []
-    q = h0.logs if diagonal else matrix_log(h0)
-    t = 0.0
-    try:
-        for step in range(n_steps + 1):
-            if step:
-                f2 = evaluate(q + 0.5 * dt * f1)[2]
-                f3 = evaluate(q + 0.5 * dt * f2)[2]
-                f4 = evaluate(q + dt * f3)[2]
-                q = q + (dt / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
-                t = step * dt
-            form, b, f1 = evaluate(q, None if step else h0)
-            if step % sample_every:
-                continue
-            times.append(t)
-            states.append(form)
-            if with_energies:
-                potential = fubini_study(model, form)
-                norms = gen_eig(b, form)
-                l_value = l_functional(potential)
-                ek_value = e_k(form, h0)
-                record["L"].append(l_value)
-                record["E_k"].append(ek_value)
-                record["D_k"].append(l_value - ek_value)
-                record["S_k"].append(entropy_of_norms(norms))
-                record["relent_ref"].append(float(-np.sum(np.log(norms))))
-    except CONE_ERRORS as exc:
-        raise FlowError(f"quantized flow left the positive cone near t = {t:.6f}: {exc}") from exc
-
-    series = {name: values for name, values in record.items() if values}
+    # a start holds about ten float64 work arrays of one value per node
+    nodes = model.radial_count if diagonal else model.node_count
+    chunk = max(1, FLOW_CHUNK_BYTES // (80 * nodes))
     meta = {
         "method": "rk4",
         "dt": float(dt),
@@ -277,7 +285,118 @@ def quantized_flow_run(
         "diagonal_path": bool(diagonal),
         "with_energies": bool(with_energies),
     }
-    return FlowTrace("quantized", k, np.asarray(times), states, series, meta)
+    traces = []
+    for lo in range(0, len(starts), chunk):
+        traces += _integrate_stack(
+            model, list(starts[lo : lo + chunk]), n_steps, dt, sample_every, meta,
+            first=lo if len(starts) > 1 else None,
+        )
+    return traces
+
+
+def _integrate_stack(
+    model: PolarizedModel,
+    starts: list,
+    n_steps: int,
+    dt: float,
+    sample_every: int,
+    meta: dict,
+    first: Optional[int],
+) -> list[FlowTrace]:
+    """The trace of each start's run, integrated as one stack.
+
+    ``meta`` is the runs' meta record, whose ``diagonal_path`` and
+    ``with_energies`` entries select the path and the samples' series.
+    ``first`` is the index of the stack's first start among all starts,
+    named with a failing start's index; None names no index.
+    """
+    k = starts[0].level
+    diagonal, with_energies = meta["diagonal_path"], meta["with_energies"]
+
+    def evaluate(q: np.ndarray, held: Optional[tuple] = None) -> tuple:
+        """Forms (data, frame, logs) at q = log H unless given, their b_k and k (log b_k(H) - q)."""
+        if held is None:
+            if diagonal:
+                data = np.exp(q)
+                _require(
+                    np.isfinite(data).all(axis=-1),
+                    HermitianError,
+                    lambda i: "form has non-finite entries",
+                )
+                _require_positive(data.min(axis=-1))
+                held = (data, None, None)
+            else:
+                logs, frame = _exponent_eigh(q)
+                held = (np.exp(logs), frame, logs)
+        data, frame, _ = held
+        step = _bergman_step(model, k, frame, 1.0 / data, diagonal)
+        b_logs = np.log(step.data)
+        if not diagonal:
+            b_logs = _frame_log(step.data, step.frame, b_logs)
+        return held, step, k * (b_logs - q)
+
+    r = len(starts)
+    initial = (
+        np.stack([h.data for h in starts]),
+        None if diagonal else np.stack([h.frame for h in starts]),
+        np.stack([h.logs for h in starts]),
+    )
+    record = {name: [[] for _ in range(r)] for name in ("L", "E_k", "D_k", "S_k", "relent_ref")}
+    times, states = [], [[] for _ in range(r)]
+    t = 0.0
+    try:
+        q = initial[2] if diagonal else _frame_log(*initial)
+        for step in range(n_steps + 1):
+            if step:
+                f2 = evaluate(q + 0.5 * dt * f1)[2]
+                f3 = evaluate(q + 0.5 * dt * f2)[2]
+                f4 = evaluate(q + dt * f3)[2]
+                q = q + (dt / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
+                t = step * dt
+            (data, frame, logs), balanced, f1 = evaluate(q, None if step else initial)
+            if step % sample_every:
+                continue
+            times.append(t)
+            forms = starts if not step else [
+                _held_form(k, data[i]) if diagonal
+                else _held_form(k, data[i], frame[i], logs=logs[i])
+                for i in range(r)
+            ]
+            for run, form in zip(states, forms):
+                run.append(form)
+            if not with_energies:
+                continue
+            if diagonal:
+                norms = np.sort(balanced.data / data, axis=-1)
+            else:
+                norms = _framed_gen_eig(balanced.gram, data, frame)
+            for i, (form, h0) in enumerate(zip(forms, starts)):
+                potential = (
+                    PotentialField(model, None, balanced.potential[i])
+                    if diagonal
+                    else PotentialField(model, balanced.potential[i])
+                )
+                l_value = l_functional(potential)
+                ek_value = e_k(form, h0)
+                record["L"][i].append(l_value)
+                record["E_k"][i].append(ek_value)
+                record["D_k"][i].append(l_value - ek_value)
+                record["S_k"][i].append(entropy_of_norms(norms[i]))
+                record["relent_ref"][i].append(float(-np.sum(np.log(norms[i]))))
+    except CONE_ERRORS as exc:
+        start = getattr(exc, "start", None)
+        where = "" if first is None or start is None else f" (start {first + start})"
+        raise FlowError(
+            f"quantized flow left the positive cone near t = {t:.6f}: {exc}{where}"
+        ) from exc
+
+    return [
+        FlowTrace(
+            "quantized", k, np.asarray(times), states[i],
+            {name: values[i] for name, values in record.items() if values[i]}, dict(meta),
+        )
+        for i in range(r)
+    ]
 
 
 def bergman_iterate(model: PolarizedModel, h0: HermForm, steps: int) -> FlowTrace:

@@ -258,17 +258,23 @@ class PolarizedModel:
         The form is H = V diag(1 / inverse) V^*, with V = ``frame`` (the
         reference basis when None) and a(x) the reference sections at x.
         The sum is read as sum_i inverse_i |(V^T a(x))_i|^2, a sum of
-        nonnegative terms over the section table.
+        nonnegative terms over the section table.  Forms stacked on
+        leading axes of ``inverse`` and ``frame`` give stacked sums, each
+        contracted on its own.
         """
         a = self.sections(k)
-        amplitudes = a if frame is None else frame.T @ a
-        return (amplitudes.real**2 + amplitudes.imag**2).T @ inverse
+        amplitudes = a if frame is None else frame.swapaxes(-1, -2) @ a
+        squares = amplitudes.real**2 + amplitudes.imag**2
+        return (squares.swapaxes(-1, -2) @ inverse[..., None])[..., 0]
 
     def gram(self, k: int, weights: np.ndarray) -> np.ndarray:
-        """Gram matrix G_mn = sum_x weights(x) conj(a_m(x)) a_n(x), Hermitian."""
+        """Gram matrix G_mn = sum_x weights(x) conj(a_m(x)) a_n(x), Hermitian.
+
+        Weights stacked on leading axes give stacked Grams.
+        """
         a = self.sections(k)
-        g = (a.conj() * weights) @ a.T
-        return 0.5 * (g + g.conj().T)
+        g = (a.conj() * weights[..., None, :]) @ a.T
+        return 0.5 * (g + g.conj().swapaxes(-1, -2))
 
     def zero_potential(self) -> PotentialField:
         if self.supports_radial:
@@ -457,17 +463,21 @@ class ProjectiveLineModel(PolarizedModel):
         B(r, theta) = Re sum_(d >= 0) w_d c_d(r) e^(i d theta), with
         c_d(r) = sum_(m-n=d) (H^-1)_mn sigma_(m+n)(r): the same sum as the
         section contraction, regrouped, in O(N^2 M + N M A) operations
-        instead of O(N^2 M A).
+        instead of O(N^2 M A).  Forms stacked on leading axes give stacked
+        sums, each contracted on its own.
         """
         t = self._mode_tables(k)
         n = 2 * k + 1
+        batch = inverse.shape[:-1]
         if frame is None:
-            inv_h = np.diag(inverse).astype(complex)
+            inv_h = np.zeros(batch + (n, n), dtype=complex)
+            inv_h[..., np.arange(n), np.arange(n)] = inverse
         else:
-            inv_h = (frame * inverse) @ frame.conj().T
-        coefficients = t.bergman_scale * inv_h.view(float).ravel()[t.bergman_src]
-        modes = coefficients.reshape(4 * k + 1, 2 * n) @ t.phases
-        return (t.products.T @ modes).ravel()
+            inv_h = (frame * inverse[..., None, :]) @ frame.conj().swapaxes(-1, -2)
+        flat = inv_h.view(float).reshape(batch + (-1,))
+        coefficients = t.bergman_scale * flat.take(t.bergman_src, axis=-1)
+        modes = coefficients.reshape(batch + (4 * k + 1, 2 * n)) @ t.phases
+        return (t.products.T @ modes).reshape(batch + (-1,))
 
     def gram(self, k: int, weights: np.ndarray) -> np.ndarray:
         """Gram matrix through the angular modes of the grid, Hermitian by construction.
@@ -475,12 +485,15 @@ class ProjectiveLineModel(PolarizedModel):
         G_mn = sum_r sigma_(m+n)(r) w_(n-m)(r), with the angular transforms
         w_d(r) = sum_theta w(r, theta) e^(i d theta) of the weights; only
         the d >= 0 entries are summed, the others are their conjugates.
+        Weights stacked on leading axes give stacked Grams.
         """
         t = self._mode_tables(k)
         n = 2 * k + 1
-        transforms = weights.reshape(self.radial_count, self.angular_count) @ t.phases.T
-        table = t.products @ transforms
-        return (t.gram_sign * table.ravel()[t.gram_src]).view(complex).reshape(n, n)
+        batch = weights.shape[:-1]
+        grid = weights.reshape(batch + (self.radial_count, self.angular_count))
+        table = t.products @ (grid @ t.phases.T)
+        entries = t.gram_sign * table.reshape(batch + (-1,)).take(t.gram_src, axis=-1)
+        return entries.view(complex).reshape(batch + (n, n))
 
     def tile_radial(self, profile: np.ndarray) -> np.ndarray:
         profile = np.asarray(profile, dtype=float)
@@ -603,18 +616,22 @@ def logsumexp(a, axis=None):
         shifted[ties] = 0.0
         n = np.count_nonzero(ties)
         return float(np.log1p(shifted.sum() / n) + np.log(n) + top)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        top = np.max(a, axis=axis, keepdims=True)
+
+    def shifted_sum(top: np.ndarray) -> np.ndarray:
         ties = a == top
         shifted = np.exp(a - top)
         shifted[ties] = 0.0
-        n = np.count_nonzero(ties, axis=axis, keepdims=True)
-        rest = np.sum(shifted, axis=axis, keepdims=True) / n
-        out = np.log1p(rest) + np.log(n) + top
+        n = ties.sum(axis, keepdims=True)
+        return np.log1p(shifted.sum(axis, keepdims=True) / n) + np.log(n) + top
+
+    top = a.max(axis, keepdims=True)
+    if np.isfinite(top).all():
+        return shifted_sum(top).squeeze(axis)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        out = shifted_sum(top)
         bad = ~np.isfinite(out)
-        if bad.any():
-            out[bad] = np.log(np.sum(np.exp(a), axis=axis, keepdims=True))[bad]
-    return np.squeeze(out, axis=axis)
+        out[bad] = np.log(np.sum(np.exp(a), axis=axis, keepdims=True))[bad]
+    return out.squeeze(axis)
 
 
 def twisted_weights(log_mu0: np.ndarray, values: np.ndarray, power: int = 1) -> np.ndarray:
@@ -622,8 +639,17 @@ def twisted_weights(log_mu0: np.ndarray, values: np.ndarray, power: int = 1) -> 
 
     Normalized in log space, so large potential swings (geodesic rays at
     large time) do not overflow.  At power 1 they sum to 1 up to rounding.
+    Potentials stacked on leading axes of ``values`` are normalized each
+    on its own.
     """
-    return np.exp(log_mu0 - power * values - logsumexp(log_mu0 - values))
+    shifted = log_mu0 - values
+    # one potential, stacked or not, takes the scalar reduction: the cheaper
+    # one on short vectors, and the same to the last bit
+    if shifted.size == shifted.shape[-1]:
+        log_z = logsumexp(shifted)
+    else:
+        log_z = logsumexp(shifted, axis=-1)[..., None]
+    return np.exp(log_mu0 - power * values - log_z)
 
 
 def canonical_measure(phi: PotentialField) -> np.ndarray:

@@ -15,19 +15,21 @@ built only when asked for.  Matrices enter through ``HermForm`` (or
 forms and Hermitian matrices Q = log H; ``matrix_exp`` builds its form
 from the eigen-decomposition of Q, positive by construction, and checks
 only that Q and the exponentials of its eigenvalues are finite.  The
-dense Gram forms of ``maps.project`` are Hermitian by construction too:
-they are decomposed by the same one ``eigh`` and checked only for
-finiteness and positivity.  Dense
-spectral operations refuse eigenvalues
-below a relative floor instead of clamping them; silent regularization
-would corrupt the decay-rate measurements built on top of this module.
+dense Gram forms of ``maps.project`` are Hermitian by construction too,
+and are held without another check.  The kernels behind these maps and
+behind ``gen_eig`` take stacks of matrices on leading axes, as the
+quantized flow integrates several starts at once; their checks run per
+matrix, and a failed one names the stack index it met.  Dense spectral
+operations refuse eigenvalues below a relative floor instead of clamping
+them; silent regularization would corrupt the decay-rate measurements
+built on top of this module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -85,11 +87,27 @@ def _hermitian_data(a, what: str) -> np.ndarray:
     return d
 
 
-def _require_positive(smallest: float) -> None:
-    if smallest <= 0.0:
-        raise PositivityError(
-            f"form is not positive definite: smallest eigenvalue {smallest:.6e}"
-        )
+def _require(ok: np.ndarray, error: type, message: Callable[[tuple], str]) -> None:
+    """Raise ``error(message(i))`` at the first index i where ``ok`` fails.
+
+    ``ok`` has one entry per matrix or vector of a stack (0-d for a single
+    one).  The error keeps the stack index as its ``start`` attribute, None
+    for a single input, so that a stacked caller can name what failed.
+    """
+    if np.count_nonzero(ok) < ok.size:
+        index = tuple(np.argwhere(~ok)[0])
+        exc = error(message(index))
+        exc.start = int(index[0]) if index else None
+        raise exc
+
+
+def _require_positive(smallest: np.ndarray) -> None:
+    """PositivityError unless the smallest eigenvalue of each form of a stack is positive."""
+    _require(
+        smallest > 0.0,
+        PositivityError,
+        lambda i: f"form is not positive definite: smallest eigenvalue {smallest[i]:.6e}",
+    )
 
 
 @dataclass(frozen=True)
@@ -164,21 +182,32 @@ class HermForm:
 
 
 def _floor_check(values: np.ndarray, what: str) -> None:
-    top = float(values[-1])
-    if top <= 0.0 or float(values[0]) <= EIG_FLOOR * top:
-        raise PositivityError(
-            f"{what}: eigenvalue {values[0]:.6e} below the relative floor "
-            f"{EIG_FLOOR:.0e} * {top:.6e}"
-        )
+    """PositivityError unless each ascending spectrum of a stack clears the relative floor."""
+    top = values[..., -1]
+    _require(
+        (top > 0.0) & (values[..., 0] > EIG_FLOOR * top),
+        PositivityError,
+        lambda i: f"{what}: eigenvalue {values[i][0]:.6e} below the relative floor "
+        f"{EIG_FLOOR:.0e} * {top[i]:.6e}",
+    )
 
 
 def matrix_log(h: HermForm) -> np.ndarray:
     """Hermitian logarithm of a positive definite form, as a complex matrix."""
     if h.is_diagonal:
         return np.diag(h.logs).astype(complex)
-    _floor_check(h.data, "matrix log")
-    core = (h.frame * h.logs) @ h.frame.conj().T
-    return 0.5 * (core + core.conj().T)
+    return _frame_log(h.data, h.frame, h.logs)
+
+
+def _frame_log(data: np.ndarray, frame: np.ndarray, logs: np.ndarray) -> np.ndarray:
+    """V diag(logs) V^* for forms held in eigenframes V, stacked on leading axes.
+
+    ``data`` are the ascending eigenvalues and ``logs`` their logarithms;
+    the spectra must clear the relative floor.
+    """
+    _floor_check(data, "matrix log")
+    core = (frame * logs[..., None, :]) @ frame.conj().swapaxes(-1, -2)
+    return 0.5 * (core + core.conj().swapaxes(-1, -2))
 
 
 def matrix_exp(level: int, q: np.ndarray) -> HermForm:
@@ -188,38 +217,44 @@ def matrix_exp(level: int, q: np.ndarray) -> HermForm:
     finite, and so must e^lam and e^-lam for its eigenvalues lam; e^Q is
     then positive by construction and is not checked again.
     """
-    return _eigen_form(level, q, exponent=True)
+    values, frame = _exponent_eigh(q)
+    return _held_form(level, np.exp(values), frame, logs=values)
 
 
-def _eigen_form(level: int, m: np.ndarray, exponent: bool = False) -> HermForm:
-    """The form of a Hermitian matrix built in the package, decomposed by one eigh.
+def _exponent_eigh(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenframes of Hermitian exponents Q, stacked on leading axes.
 
-    ``m`` is Hermitian by construction, so it is neither checked for
-    symmetry nor symmetrized; it must be finite.  With ``exponent`` the
-    form is e^m, positive when e^lam and e^-lam are finite for the
-    eigenvalues lam of m.  Otherwise the form is m itself, positive when
-    its smallest eigenvalue is, and held as its diagonal vector when m is
-    exactly diagonal.  The form is built around ``__post_init__``, whose
-    checks hold by construction.
+    Each Q must be finite, and so must e^lam and e^-lam for its
+    eigenvalues lam, which makes e^Q a positive form.
     """
-    what = "matrix exponent" if exponent else "form"
-    if not np.all(np.isfinite(m)):
-        raise HermitianError(f"{what} has non-finite entries")
-    if not exponent and _offdiagonal_is_zero(m):
-        return HermForm(level, np.real(np.diagonal(m)))
-    values, frame = np.linalg.eigh(m)
-    if exponent:
-        if not -LOG_RANGE < values[0] <= values[-1] < LOG_RANGE:
-            raise PositivityError(
-                f"matrix exponent has eigenvalues from {values[0]:.6e} to {values[-1]:.6e}, "
-                f"beyond the floating range +-{LOG_RANGE:.6e} of their exponentials"
-            )
-        held = {"data": np.exp(values), "logs": values}
-    else:
-        _require_positive(values[0])
-        held = {"data": values, "entries": m}
+    _require(
+        np.isfinite(q).all(axis=(-2, -1)),
+        HermitianError,
+        lambda i: "matrix exponent has non-finite entries",
+    )
+    values, frame = np.linalg.eigh(q)
+    low, high = values[..., 0], values[..., -1]
+    _require(
+        (-LOG_RANGE < low) & (high < LOG_RANGE),
+        PositivityError,
+        lambda i: f"matrix exponent has eigenvalues from {low[i]:.6e} to {high[i]:.6e}, "
+        f"beyond the floating range +-{LOG_RANGE:.6e} of their exponentials",
+    )
+    return values, frame
+
+
+def _held_form(
+    level: int, data: np.ndarray, frame: Optional[np.ndarray] = None, **held
+) -> HermForm:
+    """A form from parts built in the package, around ``__post_init__``.
+
+    ``data`` and ``frame`` already satisfy the form's invariants (a
+    positive diagonal without a frame, or ascending positive eigenvalues
+    in a unitary frame), so they are not checked again; ``held`` gives
+    cached ``logs`` or ``entries`` that are known already.
+    """
     form = object.__new__(HermForm)
-    for name, value in (("level", level), ("frame", frame), *held.items()):
+    for name, value in (("level", level), ("data", data), ("frame", frame), *held.items()):
         object.__setattr__(form, name, value)
     return form
 
@@ -249,12 +284,20 @@ def gen_eig(a, b) -> np.ndarray:
         if values.min() <= 0.0:
             raise PositivityError("right matrix has a nonpositive diagonal entry")
         return np.sort(da / values)
-    _floor_check(np.sort(values) if frame is None else values, "generalized eigenvalues")
-    am = np.diag(da).astype(complex) if da.ndim == 1 else da
+    return _framed_gen_eig(np.diag(da).astype(complex) if da.ndim == 1 else da, values, frame)
+
+
+def _framed_gen_eig(am: np.ndarray, values: np.ndarray, frame: Optional[np.ndarray]) -> np.ndarray:
+    """Generalized eigenvalues of matrices am against forms given by eigenvalues and frames.
+
+    Stacks on leading axes; a form without a frame is diagonal, with
+    ``values`` its diagonal.  The forms' spectra must clear the floor.
+    """
+    _floor_check(np.sort(values, axis=-1) if frame is None else values, "generalized eigenvalues")
     if frame is not None:
-        am = frame.conj().T @ am @ frame
+        am = frame.conj().swapaxes(-1, -2) @ am @ frame
     scale = 1.0 / np.sqrt(values)
-    return np.linalg.eigvalsh(scale[:, None] * am * scale)
+    return np.linalg.eigvalsh(scale[..., :, None] * am * scale[..., None, :])
 
 
 def log_gap(h1: HermForm, h2: HermForm) -> float:

@@ -12,7 +12,12 @@ The three basic maps at level k are
 and the Bergman approximation of a potential is fubini_study o project.
 ``fubini_study`` is the one Bergman map: it takes the logarithm of the
 Bergman sum a(x)^T H^-1 conj(a(x)) at each node x, with a(x) the
-reference sections at x, and keeps no separate density.  That sum and the
+reference sections at x, and keeps no separate density.  The chain
+Bergman sum -> potential -> twisted Gram -> eigh, with its checks, is one
+step, ``_bergman_step``, over leading batch axes: ``fubini_study`` runs
+its first half on one form, ``project`` its second on one potential,
+``balancing`` all of it on one form and the quantized flow all of it on
+a stack of forms.  That sum and the
 Gram contraction are the model's:
 ``PolarizedModel.bergman_sum`` and ``PolarizedModel.gram``.  The generic
 ones contract the section table, the Bergman sum in the form's eigenframe
@@ -28,6 +33,8 @@ rounding.
 
 from __future__ import annotations
 
+from typing import NamedTuple, Optional
+
 import numpy as np
 
 from .geometry import (
@@ -36,11 +43,104 @@ from .geometry import (
     PotentialField,
     twisted_weights,
 )
-from .hermforms import HermForm, HermitianError, PositivityError, _eigen_form
+from .hermforms import HermForm, HermitianError, PositivityError, _held_form, _require
 
 
 class QuantizationError(ValueError):
     """Numerically singular Gram or a Bergman sum that is not positive."""
+
+
+class _BergmanStep(NamedTuple):
+    """One balancing of forms, stacked on leading axes.
+
+    ``potential`` holds the Fubini-Study potentials (radial profiles on
+    the radial path, node values otherwise), ``gram`` the twisted Grams
+    of the reference basis, ``data`` their eigenvalues and ``frame``
+    their eigenframes; on the radial path a Gram is its diagonal vector,
+    ``data`` is that vector and ``frame`` is None.
+    """
+
+    potential: np.ndarray
+    gram: np.ndarray
+    data: np.ndarray
+    frame: Optional[np.ndarray]
+
+
+def _potential(
+    model: PolarizedModel, k: int, frame: Optional[np.ndarray], inverse: np.ndarray, radial: bool
+) -> np.ndarray:
+    """Fubini-Study potentials of the forms V diag(1 / inverse) V^*, stacked on leading axes."""
+    if radial:
+        total = (model.radial_section_sq(k).T @ inverse[..., None])[..., 0]
+    else:
+        total = model.bergman_sum(k, frame, inverse)
+    # a NaN propagates into both extremes
+    _require(
+        (total.min(axis=-1) > 0.0) & (total.max(axis=-1) < np.inf),
+        QuantizationError,
+        lambda i: "Bergman sum is not strictly positive",
+    )
+    return (np.log(total) - np.log(model.nk(k))) / k
+
+
+def _gram_spectrum(
+    model: PolarizedModel, k: int, potential: np.ndarray, radial: bool
+) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """Twisted Grams of potentials with their eigenvalues and frames, stacked on leading axes."""
+    if radial:
+        weights = twisted_weights(model.log_radial_mu0_weights, potential, k + 1)
+        gram = (model.radial_section_sq(k) @ weights[..., None])[..., 0]
+        finite = np.isfinite(gram).all(axis=-1)
+    else:
+        gram = model.gram(k, twisted_weights(model.log_mu0_weights, potential, k + 1))
+        finite = np.isfinite(gram).all(axis=(-2, -1))
+    _require(finite, HermitianError, lambda i: "form has non-finite entries")
+    if radial:
+        data, frame, smallest = gram, None, gram.min(axis=-1)
+    else:
+        data, frame = np.linalg.eigh(gram)
+        smallest = data[..., 0]
+
+    def singular(i: tuple) -> str:
+        eigs = np.sort(gram[i]) if radial else np.linalg.eigvalsh(gram[i])
+        cond = float("inf") if eigs[0] <= 0 else float(eigs[-1] / eigs[0])
+        return (
+            f"Gram matrix numerically singular at level {k} "
+            f"(condition estimate {cond:.3e}); the quadrature grid likely "
+            f"cannot resolve N_k = {model.nk(k)} sections"
+        )
+
+    _require(smallest > 0.0, QuantizationError, singular)
+    return gram, data, frame
+
+
+def _bergman_step(
+    model: PolarizedModel, k: int, frame: Optional[np.ndarray], inverse: np.ndarray, radial: bool
+) -> _BergmanStep:
+    """The chain Bergman sum -> potential -> twisted Gram -> eigh, for one form or a stack.
+
+    The forms are H = V diag(1 / inverse) V^* with V = ``frame`` (the
+    reference basis when None), stacked on the leading axes of
+    ``inverse``; ``radial`` takes the radial path of diagonal forms.  A
+    Bergman sum that is not positive and finite, or a singular Gram,
+    raises QuantizationError, a non-finite Gram HermitianError; the
+    error's ``start`` names the stack index it met (None for one form).
+    """
+    potential = _potential(model, k, frame, inverse, radial)
+    return _BergmanStep(potential, *_gram_spectrum(model, k, potential, radial))
+
+
+def _radial_path(model: PolarizedModel, h: HermForm) -> bool:
+    """Whether h takes the radial path; ModelError unless h fits the section space."""
+    n = model.nk(h.level)
+    if h.dim != n:
+        raise ModelError(f"form dimension {h.dim} does not match N_k = {n}")
+    return model.supports_radial and h.is_diagonal
+
+
+def _gram_form(k: int, gram: np.ndarray, data: np.ndarray, frame: Optional[np.ndarray]) -> HermForm:
+    """The form of one checked Gram: its diagonal vector, or held in its eigenframe."""
+    return _held_form(k, data) if frame is None else _held_form(k, data, frame, entries=gram)
 
 
 def fubini_study(model: PolarizedModel, h: HermForm) -> PotentialField:
@@ -48,46 +148,27 @@ def fubini_study(model: PolarizedModel, h: HermForm) -> PotentialField:
 
     A diagonal form on a model with radial structure gives a radial profile.
     """
-    k = h.level
-    n = model.nk(k)
-    if h.dim != n:
-        raise ModelError(f"form dimension {h.dim} does not match N_k = {n}")
-    radial = model.supports_radial and h.is_diagonal
-    if radial:
-        total = model.radial_section_sq(k).T @ (1.0 / h.data)
-    else:
-        total = model.bergman_sum(k, h.frame, 1.0 / h.data)
-    if np.any(total <= 0.0) or not np.all(np.isfinite(total)):
-        raise QuantizationError("Bergman sum is not strictly positive")
-    values = (np.log(total) - np.log(n)) / k
+    radial = _radial_path(model, h)
+    values = _potential(model, h.level, h.frame, 1.0 / h.data, radial)
     return PotentialField(model, None, values) if radial else PotentialField(model, values)
 
 
 def project(phi: PotentialField, k: int) -> HermForm:
-    """Gram form of the reference basis against e^(-k phi) d mu_phi."""
+    """Gram form of the reference basis against e^(-k phi) d mu_phi.
+
+    The Gram of a radial potential is held as its diagonal, any other in
+    its eigenframe.
+    """
     model = phi.model
-    n = model.nk(k)
-    if phi.is_radial:
-        weights = twisted_weights(model.log_radial_mu0_weights, phi.radial_profile, k + 1)
-        gram = model.radial_section_sq(k) @ weights
-    else:
-        gram = model.gram(k, twisted_weights(model.log_mu0_weights, phi.values, k + 1))
-    try:
-        form = HermForm(k, gram) if gram.ndim == 1 else _eigen_form(k, gram)
-    except PositivityError as exc:
-        eigs = np.sort(gram) if gram.ndim == 1 else np.linalg.eigvalsh(gram)
-        cond = float("inf") if eigs[0] <= 0 else float(eigs[-1] / eigs[0])
-        raise QuantizationError(
-            f"Gram matrix numerically singular at level {k} "
-            f"(condition estimate {cond:.3e}); the quadrature grid likely "
-            f"cannot resolve N_k = {n} sections"
-        ) from exc
-    return form
+    radial = phi.is_radial
+    values = phi.radial_profile if radial else phi.values
+    return _gram_form(k, *_gram_spectrum(model, k, values, radial))
 
 
 def balancing(model: PolarizedModel, h: HermForm) -> HermForm:
     """One application of the balancing map b_k = project o fubini_study."""
-    return project(fubini_study(model, h), h.level)
+    step = _bergman_step(model, h.level, h.frame, 1.0 / h.data, _radial_path(model, h))
+    return _gram_form(h.level, step.gram, step.data, step.frame)
 
 
 def orthonormal_orthogonal(h: HermForm, b: HermForm) -> tuple[np.ndarray, np.ndarray]:

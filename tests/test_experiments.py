@@ -202,6 +202,17 @@ def test_threads_env_keeps_euler_gap_csvs_identical(tmp_path):
         assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
 
+def test_threads_env_keeps_monotonicity_files_identical(tmp_path):
+    cfg = ExperimentConfig.from_dict({"experiment": "monotonicity", "runs": 3, "t_max": 0.5})
+    m1, m2 = _run_per_thread_count(cfg, tmp_path, ("1", "2"))
+    assert m1.metrics == m2.metrics
+    names = sorted(p.name for p in (tmp_path / "1").glob("monotonicity*"))
+    assert "monotonicity.csv" in names and len(names) == 1 + 2 * 3
+    assert names == sorted(p.name for p in (tmp_path / "2").glob("monotonicity*"))
+    for name in names:
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+
 def test_cli_list_experiments(capsys):
     assert cli_main(["list-experiments"]) == 0
     out = capsys.readouterr().out

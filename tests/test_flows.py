@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qkrf import flows
-from qkrf.energies import entropy_classical, log_ricci_profile
+from qkrf.energies import e_k, entropy_classical, entropy_of_norms, l_functional, log_ricci_profile
 from qkrf.experiments import family_potential
 from qkrf.flows import (
     FlowError,
@@ -17,14 +17,15 @@ from qkrf.flows import (
     level_steps,
     monotonicity_probe,
     quantized_flow_run,
+    quantized_flow_runs,
     radial_laplacian_matrix,
     slope_identity_check,
     whole_steps,
     write_series_csv,
 )
 from qkrf.geometry import KahlerConeError, build_p1_model
-from qkrf.hermforms import HermForm, random_herm_pd
-from qkrf.maps import balancing, project
+from qkrf.hermforms import HermForm, gen_eig, matrix_exp, matrix_log, random_herm_pd
+from qkrf.maps import balancing, fubini_study, project
 
 
 def test_bergman_iterate_is_repeated_balancing(p1):
@@ -302,16 +303,17 @@ def test_unstable_dense_run_ends_in_flow_error_naming_the_time(p1, with_energies
 
 
 @pytest.mark.parametrize(
-    "t_max, sample_every, with_energies, grams, exponentials",
-    [(0.1, 1, True, 9, 8), (0.2, 2, False, 17, 16)],
+    "runs, t_max, sample_every, with_energies, grams, exponentials",
+    [(1, 0.1, 1, True, 9, 8), (1, 0.2, 2, False, 17, 16), (4, 0.1, 1, True, 9, 8)],
 )
 def test_quantized_flow_forms_and_balances_each_state_once(
-    p1, monkeypatch, t_max, sample_every, with_energies, grams, exponentials
+    p1, monkeypatch, runs, t_max, sample_every, with_energies, grams, exponentials
 ):
     """h0 and each end-of-step state are balanced once, every RK4 stage once more.
 
     Every dense ``project`` takes one Gram, and every state other than h0
-    is formed with one exponential.
+    is formed with one exponential (one stacked eigh of Q); a stack of
+    starts takes them all in the same calls.
     """
     calls = {"gram": 0, "exp": 0}
 
@@ -323,10 +325,13 @@ def test_quantized_flow_forms_and_balances_each_state_once(
         return wrapper
 
     monkeypatch.setattr(p1, "gram", counted("gram", p1.gram))
-    monkeypatch.setattr(flows, "matrix_exp", counted("exp", flows.matrix_exp))
-    h0 = HermForm(2, random_herm_pd(np.random.default_rng(3), 5, spread=0.5))
-    quantized_flow_run(
-        p1, h0, t_max=t_max, dt=0.05, sample_every=sample_every, with_energies=with_energies
+    monkeypatch.setattr(flows, "_exponent_eigh", counted("exp", flows._exponent_eigh))
+    starts = [
+        HermForm(2, random_herm_pd(np.random.default_rng(3 + i), 5, spread=0.5))
+        for i in range(runs)
+    ]
+    quantized_flow_runs(
+        p1, starts, t_max=t_max, dt=0.05, sample_every=sample_every, with_energies=with_energies
     )
     assert calls == {"gram": grams, "exp": exponentials}
 
@@ -338,3 +343,143 @@ def test_non_finite_dense_state_raises_flow_error(p1):
     failure = r"near t = \d+\.\d{6}: matrix exponent has non-finite entries"
     with np.errstate(over="ignore"), pytest.raises(FlowError, match=failure):
         quantized_flow_run(p1, h0, t_max=1e308, dt=1e308, with_energies=False)
+
+
+# ---------------------------------------------------------------------------
+# stacked runs
+
+
+def _reference_run(model, h0, t_max, dt):
+    """The quantized flow from one start, integrated with the single-form maps.
+
+    This is the flow one start at a time, as the stacked integrator must
+    reproduce it bit for bit: every state formed by ``matrix_exp`` and
+    balanced once, L read from ``fubini_study`` and the norms from ``gen_eig``.
+    """
+    k = h0.level
+
+    def evaluate(q, form=None):
+        form = matrix_exp(k, q) if form is None else form
+        b = balancing(model, form)
+        return form, b, k * (matrix_log(b) - q)
+
+    series = {name: [] for name in ("L", "E_k", "D_k", "S_k", "relent_ref")}
+    states = []
+    q = matrix_log(h0)
+    n_steps = whole_steps(t_max, dt)
+    for step in range(n_steps + 1):
+        if step:
+            f2 = evaluate(q + 0.5 * dt * f1)[2]
+            f3 = evaluate(q + 0.5 * dt * f2)[2]
+            f4 = evaluate(q + dt * f3)[2]
+            q = q + (dt / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
+        form, b, f1 = evaluate(q, None if step else h0)
+        states.append(form)
+        norms = gen_eig(b, form)
+        l_value = l_functional(fubini_study(model, form))
+        series["L"].append(l_value)
+        series["E_k"].append(e_k(form, h0))
+        series["D_k"].append(l_value - e_k(form, h0))
+        series["S_k"].append(entropy_of_norms(norms))
+        series["relent_ref"].append(float(-np.sum(np.log(norms))))
+    return np.arange(n_steps + 1) * dt, states, series
+
+
+def _dense_starts(k, runs, seed):
+    n = 2 * k + 1
+    return [
+        HermForm(k, random_herm_pd(np.random.default_rng([seed, i]), n, spread=0.5))
+        for i in range(runs)
+    ]
+
+
+def _assert_same_trace(got, want):
+    assert (got.kind, got.level, got.meta) == (want.kind, want.level, want.meta)
+    assert np.array_equal(got.times, want.times)
+    assert got.series.keys() == want.series.keys()
+    for name in want.series:
+        assert np.array_equal(got.series[name], want.series[name])
+    assert len(got.states) == len(want.states)
+    for a, b in zip(got.states, want.states):
+        assert np.array_equal(a.data, b.data)
+        assert (a.frame is None) == (b.frame is None)
+        assert a.frame is None or np.array_equal(a.frame, b.frame)
+
+
+@pytest.mark.parametrize("runs", [1, 3, 5])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_stacked_runs_equal_the_runs_one_at_a_time(p1, k, runs):
+    """Each trace of a stack equals its start's own run and the one-start reference, bitwise."""
+    starts = _dense_starts(k, runs, seed=10 + k)
+    stacked = quantized_flow_runs(p1, starts, t_max=0.12, dt=0.02)
+    assert len(stacked) == runs
+    for trace, h0 in zip(stacked, starts):
+        single = quantized_flow_run(p1, h0, t_max=0.12, dt=0.02)
+        _assert_same_trace(trace, single)
+        times, states, series = _reference_run(p1, h0, t_max=0.12, dt=0.02)
+        assert np.array_equal(trace.times, times)
+        assert trace.states[0] is h0
+        for got, want in zip(trace.states, states):
+            assert np.array_equal(got.data, want.data)
+            assert np.array_equal(got.frame, want.frame)
+        for name, values in series.items():
+            assert np.array_equal(trace.series[name], values), name
+
+
+def test_stacked_diagonal_runs_equal_the_runs_one_at_a_time(p1):
+    starts = [project(family_potential(p1, "bump", a), 3) for a in (0.2, -0.3, 0.4)]
+    stacked = quantized_flow_runs(p1, starts, t_max=0.5, dt=0.125, sample_every=2)
+    for trace, h0 in zip(stacked, starts):
+        assert trace.meta["diagonal_path"]
+        _assert_same_trace(trace, quantized_flow_run(p1, h0, t_max=0.5, dt=0.125, sample_every=2))
+
+
+def test_stacked_runs_cross_chunks_unchanged(p1, monkeypatch):
+    """Under a budget of two starts per stack, five starts run as stacks of 2, 2 and 1."""
+    starts = _dense_starts(2, 5, seed=7)
+    whole = quantized_flow_runs(p1, starts, t_max=0.1, dt=0.02, with_energies=False)
+    stacks = []
+
+    def recorded(model, chunk, *args, **kwargs):
+        stacks.append(len(chunk))
+        return integrate(model, chunk, *args, **kwargs)
+
+    integrate = flows._integrate_stack
+    monkeypatch.setattr(flows, "_integrate_stack", recorded)
+    monkeypatch.setattr(flows, "FLOW_CHUNK_BYTES", 2 * 80 * p1.node_count)
+    chunked = quantized_flow_runs(p1, starts, t_max=0.1, dt=0.02, with_energies=False)
+    assert stacks == [2, 2, 1]
+    for a, b in zip(chunked, whole):
+        _assert_same_trace(a, b)
+
+
+def _below_the_log_floor(k):
+    """A dense form whose eigenvalues span e^40, past the relative floor of matrix_log."""
+    rng = np.random.default_rng(41)
+    frame = np.linalg.qr(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))[0]
+    q = (frame * np.array([-40.0, 0.0, 0.1, 0.2, 0.3])) @ frame.conj().T
+    return matrix_exp(k, 0.5 * (q + q.conj().T))
+
+
+def test_a_start_that_leaves_the_cone_is_named_by_its_index(p1):
+    starts = _dense_starts(2, 3, seed=5)
+    starts[1] = _below_the_log_floor(2)
+    failure = (
+        r"^quantized flow left the positive cone near t = 0\.000000: "
+        r"matrix log: eigenvalue .* below the relative floor .* \(start 1\)$"
+    )
+    with pytest.raises(FlowError, match=failure):
+        quantized_flow_runs(p1, starts, t_max=0.1, dt=0.05)
+    with pytest.raises(FlowError, match=r"near t = 0\.000000: matrix log: .*floor") as err:
+        quantized_flow_run(p1, starts[1], t_max=0.1, dt=0.05)
+    assert "(start" not in str(err.value)
+
+
+def test_stacked_runs_refuse_mixed_starts(p1, bump):
+    dense = _dense_starts(2, 1, seed=1)[0]
+    with pytest.raises(FlowError, match="share one level"):
+        quantized_flow_runs(p1, [dense, _dense_starts(1, 1, seed=1)[0]], t_max=0.1, dt=0.05)
+    with pytest.raises(FlowError, match="share one path"):
+        quantized_flow_runs(p1, [dense, project(bump, 2)], t_max=0.1, dt=0.05)
+    with pytest.raises(FlowError, match="at least one start"):
+        quantized_flow_runs(p1, [], t_max=0.1, dt=0.05)

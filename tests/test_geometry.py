@@ -18,6 +18,7 @@ from qkrf.geometry import (
     gauss_legendre_01,
     logsumexp,
     ma_density,
+    twisted_weights,
 )
 from qkrf.hermforms import HermForm, matrix_exp, matrix_log, random_herm_pd
 from qkrf.maps import balancing, project
@@ -169,6 +170,17 @@ def test_log_weights_are_cached_logs_of_the_weights(p1, discrete, name):
         assert np.array_equal(logs, np.log(getattr(model, name)))
 
 
+def test_stacked_twisted_weights_are_each_potentials_own(p1):
+    rng = np.random.default_rng(71)
+    values = 0.5 * rng.standard_normal((4, p1.node_count))
+    stacked = twisted_weights(p1.log_mu0_weights, values, 3)
+    assert stacked.shape == values.shape
+    for row, v in zip(stacked, values):
+        assert np.array_equal(row, twisted_weights(p1.log_mu0_weights, v, 3))
+    one = twisted_weights(p1.log_mu0_weights, values[:1], 3)
+    assert np.array_equal(one[0], stacked[0])
+
+
 def test_canonical_measure_is_shift_invariant_probability(p1, bump):
     w = canonical_measure(bump)
     assert np.all(w > 0.0)
@@ -245,32 +257,51 @@ def _model(k: int, angular: int) -> ProjectiveLineModel:
 @pytest.mark.parametrize("built", ["matrix", "matrix_exp", "diagonal"])
 @pytest.mark.parametrize("k, angular, spread", _structured_cases())
 def test_structured_bergman_sum_matches_the_section_contraction(k, angular, spread, built):
+    """Single forms and a stack of three; each stacked sum is its form's own, bitwise."""
     model = _model(k, angular)
     rng = np.random.default_rng([k, angular, int(10 * spread)])
     n = 2 * k + 1
-    if built == "diagonal":
-        h = HermForm(k, np.exp(spread * rng.standard_normal(n)))
-    else:
-        h = HermForm(k, random_herm_pd(rng, n, spread=spread))
-        if built == "matrix_exp":
-            h = matrix_exp(k, matrix_log(h))
-    cond = h.data.max() / h.data.min()
-    got = model.bergman_sum(k, h.frame, 1.0 / h.data)
-    ref = PolarizedModel.bergman_sum(model, k, h.frame, 1.0 / h.data)
-    assert got.shape == (model.node_count,)
-    assert np.max(np.abs(got - ref) / ref) <= STRUCTURED_TOL * EPS * cond
+    forms = []
+    for _ in range(3):
+        if built == "diagonal":
+            h = HermForm(k, np.exp(spread * rng.standard_normal(n)))
+        else:
+            h = HermForm(k, random_herm_pd(rng, n, spread=spread))
+            if built == "matrix_exp":
+                h = matrix_exp(k, matrix_log(h))
+        forms.append(h)
+    inverses = np.stack([1.0 / h.data for h in forms])
+    frames = None if built == "diagonal" else np.stack([h.frame for h in forms])
+    stacked = model.bergman_sum(k, frames, inverses)
+    stacked_ref = PolarizedModel.bergman_sum(model, k, frames, inverses)
+    assert stacked.shape == stacked_ref.shape == (3, model.node_count)
+    for i, h in enumerate(forms):
+        cond = h.data.max() / h.data.min()
+        got = model.bergman_sum(k, h.frame, 1.0 / h.data)
+        ref = PolarizedModel.bergman_sum(model, k, h.frame, 1.0 / h.data)
+        assert got.shape == (model.node_count,)
+        assert np.max(np.abs(got - ref) / ref) <= STRUCTURED_TOL * EPS * cond
+        assert np.array_equal(stacked[i], got)
+        assert np.array_equal(stacked_ref[i], ref)
 
 
 @pytest.mark.parametrize("k, angular, spread", _structured_cases())
 def test_structured_gram_matches_the_section_contraction(k, angular, spread):
+    """Single weights and a stack of three; each stacked Gram is its weights' own, bitwise."""
     model = _model(k, angular)
     rng = np.random.default_rng([k, angular, int(10 * spread)])
-    weights = model.node_weights * np.exp(spread * rng.standard_normal(model.node_count))
-    got = model.gram(k, weights)
-    ref = PolarizedModel.gram(model, k, weights)
-    assert np.array_equal(got, got.conj().T)
-    bound = np.sqrt(np.outer(np.real(np.diagonal(ref)), np.real(np.diagonal(ref))))
-    assert np.all(np.abs(got - ref) <= STRUCTURED_TOL * EPS * bound)
+    stack = model.node_weights * np.exp(spread * rng.standard_normal((3, model.node_count)))
+    stacked = model.gram(k, stack)
+    stacked_ref = PolarizedModel.gram(model, k, stack)
+    assert stacked.shape == stacked_ref.shape == (3, 2 * k + 1, 2 * k + 1)
+    for i, weights in enumerate(stack):
+        got = model.gram(k, weights)
+        ref = PolarizedModel.gram(model, k, weights)
+        assert np.array_equal(got, got.conj().T)
+        bound = np.sqrt(np.outer(np.real(np.diagonal(ref)), np.real(np.diagonal(ref))))
+        assert np.all(np.abs(got - ref) <= STRUCTURED_TOL * EPS * bound)
+        assert np.array_equal(stacked[i], got)
+        assert np.array_equal(stacked_ref[i], ref)
 
 
 def test_discrete_model_keeps_the_section_contraction(discrete):
