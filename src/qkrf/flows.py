@@ -21,10 +21,10 @@ large k.
 
 ``quantized_flow_runs`` integrates several starts of one level as one
 stack: each RK4 stage forms, balances and takes the logarithm of all of
-them at once, through the batch axes of the ``maps`` and ``hermforms``
-kernels.  Every start keeps its own contractions, so a stacked run
-equals its start's run alone, bit for bit; ``quantized_flow_run`` is the
-stack of one start.
+them at once, through the batch axes of ``maps.balancing`` and the
+``hermforms`` kernels.  Every start keeps its own contractions, so a
+stacked run equals its start's run alone, bit for bit;
+``quantized_flow_run`` is the stack of one start.
 
 Every run starts at t = 0 from its initial state.  ``FlowTrace.save``
 writes a run's states as JSON and its series as CSV, as run artifacts.
@@ -35,7 +35,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -67,7 +67,7 @@ from .hermforms import (
     _require_positive,
     log_gap,
 )
-from .maps import QuantizationError, _bergman_step, balancing, fubini_study, project
+from .maps import QuantizationError, _Forms, balancing, fubini_study, project
 
 TIME_TOL = 1e-9
 # classical solver: local tolerance, first trial step, extrapolation substeps
@@ -206,7 +206,7 @@ def common_grid(t_max: float, k_values: Sequence[int]) -> int:
 
 # a state that raises one of these has left the positive cone
 CONE_ERRORS = (HermitianError, PositivityError, QuantizationError, KahlerConeError)
-# byte budget of the node-sized work arrays of one stacked RK4 stage
+# byte budget of one stack of starts: its RK4 work arrays and sampled states
 FLOW_CHUNK_BYTES = 1 << 24
 
 
@@ -223,7 +223,7 @@ def quantized_flow_run(
     The run of one start of ``quantized_flow_runs``, which says what is
     sampled and how a state that leaves the positive cone ends the run.
     """
-    return quantized_flow_runs(model, [h0], t_max, dt, sample_every, with_energies)[0]
+    return next(quantized_flow_runs(model, [h0], t_max, dt, sample_every, with_energies))
 
 
 def quantized_flow_runs(
@@ -233,17 +233,19 @@ def quantized_flow_runs(
     dt: float,
     sample_every: int = 1,
     with_energies: bool = True,
-) -> list[FlowTrace]:
+) -> Iterator[FlowTrace]:
     """Integrate the quantized flow from each start over [0, t_max] with RK4 at step dt.
 
     The state is Q = log H in the reference basis.  The starts share one
-    level and one path (all diagonal on a radial model, or all dense) and
-    are integrated as one stack: Q is an (R, N, N) stack of matrices, or
-    an (R, N) stack of diagonals, and each RK4 stage balances all R forms
-    in one ``maps._bergman_step``, one eigh of Q and one of the Grams.
-    Every start's contractions run on its own slice, so its trace equals
-    that of a run from it alone, bit for bit.  The starts are stacked at
-    most FLOW_CHUNK_BYTES of node-sized work arrays at a time.
+    level and one path (all diagonal on a radial model, or all dense),
+    which is checked here; the runs are then integrated as stacks: Q is
+    an (R, N, N) stack of matrices, or an (R, N) stack of diagonals, and
+    each RK4 stage takes one eigh of Q and one ``balancing`` of all R
+    forms.  Every start's contractions run on its own slice, so its trace
+    equals that of a run from it alone, bit for bit.  A stack holds as
+    many starts as fit FLOW_CHUNK_BYTES of work arrays and sampled
+    states; the traces come in start order as each stack finishes, so a
+    caller that saves each trace as it arrives holds one stack at a time.
 
     Each state reached at the end of a step (the start itself at t = 0)
     is formed and balanced once: its b_k(H) is the next step's first RK4
@@ -252,9 +254,10 @@ def quantized_flow_runs(
     included); with ``with_energies`` each sample also records L, E_k
     (against the start as the reference form), D_k, S_k and the relative
     entropy against b_k(H).  A state or stage that leaves the positive
-    cone, the initial state included, aborts all runs with a ``FlowError``
-    naming the time of the last state reached, within one step dt of the
-    failure, and, among several starts, the index of the failing start.
+    cone, the initial state included, ends the iteration with a
+    ``FlowError`` naming the time of the last state reached, within one
+    step dt of the failure, and, among several starts, the index of the
+    failing start; the traces of earlier stacks have come already.
     """
     if sample_every < 1:
         raise FlowError("sample_every must be at least 1")
@@ -275,9 +278,6 @@ def quantized_flow_runs(
     if n_steps % sample_every != 0:
         raise FlowError("step count is not a multiple of sample_every")
 
-    # a start holds about ten float64 work arrays of one value per node
-    nodes = model.radial_count if diagonal else model.node_count
-    chunk = max(1, FLOW_CHUNK_BYTES // (80 * nodes))
     meta = {
         "method": "rk4",
         "dt": float(dt),
@@ -285,13 +285,33 @@ def quantized_flow_runs(
         "diagonal_path": bool(diagonal),
         "with_energies": bool(with_energies),
     }
-    traces = []
-    for lo in range(0, len(starts), chunk):
-        traces += _integrate_stack(
+    samples = n_steps // sample_every + 1
+    chunk = max(1, FLOW_CHUNK_BYTES // _start_bytes(model, k, diagonal, samples))
+    return (
+        trace
+        for lo in range(0, len(starts), chunk)
+        for trace in _integrate_stack(
             model, list(starts[lo : lo + chunk]), n_steps, dt, sample_every, meta,
             first=lo if len(starts) > 1 else None,
         )
-    return traces
+    )
+
+
+def _start_bytes(model: PolarizedModel, k: int, diagonal: bool, samples: int) -> int:
+    """Bytes one start of a stack holds: its RK4 work arrays and sampled states.
+
+    Measured with tracemalloc, the work arrays of a stage take about 41
+    bytes per node and start on the radial path and on the projective
+    line's mode contraction; the generic section contraction adds the
+    start's N complex amplitudes at each node with their squares, 32 N
+    bytes per node.  A sampled diagonal state holds its diagonal and its
+    logs, a dense one its frame and, once saved, its matrix.
+    """
+    n = model.nk(k)
+    if diagonal:
+        return 48 * model.radial_count + samples * 16 * n
+    per_node = 48 if isinstance(model, ProjectiveLineModel) else 48 + 32 * n
+    return per_node * model.node_count + samples * 32 * n * n
 
 
 def _integrate_stack(
@@ -313,8 +333,8 @@ def _integrate_stack(
     k = starts[0].level
     diagonal, with_energies = meta["diagonal_path"], meta["with_energies"]
 
-    def evaluate(q: np.ndarray, held: Optional[tuple] = None) -> tuple:
-        """Forms (data, frame, logs) at q = log H unless given, their b_k and k (log b_k(H) - q)."""
+    def evaluate(q: np.ndarray, held: Optional[_Forms] = None) -> tuple:
+        """Forms at q = log H unless given, with their logs, balancing and k (log b_k(H) - q)."""
         if held is None:
             if diagonal:
                 data = np.exp(q)
@@ -324,36 +344,45 @@ def _integrate_stack(
                     lambda i: "form has non-finite entries",
                 )
                 _require_positive(data.min(axis=-1))
-                held = (data, None, None)
+                held, logs = _Forms(k, data, None), q
             else:
                 logs, frame = _exponent_eigh(q)
-                held = (np.exp(logs), frame, logs)
-        data, frame, _ = held
-        step = _bergman_step(model, k, frame, 1.0 / data, diagonal)
+                held = _Forms(k, np.exp(logs), frame)
+        else:
+            logs = None
+        step = balancing(model, held)
         b_logs = np.log(step.data)
         if not diagonal:
             b_logs = _frame_log(step.data, step.frame, b_logs)
-        return held, step, k * (b_logs - q)
+        return held, logs, step, k * (b_logs - q)
 
     r = len(starts)
-    initial = (
-        np.stack([h.data for h in starts]),
-        None if diagonal else np.stack([h.frame for h in starts]),
-        np.stack([h.logs for h in starts]),
-    )
+    if diagonal:
+        initial = _Forms(k, np.stack([h.data for h in starts]), None)
+        q = np.stack([h.logs for h in starts])
+    else:
+        # a diagonal start off the radial path is held in the reference
+        # basis, its eigenframe; the identity frame contracts it exactly
+        eye = np.eye(starts[0].dim, dtype=complex)
+        initial = _Forms(
+            k,
+            np.stack([h.data for h in starts]),
+            np.stack([eye if h.frame is None else h.frame for h in starts]),
+        )
     record = {name: [[] for _ in range(r)] for name in ("L", "E_k", "D_k", "S_k", "relent_ref")}
     times, states = [], [[] for _ in range(r)]
     t = 0.0
     try:
-        q = initial[2] if diagonal else _frame_log(*initial)
+        if not diagonal:
+            q = _frame_log(initial.data, initial.frame, np.stack([h.logs for h in starts]))
         for step in range(n_steps + 1):
             if step:
-                f2 = evaluate(q + 0.5 * dt * f1)[2]
-                f3 = evaluate(q + 0.5 * dt * f2)[2]
-                f4 = evaluate(q + dt * f3)[2]
+                f2 = evaluate(q + 0.5 * dt * f1)[3]
+                f3 = evaluate(q + 0.5 * dt * f2)[3]
+                f4 = evaluate(q + dt * f3)[3]
                 q = q + (dt / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
                 t = step * dt
-            (data, frame, logs), balanced, f1 = evaluate(q, None if step else initial)
+            (_, data, frame), logs, balanced, f1 = evaluate(q, None if step else initial)
             if step % sample_every:
                 continue
             times.append(t)

@@ -182,12 +182,12 @@ class HermForm:
 
 
 def _floor_check(values: np.ndarray, what: str) -> None:
-    """PositivityError unless each ascending spectrum of a stack clears the relative floor."""
-    top = values[..., -1]
+    """PositivityError unless each spectrum of a stack clears the relative floor."""
+    low, top = values.min(axis=-1), values.max(axis=-1)
     _require(
-        (top > 0.0) & (values[..., 0] > EIG_FLOOR * top),
+        (top > 0.0) & (low > EIG_FLOOR * top),
         PositivityError,
-        lambda i: f"{what}: eigenvalue {values[i][0]:.6e} below the relative floor "
+        lambda i: f"{what}: eigenvalue {low[i]:.6e} below the relative floor "
         f"{EIG_FLOOR:.0e} * {top[i]:.6e}",
     )
 
@@ -202,8 +202,8 @@ def matrix_log(h: HermForm) -> np.ndarray:
 def _frame_log(data: np.ndarray, frame: np.ndarray, logs: np.ndarray) -> np.ndarray:
     """V diag(logs) V^* for forms held in eigenframes V, stacked on leading axes.
 
-    ``data`` are the ascending eigenvalues and ``logs`` their logarithms;
-    the spectra must clear the relative floor.
+    ``data`` are the eigenvalues, in the order of the frames' columns, and
+    ``logs`` their logarithms; the spectra must clear the relative floor.
     """
     _floor_check(data, "matrix log")
     core = (frame * logs[..., None, :]) @ frame.conj().swapaxes(-1, -2)
@@ -293,7 +293,7 @@ def _framed_gen_eig(am: np.ndarray, values: np.ndarray, frame: Optional[np.ndarr
     Stacks on leading axes; a form without a frame is diagonal, with
     ``values`` its diagonal.  The forms' spectra must clear the floor.
     """
-    _floor_check(np.sort(values, axis=-1) if frame is None else values, "generalized eigenvalues")
+    _floor_check(values, "generalized eigenvalues")
     if frame is not None:
         am = frame.conj().swapaxes(-1, -2) @ am @ frame
     scale = 1.0 / np.sqrt(values)

@@ -15,10 +15,9 @@ Bergman sum a(x)^T H^-1 conj(a(x)) at each node x, with a(x) the
 reference sections at x, and keeps no separate density.  The chain
 Bergman sum -> potential -> twisted Gram -> eigh, with its checks, is one
 step, ``_bergman_step``, over leading batch axes: ``fubini_study`` runs
-its first half on one form, ``project`` its second on one potential,
-``balancing`` all of it on one form and the quantized flow all of it on
-a stack of forms.  That sum and the
-Gram contraction are the model's:
+its first half on one form, ``project`` its second on one potential and
+``balancing`` all of it, on one form or on the quantized flow's stack of
+forms.  That sum and the Gram contraction are the model's:
 ``PolarizedModel.bergman_sum`` and ``PolarizedModel.gram``.  The generic
 ones contract the section table, the Bergman sum in the form's eigenframe
 H = V diag(e^lam) V^* as sum_i e^(-lam_i) |(V^T a(x))_i|^2; the
@@ -43,11 +42,34 @@ from .geometry import (
     PotentialField,
     twisted_weights,
 )
-from .hermforms import HermForm, HermitianError, PositivityError, _held_form, _require
+from .hermforms import (
+    HermForm,
+    HermitianError,
+    PositivityError,
+    _held_form,
+    _offdiagonal_is_zero,
+    _require,
+)
 
 
 class QuantizationError(ValueError):
     """Numerically singular Gram or a Bergman sum that is not positive."""
+
+
+class _Forms(NamedTuple):
+    """Forms H = V diag(data) V^* of one level, stacked on the leading axes of ``data``.
+
+    ``frame`` holds the eigenframes V, or is None for diagonal forms on
+    the radial path, whose ``data`` are their diagonals.
+    """
+
+    level: int
+    data: np.ndarray
+    frame: Optional[np.ndarray]
+
+    @property
+    def is_diagonal(self) -> bool:
+        return self.frame is None
 
 
 class _BergmanStep(NamedTuple):
@@ -139,7 +161,13 @@ def _radial_path(model: PolarizedModel, h: HermForm) -> bool:
 
 
 def _gram_form(k: int, gram: np.ndarray, data: np.ndarray, frame: Optional[np.ndarray]) -> HermForm:
-    """The form of one checked Gram: its diagonal vector, or held in its eigenframe."""
+    """The form of one checked Gram: its diagonal vector, or held in its eigenframe.
+
+    A dense Gram whose off-diagonal part is zero is held as its diagonal,
+    as ``HermForm`` holds such a matrix.
+    """
+    if frame is not None and _offdiagonal_is_zero(gram):
+        data, frame = np.real(np.diagonal(gram)).copy(), None
     return _held_form(k, data) if frame is None else _held_form(k, data, frame, entries=gram)
 
 
@@ -156,8 +184,8 @@ def fubini_study(model: PolarizedModel, h: HermForm) -> PotentialField:
 def project(phi: PotentialField, k: int) -> HermForm:
     """Gram form of the reference basis against e^(-k phi) d mu_phi.
 
-    The Gram of a radial potential is held as its diagonal, any other in
-    its eigenframe.
+    The Gram of a radial potential, or any Gram whose off-diagonal part
+    is zero, is held as its diagonal, any other in its eigenframe.
     """
     model = phi.model
     radial = phi.is_radial
@@ -166,7 +194,16 @@ def project(phi: PotentialField, k: int) -> HermForm:
 
 
 def balancing(model: PolarizedModel, h: HermForm) -> HermForm:
-    """One application of the balancing map b_k = project o fubini_study."""
+    """One application of the balancing map b_k = project o fubini_study.
+
+    The quantized flow balances its stack of forms, a ``_Forms``, in one
+    call, and gets back the whole ``_BergmanStep``; its forms must fit
+    the section space.
+    """
+    if isinstance(h, _Forms):
+        return _bergman_step(
+            model, h.level, h.frame, 1.0 / h.data, model.supports_radial and h.is_diagonal
+        )
     step = _bergman_step(model, h.level, h.frame, 1.0 / h.data, _radial_path(model, h))
     return _gram_form(h.level, step.gram, step.data, step.frame)
 

@@ -330,9 +330,9 @@ def test_quantized_flow_forms_and_balances_each_state_once(
         HermForm(2, random_herm_pd(np.random.default_rng(3 + i), 5, spread=0.5))
         for i in range(runs)
     ]
-    quantized_flow_runs(
+    list(quantized_flow_runs(
         p1, starts, t_max=t_max, dt=0.05, sample_every=sample_every, with_energies=with_energies
-    )
+    ))
     assert calls == {"gram": grams, "exp": exponentials}
 
 
@@ -411,33 +411,29 @@ def _assert_same_trace(got, want):
 def test_stacked_runs_equal_the_runs_one_at_a_time(p1, k, runs):
     """Each trace of a stack equals its start's own run and the one-start reference, bitwise."""
     starts = _dense_starts(k, runs, seed=10 + k)
-    stacked = quantized_flow_runs(p1, starts, t_max=0.12, dt=0.02)
+    stacked = list(quantized_flow_runs(p1, starts, t_max=0.12, dt=0.02))
     assert len(stacked) == runs
     for trace, h0 in zip(stacked, starts):
         single = quantized_flow_run(p1, h0, t_max=0.12, dt=0.02)
         _assert_same_trace(trace, single)
-        times, states, series = _reference_run(p1, h0, t_max=0.12, dt=0.02)
-        assert np.array_equal(trace.times, times)
-        assert trace.states[0] is h0
-        for got, want in zip(trace.states, states):
-            assert np.array_equal(got.data, want.data)
-            assert np.array_equal(got.frame, want.frame)
-        for name, values in series.items():
-            assert np.array_equal(trace.series[name], values), name
+        _assert_matches_reference(p1, trace, h0, t_max=0.12, dt=0.02)
 
 
 def test_stacked_diagonal_runs_equal_the_runs_one_at_a_time(p1):
     starts = [project(family_potential(p1, "bump", a), 3) for a in (0.2, -0.3, 0.4)]
-    stacked = quantized_flow_runs(p1, starts, t_max=0.5, dt=0.125, sample_every=2)
+    stacked = list(quantized_flow_runs(p1, starts, t_max=0.5, dt=0.125, sample_every=2))
     for trace, h0 in zip(stacked, starts):
         assert trace.meta["diagonal_path"]
         _assert_same_trace(trace, quantized_flow_run(p1, h0, t_max=0.5, dt=0.125, sample_every=2))
 
 
 def test_stacked_runs_cross_chunks_unchanged(p1, monkeypatch):
-    """Under a budget of two starts per stack, five starts run as stacks of 2, 2 and 1."""
+    """Under a budget of two starts per stack, five starts run as stacks of 2, 2 and 1.
+
+    Each stack's traces come before the next stack runs.
+    """
     starts = _dense_starts(2, 5, seed=7)
-    whole = quantized_flow_runs(p1, starts, t_max=0.1, dt=0.02, with_energies=False)
+    whole = list(quantized_flow_runs(p1, starts, t_max=0.1, dt=0.02, with_energies=False))
     stacks = []
 
     def recorded(model, chunk, *args, **kwargs):
@@ -446,11 +442,43 @@ def test_stacked_runs_cross_chunks_unchanged(p1, monkeypatch):
 
     integrate = flows._integrate_stack
     monkeypatch.setattr(flows, "_integrate_stack", recorded)
-    monkeypatch.setattr(flows, "FLOW_CHUNK_BYTES", 2 * 80 * p1.node_count)
+    monkeypatch.setattr(flows, "FLOW_CHUNK_BYTES", 2 * flows._start_bytes(p1, 2, False, 6))
     chunked = quantized_flow_runs(p1, starts, t_max=0.1, dt=0.02, with_energies=False)
+    assert stacks == []
+    first = next(chunked)
+    assert stacks == [2]
+    chunked = [first, *chunked]
     assert stacks == [2, 2, 1]
     for a, b in zip(chunked, whole):
         _assert_same_trace(a, b)
+
+
+def _assert_matches_reference(model, trace, h0, t_max, dt):
+    times, states, series = _reference_run(model, h0, t_max, dt)
+    assert np.array_equal(trace.times, times)
+    assert trace.states[0] is h0
+    for got, want in zip(trace.states, states):
+        assert np.array_equal(got.data, want.data)
+        assert (got.frame is None) == (want.frame is None)
+        assert got.frame is None or np.array_equal(got.frame, want.frame)
+    for name, values in series.items():
+        assert np.array_equal(trace.series[name], values), name
+
+
+def test_diagonal_starts_off_the_radial_path_run_dense(discrete):
+    """A diagonal start on a model without radial structure takes the dense path.
+
+    Alone or stacked with dense starts, it runs as the one-start reference
+    does from that form, bitwise.
+    """
+    rng = np.random.default_rng(23)
+    diagonal = [HermForm(2, np.ones(5)), HermForm(2, np.exp(0.5 * rng.standard_normal(5)))]
+    dense = HermForm(2, random_herm_pd(rng, 5, spread=0.5))
+    for starts in ([diagonal[0]], [diagonal[1]], [diagonal[1], dense, diagonal[0]]):
+        traces = list(quantized_flow_runs(discrete, starts, t_max=0.1, dt=0.02))
+        for trace, h0 in zip(traces, starts):
+            assert not trace.meta["diagonal_path"]
+            _assert_matches_reference(discrete, trace, h0, t_max=0.1, dt=0.02)
 
 
 def _below_the_log_floor(k):
@@ -469,7 +497,7 @@ def test_a_start_that_leaves_the_cone_is_named_by_its_index(p1):
         r"matrix log: eigenvalue .* below the relative floor .* \(start 1\)$"
     )
     with pytest.raises(FlowError, match=failure):
-        quantized_flow_runs(p1, starts, t_max=0.1, dt=0.05)
+        list(quantized_flow_runs(p1, starts, t_max=0.1, dt=0.05))
     with pytest.raises(FlowError, match=r"near t = 0\.000000: matrix log: .*floor") as err:
         quantized_flow_run(p1, starts[1], t_max=0.1, dt=0.05)
     assert "(start" not in str(err.value)

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from qkrf.flows import FlowError, quantized_flow_run
-from qkrf.geometry import DiscreteModel, ModelError, PotentialField, ProjectiveLineModel
+from qkrf.geometry import (
+    DiscreteModel,
+    ModelError,
+    PotentialField,
+    ProjectiveLineModel,
+    twisted_weights,
+)
 from qkrf.hermforms import HermForm, random_herm_pd
 from qkrf.maps import (
     QuantizationError,
@@ -52,6 +58,18 @@ def test_project_of_tiled_radial_potential_matches_the_radial_gram(p1, bump, k):
     assert radial.is_diagonal and not dense.is_diagonal
     expected = np.diag(radial.diagonal())
     assert np.max(np.abs(dense.entries - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+def test_an_exactly_diagonal_dense_gram_is_held_as_its_diagonal():
+    """Sections on disjoint atoms have a diagonal Gram; project and balancing keep it diagonal."""
+    sections = np.repeat(np.eye(3), 2, axis=1).astype(complex)
+    model = DiscreteModel({1: sections}, np.full(6, 1.0 / 6.0))
+    phi = PotentialField(model, np.linspace(0.0, 0.5, 6))
+    h = project(phi, 1)
+    assert h.is_diagonal
+    gram = model.gram(1, twisted_weights(model.log_mu0_weights, phi.values, 2))
+    assert np.array_equal(h.data, np.real(np.diagonal(gram)))
+    assert balancing(model, h).is_diagonal
 
 
 def test_fubini_study_scaling(p1):
