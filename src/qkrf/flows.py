@@ -24,7 +24,10 @@ stack: each RK4 stage forms, balances and takes the logarithm of all of
 them at once, through the batch axes of ``maps.balancing`` and the
 ``hermforms`` kernels.  Every start keeps its own contractions, so a
 stacked run equals its start's run alone, bit for bit;
-``quantized_flow_run`` is the stack of one start.
+``quantized_flow_run`` is the stack of one start.  A stage computes
+without checks and then takes one test of all of them; only a stage that
+fails it runs the checks one by one, so the first failure is raised, with
+its start, as when each check ran in turn.
 
 Every run starts at t = 0 from its initial state.  ``FlowTrace.save``
 writes a run's states as JSON and its series as CSV, as run artifacts.
@@ -56,18 +59,22 @@ from .geometry import (
     radial_canonical_measure,
 )
 from .hermforms import (
+    EIG_FLOOR,
+    LOG_RANGE,
     HermForm,
     HermitianError,
     PositivityError,
     _exponent_eigh,
+    _floor_check,
     _frame_log,
     _framed_gen_eig,
     _held_form,
     _require,
+    _require_exponent_range,
     _require_positive,
     log_gap,
 )
-from .maps import QuantizationError, _Forms, balancing, fubini_study, project
+from .maps import QuantizationError, _check_step, _Forms, _level, balancing, fubini_study, project
 
 TIME_TOL = 1e-9
 # classical solver: local tolerance, first trial step, extrapolation substeps
@@ -300,18 +307,23 @@ def quantized_flow_runs(
 def _start_bytes(model: PolarizedModel, k: int, diagonal: bool, samples: int) -> int:
     """Bytes one start of a stack holds: its RK4 work arrays and sampled states.
 
-    Measured with tracemalloc, the work arrays of a stage take about 41
-    bytes per node and start on the radial path and on the projective
-    line's mode contraction; the generic section contraction adds the
-    start's N complex amplitudes at each node with their squares, 32 N
-    bytes per node.  A sampled diagonal state holds its diagonal and its
-    logs, a dense one its frame and, once saved, its matrix.
+    Measured with tracemalloc as the growth of a run's peak per start
+    added to a stack, the work arrays of a stage take 42 to 50 bytes per
+    node on the radial path and on the projective line's mode
+    contraction; the generic section contraction adds the start's N
+    complex amplitudes at each node with their squares, 32 N bytes per
+    node.  The state Q, the RK4 rates and the stage's forms add about 75
+    bytes per diagonal entry, or 200 to 300 per dense matrix entry.  A
+    sampled diagonal state holds its diagonal and its logs, a dense one
+    its frame and, once saved, its matrix; with its energies either one
+    holds up to 700 bytes of Python objects and series values, about
+    half that without them.
     """
     n = model.nk(k)
     if diagonal:
-        return 48 * model.radial_count + samples * 16 * n
+        return 48 * model.radial_count + 80 * n + samples * (16 * n + 768)
     per_node = 48 if isinstance(model, ProjectiveLineModel) else 48 + 32 * n
-    return per_node * model.node_count + samples * 32 * n * n
+    return per_node * model.node_count + 320 * n * n + samples * (32 * n * n + 768)
 
 
 def _integrate_stack(
@@ -332,40 +344,65 @@ def _integrate_stack(
     """
     k = starts[0].level
     diagonal, with_energies = meta["diagonal_path"], meta["with_energies"]
+    level = _level(model, k, diagonal)
 
     def evaluate(q: np.ndarray, held: Optional[_Forms] = None) -> tuple:
-        """Forms at q = log H unless given, with their logs, balancing and k (log b_k(H) - q)."""
-        if held is None:
-            if diagonal:
-                data = np.exp(q)
-                _require(
-                    np.isfinite(data).all(axis=-1),
-                    HermitianError,
-                    lambda i: "form has non-finite entries",
-                )
-                _require_positive(data.min(axis=-1))
-                held, logs = _Forms(k, data, None), q
-            else:
-                logs, frame = _exponent_eigh(q)
-                held = _Forms(k, np.exp(logs), frame)
+        """Forms at q = log H unless given, with their logs, balancing and k (log b_k(H) - q).
+
+        Computed unchecked, under the caller's np.errstate; when the one
+        test of the stage fails, ``require`` runs its checks one by one.
+        """
+        logs = None
+        if diagonal:
+            if held is None:
+                held, logs = _Forms(level, np.exp(q), None), q
+            step = balancing(model, held)
+            rate = k * (np.log(step.data) - q)
+            # One sum over the stack is finite only if every term is: e^Q, the
+            # potentials (a zero in e^Q makes every Bergman sum infinite) and
+            # log b_k, finite only for positive finite Grams.
+            ok = math.isfinite(held.data.sum() + step.potential.sum() + rate.sum())
         else:
-            logs = None
-        step = balancing(model, held)
-        b_logs = np.log(step.data)
+            if held is None:
+                logs, frame = _exponent_eigh(q)
+                held = _Forms(level, np.exp(logs), frame)
+            step = balancing(model, held)
+            low, top = step.data[..., 0], step.data[..., -1]
+            ok = np.isfinite(step.potential.sum(axis=-1)) & (low > EIG_FLOOR * top) & (top > 0.0)
+            if logs is not None:
+                ok &= (-LOG_RANGE < logs[..., 0]) & (logs[..., -1] < LOG_RANGE)
+            ok = ok.all()
+        if not ok:
+            require(held, logs, step)
         if not diagonal:
-            b_logs = _frame_log(step.data, step.frame, b_logs)
-        return held, logs, step, k * (b_logs - q)
+            rate = k * (_frame_log(step.frame, np.log(step.data)) - q)
+        return held, logs, step, rate
+
+    def require(held: _Forms, logs: Optional[np.ndarray], step) -> None:
+        """The stage's checks in order: e^Q when formed from logs Q, the balancing, the log."""
+        if logs is not None and diagonal:
+            _require(
+                np.isfinite(held.data).all(axis=-1),
+                HermitianError,
+                lambda i: "form has non-finite entries",
+            )
+            _require_positive(held.data.min(axis=-1))
+        elif logs is not None:
+            _require_exponent_range(logs)
+        _check_step(model, level, step)
+        if not diagonal:
+            _floor_check(step.data, "matrix log")
 
     r = len(starts)
     if diagonal:
-        initial = _Forms(k, np.stack([h.data for h in starts]), None)
+        initial = _Forms(level, np.stack([h.data for h in starts]), None)
         q = np.stack([h.logs for h in starts])
     else:
         # a diagonal start off the radial path is held in the reference
         # basis, its eigenframe; the identity frame contracts it exactly
         eye = np.eye(starts[0].dim, dtype=complex)
         initial = _Forms(
-            k,
+            level,
             np.stack([h.data for h in starts]),
             np.stack([eye if h.frame is None else h.frame for h in starts]),
         )
@@ -374,15 +411,18 @@ def _integrate_stack(
     t = 0.0
     try:
         if not diagonal:
-            q = _frame_log(initial.data, initial.frame, np.stack([h.logs for h in starts]))
+            _floor_check(initial.data, "matrix log")
+            q = _frame_log(initial.frame, np.stack([h.logs for h in starts]))
         for step in range(n_steps + 1):
-            if step:
-                f2 = evaluate(q + 0.5 * dt * f1)[3]
-                f3 = evaluate(q + 0.5 * dt * f2)[3]
-                f4 = evaluate(q + dt * f3)[3]
-                q = q + (dt / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
-                t = step * dt
-            (_, data, frame), logs, balanced, f1 = evaluate(q, None if step else initial)
+            # a state that leaves the cone raises from its checks, not as a warning
+            with np.errstate(all="ignore"):
+                if step:
+                    f2 = evaluate(q + 0.5 * dt * f1)[3]
+                    f3 = evaluate(q + 0.5 * dt * f2)[3]
+                    f4 = evaluate(q + dt * f3)[3]
+                    q = q + (dt / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
+                    t = step * dt
+                (_, data, frame), logs, balanced, f1 = evaluate(q, None if step else initial)
             if step % sample_every:
                 continue
             times.append(t)

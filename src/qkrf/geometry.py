@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -53,10 +53,17 @@ class KahlerConeError(ValueError):
 # quadrature and barycentric spectral calculus
 
 
+@lru_cache(maxsize=64)
 def gauss_legendre_01(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on (0, 1)."""
+    """Gauss-Legendre nodes and weights on (0, 1), read-only.
+
+    They depend on m alone, so each node count is computed once and every
+    caller shares the same two arrays.
+    """
     x, w = np.polynomial.legendre.leggauss(m)
-    return 0.5 * (x + 1.0), 0.5 * w
+    nodes, weights = 0.5 * (x + 1.0), 0.5 * w
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def barycentric_weights(x: np.ndarray) -> np.ndarray:
@@ -64,18 +71,26 @@ def barycentric_weights(x: np.ndarray) -> np.ndarray:
 
     The products are accumulated as log magnitudes so that large node
     counts neither overflow nor underflow; barycentric formulas only use
-    ratios of these weights, so the scaling is harmless.
+    ratios of these weights, so the scaling is harmless.  Row i of the
+    off-diagonal differences x_i - x_j holds the factors of weight i, in
+    the order of j, and sums as that 1-D vector would.
     """
     x = np.asarray(x, dtype=float)
     m = x.size
-    logw = np.empty(m)
-    sign = np.empty(m)
-    for i in range(m):
-        d = np.delete(x[i] - x, i)
-        logw[i] = -np.sum(np.log(np.abs(d)))
-        sign[i] = 1.0 if (np.count_nonzero(d < 0) % 2 == 0) else -1.0
+    # the differences without the diagonal: drop every (m + 1)-th entry
+    d = (x[:, None] - x[None, :]).ravel()[1:].reshape(m - 1, m + 1)[:, :-1].reshape(m, m - 1)
+    sign = np.where(np.count_nonzero(d < 0, axis=1) % 2 == 0, 1.0, -1.0)
+    logw = -np.sum(np.log(np.abs(d, out=d), out=d), axis=1)
     logw -= logw.max()
     return sign * np.exp(logw)
+
+
+@lru_cache(maxsize=64)
+def _legendre_barycentric_weights(m: int) -> np.ndarray:
+    """Barycentric weights of the m nodes of ``gauss_legendre_01``, read-only, once per m."""
+    w = barycentric_weights(gauss_legendre_01(m)[0])
+    w.flags.writeable = False
+    return w
 
 
 def diff_matrix(x: np.ndarray, w: Optional[np.ndarray] = None) -> np.ndarray:
@@ -95,21 +110,25 @@ def diff_matrix(x: np.ndarray, w: Optional[np.ndarray] = None) -> np.ndarray:
 def barycentric_interpolate(
     x: np.ndarray, fx: np.ndarray, xq: np.ndarray, w: Optional[np.ndarray] = None
 ) -> np.ndarray:
-    """Evaluate the polynomial interpolant of (x, fx) at query points xq."""
+    """Evaluate the polynomial interpolant of (x, fx) at query points xq.
+
+    A query that falls on a node takes that node's value.  Each query's
+    numerator is a dot product of its own row, a stack of (1, m) @ (m, 1)
+    products, as one query at a time would take it; a single
+    matrix-vector product rounds differently.
+    """
     x = np.asarray(x, dtype=float)
     fx = np.asarray(fx, dtype=float)
     xq = np.atleast_1d(np.asarray(xq, dtype=float))
     if w is None:
         w = barycentric_weights(x)
-    out = np.empty(xq.size)
-    for j, xv in enumerate(xq):
-        d = xv - x
-        hit = np.nonzero(d == 0.0)[0]
-        if hit.size:
-            out[j] = fx[hit[0]]
-            continue
-        t = w / d
-        out[j] = np.dot(t, fx) / np.sum(t)
+    d = xq[:, None] - x[None, :]
+    hit = d == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.divide(w, d, out=d)
+        out = (t[:, None, :] @ fx[:, None])[:, 0, 0] / np.sum(t, axis=1)
+    on_node = hit.any(axis=1)
+    out[on_node] = fx[np.argmax(hit[on_node], axis=1)]
     return out
 
 
@@ -330,7 +349,7 @@ class ProjectiveLineModel(PolarizedModel):
 
         self.u, self.radial_weights = gauss_legendre_01(radial_nodes)
         self.theta = TWO_PI * np.arange(angular_nodes) / angular_nodes
-        self._bary = barycentric_weights(self.u)
+        self._bary = _legendre_barycentric_weights(radial_nodes)
         self.diff = diff_matrix(self.u, self._bary)
 
         uu, tt = np.meshgrid(self.u, self.theta, indexing="ij")

@@ -196,16 +196,16 @@ def matrix_log(h: HermForm) -> np.ndarray:
     """Hermitian logarithm of a positive definite form, as a complex matrix."""
     if h.is_diagonal:
         return np.diag(h.logs).astype(complex)
-    return _frame_log(h.data, h.frame, h.logs)
+    _floor_check(h.data, "matrix log")
+    return _frame_log(h.frame, h.logs)
 
 
-def _frame_log(data: np.ndarray, frame: np.ndarray, logs: np.ndarray) -> np.ndarray:
-    """V diag(logs) V^* for forms held in eigenframes V, stacked on leading axes.
+def _frame_log(frame: np.ndarray, logs: np.ndarray) -> np.ndarray:
+    """V diag(logs) V^* for frames V and logarithms of eigenvalues, stacked on leading axes.
 
-    ``data`` are the eigenvalues, in the order of the frames' columns, and
-    ``logs`` their logarithms; the spectra must clear the relative floor.
+    Unchecked: the caller has checked the eigenvalues against the relative
+    floor (``_floor_check`` with "matrix log").
     """
-    _floor_check(data, "matrix log")
     core = (frame * logs[..., None, :]) @ frame.conj().swapaxes(-1, -2)
     return 0.5 * (core + core.conj().swapaxes(-1, -2))
 
@@ -218,21 +218,29 @@ def matrix_exp(level: int, q: np.ndarray) -> HermForm:
     then positive by construction and is not checked again.
     """
     values, frame = _exponent_eigh(q)
+    _require_exponent_range(values)
     return _held_form(level, np.exp(values), frame, logs=values)
 
 
 def _exponent_eigh(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and eigenframes of Hermitian exponents Q, stacked on leading axes.
 
-    Each Q must be finite, and so must e^lam and e^-lam for its
-    eigenvalues lam, which makes e^Q a positive form.
+    Each Q must be finite, as ``eigh`` can raise LinAlgError otherwise;
+    ``_require_exponent_range`` then checks the eigenvalues.
     """
     _require(
         np.isfinite(q).all(axis=(-2, -1)),
         HermitianError,
         lambda i: "matrix exponent has non-finite entries",
     )
-    values, frame = np.linalg.eigh(q)
+    return np.linalg.eigh(q)
+
+
+def _require_exponent_range(values: np.ndarray) -> None:
+    """PositivityError unless e^lam and e^-lam are finite for each stack's eigenvalues lam.
+
+    ``values`` are ascending, as ``eigh`` gives them; e^Q is then a positive form.
+    """
     low, high = values[..., 0], values[..., -1]
     _require(
         (-LOG_RANGE < low) & (high < LOG_RANGE),
@@ -240,7 +248,6 @@ def _exponent_eigh(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         lambda i: f"matrix exponent has eigenvalues from {low[i]:.6e} to {high[i]:.6e}, "
         f"beyond the floating range +-{LOG_RANGE:.6e} of their exponentials",
     )
-    return values, frame
 
 
 def _held_form(

@@ -13,12 +13,15 @@ and the Bergman approximation of a potential is fubini_study o project.
 ``fubini_study`` is the one Bergman map: it takes the logarithm of the
 Bergman sum a(x)^T H^-1 conj(a(x)) at each node x, with a(x) the
 reference sections at x, and keeps no separate density.  The chain
-Bergman sum -> potential -> twisted Gram -> eigh, with its checks, is one
-step, ``_bergman_step``, over leading batch axes: ``fubini_study`` runs
-its first half on one form, ``project`` its second on one potential and
+Bergman sum -> potential -> twisted Gram -> eigh is one step,
+``_bergman_step``, over leading batch axes: ``fubini_study`` runs its
+first half on one form, ``project`` its second on one potential and
 ``balancing`` all of it, on one form or on the quantized flow's stack of
-forms.  That sum and the Gram contraction are the model's:
-``PolarizedModel.bergman_sum`` and ``PolarizedModel.gram``.  The generic
+forms.  The step computes without checks, on tables of its level looked
+up once (``_Level``); the public maps then check what they computed, and
+the flow folds the step's checks into one test per RK4 stage.  That sum
+and the Gram contraction are the model's: ``PolarizedModel.bergman_sum``
+and ``PolarizedModel.gram``.  The generic
 ones contract the section table, the Bergman sum in the form's eigenframe
 H = V diag(e^lam) V^* as sum_i e^(-lam_i) |(V^T a(x))_i|^2; the
 projective line regroups both over the angular modes of its tensor grid.
@@ -56,6 +59,29 @@ class QuantizationError(ValueError):
     """Numerically singular Gram or a Bergman sum that is not positive."""
 
 
+class _Level(NamedTuple):
+    """The tables of level k that a Bergman step reads, on the radial path or not.
+
+    The quantized flow looks them up once per run instead of once per stage.
+    """
+
+    k: int
+    radial: bool
+    log_nk: float
+    sections_sq: Optional[np.ndarray]  # radial_section_sq(k), on the radial path only
+    log_mu0: np.ndarray  # log weights of mu0 on the radial grid or at the nodes
+
+
+def _level(model: PolarizedModel, k: int, radial: bool) -> _Level:
+    return _Level(
+        k,
+        radial,
+        np.log(model.nk(k)),
+        model.radial_section_sq(k) if radial else None,
+        model.log_radial_mu0_weights if radial else model.log_mu0_weights,
+    )
+
+
 class _Forms(NamedTuple):
     """Forms H = V diag(data) V^* of one level, stacked on the leading axes of ``data``.
 
@@ -63,7 +89,7 @@ class _Forms(NamedTuple):
     the radial path, whose ``data`` are their diagonals.
     """
 
-    level: int
+    level: _Level
     data: np.ndarray
     frame: Optional[np.ndarray]
 
@@ -88,68 +114,90 @@ class _BergmanStep(NamedTuple):
     frame: Optional[np.ndarray]
 
 
+# The kernels below compute without checking, so that a valid input pays
+# for no check on the way.  Their callers run them under np.errstate, so
+# that a failing input warns nothing, and then check the results.  A
+# potential is finite exactly where its Bergman sum is positive and
+# finite, as its logarithm is.
+
+
 def _potential(
-    model: PolarizedModel, k: int, frame: Optional[np.ndarray], inverse: np.ndarray, radial: bool
+    model: PolarizedModel, level: _Level, frame: Optional[np.ndarray], inverse: np.ndarray
 ) -> np.ndarray:
     """Fubini-Study potentials of the forms V diag(1 / inverse) V^*, stacked on leading axes."""
-    if radial:
-        total = (model.radial_section_sq(k).T @ inverse[..., None])[..., 0]
+    if level.radial:
+        total = (level.sections_sq.T @ inverse[..., None])[..., 0]
     else:
-        total = model.bergman_sum(k, frame, inverse)
-    # a NaN propagates into both extremes
-    _require(
-        (total.min(axis=-1) > 0.0) & (total.max(axis=-1) < np.inf),
-        QuantizationError,
-        lambda i: "Bergman sum is not strictly positive",
-    )
-    return (np.log(total) - np.log(model.nk(k))) / k
+        total = model.bergman_sum(level.k, frame, inverse)
+    return (np.log(total) - level.log_nk) / level.k
 
 
 def _gram_spectrum(
-    model: PolarizedModel, k: int, potential: np.ndarray, radial: bool
+    model: PolarizedModel, level: _Level, potential: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
-    """Twisted Grams of potentials with their eigenvalues and frames, stacked on leading axes."""
-    if radial:
-        weights = twisted_weights(model.log_radial_mu0_weights, potential, k + 1)
-        gram = (model.radial_section_sq(k) @ weights[..., None])[..., 0]
-        finite = np.isfinite(gram).all(axis=-1)
-    else:
-        gram = model.gram(k, twisted_weights(model.log_mu0_weights, potential, k + 1))
-        finite = np.isfinite(gram).all(axis=(-2, -1))
-    _require(finite, HermitianError, lambda i: "form has non-finite entries")
-    if radial:
-        data, frame, smallest = gram, None, gram.min(axis=-1)
-    else:
-        data, frame = np.linalg.eigh(gram)
-        smallest = data[..., 0]
+    """Twisted Grams of potentials with their eigenvalues and frames, stacked on leading axes.
+
+    A stack with a non-finite Gram gets NaN spectra, which fail every
+    check: ``eigh`` can raise LinAlgError on such input.
+    """
+    weights = twisted_weights(level.log_mu0, potential, level.k + 1)
+    if level.radial:
+        gram = (level.sections_sq @ weights[..., None])[..., 0]
+        return gram, gram, None
+    gram = model.gram(level.k, weights)
+    if not np.isfinite(gram).all():
+        return gram, np.full(gram.shape[:-1], np.nan), np.full(gram.shape, np.nan, dtype=complex)
+    return (gram, *np.linalg.eigh(gram))
+
+
+def _check_potential(potential: np.ndarray) -> None:
+    _require(
+        np.isfinite(potential).all(axis=-1),
+        QuantizationError,
+        lambda i: "Bergman sum is not strictly positive",
+    )
+
+
+def _check_gram(model: PolarizedModel, level: _Level, gram: np.ndarray, data: np.ndarray) -> None:
+    """HermitianError for a non-finite Gram, then QuantizationError for a singular one."""
+    radial = level.radial
+    _require(
+        np.isfinite(gram).all(axis=-1 if radial else (-2, -1)),
+        HermitianError,
+        lambda i: "form has non-finite entries",
+    )
 
     def singular(i: tuple) -> str:
         eigs = np.sort(gram[i]) if radial else np.linalg.eigvalsh(gram[i])
         cond = float("inf") if eigs[0] <= 0 else float(eigs[-1] / eigs[0])
         return (
-            f"Gram matrix numerically singular at level {k} "
+            f"Gram matrix numerically singular at level {level.k} "
             f"(condition estimate {cond:.3e}); the quadrature grid likely "
-            f"cannot resolve N_k = {model.nk(k)} sections"
+            f"cannot resolve N_k = {model.nk(level.k)} sections"
         )
 
-    _require(smallest > 0.0, QuantizationError, singular)
-    return gram, data, frame
+    _require((data.min(axis=-1) if radial else data[..., 0]) > 0.0, QuantizationError, singular)
 
 
 def _bergman_step(
-    model: PolarizedModel, k: int, frame: Optional[np.ndarray], inverse: np.ndarray, radial: bool
+    model: PolarizedModel, level: _Level, frame: Optional[np.ndarray], inverse: np.ndarray
 ) -> _BergmanStep:
     """The chain Bergman sum -> potential -> twisted Gram -> eigh, for one form or a stack.
 
     The forms are H = V diag(1 / inverse) V^* with V = ``frame`` (the
     reference basis when None), stacked on the leading axes of
-    ``inverse``; ``radial`` takes the radial path of diagonal forms.  A
-    Bergman sum that is not positive and finite, or a singular Gram,
-    raises QuantizationError, a non-finite Gram HermitianError; the
-    error's ``start`` names the stack index it met (None for one form).
+    ``inverse``.  Unchecked: ``_check_step`` raises for a Bergman sum that
+    is not positive and finite or a singular Gram (QuantizationError) and
+    for a non-finite Gram (HermitianError), and the error's ``start``
+    names the stack index it met (None for one form).
     """
-    potential = _potential(model, k, frame, inverse, radial)
-    return _BergmanStep(potential, *_gram_spectrum(model, k, potential, radial))
+    potential = _potential(model, level, frame, inverse)
+    return _BergmanStep(potential, *_gram_spectrum(model, level, potential))
+
+
+def _check_step(model: PolarizedModel, level: _Level, step: _BergmanStep) -> None:
+    _check_potential(step.potential)
+    _check_gram(model, level, step.gram, step.data)
 
 
 def _radial_path(model: PolarizedModel, h: HermForm) -> bool:
@@ -177,7 +225,9 @@ def fubini_study(model: PolarizedModel, h: HermForm) -> PotentialField:
     A diagonal form on a model with radial structure gives a radial profile.
     """
     radial = _radial_path(model, h)
-    values = _potential(model, h.level, h.frame, 1.0 / h.data, radial)
+    with np.errstate(all="ignore"):
+        values = _potential(model, _level(model, h.level, radial), h.frame, 1.0 / h.data)
+    _check_potential(values)
     return PotentialField(model, None, values) if radial else PotentialField(model, values)
 
 
@@ -188,23 +238,29 @@ def project(phi: PotentialField, k: int) -> HermForm:
     is zero, is held as its diagonal, any other in its eigenframe.
     """
     model = phi.model
-    radial = phi.is_radial
-    values = phi.radial_profile if radial else phi.values
-    return _gram_form(k, *_gram_spectrum(model, k, values, radial))
+    level = _level(model, k, phi.is_radial)
+    with np.errstate(all="ignore"):
+        gram, data, frame = _gram_spectrum(
+            model, level, phi.radial_profile if level.radial else phi.values
+        )
+    _check_gram(model, level, gram, data)
+    return _gram_form(k, gram, data, frame)
 
 
 def balancing(model: PolarizedModel, h: HermForm) -> HermForm:
     """One application of the balancing map b_k = project o fubini_study.
 
-    The quantized flow balances its stack of forms, a ``_Forms``, in one
-    call, and gets back the whole ``_BergmanStep``; its forms must fit
-    the section space.
+    The quantized flow balances its stack of forms, a ``_Forms`` whose
+    forms fit the section space, in one call, and gets back the whole
+    ``_BergmanStep`` unchecked, to check with the rest of its stage, under
+    its own np.errstate.
     """
     if isinstance(h, _Forms):
-        return _bergman_step(
-            model, h.level, h.frame, 1.0 / h.data, model.supports_radial and h.is_diagonal
-        )
-    step = _bergman_step(model, h.level, h.frame, 1.0 / h.data, _radial_path(model, h))
+        return _bergman_step(model, h.level, h.frame, 1.0 / h.data)
+    level = _level(model, h.level, _radial_path(model, h))
+    with np.errstate(all="ignore"):
+        step = _bergman_step(model, level, h.frame, 1.0 / h.data)
+    _check_step(model, level, step)
     return _gram_form(h.level, step.gram, step.data, step.frame)
 
 

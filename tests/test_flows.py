@@ -1,9 +1,11 @@
 import json
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from qkrf import flows
+from qkrf import flows, maps
 from qkrf.energies import e_k, entropy_classical, entropy_of_norms, l_functional, log_ricci_profile
 from qkrf.experiments import family_potential
 from qkrf.flows import (
@@ -23,9 +25,17 @@ from qkrf.flows import (
     whole_steps,
     write_series_csv,
 )
-from qkrf.geometry import KahlerConeError, build_p1_model
-from qkrf.hermforms import HermForm, gen_eig, matrix_exp, matrix_log, random_herm_pd
-from qkrf.maps import balancing, fubini_study, project
+from qkrf.geometry import KahlerConeError, ProjectiveLineModel, build_p1_model
+from qkrf.hermforms import (
+    HermForm,
+    HermitianError,
+    PositivityError,
+    gen_eig,
+    matrix_exp,
+    matrix_log,
+    random_herm_pd,
+)
+from qkrf.maps import QuantizationError, balancing, fubini_study, project
 
 
 def test_bergman_iterate_is_repeated_balancing(p1):
@@ -453,6 +463,46 @@ def test_stacked_runs_cross_chunks_unchanged(p1, monkeypatch):
         _assert_same_trace(a, b)
 
 
+def _peak_bytes(model, starts, steps, with_energies):
+    """tracemalloc's peak over a run of ``steps`` steps from the starts, traces kept."""
+    tracemalloc.start()
+    try:
+        traces = list(quantized_flow_runs(
+            model, starts, t_max=0.02 * steps, dt=0.02, with_energies=with_energies
+        ))
+        assert len(traces) == len(starts)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("steps, with_energies", [(1, False), (10, True)])
+@pytest.mark.parametrize("path", ["radial", "modes", "sections"])
+def test_the_stack_budget_charges_what_a_start_allocates(p1, discrete, path, steps, with_energies):
+    """Each start added to a stack raises a run's peak by at most what the budget charges it.
+
+    And by more than half of that, so that FLOW_CHUNK_BYTES describes
+    memory that is allocated: the radial path, the projective line's mode
+    contraction and the generic section contraction.
+    """
+    rng = np.random.default_rng(17)
+    if path == "radial":
+        model, base = p1, project(p1.zero_potential(), 3)
+        def start():
+            return HermForm(3, base.data * np.exp(0.01 * rng.standard_normal(base.dim)))
+    else:
+        model = p1 if path == "modes" else discrete
+        def start():
+            return HermForm(2, random_herm_pd(rng, 5, spread=0.3))
+    few, many = [start() for _ in range(2)], [start() for _ in range(6)]
+    _peak_bytes(model, many, steps, with_energies)  # the level's tables are built once, here
+    grown = (_peak_bytes(model, many, steps, with_energies)
+             - _peak_bytes(model, few, steps, with_energies)) / (len(many) - len(few))
+    charged = flows._start_bytes(model, few[0].level, path == "radial", steps + 1)
+    assert len(many) * charged < flows.FLOW_CHUNK_BYTES
+    assert grown <= charged <= 2 * grown
+
+
 def _assert_matches_reference(model, trace, h0, t_max, dt):
     times, states, series = _reference_run(model, h0, t_max, dt)
     assert np.array_equal(trace.times, times)
@@ -511,3 +561,158 @@ def test_stacked_runs_refuse_mixed_starts(p1, bump):
         quantized_flow_runs(p1, [dense, project(bump, 2)], t_max=0.1, dt=0.05)
     with pytest.raises(FlowError, match="at least one start"):
         quantized_flow_runs(p1, [], t_max=0.1, dt=0.05)
+
+
+# ---------------------------------------------------------------------------
+# a failing stage raises the first failure of its checks, run in turn
+
+
+def _spread_diagonal(k, shift=0.0):
+    """A diagonal form far from balanced, so that a long step overshoots."""
+    return HermForm(k, np.exp(shift + 3.0 * np.linspace(-1.0, 1.0, 2 * k + 1)))
+
+
+def _nearly_balanced_dense(p1):
+    """The balanced level-2 form with a 1e-300 off-diagonal entry: on the dense path, at rest."""
+    entries = project(p1.zero_potential(), 2).entries.copy()
+    entries[0, 1] = entries[1, 0] = 1e-300
+    return HermForm(2, entries)
+
+
+def _spread_dense():
+    return HermForm(2, random_herm_pd(np.random.default_rng(5), 5, spread=2.0))
+
+
+def _spoil_weights(spoil):
+    """``maps.twisted_weights`` with the weights of the middle start of a stack spoiled."""
+    weights = maps.twisted_weights
+
+    def spoiled(log_mu0, values, power=1):
+        w = weights(log_mu0, values, power)
+        if w.ndim == 2:
+            spoil(w, w.shape[0] // 2)
+        return w
+
+    return spoiled
+
+
+def _infinite(w, i):
+    w[i, 0] = np.inf
+
+
+def _zero(w, i):
+    w[i] = 0.0
+
+
+def _rank_one_plus_1e18(w, i):
+    """A Gram that is positive but below the matrix log's relative floor."""
+    keep = w[i, 127]
+    w[i] *= 1e-18
+    w[i, 127] = keep
+
+
+_SINGULAR = (
+    "Gram matrix numerically singular at level {} (condition estimate inf); "
+    "the quadrature grid likely cannot resolve N_k = {} sections"
+)
+# case -> (level, good start, failing start, step, spoiled weights, error, message),
+# where the message is that of the first check that fails when each runs in turn
+_FAILING_STAGES = {
+    "diagonal e^Q overflows": (
+        3, None, lambda p1: _spread_diagonal(3), 1e3, None,
+        HermitianError, "form has non-finite entries",
+    ),
+    "diagonal e^Q underflows": (
+        3, None, lambda p1: _spread_diagonal(3, -690.0), 200.0, None,
+        PositivityError, "form is not positive definite: smallest eigenvalue 0.000000e+00",
+    ),
+    "diagonal e^Q subnormal": (
+        3, None, lambda p1: _spread_diagonal(3, -690.0), 20.0, None,
+        QuantizationError, "Bergman sum is not strictly positive",
+    ),
+    "diagonal Gram not finite": (
+        3, None, lambda p1: _spread_diagonal(3), 0.05, _infinite,
+        HermitianError, "form has non-finite entries",
+    ),
+    "diagonal Gram singular": (
+        3, None, lambda p1: _spread_diagonal(3), 0.05, _zero,
+        QuantizationError, _SINGULAR.format(3, 7),
+    ),
+    "dense Q not finite": (
+        2, _nearly_balanced_dense, lambda p1: _spread_dense(), 1e308, None,
+        HermitianError, "matrix exponent has non-finite entries",
+    ),
+    "dense Q out of range": (
+        2, _nearly_balanced_dense, lambda p1: _spread_dense(), 1e3, None,
+        PositivityError,
+        "matrix exponent has eigenvalues from -3.548188e+03 to 8.271500e+02, "
+        "beyond the floating range +-7.097827e+02 of their exponentials",
+    ),
+    "dense Gram not finite": (
+        2, _nearly_balanced_dense, lambda p1: _spread_dense(), 0.05, _infinite,
+        HermitianError, "form has non-finite entries",
+    ),
+    "dense Gram singular": (
+        2, _nearly_balanced_dense, lambda p1: _spread_dense(), 0.05, _zero,
+        QuantizationError, _SINGULAR.format(2, 5),
+    ),
+    "dense Gram below the log floor": (
+        2, _nearly_balanced_dense, lambda p1: _spread_dense(), 0.05, _rank_one_plus_1e18,
+        PositivityError,
+        "matrix log: eigenvalue 1.009440e-19 below the relative floor 1e-14 * 4.959530e-05",
+    ),
+}
+
+
+def _assert_fails_as(model, starts, dt, error, message):
+    """One step from the starts ends in ``error(message)`` at the middle start, warning nothing."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FlowError) as err:
+            list(quantized_flow_runs(model, starts, t_max=dt, dt=dt))
+    cause = err.value.__cause__
+    assert (type(cause), str(cause), cause.start) == (error, message, len(starts) // 2)
+    where = " (start 1)" if len(starts) > 1 else ""
+    assert str(err.value) == (
+        f"quantized flow left the positive cone near t = 0.000000: {message}{where}"
+    )
+
+
+@pytest.mark.parametrize("runs", [1, 3])
+@pytest.mark.parametrize("case", sorted(_FAILING_STAGES))
+def test_a_failing_stage_raises_its_first_check(p1, monkeypatch, case, runs):
+    """Alone, or as start 1 of three, a start fails the stage's first check that it fails.
+
+    The other starts pass every check.  The stage tests all its checks at
+    once and runs them one by one only when that test fails, which must
+    raise what running each in turn raises: the same error, message and
+    start.
+    """
+    k, good, bad, dt, spoil, error, message = _FAILING_STAGES[case]
+    if spoil is not None:
+        monkeypatch.setattr(maps, "twisted_weights", _spoil_weights(spoil))
+    good = project(p1.zero_potential(), k) if good is None else good(p1)
+    starts = [bad(p1)] if runs == 1 else [good, bad(p1), good]
+    _assert_fails_as(p1, starts, dt, error, message)
+
+
+@pytest.mark.parametrize("runs", [1, 3])
+def test_a_bergman_sum_that_is_not_positive_fails_the_stage(p1, monkeypatch, runs):
+    """A form of 1e308 underflows its radial Bergman sum; a zeroed node fails a dense one."""
+    model = ProjectiveLineModel(32, radial_nodes=16, angular_nodes=8)
+    good, bad = HermForm(32, np.ones(65)), HermForm(32, np.full(65, 1e308))
+    message = "Bergman sum is not strictly positive"
+    starts = [bad] if runs == 1 else [good, bad, good]
+    _assert_fails_as(model, starts, 1 / 32, QuantizationError, message)
+
+    bergman_sum = p1.bergman_sum
+
+    def zeroed(k, frame, inverse):
+        total = bergman_sum(k, frame, inverse)
+        total[total.shape[0] // 2, 3] = 0.0
+        return total
+
+    monkeypatch.setattr(p1, "bergman_sum", zeroed)
+    good, bad = _nearly_balanced_dense(p1), _spread_dense()
+    starts = [bad] if runs == 1 else [good, bad, good]
+    _assert_fails_as(p1, starts, 0.05, QuantizationError, message)

@@ -12,6 +12,8 @@ from qkrf.geometry import (
     PolarizedModel,
     PotentialField,
     ProjectiveLineModel,
+    barycentric_interpolate,
+    barycentric_weights,
     build_p1_model,
     canonical_measure,
     diff_matrix,
@@ -81,6 +83,61 @@ def test_gauss_legendre_exactness():
     x, w = gauss_legendre_01(8)
     for p in range(16):
         assert np.dot(w, x**p) == pytest.approx(1.0 / (p + 1), abs=1e-14)
+
+
+@pytest.mark.parametrize("m", [16, 96, 257])
+def test_gauss_legendre_tables_are_shared_and_read_only(m):
+    x, w = np.polynomial.legendre.leggauss(m)
+    nodes, weights = gauss_legendre_01(m)
+    assert np.array_equal(nodes, 0.5 * (x + 1.0)) and np.array_equal(weights, 0.5 * w)
+    again = gauss_legendre_01(m)
+    assert again[0] is nodes and again[1] is weights
+    for table in (nodes, weights):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 0.5
+
+
+def _loop_barycentric_weights(x):
+    """The weights one node at a time: the reference for the stacked log-sum."""
+    logw = np.empty(x.size)
+    sign = np.empty(x.size)
+    for i in range(x.size):
+        d = np.delete(x[i] - x, i)
+        logw[i] = -np.sum(np.log(np.abs(d)))
+        sign[i] = 1.0 if np.count_nonzero(d < 0) % 2 == 0 else -1.0
+    return sign * np.exp(logw - logw.max())
+
+
+def _loop_interpolate(x, fx, xq, w):
+    """The interpolant one query at a time: the reference for the stacked form."""
+    out = np.empty(xq.size)
+    for j, xv in enumerate(xq):
+        d = xv - x
+        hit = np.nonzero(d == 0.0)[0]
+        if hit.size:
+            out[j] = fx[hit[0]]
+            continue
+        t = w / d
+        out[j] = np.dot(t, fx) / np.sum(t)
+    return out
+
+
+@pytest.mark.parametrize("m", [16, 64, 96, 128, 144, 160, 256, 448])
+def test_barycentric_weights_and_interpolant_equal_the_loops(m):
+    """Bitwise, on Gauss-Legendre nodes, on queries off them and on nodes."""
+    x = gauss_legendre_01(m)[0]
+    w = barycentric_weights(x)
+    assert np.array_equal(w, _loop_barycentric_weights(x))
+    rng = np.random.default_rng(m)
+    fx = rng.standard_normal(m)
+    for xq in (rng.uniform(0.0, 1.0, 200), gauss_legendre_01(2 * m)[0], x[::5]):
+        got = barycentric_interpolate(x, fx, xq, w)
+        assert np.array_equal(got, _loop_interpolate(x, fx, xq, w))
+    mixed = np.concatenate([rng.uniform(0.0, 1.0, 7), x[3:5], [x[0]]])
+    got = barycentric_interpolate(x, fx, mixed)
+    assert np.array_equal(got, _loop_interpolate(x, fx, mixed, w))
+    assert np.array_equal(got[-3:], fx[[3, 4, 0]])
 
 
 def test_diff_matrix_on_polynomials():
