@@ -20,12 +20,14 @@ immune to the severe ill-scaling of the monomial Gram matrices at
 large k.
 
 ``quantized_flow_runs`` integrates several starts of one level as one
-stack: each RK4 stage forms, balances and takes the logarithm of all of
-them at once, through the batch axes of ``maps.balancing`` and the
-``hermforms`` kernels.  Every start keeps its own contractions, so a
-stacked run equals its start's run alone, bit for bit;
-``quantized_flow_run`` is the stack of one start.  A stage computes
-without checks and then takes one test of all of them; only a stage that
+stack, held as one ``HermForm`` with a leading stack axis: each RK4 stage
+forms e^Q of all of them with ``matrix_exp`` (elementwise on the radial
+path), balances them with one ``maps.balancing`` and takes the logarithm
+of all the Grams at once; each sample reads its norms with one
+``gen_eig``.  Every start keeps its own contractions, so a stacked run
+equals its start's run alone, bit for bit; ``quantized_flow_run`` is the
+stack of one start.  A stage computes without checks, apart from those of
+``matrix_exp``, and then takes one test of all of them; only a stage that
 fails it runs the checks one by one, so the first failure is raised, with
 its start, as when each check ran in turn.
 
@@ -60,21 +62,19 @@ from .geometry import (
 )
 from .hermforms import (
     EIG_FLOOR,
-    LOG_RANGE,
     HermForm,
     HermitianError,
     PositivityError,
-    _exponent_eigh,
     _floor_check,
     _frame_log,
-    _framed_gen_eig,
     _held_form,
     _require,
-    _require_exponent_range,
     _require_positive,
+    gen_eig,
     log_gap,
+    matrix_exp,
 )
-from .maps import QuantizationError, _check_step, _Forms, _level, balancing, fubini_study, project
+from .maps import QuantizationError, _check_step, balancing, fubini_study, project
 
 TIME_TOL = 1e-9
 # classical solver: local tolerance, first trial step, extrapolation substeps
@@ -344,65 +344,58 @@ def _integrate_stack(
     """
     k = starts[0].level
     diagonal, with_energies = meta["diagonal_path"], meta["with_energies"]
-    level = _level(model, k, diagonal)
 
-    def evaluate(q: np.ndarray, held: Optional[_Forms] = None) -> tuple:
-        """Forms at q = log H unless given, with their logs, balancing and k (log b_k(H) - q).
+    def evaluate(q: np.ndarray, held: Optional[HermForm] = None) -> tuple:
+        """Forms at q = log H unless given, with their balancing and k (log b_k(H) - q).
 
-        Computed unchecked, under the caller's np.errstate; when the one
-        test of the stage fails, ``require`` runs its checks one by one.
+        Computed unchecked, under the caller's np.errstate, apart from the
+        checks of ``matrix_exp``; when the one test of the stage fails,
+        ``require`` runs its checks one by one.
         """
-        logs = None
+        formed = held is None
+        if formed:
+            held = _held_form(k, np.exp(q)) if diagonal else matrix_exp(k, q)
+        step = balancing(model, held)
+        spectrum = step.gram.data
         if diagonal:
-            if held is None:
-                held, logs = _Forms(level, np.exp(q), None), q
-            step = balancing(model, held)
-            rate = k * (np.log(step.data) - q)
+            rate = k * (np.log(spectrum) - q)
             # One sum over the stack is finite only if every term is: e^Q, the
             # potentials (a zero in e^Q makes every Bergman sum infinite) and
             # log b_k, finite only for positive finite Grams.
             ok = math.isfinite(held.data.sum() + step.potential.sum() + rate.sum())
         else:
-            if held is None:
-                logs, frame = _exponent_eigh(q)
-                held = _Forms(level, np.exp(logs), frame)
-            step = balancing(model, held)
-            low, top = step.data[..., 0], step.data[..., -1]
+            low, top = spectrum[..., 0], spectrum[..., -1]
             ok = np.isfinite(step.potential.sum(axis=-1)) & (low > EIG_FLOOR * top) & (top > 0.0)
-            if logs is not None:
-                ok &= (-LOG_RANGE < logs[..., 0]) & (logs[..., -1] < LOG_RANGE)
             ok = ok.all()
         if not ok:
-            require(held, logs, step)
+            require(held, formed, step)
         if not diagonal:
-            rate = k * (_frame_log(step.frame, np.log(step.data)) - q)
-        return held, logs, step, rate
+            rate = k * (_frame_log(step.gram.frame, np.log(spectrum)) - q)
+        return held, step, rate
 
-    def require(held: _Forms, logs: Optional[np.ndarray], step) -> None:
-        """The stage's checks in order: e^Q when formed from logs Q, the balancing, the log."""
-        if logs is not None and diagonal:
+    def require(held: HermForm, formed: bool, step) -> None:
+        """The stage's checks in order: a diagonal e^Q formed here, the balancing, the log."""
+        if formed and diagonal:
             _require(
                 np.isfinite(held.data).all(axis=-1),
                 HermitianError,
                 lambda i: "form has non-finite entries",
             )
             _require_positive(held.data.min(axis=-1))
-        elif logs is not None:
-            _require_exponent_range(logs)
-        _check_step(model, level, step)
+        _check_step(model, step)
         if not diagonal:
-            _floor_check(step.data, "matrix log")
+            _floor_check(step.gram.data, "matrix log")
 
     r = len(starts)
     if diagonal:
-        initial = _Forms(level, np.stack([h.data for h in starts]), None)
+        initial = _held_form(k, np.stack([h.data for h in starts]))
         q = np.stack([h.logs for h in starts])
     else:
         # a diagonal start off the radial path is held in the reference
         # basis, its eigenframe; the identity frame contracts it exactly
         eye = np.eye(starts[0].dim, dtype=complex)
-        initial = _Forms(
-            level,
+        initial = _held_form(
+            k,
             np.stack([h.data for h in starts]),
             np.stack([eye if h.frame is None else h.frame for h in starts]),
         )
@@ -417,28 +410,25 @@ def _integrate_stack(
             # a state that leaves the cone raises from its checks, not as a warning
             with np.errstate(all="ignore"):
                 if step:
-                    f2 = evaluate(q + 0.5 * dt * f1)[3]
-                    f3 = evaluate(q + 0.5 * dt * f2)[3]
-                    f4 = evaluate(q + dt * f3)[3]
+                    f2 = evaluate(q + 0.5 * dt * f1)[2]
+                    f3 = evaluate(q + 0.5 * dt * f2)[2]
+                    f4 = evaluate(q + dt * f3)[2]
                     q = q + (dt / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
                     t = step * dt
-                (_, data, frame), logs, balanced, f1 = evaluate(q, None if step else initial)
+                held, balanced, f1 = evaluate(q, None if step else initial)
             if step % sample_every:
                 continue
             times.append(t)
             forms = starts if not step else [
-                _held_form(k, data[i]) if diagonal
-                else _held_form(k, data[i], frame[i], logs=logs[i])
+                _held_form(k, held.data[i]) if diagonal
+                else _held_form(k, held.data[i], held.frame[i], logs=held.logs[i])
                 for i in range(r)
             ]
             for run, form in zip(states, forms):
                 run.append(form)
             if not with_energies:
                 continue
-            if diagonal:
-                norms = np.sort(balanced.data / data, axis=-1)
-            else:
-                norms = _framed_gen_eig(balanced.gram, data, frame)
+            norms = gen_eig(balanced.gram, held)
             for i, (form, h0) in enumerate(zip(forms, starts)):
                 potential = (
                     PotentialField(model, None, balanced.potential[i])

@@ -16,13 +16,15 @@ forms and Hermitian matrices Q = log H; ``matrix_exp`` builds its form
 from the eigen-decomposition of Q, positive by construction, and checks
 only that Q and the exponentials of its eigenvalues are finite.  The
 dense Gram forms of ``maps.project`` are Hermitian by construction too,
-and are held without another check.  The kernels behind these maps and
-behind ``gen_eig`` take stacks of matrices on leading axes, as the
-quantized flow integrates several starts at once; their checks run per
-matrix, and a failed one names the stack index it met.  Dense spectral
-operations refuse eigenvalues below a relative floor instead of clamping
-them; silent regularization would corrupt the decay-rate measurements
-built on top of this module.
+and are held without another check.  ``HermForm`` also holds a stack of
+forms of one level, as the quantized flow integrates several starts at
+once: ``data`` and ``frame`` carry a leading stack axis, and ``data``
+stays each form's spectrum vector.  Only the package builds a stack
+(``_held_form``); ``matrix_exp`` and ``gen_eig`` take one and check
+each form, and a failed check names the stack index it met as the
+error's ``start``.  Dense spectral operations refuse eigenvalues below a
+relative floor instead of clamping them; silent regularization would
+corrupt the decay-rate measurements built on top of this module.
 """
 
 from __future__ import annotations
@@ -122,7 +124,7 @@ class HermForm:
     matrix given to the constructor is checked and symmetrized; it is
     stored as its diagonal when its off-diagonal part is zero and
     decomposed once otherwise, so ``is_diagonal`` is exact and costs
-    nothing.
+    nothing.  A stack of forms carries a leading axis on ``data`` and ``frame``.
     """
 
     level: int
@@ -151,7 +153,7 @@ class HermForm:
 
     @property
     def dim(self) -> int:
-        return self.data.shape[0]
+        return self.data.shape[-1]
 
     @property
     def is_diagonal(self) -> bool:
@@ -215,32 +217,16 @@ def matrix_exp(level: int, q: np.ndarray) -> HermForm:
 
     Q is taken as Hermitian: the flow builds it from forms.  It must be
     finite, and so must e^lam and e^-lam for its eigenvalues lam; e^Q is
-    then positive by construction and is not checked again.
-    """
-    values, frame = _exponent_eigh(q)
-    _require_exponent_range(values)
-    return _held_form(level, np.exp(values), frame, logs=values)
-
-
-def _exponent_eigh(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and eigenframes of Hermitian exponents Q, stacked on leading axes.
-
-    Each Q must be finite, as ``eigh`` can raise LinAlgError otherwise;
-    ``_require_exponent_range`` then checks the eigenvalues.
+    then positive by construction and is not checked again.  Exponents
+    stacked on leading axes give a stack of forms, each decomposed on its
+    own; a failed check names the stack index it met.
     """
     _require(
         np.isfinite(q).all(axis=(-2, -1)),
         HermitianError,
         lambda i: "matrix exponent has non-finite entries",
     )
-    return np.linalg.eigh(q)
-
-
-def _require_exponent_range(values: np.ndarray) -> None:
-    """PositivityError unless e^lam and e^-lam are finite for each stack's eigenvalues lam.
-
-    ``values`` are ascending, as ``eigh`` gives them; e^Q is then a positive form.
-    """
+    values, frame = np.linalg.eigh(q)
     low, high = values[..., 0], values[..., -1]
     _require(
         (-LOG_RANGE < low) & (high < LOG_RANGE),
@@ -248,6 +234,7 @@ def _require_exponent_range(values: np.ndarray) -> None:
         lambda i: f"matrix exponent has eigenvalues from {low[i]:.6e} to {high[i]:.6e}, "
         f"beyond the floating range +-{LOG_RANGE:.6e} of their exponentials",
     )
+    return _held_form(level, np.exp(values), frame, logs=values)
 
 
 def _held_form(
@@ -257,12 +244,13 @@ def _held_form(
 
     ``data`` and ``frame`` already satisfy the form's invariants (a
     positive diagonal without a frame, or ascending positive eigenvalues
-    in a unitary frame), so they are not checked again; ``held`` gives
-    cached ``logs`` or ``entries`` that are known already.
+    in a unitary frame), so they are not checked again; they may carry
+    leading stack axes.  ``held`` gives cached ``logs`` or ``entries``
+    that are known already.
     """
     form = object.__new__(HermForm)
-    for name, value in (("level", level), ("data", data), ("frame", frame), *held.items()):
-        object.__setattr__(form, name, value)
+    held["level"], held["data"], held["frame"] = level, data, frame
+    form.__dict__.update(held)
     return form
 
 
@@ -281,26 +269,24 @@ def gen_eig(a, b) -> np.ndarray:
     b-orthonormal and a-orthogonal they are the squared a-norms of the
     frame vectors.  In the eigenframe b = V diag(e^lam) V^* they are the
     eigenvalues of e^(-lam/2) V^* a V e^(-lam/2).  Forms and matrices are
-    both accepted.
+    both accepted, and so are stacks of forms; a failed check names the
+    stack index it met.
     """
     da = _hermitian_data(a, "left matrix")
+    # a stack of diagonals has the ndim of one matrix
+    diagonal = a.is_diagonal if isinstance(a, HermForm) else da.ndim == 1
     values, frame = _eigenframe(b, "right matrix")
-    if da.shape[0] != values.shape[0]:
+    if da.shape[-1] != values.shape[-1]:
         raise HermitianError("generalized eigenvalue inputs differ in shape")
-    if da.ndim == 1 and frame is None:
-        if values.min() <= 0.0:
-            raise PositivityError("right matrix has a nonpositive diagonal entry")
+    if diagonal and frame is None:
+        _require(
+            values.min(axis=-1) > 0.0,
+            PositivityError,
+            lambda i: "right matrix has a nonpositive diagonal entry",
+        )
         return np.sort(da / values)
-    return _framed_gen_eig(np.diag(da).astype(complex) if da.ndim == 1 else da, values, frame)
-
-
-def _framed_gen_eig(am: np.ndarray, values: np.ndarray, frame: Optional[np.ndarray]) -> np.ndarray:
-    """Generalized eigenvalues of matrices am against forms given by eigenvalues and frames.
-
-    Stacks on leading axes; a form without a frame is diagonal, with
-    ``values`` its diagonal.  The forms' spectra must clear the floor.
-    """
     _floor_check(values, "generalized eigenvalues")
+    am = da[..., None] * np.eye(da.shape[-1], dtype=complex) if diagonal else da
     if frame is not None:
         am = frame.conj().swapaxes(-1, -2) @ am @ frame
     scale = 1.0 / np.sqrt(values)

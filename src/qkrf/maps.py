@@ -14,11 +14,12 @@ and the Bergman approximation of a potential is fubini_study o project.
 Bergman sum a(x)^T H^-1 conj(a(x)) at each node x, with a(x) the
 reference sections at x, and keeps no separate density.  The chain
 Bergman sum -> potential -> twisted Gram -> eigh is one step,
-``_bergman_step``, over leading batch axes: ``fubini_study`` runs its
-first half on one form, ``project`` its second on one potential and
-``balancing`` all of it, on one form or on the quantized flow's stack of
-forms.  The step computes without checks, on tables of its level looked
-up once (``_Level``); the public maps then check what they computed, and
+``_bergman_step``, on a ``HermForm`` that may be a stack of forms:
+``fubini_study`` runs its first half on one form, ``project`` its second
+on one potential and ``balancing`` all of it, on one form or on the
+quantized flow's stack, whose Grams come back as one stacked form.  The
+step computes without checks, on tables of its level built once per
+model (``_level``); the public maps then check what they computed, and
 the flow folds the step's checks into one test per RK4 stage.  That sum
 and the Gram contraction are the model's: ``PolarizedModel.bergman_sum``
 and ``PolarizedModel.gram``.  The generic
@@ -35,6 +36,7 @@ rounding.
 
 from __future__ import annotations
 
+import weakref
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -60,10 +62,7 @@ class QuantizationError(ValueError):
 
 
 class _Level(NamedTuple):
-    """The tables of level k that a Bergman step reads, on the radial path or not.
-
-    The quantized flow looks them up once per run instead of once per stage.
-    """
+    """The tables of level k that a Bergman step reads, on the radial path or not."""
 
     k: int
     radial: bool
@@ -72,46 +71,37 @@ class _Level(NamedTuple):
     log_mu0: np.ndarray  # log weights of mu0 on the radial grid or at the nodes
 
 
+# model -> {(k, radial): _Level}, built once per model, level and path; held
+# weakly, so that the tables go with their model
+_LEVELS: weakref.WeakKeyDictionary[PolarizedModel, dict] = weakref.WeakKeyDictionary()
+
+
 def _level(model: PolarizedModel, k: int, radial: bool) -> _Level:
-    return _Level(
-        k,
-        radial,
-        np.log(model.nk(k)),
-        model.radial_section_sq(k) if radial else None,
-        model.log_radial_mu0_weights if radial else model.log_mu0_weights,
-    )
-
-
-class _Forms(NamedTuple):
-    """Forms H = V diag(data) V^* of one level, stacked on the leading axes of ``data``.
-
-    ``frame`` holds the eigenframes V, or is None for diagonal forms on
-    the radial path, whose ``data`` are their diagonals.
-    """
-
-    level: _Level
-    data: np.ndarray
-    frame: Optional[np.ndarray]
-
-    @property
-    def is_diagonal(self) -> bool:
-        return self.frame is None
+    tables = _LEVELS.setdefault(model, {})
+    level = tables.get((k, radial))
+    if level is None:
+        level = tables[k, radial] = _Level(
+            k,
+            radial,
+            np.log(model.nk(k)),
+            model.radial_section_sq(k) if radial else None,
+            model.log_radial_mu0_weights if radial else model.log_mu0_weights,
+        )
+    return level
 
 
 class _BergmanStep(NamedTuple):
     """One balancing of forms, stacked on leading axes.
 
     ``potential`` holds the Fubini-Study potentials (radial profiles on
-    the radial path, node values otherwise), ``gram`` the twisted Grams
-    of the reference basis, ``data`` their eigenvalues and ``frame``
-    their eigenframes; on the radial path a Gram is its diagonal vector,
-    ``data`` is that vector and ``frame`` is None.
+    the radial path, node values otherwise) and ``gram`` the twisted
+    Grams of the reference basis as one form: on the radial path a
+    diagonal form, otherwise held in its eigenframes with its matrices
+    as ``entries``.
     """
 
     potential: np.ndarray
-    gram: np.ndarray
-    data: np.ndarray
-    frame: Optional[np.ndarray]
+    gram: HermForm
 
 
 # The kernels below compute without checking, so that a valid input pays
@@ -121,33 +111,30 @@ class _BergmanStep(NamedTuple):
 # finite, as its logarithm is.
 
 
-def _potential(
-    model: PolarizedModel, level: _Level, frame: Optional[np.ndarray], inverse: np.ndarray
-) -> np.ndarray:
-    """Fubini-Study potentials of the forms V diag(1 / inverse) V^*, stacked on leading axes."""
+def _potential(model: PolarizedModel, level: _Level, h: HermForm) -> np.ndarray:
+    """Fubini-Study potentials of a form or a stack of forms."""
+    inverse = 1.0 / h.data
     if level.radial:
         total = (level.sections_sq.T @ inverse[..., None])[..., 0]
     else:
-        total = model.bergman_sum(level.k, frame, inverse)
+        total = model.bergman_sum(level.k, h.frame, inverse)
     return (np.log(total) - level.log_nk) / level.k
 
 
-def _gram_spectrum(
-    model: PolarizedModel, level: _Level, potential: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
-    """Twisted Grams of potentials with their eigenvalues and frames, stacked on leading axes.
+def _gram(model: PolarizedModel, level: _Level, potential: np.ndarray) -> HermForm:
+    """Twisted Grams of potentials, stacked on leading axes, as one form.
 
     A stack with a non-finite Gram gets NaN spectra, which fail every
     check: ``eigh`` can raise LinAlgError on such input.
     """
     weights = twisted_weights(level.log_mu0, potential, level.k + 1)
     if level.radial:
-        gram = (level.sections_sq @ weights[..., None])[..., 0]
-        return gram, gram, None
+        return _held_form(level.k, (level.sections_sq @ weights[..., None])[..., 0])
     gram = model.gram(level.k, weights)
-    if not np.isfinite(gram).all():
-        return gram, np.full(gram.shape[:-1], np.nan), np.full(gram.shape, np.nan, dtype=complex)
-    return (gram, *np.linalg.eigh(gram))
+    spectrum = np.linalg.eigh(gram) if np.isfinite(gram).all() else (
+        np.full(gram.shape[:-1], np.nan), np.full(gram.shape, np.nan, dtype=complex)
+    )
+    return _held_form(level.k, *spectrum, entries=gram)
 
 
 def _check_potential(potential: np.ndarray) -> None:
@@ -158,46 +145,44 @@ def _check_potential(potential: np.ndarray) -> None:
     )
 
 
-def _check_gram(model: PolarizedModel, level: _Level, gram: np.ndarray, data: np.ndarray) -> None:
+def _check_gram(model: PolarizedModel, gram: HermForm) -> None:
     """HermitianError for a non-finite Gram, then QuantizationError for a singular one."""
-    radial = level.radial
+    radial = gram.is_diagonal
+    entries = gram.data if radial else gram.entries
     _require(
-        np.isfinite(gram).all(axis=-1 if radial else (-2, -1)),
+        np.isfinite(entries).all(axis=-1 if radial else (-2, -1)),
         HermitianError,
         lambda i: "form has non-finite entries",
     )
 
     def singular(i: tuple) -> str:
-        eigs = np.sort(gram[i]) if radial else np.linalg.eigvalsh(gram[i])
+        eigs = np.sort(entries[i]) if radial else np.linalg.eigvalsh(entries[i])
         cond = float("inf") if eigs[0] <= 0 else float(eigs[-1] / eigs[0])
         return (
-            f"Gram matrix numerically singular at level {level.k} "
+            f"Gram matrix numerically singular at level {gram.level} "
             f"(condition estimate {cond:.3e}); the quadrature grid likely "
-            f"cannot resolve N_k = {model.nk(level.k)} sections"
+            f"cannot resolve N_k = {model.nk(gram.level)} sections"
         )
 
-    _require((data.min(axis=-1) if radial else data[..., 0]) > 0.0, QuantizationError, singular)
+    low = gram.data.min(axis=-1) if radial else gram.data[..., 0]
+    _require(low > 0.0, QuantizationError, singular)
 
 
-def _bergman_step(
-    model: PolarizedModel, level: _Level, frame: Optional[np.ndarray], inverse: np.ndarray
-) -> _BergmanStep:
+def _bergman_step(model: PolarizedModel, level: _Level, h: HermForm) -> _BergmanStep:
     """The chain Bergman sum -> potential -> twisted Gram -> eigh, for one form or a stack.
 
-    The forms are H = V diag(1 / inverse) V^* with V = ``frame`` (the
-    reference basis when None), stacked on the leading axes of
-    ``inverse``.  Unchecked: ``_check_step`` raises for a Bergman sum that
-    is not positive and finite or a singular Gram (QuantizationError) and
-    for a non-finite Gram (HermitianError), and the error's ``start``
-    names the stack index it met (None for one form).
+    Unchecked: ``_check_step`` raises for a Bergman sum that is not
+    positive and finite or a singular Gram (QuantizationError) and for a
+    non-finite Gram (HermitianError), and the error's ``start`` names the
+    stack index it met (None for one form).
     """
-    potential = _potential(model, level, frame, inverse)
-    return _BergmanStep(potential, *_gram_spectrum(model, level, potential))
+    potential = _potential(model, level, h)
+    return _BergmanStep(potential, _gram(model, level, potential))
 
 
-def _check_step(model: PolarizedModel, level: _Level, step: _BergmanStep) -> None:
+def _check_step(model: PolarizedModel, step: _BergmanStep) -> None:
     _check_potential(step.potential)
-    _check_gram(model, level, step.gram, step.data)
+    _check_gram(model, step.gram)
 
 
 def _radial_path(model: PolarizedModel, h: HermForm) -> bool:
@@ -208,15 +193,14 @@ def _radial_path(model: PolarizedModel, h: HermForm) -> bool:
     return model.supports_radial and h.is_diagonal
 
 
-def _gram_form(k: int, gram: np.ndarray, data: np.ndarray, frame: Optional[np.ndarray]) -> HermForm:
-    """The form of one checked Gram: its diagonal vector, or held in its eigenframe.
+def _gram_form(gram: HermForm) -> HermForm:
+    """A checked Gram form, held as its diagonal when its off-diagonal part is zero.
 
-    A dense Gram whose off-diagonal part is zero is held as its diagonal,
-    as ``HermForm`` holds such a matrix.
+    That is how ``HermForm`` holds such a matrix.
     """
-    if frame is not None and _offdiagonal_is_zero(gram):
-        data, frame = np.real(np.diagonal(gram)).copy(), None
-    return _held_form(k, data) if frame is None else _held_form(k, data, frame, entries=gram)
+    if gram.is_diagonal or not _offdiagonal_is_zero(gram.entries):
+        return gram
+    return _held_form(gram.level, np.real(np.diagonal(gram.entries)).copy())
 
 
 def fubini_study(model: PolarizedModel, h: HermForm) -> PotentialField:
@@ -226,7 +210,7 @@ def fubini_study(model: PolarizedModel, h: HermForm) -> PotentialField:
     """
     radial = _radial_path(model, h)
     with np.errstate(all="ignore"):
-        values = _potential(model, _level(model, h.level, radial), h.frame, 1.0 / h.data)
+        values = _potential(model, _level(model, h.level, radial), h)
     _check_potential(values)
     return PotentialField(model, None, values) if radial else PotentialField(model, values)
 
@@ -237,31 +221,29 @@ def project(phi: PotentialField, k: int) -> HermForm:
     The Gram of a radial potential, or any Gram whose off-diagonal part
     is zero, is held as its diagonal, any other in its eigenframe.
     """
-    model = phi.model
-    level = _level(model, k, phi.is_radial)
+    level = _level(phi.model, k, phi.is_radial)
     with np.errstate(all="ignore"):
-        gram, data, frame = _gram_spectrum(
-            model, level, phi.radial_profile if level.radial else phi.values
-        )
-    _check_gram(model, level, gram, data)
-    return _gram_form(k, gram, data, frame)
+        gram = _gram(phi.model, level, phi.radial_profile if level.radial else phi.values)
+    _check_gram(phi.model, gram)
+    return _gram_form(gram)
 
 
 def balancing(model: PolarizedModel, h: HermForm) -> HermForm:
     """One application of the balancing map b_k = project o fubini_study.
 
-    The quantized flow balances its stack of forms, a ``_Forms`` whose
-    forms fit the section space, in one call, and gets back the whole
-    ``_BergmanStep`` unchecked, to check with the rest of its stage, under
-    its own np.errstate.
+    The quantized flow balances its stack of forms, a form whose ``data``
+    carry a leading stack axis and whose forms fit the section space, in
+    one call; it gets back the whole ``_BergmanStep`` unchecked, to check
+    with the rest of its stage, under its own np.errstate.  A stack takes
+    the radial path exactly when it is diagonal.
     """
-    if isinstance(h, _Forms):
-        return _bergman_step(model, h.level, h.frame, 1.0 / h.data)
+    if h.data.ndim > 1:
+        return _bergman_step(model, _level(model, h.level, h.is_diagonal), h)
     level = _level(model, h.level, _radial_path(model, h))
     with np.errstate(all="ignore"):
-        step = _bergman_step(model, level, h.frame, 1.0 / h.data)
-    _check_step(model, level, step)
-    return _gram_form(h.level, step.gram, step.data, step.frame)
+        step = _bergman_step(model, level, h)
+    _check_step(model, step)
+    return _gram_form(step.gram)
 
 
 def orthonormal_orthogonal(h: HermForm, b: HermForm) -> tuple[np.ndarray, np.ndarray]:

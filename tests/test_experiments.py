@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from qkrf import maps
 from qkrf.cli import main as cli_main
 from qkrf.flows import FlowError
 from qkrf.experiments import (
@@ -300,3 +301,40 @@ def test_cli_numerical_failure_exits_three(tmp_path, capsys):
     assert err.count("\n") == 1
     assert err.startswith("error: run failed: KahlerConeError:")
     assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# negative controls: a named defect fails a gated metric at its own threshold
+
+
+def _drop_section_zero(potential):
+    """``maps._potential`` with section 0 left out of the radial Bergman sum."""
+
+    def dropped(model, level, h):
+        if level.radial:
+            sections_sq = level.sections_sq.copy()
+            sections_sq[0] = 0.0
+            level = level._replace(sections_sq=sections_sq)
+        return potential(model, level, h)
+
+    return dropped
+
+
+def _without_log_z(twisted_weights):
+    """``maps.twisted_weights`` without the normalization by Z = int e^(-phi) mu0."""
+    return lambda log_mu0, values, power=1: np.exp(log_mu0 - power * values)
+
+
+@pytest.mark.parametrize(
+    "experiment, metric, target, defect",
+    [
+        ("balanced-fixed-point", "fixed_point_residual", "_potential", _drop_section_zero),
+        ("balanced-fixed-point", "fixed_point_entropy", "_potential", _drop_section_zero),
+        ("balanced-fixed-point", "gram_k1_oracle", "twisted_weights", _without_log_z),
+    ],
+)
+def test_a_defect_fails_its_metric(tmp_path, monkeypatch, experiment, metric, target, defect):
+    monkeypatch.setattr(maps, target, defect(getattr(maps, target)))
+    manifest = run_experiment({"experiment": experiment}, str(tmp_path))
+    [gated] = [m for m in manifest.metrics if m["name"] == metric]
+    assert not gated["passed"] and gated["value"] > gated["threshold"]

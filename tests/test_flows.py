@@ -335,7 +335,7 @@ def test_quantized_flow_forms_and_balances_each_state_once(
         return wrapper
 
     monkeypatch.setattr(p1, "gram", counted("gram", p1.gram))
-    monkeypatch.setattr(flows, "_exponent_eigh", counted("exp", flows._exponent_eigh))
+    monkeypatch.setattr(flows, "matrix_exp", counted("exp", flows.matrix_exp))
     starts = [
         HermForm(2, random_herm_pd(np.random.default_rng(3 + i), 5, spread=0.5))
         for i in range(runs)

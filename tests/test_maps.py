@@ -1,6 +1,10 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from qkrf import maps
 from qkrf.flows import FlowError, quantized_flow_run
 from qkrf.geometry import (
     DiscreteModel,
@@ -9,7 +13,15 @@ from qkrf.geometry import (
     ProjectiveLineModel,
     twisted_weights,
 )
-from qkrf.hermforms import HermForm, random_herm_pd
+from qkrf.hermforms import (
+    HermForm,
+    HermitianError,
+    PositivityError,
+    _held_form,
+    gen_eig,
+    matrix_exp,
+    random_herm_pd,
+)
 from qkrf.maps import (
     QuantizationError,
     balancing,
@@ -187,3 +199,149 @@ def test_discrete_backend_maps(discrete):
     assert b.dim == h.dim
     phi = fubini_study(discrete, h)
     assert phi.values.shape == (discrete.node_count,)
+
+
+# ---------------------------------------------------------------------------
+# stacks of forms, as the quantized flow holds them: each slice as its form alone
+
+
+def _exponents(k, runs, seed):
+    """A stack of Hermitian exponents Q of level k."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((runs, 2 * k + 1, 2 * k + 1))
+    x = x + 1j * rng.standard_normal(x.shape)
+    return 0.25 * (x + x.conj().swapaxes(-1, -2))
+
+
+@pytest.mark.parametrize("model_name", ["p1", "discrete"])
+def test_a_dense_stack_equals_its_forms_alone(request, model_name):
+    """``matrix_exp``, ``balancing`` and ``gen_eig`` of a stack, slice by slice, bitwise."""
+    model = request.getfixturevalue(model_name)
+    q = _exponents(2, 3, seed=7)
+    stack = matrix_exp(2, q)
+    step = balancing(model, stack)
+    norms = gen_eig(step.gram, stack)
+    for i in range(3):
+        form = matrix_exp(2, q[i])
+        for name in ("data", "frame", "logs"):
+            assert np.array_equal(getattr(stack, name)[i], getattr(form, name))
+        b = balancing(model, form)
+        assert not b.is_diagonal
+        assert np.array_equal(step.potential[i], fubini_study(model, form).values)
+        for name in ("data", "frame", "entries"):
+            assert np.array_equal(getattr(step.gram, name)[i], getattr(b, name))
+        assert np.array_equal(norms[i], gen_eig(b, form))
+
+
+def test_a_diagonal_stack_equals_its_forms_alone(p1):
+    """On the radial path: ``balancing`` and ``gen_eig`` of a stack, slice by slice, bitwise."""
+    data = np.exp(0.5 * np.random.default_rng(11).standard_normal((3, 7)))
+    stack = _held_form(3, data)
+    step = balancing(p1, stack)
+    norms = gen_eig(step.gram, stack)
+    for i in range(3):
+        form = HermForm(3, data[i])
+        b = balancing(p1, form)
+        assert b.is_diagonal and step.gram.is_diagonal
+        assert np.array_equal(step.potential[i], fubini_study(p1, form).radial_profile)
+        assert np.array_equal(step.gram.data[i], b.data)
+        assert np.array_equal(norms[i], gen_eig(b, form))
+
+
+def _raised(call):
+    with pytest.raises((HermitianError, PositivityError, QuantizationError)) as err:
+        call()
+    return type(err.value), str(err.value), err.value.start
+
+
+def _assert_slice_1_fails_as_alone(stacked, alone):
+    kind, message, start = _raised(alone)
+    assert start is None
+    assert _raised(stacked) == (kind, message, 1)
+
+
+@pytest.mark.parametrize("q1", [np.nan, -800.0], ids=["not finite", "out of range"])
+def test_matrix_exp_names_the_failing_slice_of_a_stack(q1):
+    q = _exponents(1, 3, seed=3)
+    q[1, 0, 0] = q1
+    _assert_slice_1_fails_as_alone(lambda: matrix_exp(1, q), lambda: matrix_exp(1, q[1]))
+
+
+def test_gen_eig_names_the_failing_slice_of_a_stack():
+    """Slice 1 of the right stack falls below the floor, or has a zero on the radial path."""
+    qa, qb = _exponents(1, 3, seed=5), _exponents(1, 3, seed=6)
+    qb[1] = np.diag([-40.0, 0.0, 0.1])
+    _assert_slice_1_fails_as_alone(
+        lambda: gen_eig(matrix_exp(1, qa), matrix_exp(1, qb)),
+        lambda: gen_eig(matrix_exp(1, qa[1]), matrix_exp(1, qb[1])),
+    )
+    data = np.ones((3, 3))
+    data[1, 2] = 0.0
+    _assert_slice_1_fails_as_alone(
+        lambda: gen_eig(_held_form(1, data), _held_form(1, data)),
+        lambda: gen_eig(data[1], data[1]),
+    )
+
+
+def _zero_weights_of_slice_1(weights):
+    """``maps.twisted_weights`` with the weights of slice 1 of a stack, or of one form, zeroed."""
+
+    def spoiled(log_mu0, values, power=1):
+        w = weights(log_mu0, values, power)
+        w[1 if w.ndim == 2 else slice(None)] = 0.0
+        return w
+
+    return spoiled
+
+
+@pytest.mark.parametrize("case", ["radial sum", "radial Gram", "dense Gram", "discrete Gram"])
+def test_a_stack_balancing_names_its_failing_slice(request, monkeypatch, case):
+    """The stacked balancing's checks raise what the slice's own balancing raises, with start 1."""
+    if case == "radial sum":
+        # a form of 1e308 underflows its radial Bergman sum
+        model = ProjectiveLineModel(32, radial_nodes=16, angular_nodes=8)
+        stack = _held_form(32, np.array([[1.0], [1e308], [1.0]]) * np.ones(65))
+    else:
+        monkeypatch.setattr(maps, "twisted_weights", _zero_weights_of_slice_1(twisted_weights))
+        model = request.getfixturevalue("discrete" if case == "discrete Gram" else "p1")
+        if case == "radial Gram":
+            stack = _held_form(2, np.exp(0.5 * np.random.default_rng(9).standard_normal((3, 5))))
+        else:
+            stack = matrix_exp(2, _exponents(2, 3, seed=9))
+    form = _held_form(stack.level, stack.data[1], None if stack.is_diagonal else stack.frame[1])
+
+    def stacked():
+        with np.errstate(all="ignore"):
+            step = balancing(model, stack)
+        maps._check_step(model, step)
+
+    _assert_slice_1_fails_as_alone(stacked, lambda: balancing(model, form))
+
+
+def test_level_tables_are_built_once_and_go_with_their_model(monkeypatch):
+    """One table per (model, k, path), however many maps and stages read it.
+
+    The tables do not keep their model alive.
+    """
+    built = []
+    level = maps._Level
+
+    def counted(*args):
+        built.append(args[:2])
+        return level(*args)
+
+    monkeypatch.setattr(maps, "_Level", counted)
+    model = ProjectiveLineModel(2, radial_nodes=16, angular_nodes=8)
+    radial = project(model.zero_potential(), 2)
+    dense = HermForm(2, random_herm_pd(np.random.default_rng(2), 5, spread=0.5))
+    for h in (radial, dense):
+        balancing(model, h)
+        fubini_study(model, h)
+        quantized_flow_run(model, h, t_max=0.5, dt=0.125)
+    project(model.zero_potential(), 1)
+    assert sorted(built) == [(1, True), (2, False), (2, True)]
+
+    alive = weakref.ref(model)
+    del model
+    gc.collect()
+    assert alive() is None
