@@ -66,13 +66,15 @@ from .hermforms import (
     HermitianError,
     PositivityError,
     _floor_check,
-    _frame_log,
+    _frame_matrix,
     _held_form,
-    _require,
-    _require_positive,
+    _require_spectra,
+    _slice,
+    _stack,
     gen_eig,
     log_gap,
     matrix_exp,
+    matrix_log,
 )
 from .maps import QuantizationError, _check_step, balancing, fubini_study, project
 
@@ -370,42 +372,24 @@ def _integrate_stack(
         if not ok:
             require(held, formed, step)
         if not diagonal:
-            rate = k * (_frame_log(step.gram.frame, np.log(spectrum)) - q)
+            rate = k * (_frame_matrix(step.gram.frame, np.log(spectrum)) - q)
         return held, step, rate
 
     def require(held: HermForm, formed: bool, step) -> None:
         """The stage's checks in order: a diagonal e^Q formed here, the balancing, the log."""
         if formed and diagonal:
-            _require(
-                np.isfinite(held.data).all(axis=-1),
-                HermitianError,
-                lambda i: "form has non-finite entries",
-            )
-            _require_positive(held.data.min(axis=-1))
-        _check_step(model, step)
+            _require_spectra(held.data)
+        _check_step(step)
         if not diagonal:
             _floor_check(step.gram.data, "matrix log")
 
     r = len(starts)
-    if diagonal:
-        initial = _held_form(k, np.stack([h.data for h in starts]))
-        q = np.stack([h.logs for h in starts])
-    else:
-        # a diagonal start off the radial path is held in the reference
-        # basis, its eigenframe; the identity frame contracts it exactly
-        eye = np.eye(starts[0].dim, dtype=complex)
-        initial = _held_form(
-            k,
-            np.stack([h.data for h in starts]),
-            np.stack([eye if h.frame is None else h.frame for h in starts]),
-        )
+    initial = _stack(starts, dense=not diagonal)
     record = {name: [[] for _ in range(r)] for name in ("L", "E_k", "D_k", "S_k", "relent_ref")}
     times, states = [], [[] for _ in range(r)]
     t = 0.0
     try:
-        if not diagonal:
-            _floor_check(initial.data, "matrix log")
-            q = _frame_log(initial.frame, np.stack([h.logs for h in starts]))
+        q = initial.logs if diagonal else matrix_log(initial)
         for step in range(n_steps + 1):
             # a state that leaves the cone raises from its checks, not as a warning
             with np.errstate(all="ignore"):
@@ -419,11 +403,7 @@ def _integrate_stack(
             if step % sample_every:
                 continue
             times.append(t)
-            forms = starts if not step else [
-                _held_form(k, held.data[i]) if diagonal
-                else _held_form(k, held.data[i], held.frame[i], logs=held.logs[i])
-                for i in range(r)
-            ]
+            forms = [_slice(held, i) for i in range(r)] if step else starts
             for run, form in zip(states, forms):
                 run.append(form)
             if not with_energies:

@@ -19,19 +19,21 @@ dense Gram forms of ``maps.project`` are Hermitian by construction too,
 and are held without another check.  ``HermForm`` also holds a stack of
 forms of one level, as the quantized flow integrates several starts at
 once: ``data`` and ``frame`` carry a leading stack axis, and ``data``
-stays each form's spectrum vector.  Only the package builds a stack
-(``_held_form``); ``matrix_exp`` and ``gen_eig`` take one and check
-each form, and a failed check names the stack index it met as the
-error's ``start``.  Dense spectral operations refuse eigenvalues below a
-relative floor instead of clamping them; silent regularization would
-corrupt the decay-rate measurements built on top of this module.
+stays each form's spectrum vector.  Only the package stacks forms
+(``_stack``, and ``_slice`` for one back); ``entries``, ``diagonal``,
+``scaled``, ``matrix_log``, ``matrix_exp`` and ``gen_eig`` answer for
+each form of a stack as for it alone, bit for bit, and a failed check
+names the stack index it met as the error's ``start``.  Dense spectral
+operations refuse eigenvalues below a relative floor instead of
+clamping them; silent regularization would corrupt the decay-rate
+measurements built on top of this module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -112,6 +114,13 @@ def _require_positive(smallest: np.ndarray) -> None:
     )
 
 
+def _require_spectra(values: np.ndarray) -> None:
+    """HermitianError unless each spectrum of a stack is finite, then PositivityError."""
+    finite = np.isfinite(values).all(axis=-1)
+    _require(finite, HermitianError, lambda i: "form has non-finite entries")
+    _require_positive(values.min(axis=-1))
+
+
 @dataclass(frozen=True)
 class HermForm:
     """A positive definite Hermitian form on the level-k section space.
@@ -124,7 +133,7 @@ class HermForm:
     matrix given to the constructor is checked and symmetrized; it is
     stored as its diagonal when its off-diagonal part is zero and
     decomposed once otherwise, so ``is_diagonal`` is exact and costs
-    nothing.  A stack of forms carries a leading axis on ``data`` and ``frame``.
+    nothing.  A stack of forms carries leading axes on ``data`` and ``frame``.
     """
 
     level: int
@@ -168,19 +177,32 @@ class HermForm:
     def entries(self) -> np.ndarray:
         """The complex matrix of the form; built on first use unless it was given."""
         if self.frame is None:
-            return np.diag(self.data).astype(complex)
-        m = (self.frame * self.data) @ self.frame.conj().T
-        return 0.5 * (m + m.conj().T)
+            return self.data[..., None] * np.eye(self.dim, dtype=complex)
+        return _frame_matrix(self.frame, self.data)
 
     def diagonal(self) -> np.ndarray:
         if self.is_diagonal:
             return self.data.copy()
-        return np.real(np.diagonal(self.entries)).copy()
+        return np.real(np.diagonal(self.entries, axis1=-2, axis2=-1)).copy()
 
     def scaled(self, c: float) -> "HermForm":
+        """The form cH, held in the frame of H."""
         if c <= 0.0:
             raise PositivityError("scaling factor must be positive")
-        return HermForm(self.level, c * (self.data if self.is_diagonal else self.entries))
+        with np.errstate(over="ignore", under="ignore"):
+            data = c * self.data
+        _require_spectra(data)
+        return _held_form(self.level, data, self.frame)
+
+
+def _frame_matrix(frame: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """V diag(values) V^* for frames V and eigenvalues, stacked on leading axes.
+
+    Unchecked: a caller that passes logarithms has checked the eigenvalues
+    against the relative floor (``_floor_check`` with "matrix log").
+    """
+    core = (frame * values[..., None, :]) @ frame.conj().swapaxes(-1, -2)
+    return 0.5 * (core + core.conj().swapaxes(-1, -2))
 
 
 def _floor_check(values: np.ndarray, what: str) -> None:
@@ -195,21 +217,11 @@ def _floor_check(values: np.ndarray, what: str) -> None:
 
 
 def matrix_log(h: HermForm) -> np.ndarray:
-    """Hermitian logarithm of a positive definite form, as a complex matrix."""
+    """Hermitian logarithm of a positive definite form, or of each form of a stack."""
     if h.is_diagonal:
-        return np.diag(h.logs).astype(complex)
+        return h.logs[..., None] * np.eye(h.dim, dtype=complex)
     _floor_check(h.data, "matrix log")
-    return _frame_log(h.frame, h.logs)
-
-
-def _frame_log(frame: np.ndarray, logs: np.ndarray) -> np.ndarray:
-    """V diag(logs) V^* for frames V and logarithms of eigenvalues, stacked on leading axes.
-
-    Unchecked: the caller has checked the eigenvalues against the relative
-    floor (``_floor_check`` with "matrix log").
-    """
-    core = (frame * logs[..., None, :]) @ frame.conj().swapaxes(-1, -2)
-    return 0.5 * (core + core.conj().swapaxes(-1, -2))
+    return _frame_matrix(h.frame, h.logs)
 
 
 def matrix_exp(level: int, q: np.ndarray) -> HermForm:
@@ -252,6 +264,27 @@ def _held_form(
     held["level"], held["data"], held["frame"] = level, data, frame
     form.__dict__.update(held)
     return form
+
+
+def _stack(forms: Sequence[HermForm], dense: bool) -> HermForm:
+    """Diagonal forms, or with ``dense`` any forms of one level, as one stack with their logs.
+
+    A dense stack holds a diagonal form in the identity frame, which contracts it exactly.
+    """
+    data = np.stack([h.data for h in forms])
+    logs = np.stack([h.logs for h in forms])
+    if not dense:
+        return _held_form(forms[0].level, data, logs=logs)
+    eye = np.eye(forms[0].dim, dtype=complex)
+    frame = np.stack([eye if h.frame is None else h.frame for h in forms])
+    return _held_form(forms[0].level, data, frame, logs=logs)
+
+
+def _slice(form: HermForm, i: int) -> HermForm:
+    """Form i of a stack, with the logarithms and matrix the stack holds already."""
+    held = {name: form.__dict__[name][i] for name in ("logs", "entries") if name in form.__dict__}
+    frame = None if form.frame is None else form.frame[i]
+    return _held_form(form.level, form.data[i], frame, **held)
 
 
 def _eigenframe(b, what: str) -> tuple[np.ndarray, Optional[np.ndarray]]:

@@ -18,26 +18,26 @@ Bergman sum -> potential -> twisted Gram -> eigh is one step,
 ``fubini_study`` runs its first half on one form, ``project`` its second
 on one potential and ``balancing`` all of it, on one form or on the
 quantized flow's stack, whose Grams come back as one stacked form.  The
-step computes without checks, on tables of its level built once per
-model (``_level``); the public maps then check what they computed, and
-the flow folds the step's checks into one test per RK4 stage.  That sum
-and the Gram contraction are the model's: ``PolarizedModel.bergman_sum``
-and ``PolarizedModel.gram``.  The generic
-ones contract the section table, the Bergman sum in the form's eigenframe
-H = V diag(e^lam) V^* as sum_i e^(-lam_i) |(V^T a(x))_i|^2; the
-projective line regroups both over the angular modes of its tensor grid.
-No solve and no explicit orthonormalization is ever performed.
-Rotation-invariant data rides a diagonal fast path: the reference
-monomial Gram is exponentially ill scaled in k, and keeping
-diagonal forms as diagonal vectors preserves full relative accuracy
-elementwise where a dense spectral route would drown the small entries in
-rounding.
+step computes without checks, on the tables of its level that the model
+builds once (``radial_section_sq``, the log weights of mu0); the public
+maps then check what they computed, and the flow folds the step's
+checks into one test per RK4 stage.  That sum and the Gram contraction
+are the model's: ``PolarizedModel.bergman_sum`` and
+``PolarizedModel.gram``.  The generic ones contract the section table,
+the Bergman sum in the form's eigenframe H = V diag(e^lam) V^* as
+sum_i e^(-lam_i) |(V^T a(x))_i|^2; the projective line regroups both
+over the angular modes of its tensor grid.  No solve and no explicit
+orthonormalization is ever performed.  Rotation-invariant data rides a
+diagonal fast path: the reference monomial Gram is exponentially ill
+scaled in k, and keeping diagonal forms as diagonal vectors preserves
+full relative accuracy elementwise where a dense spectral route would
+drown the small entries in rounding.
 """
 
 from __future__ import annotations
 
-import weakref
-from typing import NamedTuple, Optional
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,33 +61,10 @@ class QuantizationError(ValueError):
     """Numerically singular Gram or a Bergman sum that is not positive."""
 
 
-class _Level(NamedTuple):
-    """The tables of level k that a Bergman step reads, on the radial path or not."""
-
-    k: int
-    radial: bool
-    log_nk: float
-    sections_sq: Optional[np.ndarray]  # radial_section_sq(k), on the radial path only
-    log_mu0: np.ndarray  # log weights of mu0 on the radial grid or at the nodes
-
-
-# model -> {(k, radial): _Level}, built once per model, level and path; held
-# weakly, so that the tables go with their model
-_LEVELS: weakref.WeakKeyDictionary[PolarizedModel, dict] = weakref.WeakKeyDictionary()
-
-
-def _level(model: PolarizedModel, k: int, radial: bool) -> _Level:
-    tables = _LEVELS.setdefault(model, {})
-    level = tables.get((k, radial))
-    if level is None:
-        level = tables[k, radial] = _Level(
-            k,
-            radial,
-            np.log(model.nk(k)),
-            model.radial_section_sq(k) if radial else None,
-            model.log_radial_mu0_weights if radial else model.log_mu0_weights,
-        )
-    return level
+@lru_cache(maxsize=None)
+def _log_count(n: int) -> np.float64:
+    """log N_k, once per N; ``math.log`` can differ from ``np.log`` in the last bit."""
+    return np.log(n)
 
 
 class _BergmanStep(NamedTuple):
@@ -111,30 +88,31 @@ class _BergmanStep(NamedTuple):
 # finite, as its logarithm is.
 
 
-def _potential(model: PolarizedModel, level: _Level, h: HermForm) -> np.ndarray:
-    """Fubini-Study potentials of a form or a stack of forms."""
-    inverse = 1.0 / h.data
-    if level.radial:
-        total = (level.sections_sq.T @ inverse[..., None])[..., 0]
+def _potential(model: PolarizedModel, h: HermForm, radial: bool) -> np.ndarray:
+    """Fubini-Study potentials of a form or a stack of forms, radial profiles if ``radial``."""
+    k, inverse = h.level, 1.0 / h.data
+    if radial:
+        total = (model.radial_section_sq(k).T @ inverse[..., None])[..., 0]
     else:
-        total = model.bergman_sum(level.k, h.frame, inverse)
-    return (np.log(total) - level.log_nk) / level.k
+        total = model.bergman_sum(k, h.frame, inverse)
+    return (np.log(total) - _log_count(h.dim)) / k
 
 
-def _gram(model: PolarizedModel, level: _Level, potential: np.ndarray) -> HermForm:
+def _gram(model: PolarizedModel, k: int, potential: np.ndarray, radial: bool) -> HermForm:
     """Twisted Grams of potentials, stacked on leading axes, as one form.
 
-    A stack with a non-finite Gram gets NaN spectra, which fail every
-    check: ``eigh`` can raise LinAlgError on such input.
+    ``radial`` potentials are profiles on the radial grid.  A stack with a
+    non-finite Gram gets NaN spectra, which fail every check: ``eigh``
+    can raise LinAlgError on such input.
     """
-    weights = twisted_weights(level.log_mu0, potential, level.k + 1)
-    if level.radial:
-        return _held_form(level.k, (level.sections_sq @ weights[..., None])[..., 0])
-    gram = model.gram(level.k, weights)
+    if radial:
+        weights = twisted_weights(model.log_radial_mu0_weights, potential, k + 1)
+        return _held_form(k, (model.radial_section_sq(k) @ weights[..., None])[..., 0])
+    gram = model.gram(k, twisted_weights(model.log_mu0_weights, potential, k + 1))
     spectrum = np.linalg.eigh(gram) if np.isfinite(gram).all() else (
         np.full(gram.shape[:-1], np.nan), np.full(gram.shape, np.nan, dtype=complex)
     )
-    return _held_form(level.k, *spectrum, entries=gram)
+    return _held_form(k, *spectrum, entries=gram)
 
 
 def _check_potential(potential: np.ndarray) -> None:
@@ -145,7 +123,7 @@ def _check_potential(potential: np.ndarray) -> None:
     )
 
 
-def _check_gram(model: PolarizedModel, gram: HermForm) -> None:
+def _check_gram(gram: HermForm) -> None:
     """HermitianError for a non-finite Gram, then QuantizationError for a singular one."""
     radial = gram.is_diagonal
     entries = gram.data if radial else gram.entries
@@ -161,14 +139,14 @@ def _check_gram(model: PolarizedModel, gram: HermForm) -> None:
         return (
             f"Gram matrix numerically singular at level {gram.level} "
             f"(condition estimate {cond:.3e}); the quadrature grid likely "
-            f"cannot resolve N_k = {model.nk(gram.level)} sections"
+            f"cannot resolve N_k = {gram.dim} sections"
         )
 
     low = gram.data.min(axis=-1) if radial else gram.data[..., 0]
     _require(low > 0.0, QuantizationError, singular)
 
 
-def _bergman_step(model: PolarizedModel, level: _Level, h: HermForm) -> _BergmanStep:
+def _bergman_step(model: PolarizedModel, h: HermForm, radial: bool) -> _BergmanStep:
     """The chain Bergman sum -> potential -> twisted Gram -> eigh, for one form or a stack.
 
     Unchecked: ``_check_step`` raises for a Bergman sum that is not
@@ -176,13 +154,13 @@ def _bergman_step(model: PolarizedModel, level: _Level, h: HermForm) -> _Bergman
     non-finite Gram (HermitianError), and the error's ``start`` names the
     stack index it met (None for one form).
     """
-    potential = _potential(model, level, h)
-    return _BergmanStep(potential, _gram(model, level, potential))
+    potential = _potential(model, h, radial)
+    return _BergmanStep(potential, _gram(model, h.level, potential, radial))
 
 
-def _check_step(model: PolarizedModel, step: _BergmanStep) -> None:
+def _check_step(step: _BergmanStep) -> None:
     _check_potential(step.potential)
-    _check_gram(model, step.gram)
+    _check_gram(step.gram)
 
 
 def _radial_path(model: PolarizedModel, h: HermForm) -> bool:
@@ -200,7 +178,7 @@ def _gram_form(gram: HermForm) -> HermForm:
     """
     if gram.is_diagonal or not _offdiagonal_is_zero(gram.entries):
         return gram
-    return _held_form(gram.level, np.real(np.diagonal(gram.entries)).copy())
+    return _held_form(gram.level, gram.diagonal())
 
 
 def fubini_study(model: PolarizedModel, h: HermForm) -> PotentialField:
@@ -210,7 +188,7 @@ def fubini_study(model: PolarizedModel, h: HermForm) -> PotentialField:
     """
     radial = _radial_path(model, h)
     with np.errstate(all="ignore"):
-        values = _potential(model, _level(model, h.level, radial), h)
+        values = _potential(model, h, radial)
     _check_potential(values)
     return PotentialField(model, None, values) if radial else PotentialField(model, values)
 
@@ -221,10 +199,11 @@ def project(phi: PotentialField, k: int) -> HermForm:
     The Gram of a radial potential, or any Gram whose off-diagonal part
     is zero, is held as its diagonal, any other in its eigenframe.
     """
-    level = _level(phi.model, k, phi.is_radial)
+    phi.model.require_level(k)
+    radial = phi.is_radial
     with np.errstate(all="ignore"):
-        gram = _gram(phi.model, level, phi.radial_profile if level.radial else phi.values)
-    _check_gram(phi.model, gram)
+        gram = _gram(phi.model, k, phi.radial_profile if radial else phi.values, radial)
+    _check_gram(gram)
     return _gram_form(gram)
 
 
@@ -238,11 +217,11 @@ def balancing(model: PolarizedModel, h: HermForm) -> HermForm:
     the radial path exactly when it is diagonal.
     """
     if h.data.ndim > 1:
-        return _bergman_step(model, _level(model, h.level, h.is_diagonal), h)
-    level = _level(model, h.level, _radial_path(model, h))
+        return _bergman_step(model, h, h.is_diagonal)
+    radial = _radial_path(model, h)
     with np.errstate(all="ignore"):
-        step = _bergman_step(model, level, h)
-    _check_step(model, step)
+        step = _bergman_step(model, h, radial)
+    _check_step(step)
     return _gram_form(step.gram)
 
 

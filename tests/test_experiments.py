@@ -1,17 +1,22 @@
+import dataclasses
+import importlib
 import json
 import os
 
 import numpy as np
 import pytest
 
-from qkrf import maps
+from qkrf import geometry, maps
 from qkrf.cli import main as cli_main
 from qkrf.flows import FlowError
+from qkrf.hermforms import _held_form
+from qkrf.nanorms import DHMeasure
 from qkrf.experiments import (
     DEFAULTS,
     DESCRIPTIONS,
     ExperimentConfig,
     ExperimentError,
+    FIELD_SPECS,
     RunManifest,
     family_potential,
     fit_decay,
@@ -303,19 +308,45 @@ def test_cli_numerical_failure_exits_three(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("experiment", ["na-panel", "duality"])
+def test_a_section_table_past_the_byte_budget_exits_three(
+    tmp_path, capsys, monkeypatch, experiment
+):
+    """The largest grid the schema allows cannot cache its level-64 section table.
+
+    Checked by arithmetic, then end to end with the budget lowered to one
+    byte short of a small run's top section table.
+    """
+    k_top, radial, angular = (
+        FIELD_SPECS[name][2] for name in ("k_list", "radial_nodes", "angular_nodes")
+    )
+    assert 16 * (2 * k_top + 1) * radial * angular > geometry.RESOURCE_LIMIT
+    k, grid = 2, {"k_list": [2], "radial_nodes": 96, "angular_nodes": 24}
+    monkeypatch.setattr(geometry, "RESOURCE_LIMIT", 16 * (2 * k + 1) * 96 * 24 - 1)
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps({"experiment": experiment, **grid}))
+    assert cli_main(["run", str(config_path), "--output-dir", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: run failed: ModelError: sections at level {k}:")
+    assert "resource limit" in err
+
+
 # ---------------------------------------------------------------------------
 # negative controls: a named defect fails a gated metric at its own threshold
 
 
 def _drop_section_zero(potential):
-    """``maps._potential`` with section 0 left out of the radial Bergman sum."""
+    """``maps._potential`` with section 0 left out of the radial Bergman sum.
 
-    def dropped(model, level, h):
-        if level.radial:
-            sections_sq = level.sections_sq.copy()
-            sections_sq[0] = 0.0
-            level = level._replace(sections_sq=sections_sq)
-        return potential(model, level, h)
+    An infinite eigenvalue 0 of the form weighs that section's term with 1/inf = 0.
+    """
+
+    def dropped(model, h, radial):
+        if radial:
+            data = h.data.copy()
+            data[..., 0] = np.inf
+            h = _held_form(h.level, data)
+        return potential(model, h, radial)
 
     return dropped
 
@@ -325,16 +356,42 @@ def _without_log_z(twisted_weights):
     return lambda log_mu0, values, power=1: np.exp(log_mu0 - power * values)
 
 
+def _negated_slope(l_na_slope):
+    """``experiments.l_na_slope`` with the sign of every estimate flipped."""
+
+    def negated(*args, **kwargs):
+        estimate = l_na_slope(*args, **kwargs)
+        return dataclasses.replace(estimate, value=-estimate.value)
+
+    return negated
+
+
+def _without_log_nk(f_k_na):
+    """``experiments.f_k_na`` without its log N_k term."""
+    return lambda nu: f_k_na(nu) - np.log(nu.dim)
+
+
+def _atoms_over_k_plus_1(dh_empirical):
+    """``experiments.dh_empirical`` with atoms lam_i / (k + 1) in place of lam_i / k."""
+    return lambda nu: DHMeasure(nu.weights / (nu.level + 1), dh_empirical(nu).masses)
+
+
 @pytest.mark.parametrize(
     "experiment, metric, target, defect",
     [
-        ("balanced-fixed-point", "fixed_point_residual", "_potential", _drop_section_zero),
-        ("balanced-fixed-point", "fixed_point_entropy", "_potential", _drop_section_zero),
-        ("balanced-fixed-point", "gram_k1_oracle", "twisted_weights", _without_log_z),
+        ("balanced-fixed-point", "fixed_point_residual", "maps._potential", _drop_section_zero),
+        ("balanced-fixed-point", "fixed_point_entropy", "maps._potential", _drop_section_zero),
+        ("balanced-fixed-point", "gram_k1_oracle", "maps.twisted_weights", _without_log_z),
+        ("thmB-entropy", "thmb_zero_case", "maps._potential", _drop_section_zero),
+        ("na-panel", "na_constant_slope_deviation", "experiments.l_na_slope", _negated_slope),
+        ("na-panel", "na_free_energy_oracle", "experiments.f_k_na", _without_log_nk),
+        ("na-panel", "na_dh_moment_deviation", "experiments.dh_empirical", _atoms_over_k_plus_1),
     ],
 )
 def test_a_defect_fails_its_metric(tmp_path, monkeypatch, experiment, metric, target, defect):
-    monkeypatch.setattr(maps, target, defect(getattr(maps, target)))
+    module, name = target.split(".")
+    module = importlib.import_module(f"qkrf.{module}")
+    monkeypatch.setattr(module, name, defect(getattr(module, name)))
     manifest = run_experiment({"experiment": experiment}, str(tmp_path))
     [gated] = [m for m in manifest.metrics if m["name"] == metric]
     assert not gated["passed"] and gated["value"] > gated["threshold"]

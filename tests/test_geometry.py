@@ -178,7 +178,7 @@ def test_high_level_model_builds_and_balances():
 def test_sections_past_the_resource_limit_raise():
     k = 2**24
     model = ProjectiveLineModel(k_max=k, radial_nodes=16, angular_nodes=8)
-    assert (2 * k + 1) * model.node_count > RESOURCE_LIMIT
+    assert 16 * (2 * k + 1) * model.node_count > RESOURCE_LIMIT
     with pytest.raises(ModelError, match="resource limit"):
         model.sections(k)
     assert model.sections(1).shape == (3, model.node_count)
@@ -400,7 +400,7 @@ def test_mode_tables_past_the_level_or_resource_limit_raise():
         model.gram(4, np.ones(model.node_count))
     k = 2**26
     big = ProjectiveLineModel(k_max=k, radial_nodes=16, angular_nodes=8)
-    assert (4 * k + 1) * big.radial_count > RESOURCE_LIMIT
+    assert 8 * (4 * k + 1) * big.radial_count > RESOURCE_LIMIT
     with pytest.raises(ModelError, match="resource limit"):
         big.gram(k, np.ones(big.node_count))
     assert big.gram(1, np.ones(big.node_count)).shape == (3, 3)

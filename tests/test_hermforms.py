@@ -7,6 +7,9 @@ from qkrf.hermforms import (
     HermForm,
     HermitianError,
     PositivityError,
+    _held_form,
+    _slice,
+    _stack,
     gen_eig,
     log_gap,
     matrix_exp,
@@ -230,6 +233,47 @@ def test_diagonal_paths_leave_the_dense_matrix_unbuilt():
     h.scaled(2.0)
     assert "entries" not in vars(h) and "entries" not in vars(ref)
     assert h.entries is h.entries
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["diagonal", "dense"])
+def test_a_stack_answers_for_each_of_its_forms_bitwise(dense):
+    """entries, diagonal, scaled and matrix_log of a stack, slice by slice.
+
+    A dense stack also holds a diagonal form, in the identity frame.
+    """
+    rng = np.random.default_rng(23)
+    forms = [HermForm(2, np.exp(rng.standard_normal(5))) for _ in range(3)]
+    if dense:
+        forms[1:] = [HermForm(2, random_herm_pd(rng, 5, spread=0.5)) for _ in range(2)]
+    stack = _stack(forms, dense)
+    slices = [_slice(stack, i) for i in range(3)]
+    scaled = stack.scaled(2.5)
+    assert stack.entries.shape == (3, 5, 5) and stack.is_diagonal is not dense
+    for i, (form, one) in enumerate(zip(forms, slices)):
+        assert np.array_equal(one.data, form.data) and np.array_equal(one.logs, form.logs)
+        assert np.array_equal(stack.entries[i], one.entries)
+        assert np.array_equal(stack.diagonal()[i], one.diagonal())
+        alone = one.scaled(2.5)
+        assert np.array_equal(scaled.data[i], alone.data)
+        assert (scaled.frame is None) is (alone.frame is None) is not dense
+        assert dense is False or np.array_equal(scaled.frame[i], alone.frame)
+        assert np.array_equal(matrix_log(stack)[i], matrix_log(form))
+    assert np.array_equal(_slice(stack, 2).entries, stack.entries[2])
+
+
+def test_a_stack_of_diagonals_is_not_read_as_one_matrix():
+    stack = _held_form(1, np.arange(1.0, 10.0).reshape(3, 3))
+    assert np.array_equal(stack.entries, [np.diag(d) for d in stack.data])
+    assert np.array_equal(matrix_log(stack), [np.diag(np.log(d)) for d in stack.data])
+    assert np.array_equal(stack.scaled(2.0).data, 2.0 * stack.data)
+
+
+def test_scaled_refuses_what_it_cannot_hold():
+    h = HermForm(1, np.array([0.5, 1.0, 4.0]))
+    with pytest.raises(HermitianError, match="non-finite"):
+        h.scaled(1e308)
+    with pytest.raises(PositivityError, match="smallest eigenvalue 0.000000e"):
+        h.scaled(5e-324)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import gc
 import weakref
+from math import factorial
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from qkrf.geometry import (
     ModelError,
     PotentialField,
     ProjectiveLineModel,
+    build_p1_model,
     twisted_weights,
 )
 from qkrf.hermforms import (
@@ -18,6 +20,7 @@ from qkrf.hermforms import (
     HermitianError,
     PositivityError,
     _held_form,
+    _slice,
     gen_eig,
     matrix_exp,
     random_herm_pd,
@@ -308,29 +311,29 @@ def test_a_stack_balancing_names_its_failing_slice(request, monkeypatch, case):
             stack = _held_form(2, np.exp(0.5 * np.random.default_rng(9).standard_normal((3, 5))))
         else:
             stack = matrix_exp(2, _exponents(2, 3, seed=9))
-    form = _held_form(stack.level, stack.data[1], None if stack.is_diagonal else stack.frame[1])
+    form = _slice(stack, 1)
 
     def stacked():
         with np.errstate(all="ignore"):
             step = balancing(model, stack)
-        maps._check_step(model, step)
+        maps._check_step(step)
 
     _assert_slice_1_fails_as_alone(stacked, lambda: balancing(model, form))
 
 
-def test_level_tables_are_built_once_and_go_with_their_model(monkeypatch):
-    """One table per (model, k, path), however many maps and stages read it.
+def test_the_model_builds_its_level_tables_once_and_is_collected(monkeypatch):
+    """Each table of a level is built once, however many maps and stages read it.
 
-    The tables do not keep their model alive.
+    The maps keep no table of their own, so nothing keeps the model alive.
     """
     built = []
-    level = maps._Level
+    charge = ProjectiveLineModel._charge
 
-    def counted(*args):
-        built.append(args[:2])
-        return level(*args)
+    def counted(self, nbytes, what):
+        built.append(what)
+        charge(self, nbytes, what)
 
-    monkeypatch.setattr(maps, "_Level", counted)
+    monkeypatch.setattr(ProjectiveLineModel, "_charge", counted)
     model = ProjectiveLineModel(2, radial_nodes=16, angular_nodes=8)
     radial = project(model.zero_potential(), 2)
     dense = HermForm(2, random_herm_pd(np.random.default_rng(2), 5, spread=0.5))
@@ -339,9 +342,39 @@ def test_level_tables_are_built_once_and_go_with_their_model(monkeypatch):
         fubini_study(model, h)
         quantized_flow_run(model, h, t_max=0.5, dt=0.125)
     project(model.zero_potential(), 1)
-    assert sorted(built) == [(1, True), (2, False), (2, True)]
+    assert sorted(built) == [
+        "angular mode tables at level 2",
+        "radial sections at level 1",
+        "radial sections at level 2",
+    ]
 
     alive = weakref.ref(model)
     del model
     gc.collect()
     assert alive() is None
+
+
+@pytest.mark.parametrize("k", [2, 4, 8])
+def test_the_balancing_jacobian_at_the_round_metric_has_the_predicted_spectrum(k):
+    """Eigenvalues of Q -> log b_k(e^Q) on the radial path at project(zero potential, k).
+
+    They are nu_0 = 1, for the scaling direction, and nu_j = ((k+1)/k) beta_j,
+    beta_j = (2k)! (2k+1)! / ((2k-j)! (2k+j+1)!), for j = 1 .. 2k; central
+    differences at eps = 1e-5 meet them within 8.1e-11 at k = 2, 4 and 8.
+    """
+    model = build_p1_model(8)
+    q0 = np.log(project(model.zero_potential(), k).data)
+    n, eps = q0.size, 1e-5
+
+    def log_b(q):
+        return balancing(model, HermForm(k, np.exp(q))).logs
+
+    columns = [(log_b(q0 + eps * e) - log_b(q0 - eps * e)) / (2.0 * eps) for e in np.eye(n)]
+    nu = np.linalg.eigvals(np.column_stack(columns))
+    beta = [
+        factorial(2 * k) * factorial(2 * k + 1) / (factorial(2 * k - j) * factorial(2 * k + j + 1))
+        for j in range(1, 2 * k + 1)
+    ]
+    predicted = np.sort([1.0] + [(k + 1) / k * b for b in beta])
+    assert np.max(np.abs(nu.imag)) <= 1e-9
+    assert np.max(np.abs(np.sort(nu.real) - predicted)) <= 1e-9
