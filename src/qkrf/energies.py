@@ -76,11 +76,23 @@ def ma_energy(phi: PotentialField) -> float:
 
 def l_functional(phi: PotentialField) -> float:
     """L(phi) = -log((1/V) int e^(-phi) d mu0), computed in log space."""
-    model = phi.model
     if phi.is_radial:
-        return float(-logsumexp(model.log_radial_weights - phi.radial_profile))
-    logint = logsumexp(model.log_mu0_weights - phi.values)
-    return float(np.log(model.volume) - logint)
+        return float(_l_values(phi.model, phi.radial_profile, radial=True))
+    return float(_l_values(phi.model, phi.values, radial=False))
+
+
+def _l_values(model: PolarizedModel, values: np.ndarray, radial: bool) -> np.ndarray:
+    """L of potentials from their radial profiles or node values, stacked on leading axes.
+
+    One potential, stacked or not, takes the scalar reduction, which
+    gives the same bits at a smaller fixed cost, as ``twisted_weights`` does.
+    """
+    shifted = (model.log_radial_weights if radial else model.log_mu0_weights) - values
+    if shifted.size == shifted.shape[-1]:
+        log_int = np.reshape(logsumexp(shifted), shifted.shape[:-1])
+    else:
+        log_int = logsumexp(shifted, axis=-1)
+    return -log_int if radial else np.log(model.volume) - log_int
 
 
 def log_ricci_profile(
@@ -109,18 +121,21 @@ def entropy_classical(phi: PotentialField) -> float:
 # quantized functionals
 
 
-def e_k(h: HermForm, h_ref: HermForm) -> float:
+def e_k(h: HermForm, h_ref: HermForm) -> float | np.ndarray:
     """Determinant energy -(1/(k N_k)) log det(h_ref^(-1) h).
 
     The log determinant is the sum of the forms' log-eigenvalues; two
-    diagonal forms take it entrywise.
+    diagonal forms take it entrywise.  Two stacks of forms give the
+    energy of each pair as an array, each as for that pair alone.
     """
     if h.level != h_ref.level or h.dim != h_ref.dim:
         raise FunctionalError("determinant energy needs forms of the same level and dimension")
     scale = h.level * h.dim
     if h.is_diagonal and h_ref.is_diagonal:
-        return float(-np.sum(h.logs - h_ref.logs) / scale)
-    return float(-(np.sum(h.logs) - np.sum(h_ref.logs)) / scale)
+        value = -np.sum(h.logs - h_ref.logs, axis=-1) / scale
+    else:
+        value = -(np.sum(h.logs, axis=-1) - np.sum(h_ref.logs, axis=-1)) / scale
+    return float(value) if value.ndim == 0 else value
 
 
 def d_k(model: PolarizedModel, h: HermForm, h_ref: HermForm) -> float:
@@ -143,9 +158,14 @@ def s_k(model: PolarizedModel, h: HermForm, balanced: Optional[HermForm] = None)
     return entropy_of_norms(balancing_norms(model, h, balanced))
 
 
-def entropy_of_norms(b_norms: np.ndarray) -> float:
-    """(1/N) sum B_i log B_i of balancing norms B, the value of S_k."""
-    return float(np.sum(b_norms * np.log(b_norms)) / b_norms.size)
+def entropy_of_norms(b_norms: np.ndarray) -> float | np.ndarray:
+    """(1/N) sum B_i log B_i of balancing norms B, the value of S_k.
+
+    Norms stacked on leading axes give one value per stack entry, each as
+    for its norms alone.
+    """
+    value = np.sum(b_norms * np.log(b_norms), axis=-1) / b_norms.shape[-1]
+    return float(value) if value.ndim == 0 else value
 
 
 def canonical_conjugate_weights(b_norms: np.ndarray, k: int) -> np.ndarray:

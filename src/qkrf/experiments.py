@@ -635,17 +635,23 @@ def _run_duality(params: dict, out: Path) -> tuple:
         k = report["k"]
         write_table_csv(
             out / f"duality-extracted-k{k}.csv",
-            ["t", "identity_residual", "s_na", "uncertainty", "base_spread"],
+            ["t", "identity_residual", "s_na", "uncertainty", "converged", "base_spread"],
             [
-                (e["t"], e["identity_residual"], e["s_na"], e["uncertainty"], e["base_spread"])
+                (
+                    e["t"], e["identity_residual"], e["s_na"], e["uncertainty"],
+                    e["converged"], e["base_spread"],
+                )
                 for e in report["extracted"]
             ],
         )
         write_table_csv(
             out / f"duality-panel-k{k}.csv",
-            ["kind", "s_na", "minus_s_na", "uncertainty", "one_sided_ok"],
+            ["kind", "s_na", "minus_s_na", "uncertainty", "converged", "one_sided_ok"],
             [
-                (r["kind"], r["s_na"], r["minus_s_na"], r["uncertainty"], r["one_sided_ok"])
+                (
+                    r["kind"], r["s_na"], r["minus_s_na"], r["uncertainty"],
+                    r["converged"], r["one_sided_ok"],
+                )
                 for r in report["panel"]
             ],
         )

@@ -24,9 +24,10 @@ stack, held as one ``HermForm`` with a leading stack axis: each RK4 stage
 forms e^Q of all of them with ``matrix_exp`` (elementwise on the radial
 path), balances them with one ``maps.balancing`` and takes the logarithm
 of all the Grams at once; each sample reads its norms with one
-``gen_eig``.  Every start keeps its own contractions, so a stacked run
-equals its start's run alone, bit for bit; ``quantized_flow_run`` is the
-stack of one start.  A stage computes without checks, apart from those of
+``gen_eig`` and its energies L, E_k, D_k, S_k and the relative entropy
+as arrays over the stack.  Every start keeps its own contractions and
+reductions, so a stacked run equals its start's run alone, bit for bit;
+``quantized_flow_run`` is the stack of one start.  A stage computes without checks, apart from those of
 ``matrix_exp``, and then takes one test of all of them; only a stage that
 fails it runs the checks one by one, so the first failure is raised, with
 its start, as when each check ran in turn.
@@ -45,6 +46,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .energies import (
+    _l_values,
     e_k,
     entropy_classical,
     entropy_of_norms,
@@ -317,15 +319,15 @@ def _start_bytes(model: PolarizedModel, k: int, diagonal: bool, samples: int) ->
     node.  The state Q, the RK4 rates and the stage's forms add about 75
     bytes per diagonal entry, or 200 to 300 per dense matrix entry.  A
     sampled diagonal state holds its diagonal and its logs, a dense one
-    its frame and, once saved, its matrix; with its energies either one
-    holds up to 700 bytes of Python objects and series values, about
-    half that without them.
+    its frame and, once saved, its matrix; either one holds about 300
+    bytes of Python objects, and its energies, rows of the stack's series
+    tables, about 50 more.
     """
     n = model.nk(k)
     if diagonal:
-        return 48 * model.radial_count + 80 * n + samples * (16 * n + 768)
+        return 48 * model.radial_count + 80 * n + samples * (16 * n + 512)
     per_node = 48 if isinstance(model, ProjectiveLineModel) else 48 + 32 * n
-    return per_node * model.node_count + 320 * n * n + samples * (32 * n * n + 768)
+    return per_node * model.node_count + 320 * n * n + samples * (32 * n * n + 512)
 
 
 def _integrate_stack(
@@ -385,7 +387,7 @@ def _integrate_stack(
 
     r = len(starts)
     initial = _stack(starts, dense=not diagonal)
-    record = {name: [[] for _ in range(r)] for name in ("L", "E_k", "D_k", "S_k", "relent_ref")}
+    record = {name: [] for name in ("L", "E_k", "D_k", "S_k", "relent_ref")}
     times, states = [], [[] for _ in range(r)]
     t = 0.0
     try:
@@ -408,20 +410,15 @@ def _integrate_stack(
                 run.append(form)
             if not with_energies:
                 continue
+            # each sample's energies for the whole stack, each start's as for it alone
             norms = gen_eig(balanced.gram, held)
-            for i, (form, h0) in enumerate(zip(forms, starts)):
-                potential = (
-                    PotentialField(model, None, balanced.potential[i])
-                    if diagonal
-                    else PotentialField(model, balanced.potential[i])
-                )
-                l_value = l_functional(potential)
-                ek_value = e_k(form, h0)
-                record["L"][i].append(l_value)
-                record["E_k"][i].append(ek_value)
-                record["D_k"][i].append(l_value - ek_value)
-                record["S_k"][i].append(entropy_of_norms(norms[i]))
-                record["relent_ref"][i].append(float(-np.sum(np.log(norms[i]))))
+            l_values = _l_values(model, balanced.potential, radial=diagonal)
+            ek_values = e_k(held, initial)
+            record["L"].append(l_values)
+            record["E_k"].append(ek_values)
+            record["D_k"].append(l_values - ek_values)
+            record["S_k"].append(entropy_of_norms(norms))
+            record["relent_ref"].append(-np.sum(np.log(norms), axis=-1))
     except CONE_ERRORS as exc:
         start = getattr(exc, "start", None)
         where = "" if first is None or start is None else f" (start {first + start})"
@@ -429,10 +426,12 @@ def _integrate_stack(
             f"quantized flow left the positive cone near t = {t:.6f}: {exc}{where}"
         ) from exc
 
+    # one (starts, samples) table per series, each start's row contiguous
+    series = {name: np.array(values).T.copy() for name, values in record.items() if values}
     return [
         FlowTrace(
             "quantized", k, np.asarray(times), states[i],
-            {name: values[i] for name, values in record.items() if values[i]}, dict(meta),
+            {name: values[i] for name, values in series.items()}, dict(meta),
         )
         for i in range(r)
     ]

@@ -11,7 +11,15 @@ frame.
 
 Every ray quantity is evaluated in factored form: the Bergman sums
 along the ray are log-sum-exp combinations of per-section amplitudes,
-so no ill-conditioned matrix at large ray time is ever assembled.
+so no ill-conditioned matrix at large ray time is ever assembled.  When
+each h0-orthonormal adapted section is a multiple of one monomial, as
+for every norm adapted to the reference basis and every norm extracted
+from a radial flow, its amplitude is rotation invariant and the ray runs
+on the radial grid, all times of a slope horizon in one reduction.
+
+A basis built here as a permutation of the reference basis or a unitary
+QR factor is regular by construction and skips the condition check that
+every other adapted basis takes.
 """
 
 from __future__ import annotations
@@ -23,14 +31,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .energies import (
+    _l_values,
     canonical_conjugate_weights,
     conjugate_value,
     entropy_of_norms,
     f_k_na,
-    l_functional,
 )
 from .flows import quantized_flow_run
-from .geometry import PolarizedModel, PotentialField, logsumexp
+from .geometry import ModelError, PolarizedModel, PotentialField, logsumexp
 from .hermforms import HermForm, HermitianError, PositivityError
 from .maps import balancing, orthonormal_orthogonal, project
 
@@ -66,26 +74,45 @@ class NAForm:
     adapted_basis: np.ndarray
 
     def __post_init__(self):
-        if self.level < 1:
-            raise NANormError("level must be a positive integer")
-        weights = np.asarray(self.weights, dtype=float)
-        if weights.ndim != 1 or weights.size == 0 or not np.all(np.isfinite(weights)):
-            raise NANormError("weights must be a finite 1-D vector")
-        if weights.size > 1 and np.any(np.diff(weights) > SUPPORT_TOL):
-            raise NANormError("weights must be sorted in descending order")
-        basis = np.asarray(self.adapted_basis, dtype=complex)
-        if basis.shape != (weights.size, weights.size):
-            raise NANormError("adapted basis shape does not match the weights")
-        _require_regular(basis)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "adapted_basis", basis)
+        _check_na(self)
+        _require_regular(self.adapted_basis)
 
     @property
     def dim(self) -> int:
         return self.weights.size
 
     def shifted(self, c: float) -> "NAForm":
-        return NAForm(self.level, self.weights + float(c), self.adapted_basis)
+        return _regular_na(self.level, self.weights + float(c), self.adapted_basis)
+
+
+def _check_na(nu: NAForm) -> None:
+    """Check a norm's level, weights and basis shape; store them as float and complex arrays."""
+    if nu.level < 1:
+        raise NANormError("level must be a positive integer")
+    weights = np.asarray(nu.weights, dtype=float)
+    if weights.ndim != 1 or weights.size == 0 or not np.all(np.isfinite(weights)):
+        raise NANormError("weights must be a finite 1-D vector")
+    if weights.size > 1 and np.any(np.diff(weights) > SUPPORT_TOL):
+        raise NANormError("weights must be sorted in descending order")
+    basis = np.asarray(nu.adapted_basis, dtype=complex)
+    if basis.shape != (weights.size, weights.size):
+        raise NANormError("adapted basis shape does not match the weights")
+    object.__setattr__(nu, "weights", weights)
+    object.__setattr__(nu, "adapted_basis", basis)
+
+
+def _regular_na(level: int, weights: np.ndarray, basis: np.ndarray) -> NAForm:
+    """A norm whose basis is regular by construction, without the condition check.
+
+    Permuted reference bases, unitary QR factors and the basis of a norm
+    already checked need no SVD; the level, weights and shape are still
+    checked.
+    """
+    nu = object.__new__(NAForm)
+    for name, value in (("level", level), ("weights", weights), ("adapted_basis", basis)):
+        object.__setattr__(nu, name, value)
+    _check_na(nu)
+    return nu
 
 
 def trivial_na(model: PolarizedModel, k: int) -> NAForm:
@@ -98,7 +125,7 @@ def diagonal_na(model: PolarizedModel, k: int, weights: Sequence[float]) -> NAFo
     lam = np.asarray(weights, dtype=float)
     if lam.shape != (n,):
         raise NANormError(f"need {n} weights at level {k}")
-    return NAForm(k, *_diagonal_frames(lam))
+    return _regular_na(k, *_diagonal_frames(lam))
 
 
 def _diagonal_frames(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -130,8 +157,7 @@ def random_na(
     if diagonal:
         return diagonal_na(model, k, lam)
     x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    basis = np.linalg.qr(x)[0]
-    return NAForm(k, lam, basis)
+    return _regular_na(k, lam, np.linalg.qr(x)[0])
 
 
 def na_norm_value(nu: NAForm, coeffs: np.ndarray) -> float | np.ndarray:
@@ -179,8 +205,9 @@ def ultrametric_trials(
     the order a loop over the trials would draw them.  The generator
     draws one sequential stream, so each chunk of trials takes one draw,
     and the rows and the generator's final state equal that loop's bit
-    for bit.  Trials are stacked PANEL_CHUNK_BYTES at a time: one QR,
-    one condition check and one solve per chunk.
+    for bit.  Trials are stacked PANEL_CHUNK_BYTES at a time: one QR and
+    one solve per chunk.  Their bases, permutations and unitary QR
+    factors, are regular by construction and take no condition check.
     """
     n = model.nk(k)
     # a trial holds about four complex N x N arrays (its draw, the QR input,
@@ -199,7 +226,6 @@ def ultrametric_trials(
         weights[~is_odd], bases[~is_odd] = _diagonal_frames(lam[~is_odd])
         x = draw[(start[is_odd] + n)[:, None] + np.arange(2 * n * n)].reshape(-1, 2, n, n)
         bases[is_odd] = np.linalg.qr(x[:, 0] + 1j * x[:, 1])[0]
-        _require_regular(bases)
         ab = draw[(start + size - 4 * n)[:, None] + np.arange(4 * n)].reshape(-1, 4, n)
         a = ab[:, 0] + 1j * ab[:, 1]
         b = ab[:, 2] + 1j * ab[:, 3]
@@ -300,11 +326,43 @@ def _orthonormalize_adapted(h0: HermForm, basis: np.ndarray) -> np.ndarray:
 def _ray_log_amplitudes(
     model: PolarizedModel, nu: NAForm, h0: HermForm
 ) -> np.ndarray:
-    """log |s_i|^2 at the nodes for the h0-orthonormalized adapted basis."""
+    """log |s_i|^2 for the h0-orthonormalized adapted basis, on the radial grid where it can be.
+
+    When the model has radial structure and column i of that frame F has
+    exactly one nonzero entry F_(m_i, i), |s_i|^2 = |F_(m_i, i)|^2 sigma_(m_i)(r)
+    is rotation invariant, and the amplitudes come as (N, radial_count);
+    otherwise they come at every node, (N, node_count).
+    """
     frame = _orthonormalize_adapted(h0, nu.adapted_basis)
-    amplitudes = frame.T @ model.sections(nu.level)
     with np.errstate(divide="ignore"):
+        if model.supports_radial and np.all(np.count_nonzero(frame, axis=0) == 1):
+            rows = np.argmax(frame != 0.0, axis=0)
+            scale = np.abs(frame[rows, np.arange(nu.dim)]) ** 2
+            return np.log(scale)[:, None] + np.log(model.radial_section_sq(nu.level)[rows])
+        amplitudes = frame.T @ model.sections(nu.level)
         return np.log(np.abs(amplitudes) ** 2)
+
+
+def _radial_ray(model: PolarizedModel, log_amplitudes: np.ndarray) -> bool:
+    """Whether ``_ray_log_amplitudes`` gave these on the radial grid."""
+    return log_amplitudes.shape[-1] != model.node_count
+
+
+def _ray_l_values(
+    model: PolarizedModel, nu: NAForm, times: np.ndarray, log_amplitudes: np.ndarray
+) -> np.ndarray:
+    """L of the Fubini-Study potentials at the ray times, one stacked reduction.
+
+    Each time's potential is reduced on its own slice, so its L has the
+    same bits as the one-time call's.
+    """
+    radial = _radial_ray(model, log_amplitudes)
+    with np.errstate(over="ignore", invalid="ignore"):
+        exponents = nu.weights[:, None] * times[:, None, None] + log_amplitudes
+        values = (logsumexp(exponents, axis=-2) - math.log(nu.dim)) / nu.level
+    if not np.all(np.isfinite(values)):
+        raise ModelError("the ray's potential is not finite")
+    return _l_values(model, values, radial)
 
 
 def ray_l_value(
@@ -314,8 +372,7 @@ def ray_l_value(
     """L of the Fubini-Study potential at ray time t, fully in log space."""
     if log_amplitudes is None:
         log_amplitudes = _ray_log_amplitudes(model, nu, h0)
-    log_bergman = logsumexp(nu.weights[:, None] * t + log_amplitudes, axis=0)
-    return l_functional(PotentialField(model, (log_bergman - math.log(nu.dim)) / nu.level))
+    return float(_ray_l_values(model, nu, np.array([float(t)]), log_amplitudes)[0])
 
 
 def l_na_slope(
@@ -337,22 +394,27 @@ def l_na_slope(
     t_max.  When the uncertainty exceeds SLOPE_TOL the horizon is
     doubled, up to MAX_DOUBLINGS times, keeping the estimate honest for
     such norms.
+
+    A ray on the radial grid evaluates the 2 SLOPE_RUNGS times of a
+    horizon as one stacked reduction; a ray at every node takes one
+    ``ray_l_value`` per time, whose arrays stay in cache.
     """
     if t_max < 10.0:
         raise NANormError("slope estimation needs t_max >= 10")
     if h0.level != nu.level or h0.dim != nu.dim:
         raise NANormError("base form level does not match the norm")
     log_amplitudes = _ray_log_amplitudes(model, nu, h0)
+    radial = _radial_ray(model, log_amplitudes)
     estimate = None
     horizon = float(t_max)
     for _ in range(MAX_DOUBLINGS + 1):
         times = horizon * (1.0 - np.arange(SLOPE_RUNGS) / (2.0 * SLOPE_RUNGS))
-        slopes = []
-        for t in times:
-            upper = ray_l_value(model, nu, h0, t, log_amplitudes)
-            lower = ray_l_value(model, nu, h0, t - SLOPE_DELTA, log_amplitudes)
-            slopes.append((upper - lower) / SLOPE_DELTA)
-        slopes = np.asarray(slopes)
+        ladder = np.concatenate([times, times - SLOPE_DELTA])
+        if radial:
+            values = _ray_l_values(model, nu, ladder, log_amplitudes)
+        else:
+            values = np.array([ray_l_value(model, nu, h0, t, log_amplitudes) for t in ladder])
+        slopes = (values[:SLOPE_RUNGS] - values[SLOPE_RUNGS:]) / SLOPE_DELTA
         extrapolants = _neville_to_zero(1.0 / times, slopes)
         steps = np.abs(np.diff(extrapolants))
         best = int(np.argmin(steps)) + 1

@@ -331,6 +331,21 @@ def test_a_section_table_past_the_byte_budget_exits_three(
     assert "resource limit" in err
 
 
+def test_duality_csvs_carry_the_converged_flags(tmp_path):
+    """Each slope's flag is written next to its uncertainty: converged iff it is within SLOPE_TOL."""
+    from qkrf.nanorms import SLOPE_TOL
+
+    run_experiment({"experiment": "duality"}, str(tmp_path))
+    for name, after in (("extracted", "base_spread"), ("panel", "one_sided_ok")):
+        for k in (1, 2):
+            header, *rows = (tmp_path / f"duality-{name}-k{k}.csv").read_text().splitlines()
+            columns = header.split(",")
+            assert columns[-3:] == ["uncertainty", "converged", after]
+            for row in rows:
+                cells = dict(zip(columns, row.split(",")))
+                assert cells["converged"] == ("1" if float(cells["uncertainty"]) <= SLOPE_TOL else "0")
+
+
 # ---------------------------------------------------------------------------
 # negative controls: a named defect fails a gated metric at its own threshold
 
@@ -371,6 +386,11 @@ def _without_log_nk(f_k_na):
     return lambda nu: f_k_na(nu) - np.log(nu.dim)
 
 
+def _pairing_without_log_nk(conjugate_value):
+    """``nanorms.conjugate_value`` without its log N_k term."""
+    return lambda b_norms, k, lam: conjugate_value(b_norms, k, lam) - np.log(len(b_norms))
+
+
 def _atoms_over_k_plus_1(dh_empirical):
     """``experiments.dh_empirical`` with atoms lam_i / (k + 1) in place of lam_i / k."""
     return lambda nu: DHMeasure(nu.weights / (nu.level + 1), dh_empirical(nu).masses)
@@ -386,6 +406,8 @@ def _atoms_over_k_plus_1(dh_empirical):
         ("na-panel", "na_constant_slope_deviation", "experiments.l_na_slope", _negated_slope),
         ("na-panel", "na_free_energy_oracle", "experiments.f_k_na", _without_log_nk),
         ("na-panel", "na_dh_moment_deviation", "experiments.dh_empirical", _atoms_over_k_plus_1),
+        ("duality", "duality_identity_k1", "nanorms.conjugate_value", _pairing_without_log_nk),
+        ("duality", "duality_identity_k2", "nanorms.conjugate_value", _pairing_without_log_nk),
     ],
 )
 def test_a_defect_fails_its_metric(tmp_path, monkeypatch, experiment, metric, target, defect):

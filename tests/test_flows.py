@@ -515,6 +515,39 @@ def _assert_matches_reference(model, trace, h0, t_max, dt):
         assert np.array_equal(trace.series[name], values), name
 
 
+def _replayed_energies(model, trace, h0):
+    """A trace's sampled energies from each sampled state alone, with the single-form functions."""
+    series = {name: [] for name in ("L", "E_k", "D_k", "S_k", "relent_ref")}
+    for form in trace.states:
+        norms = gen_eig(balancing(model, form), form)
+        l_value = l_functional(fubini_study(model, form))
+        series["L"].append(l_value)
+        series["E_k"].append(e_k(form, h0))
+        series["D_k"].append(l_value - e_k(form, h0))
+        series["S_k"].append(entropy_of_norms(norms))
+        series["relent_ref"].append(float(-np.sum(np.log(norms))))
+    return series
+
+
+@pytest.mark.parametrize(
+    "path, runs", [("dense", 3), ("diagonal", 3), ("dense", 1), ("diagonal", 1)]
+)
+def test_stacked_samples_equal_a_per_start_replay(p1, path, runs):
+    """Each sample's energies, taken for the whole stack at once, are each start's own, bitwise."""
+    if path == "dense":
+        starts = _dense_starts(2, runs, seed=31)
+    else:
+        starts = [project(family_potential(p1, "sine", a), 3) for a in (0.2, -0.3, 0.4)[:runs]]
+    traces = list(quantized_flow_runs(p1, starts, t_max=0.25, dt=0.05))
+    for trace, h0 in zip(traces, starts):
+        assert trace.meta["diagonal_path"] == (path == "diagonal")
+        want = _replayed_energies(p1, trace, h0)
+        assert trace.series.keys() == want.keys()
+        for name, values in want.items():
+            assert np.array_equal(trace.series[name], values), name
+            assert np.signbit(trace.series[name][0]) == np.signbit(values[0])
+
+
 def test_diagonal_starts_off_the_radial_path_run_dense(discrete):
     """A diagonal start on a model without radial structure takes the dense path.
 

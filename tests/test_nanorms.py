@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
-from qkrf.energies import f_k_na
+from qkrf.energies import f_k_na, l_functional
+from qkrf.experiments import family_potential
+from qkrf.geometry import ModelError, PotentialField, logsumexp
 from qkrf.hermforms import HermForm
 from qkrf.maps import project
 from qkrf.flows import quantized_flow_run
@@ -15,6 +19,7 @@ from qkrf.nanorms import (
     extract_na_from_flow,
     l_na_slope,
     na_norm_value,
+    ray_l_value,
     random_na,
     s_k_na,
     trivial_na,
@@ -143,20 +148,48 @@ class _ZeroDraws:
         return np.zeros(size)
 
 
-def test_stacked_trials_raise_the_single_form_errors(p1, monkeypatch):
+def test_stacked_trials_raise_the_single_form_errors(p1):
     with pytest.raises(NANormError) as single:
         na_norm_value(diagonal_na(p1, 1, [0.0, 0.0, 0.0]), np.zeros(3))
     with pytest.raises(NANormError) as stacked:
         ultrametric_trials(_ZeroDraws(), p1, 1, 4)
     assert str(stacked.value) == str(single.value) == "the zero section has no norm"
 
-    with pytest.raises(NANormError) as single:
-        NAForm(1, np.array([2.0, 1.0, 0.0]), np.zeros((3, 3)))
-    # the odd trial's QR returns a singular basis
-    monkeypatch.setattr(np.linalg, "qr", lambda x: (np.zeros_like(x), None))
-    with pytest.raises(NANormError) as stacked:
-        ultrametric_trials(np.random.default_rng(0), p1, 1, 2)
-    assert str(stacked.value) == str(single.value) == "adapted basis is numerically singular"
+
+def test_a_singular_caller_basis_raises():
+    weights = np.array([2.0, 1.0, 0.0])
+    near = np.eye(3, dtype=complex)
+    near[2, 2] = 1e-14  # condition number 1e14, past CONDITION_LIMIT
+    for basis in (np.zeros((3, 3)), np.ones((3, 3)), near):
+        with pytest.raises(NANormError, match="^adapted basis is numerically singular$"):
+            NAForm(1, weights, basis)
+
+
+def test_only_bases_from_outside_take_the_condition_check(p1, bump, monkeypatch):
+    """Permuted reference bases and unitary QR factors skip the SVD; other bases take it."""
+    checked = []
+    require = nanorms._require_regular
+    monkeypatch.setattr(
+        nanorms, "_require_regular", lambda bases: checked.append(bases.shape) or require(bases)
+    )
+    rng = np.random.default_rng(3)
+    built = [
+        trivial_na(p1, 2),
+        diagonal_na(p1, 1, [0.1, 2.0, -0.5]),
+        random_na(rng, p1, 2, diagonal=True),
+        random_na(rng, p1, 2),
+    ]
+    built += [nu.shifted(0.4) for nu in built]
+    ultrametric_trials(rng, p1, 2, 6)
+    assert checked == []
+    assert all(isinstance(nu, NAForm) and nu.adapted_basis.dtype == complex for nu in built)
+    with pytest.raises(NANormError, match="descending"):
+        nanorms._regular_na(1, np.array([0.0, 1.0, 2.0]), np.eye(3))
+
+    NAForm(1, np.array([1.0, 0.0, -1.0]), np.eye(3))
+    h = quantized_flow_run(p1, project(bump, 1), t_max=0.5, dt=0.25).states[-1]
+    extract_na_from_flow(p1, h)
+    assert checked == [(3, 3), (3, 3)]
 
 
 def test_dh_empirical_moments(p1):
@@ -252,3 +285,92 @@ def test_duality_gap_report_shape(p1, bump):
     for row in report["extracted"]:
         assert row["identity_residual"] <= 1e-9
 
+
+# ---------------------------------------------------------------------------
+# rays on the radial grid
+
+
+def _node_l_value(model, nu, h0, t):
+    """L at ray time t from the amplitudes at every 2-D node, the evaluation of any frame."""
+    frame = nanorms._orthonormalize_adapted(h0, nu.adapted_basis)
+    with np.errstate(divide="ignore"):
+        log_amplitudes = np.log(np.abs(frame.T @ model.sections(nu.level)) ** 2)
+    log_bergman = logsumexp(nu.weights[:, None] * t + log_amplitudes, axis=0)
+    return l_functional(PotentialField(model, (log_bergman - math.log(nu.dim)) / nu.level))
+
+
+def _radial_norms(model, k):
+    """Trivial, diagonal, diagonal-random and extracted norms, with their base forms."""
+    rng = np.random.default_rng(40 + k)
+    base = project(model.zero_potential(), k)
+    start = project(family_potential(model, "sine", -0.3), k)
+    h = quantized_flow_run(model, start, t_max=1.0, dt=0.25 / k).states[-1]
+    norms = [
+        trivial_na(model, k),
+        diagonal_na(model, k, rng.standard_normal(2 * k + 1)),
+        random_na(rng, model, k, spread=0.8, diagonal=True),
+        extract_na_from_flow(model, h)[0],
+    ]
+    return [(nu, h0) for nu in norms for h0 in (base, h)]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_radial_rays_match_the_node_evaluation(p1, k):
+    for nu, h0 in _radial_norms(p1, k):
+        assert nanorms._ray_log_amplitudes(p1, nu, h0).shape == (nu.dim, p1.radial_count)
+        for t in (0.0, 1.0, 39.0, 40.0, 159.0, 320.0, 639.0, 640.0):
+            assert abs(ray_l_value(p1, nu, h0, t) - _node_l_value(p1, nu, h0, t)) <= 1e-12
+
+
+def test_unitary_and_discrete_norms_keep_the_node_path(p1, discrete):
+    rng = np.random.default_rng(8)
+    cases = [
+        (p1, random_na(rng, p1, 2, spread=0.8), project(p1.zero_potential(), 2)),
+        (discrete, diagonal_na(discrete, 2, rng.standard_normal(5)), HermForm(2, np.ones(5))),
+    ]
+    for model, nu, h0 in cases:
+        assert nanorms._ray_log_amplitudes(model, nu, h0).shape == (nu.dim, model.node_count)
+        for t in (0.0, 40.0):
+            assert ray_l_value(model, nu, h0, t) == _node_l_value(model, nu, h0, t)
+
+
+def test_a_ray_past_the_float_range_raises(p1):
+    h0 = project(p1.zero_potential(), 1)
+    for nu in (trivial_na(p1, 1), random_na(np.random.default_rng(2), p1, 1)):
+        with pytest.raises(ModelError, match="^the ray's potential is not finite$"):
+            ray_l_value(p1, nu.shifted(10.0), h0, 1e308)
+
+
+def test_each_ladder_value_equals_ray_l_value_bitwise(p1, discrete, monkeypatch):
+    """The stacked radial ladder and the node path's one call per time give ray_l_value's bits."""
+    ladders = []
+    stacked = nanorms._ray_l_values
+
+    def recorded(model, nu, times, log_amplitudes):
+        values = stacked(model, nu, times, log_amplitudes)
+        ladders.append((times, values))
+        return values
+
+    monkeypatch.setattr(nanorms, "_ray_l_values", recorded)
+    rng = np.random.default_rng(12)
+    near = NAForm(1, np.array([0.65729451, 0.27651153, 0.26430075]), np.eye(3))
+    cases = [(p1, near, HermForm(1, np.ones(3)))]  # doubles its horizon
+    cases += [(p1, nu, h0) for nu, h0 in _radial_norms(p1, 2)[::3]]
+    cases += [
+        (p1, random_na(rng, p1, 2, spread=0.8), project(p1.zero_potential(), 2)),
+        (discrete, diagonal_na(discrete, 1, [0.5, 0.0, -0.5]), HermForm(1, np.ones(3))),
+    ]
+    rungs = 2 * nanorms.SLOPE_RUNGS
+    for model, nu, h0 in cases:
+        ladders.clear()
+        estimate = l_na_slope(model, nu, h0)
+        calls = list(ladders)
+        radial = nanorms._ray_log_amplitudes(model, nu, h0).shape[-1] == model.radial_count
+        # one stacked call per horizon on the radial grid, one call per time at the nodes
+        assert [len(times) for times, _ in calls] == [rungs if radial else 1] * len(calls)
+        horizons = 1 + round(math.log2(estimate.ladder_times[0] / 40.0))
+        assert len(calls) == (1 if radial else rungs) * horizons
+        for times, values in calls:
+            for t, value in zip(times, values):
+                assert value == ray_l_value(model, nu, h0, t)
+    assert l_na_slope(*cases[0]).ladder_times[0] > 40.0
