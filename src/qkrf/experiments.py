@@ -4,24 +4,19 @@ Each experiment is a named, seeded recipe that builds a projective-line
 model, exercises one identity or convergence statement, and writes
 plain CSV artifacts plus a manifest with pass/fail metrics.  Identical
 config and seed reproduce byte-identical CSVs: floats are always
-written with 17 significant digits and worker threads only change the
-execution order, never the collected values.
-
-The QKRF_THREADS environment variable bounds the thread pool used for
-the embarrassingly parallel per-level loops.  The monotonicity runs are
-one stacked quantized flow instead.
+written with 17 significant digits, and the levels of a run are
+computed one after another in ascending k.  The monotonicity runs are
+one stacked quantized flow.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -330,23 +325,6 @@ def make_metric(name: str, value: float, threshold: float, op: str) -> dict:
 # shared utilities
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("QKRF_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError as exc:
-        raise ExperimentError(f"QKRF_THREADS: not an integer ({raw!r})") from exc
-
-
-def _parallel_map(fn: Callable, items: Sequence) -> list:
-    items = list(items)
-    workers = min(_thread_count(), max(1, len(items)))
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def write_table_csv(path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
     def cell(x) -> str:
         if isinstance(x, (bool, np.bool_)):
@@ -370,15 +348,9 @@ def euler_gap_report(
     k_list: Sequence[int],
     refine: int = 4,
 ) -> dict:
-    """``euler_gap_at_level`` at each distinct level, with its fitted decay slope in k.
-
-    The levels run on up to QKRF_THREADS workers; the errors come back in
-    ascending order of k whatever the worker count.
-    """
+    """``euler_gap_at_level`` at each distinct level, with its fitted decay slope in k."""
     k_values = sorted(set(int(k) for k in k_list))
-    errors = _parallel_map(
-        lambda k: euler_gap_at_level(model, phi0, t_max, k, refine), k_values
-    )
+    errors = [euler_gap_at_level(model, phi0, t_max, k, refine) for k in k_values]
     slope, half_width = fit_decay(k_values, errors)
     return {
         "k_values": k_values,
@@ -417,15 +389,8 @@ def entropy_convergence_report(
         fine_model, None, model.interpolate_radial(psi, fine_model.u)
     )
     s_classical = entropy_classical(fine_phi)
-
-    def one_level(k: int) -> tuple:
-        coarse = s_k(model, project(phi0, k))
-        fine = s_k(fine_model, project(fine_phi, k))
-        return coarse, fine
-
-    pairs = _parallel_map(one_level, k_values)
-    s_k_values = [p[0] for p in pairs]
-    s_k_fine = [p[1] for p in pairs]
+    s_k_values = [s_k(model, project(phi0, k)) for k in k_values]
+    s_k_fine = [s_k(fine_model, project(fine_phi, k)) for k in k_values]
     diffs = [abs(v - s_classical) for v in s_k_values]
     tail = [d for k, d in zip(k_values, diffs) if k >= TAIL_FROM]
     worst_increase = max(np.diff(tail)) if len(tail) > 1 else 0.0
@@ -458,14 +423,12 @@ def _model_from(params: dict, k_top: int) -> ProjectiveLineModel:
 def _run_balanced_fixed_point(params: dict, out: Path) -> tuple:
     model = _model_from(params, params["k_max"])
     zero = model.zero_potential()
-
-    def one_level(k: int) -> tuple:
+    rows = []
+    for k in model.levels:
         h = project(zero, k)
         b = balancing(model, h)
         residual = float(np.linalg.norm(b.data - h.data) / np.linalg.norm(h.data))
-        return k, residual, s_k(model, h, balanced=b)
-
-    rows = _parallel_map(one_level, list(model.levels))
+        rows.append((k, residual, s_k(model, h, balanced=b)))
     gram = project(zero, 1).diagonal()
     oracle = np.array([1.0 / 3.0, 1.0 / 6.0, 1.0 / 3.0])
     gram_error = float(np.max(np.abs(gram - oracle)))
@@ -543,9 +506,7 @@ def _run_thmb_entropy(params: dict, out: Path) -> tuple:
     )
 
     zero = model.zero_potential()
-    zero_rows = _parallel_map(
-        lambda k: (k, s_k(model, project(zero, k))), k_values
-    )
+    zero_rows = [(k, s_k(model, project(zero, k))) for k in k_values]
     write_table_csv(out / "thmB-zero.csv", ["k", "S_k"], zero_rows)
 
     metrics = [
@@ -616,9 +577,10 @@ def _run_duality(params: dict, out: Path) -> tuple:
     k_values = sorted(set(params["k_list"]))
     model = _model_from(params, max(k_values))
     phi0 = family_potential(model, params["family"], params["amplitude"])
-
-    def one_level(k: int) -> dict:
-        return duality_gap(
+    metrics = []
+    artifacts = []
+    for k in k_values:
+        report = duality_gap(
             model,
             k,
             phi0,
@@ -627,12 +589,6 @@ def _run_duality(params: dict, out: Path) -> tuple:
             seed=params["seed"] + k,
             slope_t_max=params["slope_t_max"],
         )
-
-    reports = _parallel_map(one_level, k_values)
-    metrics = []
-    artifacts = []
-    for report in reports:
-        k = report["k"]
         write_table_csv(
             out / f"duality-extracted-k{k}.csv",
             ["t", "identity_residual", "s_na", "uncertainty", "converged", "base_spread"],

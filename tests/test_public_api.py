@@ -73,8 +73,8 @@ WARMUP = [
 ]
 
 # Small configs whose runs reach each use of scipy: the classical solver's LU
-# (thmA-gap) and the orthonormalized adapted bases (duality, on two levels in
-# parallel, and na-panel).
+# (thmA-gap) and the orthonormalized adapted bases (duality, on two levels,
+# and na-panel).
 SCIPY_CONFIGS = [
     {"experiment": "thmA-gap", "k_list": [2, 3, 4], "t_max": 0.5, "radial_nodes": 24,
      "angular_nodes": 24},
@@ -85,9 +85,9 @@ SCIPY_CONFIGS = [
 ]
 
 
-def _run_fresh(script: str, *args: str, threads: int = 1):
+def _run_fresh(script: str, *args: str):
     """Run ``script`` in a new interpreter on this qkrf; return its last line as JSON."""
-    env = dict(os.environ, QKRF_THREADS=str(threads))
+    env = dict(os.environ)
     package_root = str(Path(qkrf.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     done = subprocess.run(
@@ -116,8 +116,8 @@ print(json.dumps(loaded))
                       "euler-gap": []}
 
 
-def test_scipy_loads_on_first_use_under_threads(tmp_path):
-    """Runs that reach scipy from a fresh interpreter, on two workers, match in-process runs."""
+def test_scipy_loads_on_first_use_and_fresh_runs_match(tmp_path):
+    """Runs that reach scipy from a fresh interpreter match in-process runs byte for byte."""
     script = f"""
 import json, sys
 import qkrf
@@ -127,7 +127,7 @@ for i, config in enumerate(json.loads(sys.argv[1])):
 print(json.dumps([before, "scipy.linalg" in sys.modules]))
 """
     fresh = tmp_path / "fresh"
-    before, linalg_loaded = _run_fresh(script, json.dumps(SCIPY_CONFIGS), str(fresh), threads=2)
+    before, linalg_loaded = _run_fresh(script, json.dumps(SCIPY_CONFIGS), str(fresh))
     assert before == [] and linalg_loaded
     for i, config in enumerate(SCIPY_CONFIGS):
         manifest = qkrf.run_experiment(config, str(tmp_path / "here" / str(i)))
