@@ -2,7 +2,8 @@
 
 Each experiment is a named, seeded recipe that builds a projective-line
 model, exercises one identity or convergence statement, and writes
-plain CSV artifacts plus a manifest with pass/fail metrics.  Identical
+plain CSV artifacts plus a manifest with pass/fail metrics, each
+judged by its entry in the one registry ``METRICS``.  Identical
 config and seed reproduce byte-identical CSVs: floats are always
 written with 17 significant digits, and the levels of a run are
 computed one after another in ascending k.  The monotonicity runs are
@@ -40,6 +41,7 @@ from .hermforms import HermForm, random_herm_pd
 from .maps import balancing, project
 from .nanorms import (
     DUALITY_STEP,
+    SLOPE_TOL,
     dh_empirical,
     diagonal_na,
     duality_gap,
@@ -321,6 +323,159 @@ def make_metric(name: str, value: float, threshold: float, op: str) -> dict:
     }
 
 
+@dataclass(frozen=True)
+class GatedMetric:
+    """One gated metric: its experiment, comparison, threshold, meaning and control status.
+
+    ``threshold`` is None when the run computes the bound.  ``status`` is
+    "control" when a test injects a named defect that fails the metric
+    (tests/test_experiments.py::test_a_defect_fails_its_metric), "smoke"
+    when no realistic defect can fail it, "fails" when the default run
+    fails it at its stated threshold, and None when it has no control yet.
+    """
+
+    experiment: str
+    op: str
+    threshold: Optional[float]
+    status: Optional[str]
+    meaning: str
+
+
+# Absolute slack of na_translation_invariance on top of the two slope uncertainties.
+TRANSLATION_SLACK = 1e-6
+
+# Every gated metric, in manifest order; "{k}" in a name stands for each level of the run.
+METRICS = {
+    "fixed_point_residual": GatedMetric(
+        "balanced-fixed-point", "<=", 1e-9, "control",
+        "largest relative change |b_k(H) - H| / |H| of the round Gram under balancing",
+    ),
+    "fixed_point_entropy": GatedMetric(
+        "balanced-fixed-point", "<=", 1e-9, "control",
+        "largest S_k of the round Gram, which is balanced at every level",
+    ),
+    "gram_k1_oracle": GatedMetric(
+        "balanced-fixed-point", "<=", 1e-10, "control",
+        "largest error of the k = 1 round Gram against diag(1/3, 1/6, 1/3)",
+    ),
+    "euler_gap_slope": GatedMetric(
+        "euler-gap", "<=", -0.8, "fails",
+        "slope in k of the log-gap between Bergman iterates and the flow (criterion 3)",
+    ),
+    "thma_slope": GatedMetric(
+        "thmA-gap", "<=", -0.8, None,
+        "slope in k of the sup gap between quantized and classical potentials",
+    ),
+    "thma_resolution_gap": GatedMetric(
+        "thmA-gap", "<=", 1e-5, None,
+        "change of the classical potentials on a refined radial grid",
+    ),
+    "thmb_tail_increase": GatedMetric(
+        "thmB-entropy", "<=", 0.0, None,
+        "largest step up of |S_k - S| over the levels k >= TAIL_FROM",
+    ),
+    "thmb_final_ratio": GatedMetric(
+        "thmB-entropy", "<=", 0.02, "fails",
+        "|S_k - S| / S at the top level (criterion 5)",
+    ),
+    "thmb_zero_case": GatedMetric(
+        "thmB-entropy", "<=", 1e-8, "control",
+        "largest S_k of the zero potential's Gram",
+    ),
+    "thmb_resolution_control": GatedMetric(
+        "thmB-entropy", "<=", 1e-8, "control",
+        "largest change of S_k on a refined radial grid",
+    ),
+    "slope_identity_ratio_low": GatedMetric(
+        "slope-identity", ">=", 1.5, "control",
+        "coarse over fine residual of S_k = -dL/dt, which is first order in dt",
+    ),
+    "slope_identity_ratio_high": GatedMetric(
+        "slope-identity", "<=", 2.5, None,
+        "coarse over fine residual of S_k = -dL/dt, which is first order in dt",
+    ),
+    "slope_identity_algebra": GatedMetric(
+        "slope-identity", "<=", 1e-9, "control",
+        "largest entropy-identity residual of the norms extracted from the first flow states",
+    ),
+    "monotonicity_excess": GatedMetric(
+        "monotonicity", "<=", 0.0, None,
+        "largest excess of dS_k/dt over ((k+1)/N_k) R^2, less its slack, over the seeded runs",
+    ),
+    "duality_min_s_k_k{k}": GatedMetric(
+        "duality", "<=", 0.01, None,
+        "infimum of S_k along the flow, about 0 because P^1 is Kahler-Einstein",
+    ),
+    "duality_panel_max_k{k}": GatedMetric(
+        "duality", "<=", 0.05, "control",
+        "largest -S^NA over the panel of norms",
+    ),
+    "duality_panel_min_k{k}": GatedMetric(
+        "duality", ">=", -0.05, "smoke",
+        "reads the panel maximum of -S^NA (_run_duality), at least the trivial norm's 0",
+    ),
+    "duality_one_sided_k{k}": GatedMetric(
+        "duality", ">=", 1.0, "control",
+        "1 when every panel norm has -S^NA <= inf S_k within its slope uncertainty",
+    ),
+    "duality_identity_k{k}": GatedMetric(
+        "duality", "<=", 1e-9, "control",
+        "largest entropy-identity residual of the norms extracted along the flow",
+    ),
+    "na_ultrametric_violations": GatedMetric(
+        "na-panel", "<=", 0.0, "smoke",
+        "trials breaking |a + b| <= max(|a|, |b|) or |c a| = |a| on generic sections",
+    ),
+    "na_dh_moment_deviation": GatedMetric(
+        "na-panel", "<=", 1e-12, "control",
+        "mean and second moment of a k = 1 Duistermaat-Heckman measure against 1, sqrt(2/3)",
+    ),
+    "na_free_energy_oracle": GatedMetric(
+        "na-panel", "<=", 1e-12, "control",
+        "f_k^NA of a k = 1 diagonal norm against its closed form",
+    ),
+    "na_trivial_slope": GatedMetric(
+        "na-panel", "<=", 1e-9, "smoke",
+        "|slope of L| along the trivial norm's ray, which is 0 whatever its sign",
+    ),
+    "na_constant_slope_deviation": GatedMetric(
+        "na-panel", "<=", 1e-9, "control",
+        "slope of L along a constant-weight norm's ray against its weight 0.7",
+    ),
+    "na_slope_t_stability": GatedMetric(
+        "na-panel", "<=", None, None,
+        "change of a monomial norm's slope when the horizon doubles; "
+        "bound max(its uncertainty, SLOPE_TOL)",
+    ),
+    "na_slope_uncertainty": GatedMetric(
+        "na-panel", "<=", 1e-3, None,
+        "stated uncertainty of that monomial norm's slope",
+    ),
+    "na_translation_invariance": GatedMetric(
+        "na-panel", "<=", None, "control",
+        "change of S^NA_k when the weights shift by 1.7; "
+        "bound the two uncertainties plus TRANSLATION_SLACK",
+    ),
+}
+
+
+def metric(
+    name: str, value: float, bound: Optional[float] = None, k: Optional[int] = None
+) -> dict:
+    """The manifest entry of registered metric ``name``, formatted at level ``k``.
+
+    ``bound`` is the threshold the run computed, given exactly for the
+    entries whose threshold is None.
+    """
+    entry = METRICS[name]
+    if (entry.threshold is None) == (bound is None):
+        raise ExperimentError(
+            f"metric {name}: a computed bound is given exactly when its threshold is None"
+        )
+    threshold = entry.threshold if bound is None else bound
+    return make_metric(name.format(k=k), value, threshold, entry.op)
+
+
 # ---------------------------------------------------------------------------
 # shared utilities
 
@@ -434,9 +589,9 @@ def _run_balanced_fixed_point(params: dict, out: Path) -> tuple:
     gram_error = float(np.max(np.abs(gram - oracle)))
     write_table_csv(out / "balanced-fixed-point.csv", ["k", "residual", "s_k"], rows)
     metrics = [
-        make_metric("fixed_point_residual", max(r[1] for r in rows), 1e-9, "<="),
-        make_metric("fixed_point_entropy", max(r[2] for r in rows), 1e-9, "<="),
-        make_metric("gram_k1_oracle", gram_error, 1e-10, "<="),
+        metric("fixed_point_residual", max(r[1] for r in rows)),
+        metric("fixed_point_entropy", max(r[2] for r in rows)),
+        metric("gram_k1_oracle", gram_error),
     ]
     return metrics, ["balanced-fixed-point.csv"]
 
@@ -453,9 +608,7 @@ def _run_euler_gap(params: dict, out: Path) -> tuple:
         ["slope", "half_width"],
         [[report["slope"], report["slope_half_width"]]],
     )
-    metrics = [
-        make_metric("euler_gap_slope", report["slope"], -0.8, "<="),
-    ]
+    metrics = [metric("euler_gap_slope", report["slope"])]
     return metrics, ["euler-gap.csv", "euler-gap-fit.csv"]
 
 
@@ -482,8 +635,8 @@ def _run_thma_gap(params: dict, out: Path) -> tuple:
         [[report["resolution_gap"], report["slope"], report["slope_half_width"]]],
     )
     metrics = [
-        make_metric("thma_slope", report["slope"], -0.8, "<="),
-        make_metric("thma_resolution_gap", report["resolution_gap"], 1e-5, "<="),
+        metric("thma_slope", report["slope"]),
+        metric("thma_resolution_gap", report["resolution_gap"]),
     ]
     return metrics, ["thmA-gap.csv", "thmA-consistency.csv"]
 
@@ -510,10 +663,10 @@ def _run_thmb_entropy(params: dict, out: Path) -> tuple:
     write_table_csv(out / "thmB-zero.csv", ["k", "S_k"], zero_rows)
 
     metrics = [
-        make_metric("thmb_tail_increase", report["worst_tail_increase"], 0.0, "<="),
-        make_metric("thmb_final_ratio", report["final_ratio"], 0.02, "<="),
-        make_metric("thmb_zero_case", max(r[1] for r in zero_rows), 1e-8, "<="),
-        make_metric("thmb_resolution_control", report["resolution_control"], 1e-8, "<="),
+        metric("thmb_tail_increase", report["worst_tail_increase"]),
+        metric("thmb_final_ratio", report["final_ratio"]),
+        metric("thmb_zero_case", max(r[1] for r in zero_rows)),
+        metric("thmb_resolution_control", report["resolution_control"]),
     ]
     return metrics, ["thmB-entropy.csv", "thmB-zero.csv"]
 
@@ -541,9 +694,9 @@ def _run_slope_identity(params: dict, out: Path) -> tuple:
         extract_na_from_flow(model, h)[1] for h in last_trace.states[:3]
     )
     metrics = [
-        make_metric("slope_identity_ratio_low", ratio, 1.5, ">="),
-        make_metric("slope_identity_ratio_high", ratio, 2.5, "<="),
-        make_metric("slope_identity_algebra", identity_residual, 1e-9, "<="),
+        metric("slope_identity_ratio_low", ratio),
+        metric("slope_identity_ratio_high", ratio),
+        metric("slope_identity_algebra", identity_residual),
     ]
     return metrics, ["slope-identity.csv"] + artifacts
 
@@ -567,9 +720,7 @@ def _run_monotonicity(params: dict, out: Path) -> tuple:
     artifacts = ["monotonicity.csv"] + [
         f"monotonicity-run{i}.{ext}" for i, *_ in rows for ext in ("json", "csv")
     ]
-    metrics = [
-        make_metric("monotonicity_excess", max(r[3] for r in rows), 0.0, "<="),
-    ]
+    metrics = [metric("monotonicity_excess", max(r[3] for r in rows))]
     return metrics, artifacts
 
 
@@ -614,17 +765,11 @@ def _run_duality(params: dict, out: Path) -> tuple:
         artifacts += [f"duality-extracted-k{k}.csv", f"duality-panel-k{k}.csv"]
         worst_identity = max(e["identity_residual"] for e in report["extracted"])
         metrics += [
-            make_metric(f"duality_min_s_k_k{k}", report["min_s_k"], 0.01, "<="),
-            make_metric(
-                f"duality_panel_max_k{k}", report["panel_max_minus_s_na"], 0.05, "<="
-            ),
-            make_metric(
-                f"duality_panel_min_k{k}", report["panel_max_minus_s_na"], -0.05, ">="
-            ),
-            make_metric(
-                f"duality_one_sided_k{k}", 1.0 if report["one_sided_all"] else 0.0, 1.0, ">="
-            ),
-            make_metric(f"duality_identity_k{k}", worst_identity, 1e-9, "<="),
+            metric("duality_min_s_k_k{k}", report["min_s_k"], k=k),
+            metric("duality_panel_max_k{k}", report["panel_max_minus_s_na"], k=k),
+            metric("duality_panel_min_k{k}", report["panel_max_minus_s_na"], k=k),
+            metric("duality_one_sided_k{k}", 1.0 if report["one_sided_all"] else 0.0, k=k),
+            metric("duality_identity_k{k}", worst_identity, k=k),
         ]
     return metrics, artifacts
 
@@ -633,7 +778,7 @@ def _run_na_panel(params: dict, out: Path) -> tuple:
     k_values = sorted(set(params["k_list"]))
     model = _model_from(params, max(k_values))
     rng = np.random.default_rng(params["seed"])
-    rows = []
+    metrics = []
 
     violations = 0
     for k in k_values:
@@ -641,32 +786,32 @@ def _run_na_panel(params: dict, out: Path) -> tuple:
             rng, model, k, params["pairs"] // len(k_values)
         ).T
         violations += int(np.count_nonzero((lhs > np.maximum(at_a, at_b)) | (scaled != at_a)))
-    rows.append(("ultrametric_violations", float(violations), 0.0))
+    metrics.append(metric("na_ultrametric_violations", float(violations)))
 
     probe = diagonal_na(model, 1, [2.0, 1.0, 0.0])
     dh = dh_empirical(probe)
     dh_dev = max(
         abs(dh.mean - 1.0), abs(dh.second_moment - math.sqrt(2.0 / 3.0))
     )
-    rows.append(("dh_moment_deviation", dh_dev, 1e-12))
+    metrics.append(metric("na_dh_moment_deviation", dh_dev))
 
     f_oracle = -math.log((1.0 + math.exp(-1.0) + math.exp(-2.0)) / 3.0)
     f_dev = abs(f_k_na(diagonal_na(model, 1, [0.0, 1.0, 2.0])) - f_oracle)
-    rows.append(("free_energy_oracle", f_dev, 1e-12))
+    metrics.append(metric("na_free_energy_oracle", f_dev))
 
     base = project(model.zero_potential(), 1)
     trivial_slope = l_na_slope(model, trivial_na(model, 1), base, params["slope_t_max"])
-    rows.append(("trivial_slope", abs(trivial_slope.value), 1e-9))
+    metrics.append(metric("na_trivial_slope", abs(trivial_slope.value)))
     const = diagonal_na(model, 1, [0.7, 0.7, 0.7])
     const_slope = l_na_slope(model, const, base, params["slope_t_max"])
-    rows.append(("constant_slope_deviation", abs(const_slope.value - 0.7), 1e-9))
+    metrics.append(metric("na_constant_slope_deviation", abs(const_slope.value - 0.7)))
 
     monomial = diagonal_na(model, 1, [1.0, 0.0, 0.0])
     near = l_na_slope(model, monomial, base, params["slope_t_max"])
     far = l_na_slope(model, monomial, base, 2.0 * params["slope_t_max"])
     stability = abs(near.value - far.value)
-    rows.append(("slope_t_stability", stability, max(near.uncertainty, 1e-3)))
-    rows.append(("slope_uncertainty", near.uncertainty, 1e-3))
+    metrics.append(metric("na_slope_t_stability", stability, max(near.uncertainty, SLOPE_TOL)))
+    metrics.append(metric("na_slope_uncertainty", near.uncertainty))
 
     k_t = max(k_values)
     base_t = project(model.zero_potential(), k_t)
@@ -674,13 +819,14 @@ def _run_na_panel(params: dict, out: Path) -> tuple:
     before = s_k_na(model, nu_t, base_t, t_max=params["slope_t_max"])
     after = s_k_na(model, nu_t.shifted(1.7), base_t, t_max=params["slope_t_max"])
     translation_dev = abs(after.value - before.value)
-    translation_tol = before.uncertainty + after.uncertainty + 1e-6
-    rows.append(("translation_invariance", translation_dev, translation_tol))
+    translation_tol = before.uncertainty + after.uncertainty + TRANSLATION_SLACK
+    metrics.append(metric("na_translation_invariance", translation_dev, translation_tol))
 
-    write_table_csv(out / "na-panel.csv", ["check", "value", "bound"], rows)
-    metrics = [
-        make_metric(f"na_{name}", value, bound, "<=") for name, value, bound in rows
-    ]
+    write_table_csv(
+        out / "na-panel.csv",
+        ["check", "value", "bound"],
+        [(m["name"].removeprefix("na_"), m["value"], m["threshold"]) for m in metrics],
+    )
     return metrics, ["na-panel.csv"]
 
 

@@ -315,11 +315,7 @@ def _orthonormalize_adapted(h0: HermForm, basis: np.ndarray) -> np.ndarray:
         low = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError as exc:
         raise PositivityError("adapted basis is numerically degenerate") from exc
-    import scipy.linalg  # imported on first use, to keep scipy out of qkrf's start-up
-
-    tri = scipy.linalg.solve_triangular(
-        low.conj().T, np.eye(h0.dim, dtype=complex), lower=False
-    )
+    tri = np.linalg.solve(low.conj().T, np.eye(h0.dim, dtype=complex))
     return basis @ tri
 
 

@@ -1,11 +1,13 @@
 import dataclasses
 import importlib
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qkrf import geometry, maps
+from qkrf import experiments, geometry, maps
 from qkrf.cli import main as cli_main
 from qkrf.flows import FlowError
 from qkrf.hermforms import _held_form
@@ -16,6 +18,7 @@ from qkrf.experiments import (
     ExperimentConfig,
     ExperimentError,
     FIELD_SPECS,
+    METRICS,
     RunManifest,
     family_potential,
     fit_decay,
@@ -143,8 +146,28 @@ def test_thma_gap_runs_on_a_horizon_between_level_steps(tmp_path):
 
 
 def test_every_experiment_has_defaults_and_description():
-    assert set(DEFAULTS) == set(DESCRIPTIONS)
+    assert set(DEFAULTS) == set(DESCRIPTIONS) == {e.experiment for e in METRICS.values()}
     assert "thmA-gap" in DEFAULTS and "thmB-entropy" in DEFAULTS
+
+
+def _registered(experiment=None, status=None):
+    """Default-run manifest names of the registry entries, of one experiment or status if given."""
+    return {
+        key.format(k=k)
+        for key, entry in METRICS.items()
+        if experiment in (None, entry.experiment) and status in (None, entry.status)
+        for k in DEFAULTS[entry.experiment].get("k_list", [None])
+    }
+
+
+@pytest.mark.parametrize("experiment", sorted(DEFAULTS))
+def test_a_default_run_emits_exactly_its_registered_metrics(tmp_path, experiment):
+    """Each default run emits each registry entry once, and fails exactly the "fails" ones."""
+    manifest = run_experiment({"experiment": experiment}, str(tmp_path))
+    names = [m["name"] for m in manifest.metrics]
+    assert sorted(names) == sorted(_registered(experiment))
+    failed = {m["name"] for m in manifest.metrics if not m["passed"]}
+    assert failed == _registered(experiment, "fails")
 
 
 def test_metric_passes_rules():
@@ -154,6 +177,15 @@ def test_metric_passes_rules():
     assert not make_metric("m", float("nan"), 1.0, "<=")["passed"]
     with pytest.raises(ExperimentError):
         make_metric("m", 0.5, 1.0, "<")
+    assert {e.status for e in METRICS.values()} == {"control", "smoke", "fails", None}
+    assert experiments.metric("duality_min_s_k_k{k}", 0.0, k=3) == make_metric(
+        "duality_min_s_k_k3", 0.0, 0.01, "<="
+    )
+    assert experiments.metric("na_slope_t_stability", 0.5, 1.0)["threshold"] == 1.0
+    with pytest.raises(ExperimentError, match="computed bound"):
+        experiments.metric("thma_slope", -1.0, -0.5)
+    with pytest.raises(ExperimentError, match="computed bound"):
+        experiments.metric("na_translation_invariance", 0.0)
 
 
 @pytest.mark.parametrize(
@@ -371,34 +403,58 @@ def _atoms_over_k_plus_1(dh_empirical):
     return lambda nu: DHMeasure(nu.weights / (nu.level + 1), dh_empirical(nu).masses)
 
 
-@pytest.mark.parametrize(
-    "experiment, metric, target, defect",
-    [
-        ("balanced-fixed-point", "fixed_point_residual", "maps._potential", _drop_section_zero),
-        ("balanced-fixed-point", "fixed_point_entropy", "maps._potential", _drop_section_zero),
-        ("balanced-fixed-point", "gram_k1_oracle", "maps.twisted_weights", _without_log_z),
-        ("thmB-entropy", "thmb_zero_case", "maps._potential", _drop_section_zero),
-        ("na-panel", "na_constant_slope_deviation", "experiments.l_na_slope", _negated_slope),
-        ("na-panel", "na_free_energy_oracle", "experiments.f_k_na", _without_log_nk),
-        ("na-panel", "na_dh_moment_deviation", "experiments.dh_empirical", _atoms_over_k_plus_1),
-        ("duality", "duality_identity_k1", "nanorms.conjugate_value", _pairing_without_log_nk),
-        ("duality", "duality_identity_k2", "nanorms.conjugate_value", _pairing_without_log_nk),
-        ("slope-identity", "slope_identity_algebra", "nanorms.conjugate_value",
-         _pairing_without_log_nk),
-        ("slope-identity", "slope_identity_ratio_low", "flows._l_values", _doubled),
-        ("na-panel", "na_translation_invariance", "nanorms.f_k_na", _free_energy_over_k_plus_1),
-        ("duality", "duality_panel_max_k1", "nanorms.l_na_slope", _negated_slope),
-        ("duality", "duality_panel_max_k2", "nanorms.l_na_slope", _negated_slope),
-        ("duality", "duality_one_sided_k1", "nanorms.l_na_slope", _negated_slope),
-        ("duality", "duality_one_sided_k2", "nanorms.l_na_slope", _negated_slope),
-    ],
-)
+def _linear_interpolation(interpolate_radial):
+    """``ProjectiveLineModel.interpolate_radial`` as linear ``np.interp``, a lower-order rule."""
+    return lambda model, profile, uq: np.interp(uq, model.u, profile)
+
+
+# (experiment, metric, patched name under qkrf, defect): one row per default-run
+# metric whose registry status is "control"
+CONTROLS = [
+    ("balanced-fixed-point", "fixed_point_residual", "maps._potential", _drop_section_zero),
+    ("balanced-fixed-point", "fixed_point_entropy", "maps._potential", _drop_section_zero),
+    ("balanced-fixed-point", "gram_k1_oracle", "maps.twisted_weights", _without_log_z),
+    ("thmB-entropy", "thmb_zero_case", "maps._potential", _drop_section_zero),
+    ("na-panel", "na_constant_slope_deviation", "experiments.l_na_slope", _negated_slope),
+    ("na-panel", "na_free_energy_oracle", "experiments.f_k_na", _without_log_nk),
+    ("na-panel", "na_dh_moment_deviation", "experiments.dh_empirical", _atoms_over_k_plus_1),
+    ("duality", "duality_identity_k1", "nanorms.conjugate_value", _pairing_without_log_nk),
+    ("duality", "duality_identity_k2", "nanorms.conjugate_value", _pairing_without_log_nk),
+    ("slope-identity", "slope_identity_algebra", "nanorms.conjugate_value",
+     _pairing_without_log_nk),
+    ("slope-identity", "slope_identity_ratio_low", "flows._l_values", _doubled),
+    ("na-panel", "na_translation_invariance", "nanorms.f_k_na", _free_energy_over_k_plus_1),
+    ("duality", "duality_panel_max_k1", "nanorms.l_na_slope", _negated_slope),
+    ("duality", "duality_panel_max_k2", "nanorms.l_na_slope", _negated_slope),
+    ("duality", "duality_one_sided_k1", "nanorms.l_na_slope", _negated_slope),
+    ("duality", "duality_one_sided_k2", "nanorms.l_na_slope", _negated_slope),
+    ("thmB-entropy", "thmb_resolution_control",
+     "geometry.ProjectiveLineModel.interpolate_radial", _linear_interpolation),
+]
+
+
+@pytest.mark.parametrize("experiment, metric, target, defect", CONTROLS)
 def test_a_defect_fails_its_metric(tmp_path, monkeypatch, experiment, metric, target, defect):
-    module, name = target.split(".")
-    module = importlib.import_module(f"qkrf.{module}")
-    monkeypatch.setattr(module, name, defect(getattr(module, name)))
+    module, *owners, name = target.split(".")
+    owner = importlib.import_module(f"qkrf.{module}")
+    for attribute in owners:
+        owner = getattr(owner, attribute)
+    monkeypatch.setattr(owner, name, defect(getattr(owner, name)))
     manifest = run_experiment({"experiment": experiment}, str(tmp_path))
     [gated] = [m for m in manifest.metrics if m["name"] == metric]
     value, threshold = gated["value"], gated["threshold"]
     assert not gated["passed"]
     assert value > threshold if gated["op"] == "<=" else value < threshold
+
+
+def test_the_controls_are_the_registry_control_entries():
+    """The control list and README's control table name exactly the "control" entries."""
+    controls = _registered(status="control")
+    assert sorted(row[1] for row in CONTROLS) == sorted(controls)
+    for experiment, name, *_ in CONTROLS:
+        assert name in _registered(experiment), name
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    header = "| metric | defect | value (threshold) |\n| --- | --- | --- |\n"
+    table = readme.split(header)[1].split("\n\n")[0]
+    named = [n for row in table.splitlines() for n in re.findall(r"`(\w+)`", row.split("|")[1])]
+    assert sorted(named) == sorted(controls)

@@ -72,16 +72,20 @@ WARMUP = [
      "t_max": 1.0, "refine": 2},
 ]
 
-# Small configs whose runs reach each use of scipy: the classical solver's LU
-# (thmA-gap) and the orthonormalized adapted bases (duality, on two levels,
-# and na-panel).
-SCIPY_CONFIGS = [
-    {"experiment": "thmA-gap", "k_list": [2, 3, 4], "t_max": 0.5, "radial_nodes": 24,
-     "angular_nodes": 24},
+# Small configs whose runs orthonormalize adapted bases (duality, on two
+# levels, and na-panel), which numpy alone does.
+NA_CONFIGS = [
     {"experiment": "duality", "k_list": [1, 2], "t_max": 2.0, "radial_nodes": 32,
      "angular_nodes": 16, "panel": 2, "slope_t_max": 10.0},
     {"experiment": "na-panel", "k_list": [1, 2], "pairs": 20, "radial_nodes": 32,
      "angular_nodes": 16},
+]
+
+# A small config whose run reaches the one use of scipy, the classical
+# solver's LU (thmA-gap).
+SCIPY_CONFIGS = [
+    {"experiment": "thmA-gap", "k_list": [2, 3, 4], "t_max": 0.5, "radial_nodes": 24,
+     "angular_nodes": 24},
 ]
 
 
@@ -99,6 +103,7 @@ def _run_fresh(script: str, *args: str):
 
 
 def test_import_cli_and_warm_up_leave_scipy_unloaded(tmp_path):
+    """``import qkrf``, the CLI, the benchmark's warm-up and the NA runs load no scipy."""
     script = f"""
 import json, sys
 import qkrf
@@ -111,9 +116,9 @@ for i, config in enumerate(json.loads(sys.argv[1])):
     loaded[config["experiment"]] = {SCIPY_MODULES}
 print(json.dumps(loaded))
 """
-    loaded = _run_fresh(script, json.dumps(WARMUP), str(tmp_path))
+    loaded = _run_fresh(script, json.dumps(WARMUP + NA_CONFIGS), str(tmp_path))
     assert loaded == {"import": [], "list-experiments": [], "balanced-fixed-point": [],
-                      "euler-gap": []}
+                      "euler-gap": [], "duality": [], "na-panel": []}
 
 
 def test_scipy_loads_on_first_use_and_fresh_runs_match(tmp_path):
