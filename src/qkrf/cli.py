@@ -9,7 +9,7 @@ from typing import Optional, Sequence
 
 from .energies import FunctionalError
 from .experiments import (
-    DESCRIPTIONS,
+    EXPERIMENTS,
     ExperimentError,
     RunManifest,
     make_metric,
@@ -80,8 +80,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_list() -> int:
-    for name in sorted(DESCRIPTIONS):
-        print(f"{name}: {DESCRIPTIONS[name]}")
+    for name in sorted(EXPERIMENTS):
+        print(f"{name}: {EXPERIMENTS[name].description}")
     return 0
 
 

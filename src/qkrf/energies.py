@@ -24,7 +24,6 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from .geometry import (
-    KahlerConeError,
     PolarizedModel,
     PotentialField,
     ProjectiveLineModel,
@@ -45,21 +44,6 @@ class FunctionalError(ValueError):
 # classical functionals (radial backend)
 
 
-def _admissible_laplacian(
-    model: ProjectiveLineModel, psi: np.ndarray, lap: Optional[np.ndarray] = None
-) -> np.ndarray:
-    if lap is None:
-        lap = model.radial_laplacian(psi)
-    margin = 2.0 + lap
-    if np.any(margin <= 0.0):
-        bad = int(np.argmin(margin))
-        raise KahlerConeError(
-            f"not a Kahler potential: density margin {margin[bad]:.3e} "
-            f"at u={model.u[bad]:.6f}"
-        )
-    return lap
-
-
 def ma_energy(phi: PotentialField) -> float:
     """Monge-Ampere energy, the primitive of phi -> (1/V) int . omega_phi^n.
 
@@ -69,7 +53,7 @@ def ma_energy(phi: PotentialField) -> float:
     model = phi.model
     model.require_radial()
     psi = phi.require_profile()
-    lap = _admissible_laplacian(model, psi)
+    lap = model.admissible_laplacian(psi)
     w = model.radial_weights
     return float(np.dot(w, psi) + 0.25 * np.dot(w, psi * lap))
 
@@ -102,7 +86,7 @@ def log_ricci_profile(
 
     ``lap`` is the radial Laplacian of psi when the caller already has it.
     """
-    lap = _admissible_laplacian(model, psi, lap)
+    lap = model.admissible_laplacian(psi, lap)
     logz = logsumexp(model.log_radial_mu0_weights - psi)
     return np.log(2.0) - psi - logz - np.log1p(0.5 * lap)
 

@@ -1,13 +1,14 @@
 """Batch experiment runner: configs, orchestration, and result emission.
 
-Each experiment is a named, seeded recipe that builds a projective-line
-model, exercises one identity or convergence statement, and writes
-plain CSV artifacts plus a manifest with pass/fail metrics, each
-judged by its entry in the one registry ``METRICS``.  Identical
-config and seed reproduce byte-identical CSVs: floats are always
-written with 17 significant digits, and the levels of a run are
-computed one after another in ascending k.  The monotonicity runs are
-one stacked quantized flow.
+Each experiment is a named recipe, one entry of ``EXPERIMENTS``, that
+builds a projective-line model, exercises one identity or convergence
+statement, and writes plain CSV artifacts plus a manifest with pass/fail
+metrics, each judged by its entry in the one registry ``METRICS``.  The
+experiments that draw random inputs take a seed.  Identical configs
+reproduce byte-identical CSVs: floats are always written with 17
+significant digits, and the levels of a run are computed one after
+another in ascending k.  The monotonicity runs are one stacked quantized
+flow.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -145,55 +146,6 @@ def _validate_field(path: str, key: str, value):
     return value
 
 
-DEFAULTS = {
-    "balanced-fixed-point": {
-        "k_max": 6, "radial_nodes": 96, "angular_nodes": 32,
-    },
-    "euler-gap": {
-        "k_list": [2, 4, 8, 16], "radial_nodes": 96, "angular_nodes": 72,
-        "family": "bump", "amplitude": 0.3, "t_max": 1.0, "refine": 4,
-    },
-    "thmA-gap": {
-        "k_list": [4, 8, 16, 32], "radial_nodes": 128, "angular_nodes": 136,
-        "family": "bump", "amplitude": 0.3, "t_max": 1.0, "refine": 2,
-        "fine_factor": 2,
-    },
-    "thmB-entropy": {
-        "k_list": [2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12],
-        "radial_nodes": 128, "angular_nodes": 56,
-        "family": "bump", "amplitude": 0.5, "fine_factor": 2,
-    },
-    "slope-identity": {
-        "k": 2, "radial_nodes": 96, "angular_nodes": 16,
-        "family": "bump", "amplitude": 0.3, "t_max": 1.0, "dt": 0.05,
-    },
-    "monotonicity": {
-        "k": 2, "radial_nodes": 96, "angular_nodes": 16,
-        "runs": 5, "spread": 0.5, "t_max": 2.0, "dt": 0.01,
-    },
-    "duality": {
-        "k_list": [1, 2], "radial_nodes": 96, "angular_nodes": 24,
-        "family": "bump", "amplitude": 0.3, "t_max": 12.0,
-        "panel": 5, "slope_t_max": 40.0,
-    },
-    "na-panel": {
-        "k_list": [1, 2], "radial_nodes": 96, "angular_nodes": 24,
-        "pairs": 1000, "slope_t_max": 40.0,
-    },
-}
-
-DESCRIPTIONS = {
-    "balanced-fixed-point": "round-metric Gram is a balancing fixed point, k = 1..k_max",
-    "euler-gap": "log-gap between Bergman iterates and the integrated flow, fitted in k",
-    "thmA-gap": "quantized potentials track the classical flow at rate 1/k",
-    "thmB-entropy": "quantized entropy converges to the classical entropy",
-    "slope-identity": "entropy equals minus the slope of L along the flow",
-    "monotonicity": "asymptotic entropy monotonicity bound along seeded runs",
-    "duality": "flow infimum of the entropy against extracted ultrametric norms",
-    "na-panel": "ultrametric axioms, jump-measure moments, and ray slopes",
-}
-
-
 # RK4 is stable on the negative real axis down to about -2.785, and the
 # quantized flow relaxes at rate up to k.
 RK4_STABILITY_LIMIT = 2.785
@@ -250,11 +202,10 @@ class ExperimentConfig:
         if not isinstance(payload, dict):
             raise ExperimentError("config: expected a JSON object")
         name = payload.get("experiment")
-        if not isinstance(name, str) or name not in DEFAULTS:
-            known = ", ".join(sorted(DEFAULTS))
+        if not isinstance(name, str) or name not in EXPERIMENTS:
+            known = ", ".join(sorted(EXPERIMENTS))
             raise ExperimentError(f"experiment: must be one of {known}")
-        params = dict(DEFAULTS[name])
-        params.setdefault("seed", 0)
+        params = dict(EXPERIMENTS[name].defaults)
         params.setdefault("output_dir", str(Path("runs") / name))
         for key, value in payload.items():
             if key == "experiment":
@@ -371,7 +322,7 @@ METRICS = {
         "change of the classical potentials on a refined radial grid",
     ),
     "thmb_tail_increase": GatedMetric(
-        "thmB-entropy", "<=", 0.0, None,
+        "thmB-entropy", "<=", 0.0, "control",
         "largest step up of |S_k - S| over the levels k >= TAIL_FROM",
     ),
     "thmb_final_ratio": GatedMetric(
@@ -399,7 +350,7 @@ METRICS = {
         "largest entropy-identity residual of the norms extracted from the first flow states",
     ),
     "monotonicity_excess": GatedMetric(
-        "monotonicity", "<=", 0.0, None,
+        "monotonicity", "<=", 0.0, "control",
         "largest excess of dS_k/dt over ((k+1)/N_k) R^2, less its slack, over the seeded runs",
     ),
     "duality_min_s_k_k{k}": GatedMetric(
@@ -534,18 +485,10 @@ def entropy_convergence_report(
     """
     model.require_radial()
     k_values = sorted(set(int(k) for k in k_list))
-    fine_model = ProjectiveLineModel(
-        k_max=model.k_max,
-        radial_nodes=fine_factor * model.radial_count,
-        angular_nodes=model.angular_count,
-    )
-    psi = phi0.require_profile()
-    fine_phi = PotentialField(
-        fine_model, None, model.interpolate_radial(psi, fine_model.u)
-    )
+    fine_phi = phi0.refined(fine_factor)
     s_classical = entropy_classical(fine_phi)
     s_k_values = [s_k(model, project(phi0, k)) for k in k_values]
-    s_k_fine = [s_k(fine_model, project(fine_phi, k)) for k in k_values]
+    s_k_fine = [s_k(fine_phi.model, project(fine_phi, k)) for k in k_values]
     diffs = [abs(v - s_classical) for v in s_k_values]
     tail = [d for k, d in zip(k_values, diffs) if k >= TAIL_FROM]
     worst_increase = max(np.diff(tail)) if len(tail) > 1 else 0.0
@@ -830,15 +773,63 @@ def _run_na_panel(params: dict, out: Path) -> tuple:
     return metrics, ["na-panel.csv"]
 
 
-RUNNERS = {
-    "balanced-fixed-point": _run_balanced_fixed_point,
-    "euler-gap": _run_euler_gap,
-    "thmA-gap": _run_thma_gap,
-    "thmB-entropy": _run_thmb_entropy,
-    "slope-identity": _run_slope_identity,
-    "monotonicity": _run_monotonicity,
-    "duality": _run_duality,
-    "na-panel": _run_na_panel,
+class _Experiment(NamedTuple):
+    description: str
+    defaults: dict
+    run: Callable[[dict, Path], tuple]
+
+
+# Every experiment: its description, the config fields it takes besides
+# output_dir, with their defaults, and its runner.  Only the experiments
+# that draw random inputs take a seed.
+EXPERIMENTS = {
+    "balanced-fixed-point": _Experiment(
+        "round-metric Gram is a balancing fixed point, k = 1..k_max",
+        {"k_max": 6, "radial_nodes": 96, "angular_nodes": 32},
+        _run_balanced_fixed_point,
+    ),
+    "euler-gap": _Experiment(
+        "log-gap between Bergman iterates and the integrated flow, fitted in k",
+        {"k_list": [2, 4, 8, 16], "radial_nodes": 96, "angular_nodes": 72,
+         "family": "bump", "amplitude": 0.3, "t_max": 1.0, "refine": 4},
+        _run_euler_gap,
+    ),
+    "thmA-gap": _Experiment(
+        "quantized potentials track the classical flow at rate 1/k",
+        {"k_list": [4, 8, 16, 32], "radial_nodes": 128, "angular_nodes": 136,
+         "family": "bump", "amplitude": 0.3, "t_max": 1.0, "refine": 2, "fine_factor": 2},
+        _run_thma_gap,
+    ),
+    "thmB-entropy": _Experiment(
+        "quantized entropy converges to the classical entropy",
+        {"k_list": [2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12], "radial_nodes": 128,
+         "angular_nodes": 56, "family": "bump", "amplitude": 0.5, "fine_factor": 2},
+        _run_thmb_entropy,
+    ),
+    "slope-identity": _Experiment(
+        "entropy equals minus the slope of L along the flow",
+        {"k": 2, "radial_nodes": 96, "angular_nodes": 16,
+         "family": "bump", "amplitude": 0.3, "t_max": 1.0, "dt": 0.05},
+        _run_slope_identity,
+    ),
+    "monotonicity": _Experiment(
+        "asymptotic entropy monotonicity bound along seeded runs",
+        {"k": 2, "radial_nodes": 96, "angular_nodes": 16,
+         "runs": 5, "spread": 0.5, "t_max": 2.0, "dt": 0.01, "seed": 0},
+        _run_monotonicity,
+    ),
+    "duality": _Experiment(
+        "flow infimum of the entropy against extracted ultrametric norms",
+        {"k_list": [1, 2], "radial_nodes": 96, "angular_nodes": 24, "family": "bump",
+         "amplitude": 0.3, "t_max": 12.0, "panel": 5, "slope_t_max": 40.0, "seed": 0},
+        _run_duality,
+    ),
+    "na-panel": _Experiment(
+        "ultrametric axioms, jump-measure moments, and ray slopes",
+        {"k_list": [1, 2], "radial_nodes": 96, "angular_nodes": 24,
+         "pairs": 1000, "slope_t_max": 40.0, "seed": 0},
+        _run_na_panel,
+    ),
 }
 
 
@@ -852,7 +843,7 @@ def run_experiment(config, output_dir: Optional[str] = None) -> RunManifest:
     out = Path(output_dir) if output_dir else Path(cfg.params["output_dir"])
     out.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
-    metrics, artifacts = RUNNERS[cfg.experiment](cfg.params, out)
+    metrics, artifacts = EXPERIMENTS[cfg.experiment].run(cfg.params, out)
     elapsed = time.perf_counter() - start
     from qkrf import __version__
 

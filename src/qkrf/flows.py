@@ -22,7 +22,7 @@ large k.
 ``quantized_flow_runs`` integrates several starts of one level as one
 stack, held as one ``HermForm`` with a leading stack axis: each RK4 stage
 forms e^Q of all of them with ``matrix_exp`` (elementwise on the radial
-path), balances them with one ``maps.balancing`` and takes the logarithm
+path), balances them with one ``maps._bergman_step`` and takes the logarithm
 of all the Grams at once; each sample reads its norms with one
 ``gen_eig`` and its energies L, E_k, D_k, S_k and the relative entropy
 as arrays over the stack.  Every start keeps its own contractions and
@@ -78,7 +78,7 @@ from .hermforms import (
     matrix_exp,
     matrix_log,
 )
-from .maps import QuantizationError, _check_step, balancing, fubini_study, project
+from .maps import QuantizationError, _bergman_step, _check_step, balancing, fubini_study, project
 
 TIME_TOL = 1e-9
 # classical solver: local tolerance, first trial step, extrapolation substeps
@@ -251,7 +251,7 @@ def quantized_flow_runs(
     level and one path (all diagonal on a radial model, or all dense),
     which is checked here; the runs are then integrated as stacks: Q is
     an (R, N, N) stack of matrices, or an (R, N) stack of diagonals, and
-    each RK4 stage takes one eigh of Q and one ``balancing`` of all R
+    each RK4 stage takes one eigh of Q and one balancing of all R
     forms.  Every start's contractions run on its own slice, so its trace
     equals that of a run from it alone, bit for bit.  A stack holds as
     many starts as fit FLOW_CHUNK_BYTES of work arrays and sampled
@@ -359,7 +359,7 @@ def _integrate_stack(
         formed = held is None
         if formed:
             held = _held_form(k, np.exp(q)) if diagonal else matrix_exp(k, q)
-        step = balancing(model, held)
+        step = _bergman_step(model, held, diagonal)
         spectrum = step.gram.data
         if diagonal:
             rate = k * (np.log(spectrum) - q)
@@ -688,19 +688,11 @@ def flow_vs_krf_gap(
 
     classical = classical_krf_run(model, phi0, t_max, sample_dt=sample_dt)
 
-    fine_model = ProjectiveLineModel(
-        k_max=1,
-        radial_nodes=resolution_factor * model.radial_count,
-        angular_nodes=8,
-    )
-    psi0 = phi0.require_profile()
-    fine_phi0 = PotentialField(
-        fine_model, None, model.interpolate_radial(psi0, fine_model.u)
-    )
-    fine = classical_krf_run(fine_model, fine_phi0, t_max, sample_dt=sample_dt)
+    fine_phi0 = phi0.refined(resolution_factor)
+    fine = classical_krf_run(fine_phi0.model, fine_phi0, t_max, sample_dt=sample_dt)
     resolution_gap = 0.0
     for state, fine_state in zip(classical.states, fine.states):
-        back = fine_model.interpolate_radial(fine_state.require_profile(), model.u)
+        back = fine_phi0.model.interpolate_radial(fine_state.require_profile(), model.u)
         resolution_gap = max(
             resolution_gap, float(np.max(np.abs(back - state.require_profile())))
         )

@@ -219,6 +219,16 @@ class PotentialField:
             return PotentialField(self.model, None, self.radial_profile + c)
         return PotentialField(self.model, self.node_values + c)
 
+    def refined(self, factor: int) -> "PotentialField":
+        """This radial potential interpolated onto a grid ``factor`` times finer in u.
+
+        The refined model keeps k_max and takes 8 angular nodes: the
+        resolution controls built on it read only radial data.
+        """
+        model = self.model
+        fine = ProjectiveLineModel(model.k_max, factor * model.radial_count, 8)
+        return PotentialField(fine, None, model.interpolate_radial(self.require_profile(), fine.u))
+
 
 # ---------------------------------------------------------------------------
 # model backends
@@ -527,9 +537,24 @@ class ProjectiveLineModel(PolarizedModel):
         dpsi = self.diff @ profile
         return self.diff @ (self.u * (1.0 - self.u) * dpsi)
 
-    def ma_profile(self, profile: np.ndarray) -> np.ndarray:
-        """Monge-Ampere density of a radial potential, w.r.t. du dtheta."""
-        return (2.0 + self.radial_laplacian(profile)) / TWO_PI
+    def admissible_laplacian(
+        self, profile: np.ndarray, lap: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """The radial Laplacian of a Kahler potential's profile (``lap`` when given).
+
+        The one Kahler-cone test: KahlerConeError unless 2 + lap, 2 pi
+        times the Monge-Ampere density, is positive at every radial node.
+        """
+        if lap is None:
+            lap = self.radial_laplacian(profile)
+        margin = 2.0 + lap
+        if np.any(margin <= 0.0):
+            bad = int(np.argmin(margin))
+            raise KahlerConeError(
+                f"not a Kahler potential: density margin {margin[bad]:.3e} "
+                f"at u={self.u[bad]:.6f}"
+            )
+        return lap
 
     def interpolate_radial(self, profile: np.ndarray, uq: np.ndarray) -> np.ndarray:
         return barycentric_interpolate(self.u, profile, uq, self._bary)
@@ -689,11 +714,4 @@ def ma_density(phi: PotentialField) -> np.ndarray:
     """
     model = phi.model
     model.require_radial()
-    profile = phi.require_profile()
-    dens = model.ma_profile(profile)
-    if np.any(dens <= 0.0):
-        bad = int(np.argmin(dens))
-        raise KahlerConeError(
-            f"not a Kahler potential: density {dens[bad]:.3e} at u={model.u[bad]:.6f}"
-        )
-    return model.tile_radial(dens)
+    return model.tile_radial((2.0 + model.admissible_laplacian(phi.require_profile())) / TWO_PI)

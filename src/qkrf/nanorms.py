@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -321,38 +321,34 @@ def _orthonormalize_adapted(h0: HermForm, basis: np.ndarray) -> np.ndarray:
 
 def _ray_log_amplitudes(
     model: PolarizedModel, nu: NAForm, h0: HermForm
-) -> np.ndarray:
-    """log |s_i|^2 for the h0-orthonormalized adapted basis, on the radial grid where it can be.
+) -> tuple[np.ndarray, bool]:
+    """log |s_i|^2 for the h0-orthonormalized adapted basis, and whether they are radial.
 
     When the model has radial structure and column i of that frame F has
     exactly one nonzero entry F_(m_i, i), |s_i|^2 = |F_(m_i, i)|^2 sigma_(m_i)(r)
-    is rotation invariant, and the amplitudes come as (N, radial_count);
-    otherwise they come at every node, (N, node_count).
+    is rotation invariant, and the amplitudes come as (N, radial_count)
+    with True; otherwise they come at every node, (N, node_count), with False.
     """
     frame = _orthonormalize_adapted(h0, nu.adapted_basis)
     with np.errstate(divide="ignore"):
         if model.supports_radial and np.all(np.count_nonzero(frame, axis=0) == 1):
             rows = np.argmax(frame != 0.0, axis=0)
             scale = np.abs(frame[rows, np.arange(nu.dim)]) ** 2
-            return np.log(scale)[:, None] + np.log(model.radial_section_sq(nu.level)[rows])
+            return np.log(scale)[:, None] + np.log(model.radial_section_sq(nu.level)[rows]), True
         amplitudes = frame.T @ model.sections(nu.level)
-        return np.log(np.abs(amplitudes) ** 2)
-
-
-def _radial_ray(model: PolarizedModel, log_amplitudes: np.ndarray) -> bool:
-    """Whether ``_ray_log_amplitudes`` gave these on the radial grid."""
-    return log_amplitudes.shape[-1] != model.node_count
+        return np.log(np.abs(amplitudes) ** 2), False
 
 
 def _ray_l_values(
-    model: PolarizedModel, nu: NAForm, times: np.ndarray, log_amplitudes: np.ndarray
+    model: PolarizedModel, nu: NAForm, times: np.ndarray, log_amplitudes: np.ndarray,
+    radial: bool,
 ) -> np.ndarray:
     """L of the Fubini-Study potentials at the ray times, one stacked reduction.
 
+    ``log_amplitudes`` and ``radial`` are those of ``_ray_log_amplitudes``.
     Each time's potential is reduced on its own slice, so its L has the
     same bits as the one-time call's.
     """
-    radial = _radial_ray(model, log_amplitudes)
     with np.errstate(over="ignore", invalid="ignore"):
         exponents = nu.weights[:, None] * times[:, None, None] + log_amplitudes
         values = (logsumexp(exponents, axis=-2) - math.log(nu.dim)) / nu.level
@@ -361,14 +357,10 @@ def _ray_l_values(
     return _l_values(model, values, radial)
 
 
-def ray_l_value(
-    model: PolarizedModel, nu: NAForm, h0: HermForm, t: float,
-    log_amplitudes: Optional[np.ndarray] = None,
-) -> float:
+def ray_l_value(model: PolarizedModel, nu: NAForm, h0: HermForm, t: float) -> float:
     """L of the Fubini-Study potential at ray time t, fully in log space."""
-    if log_amplitudes is None:
-        log_amplitudes = _ray_log_amplitudes(model, nu, h0)
-    return float(_ray_l_values(model, nu, np.array([float(t)]), log_amplitudes)[0])
+    log_amplitudes, radial = _ray_log_amplitudes(model, nu, h0)
+    return float(_ray_l_values(model, nu, np.array([float(t)]), log_amplitudes, radial)[0])
 
 
 def l_na_slope(
@@ -393,23 +385,22 @@ def l_na_slope(
 
     A ray on the radial grid evaluates the 2 SLOPE_RUNGS times of a
     horizon as one stacked reduction; a ray at every node takes one
-    ``ray_l_value`` per time, whose arrays stay in cache.
+    reduction per time, whose arrays stay in cache.
     """
     if t_max < 10.0:
         raise NANormError("slope estimation needs t_max >= 10")
     if h0.level != nu.level or h0.dim != nu.dim:
         raise NANormError("base form level does not match the norm")
-    log_amplitudes = _ray_log_amplitudes(model, nu, h0)
-    radial = _radial_ray(model, log_amplitudes)
+    log_amplitudes, radial = _ray_log_amplitudes(model, nu, h0)
     estimate = None
     horizon = float(t_max)
     for _ in range(MAX_DOUBLINGS + 1):
         times = horizon * (1.0 - np.arange(SLOPE_RUNGS) / (2.0 * SLOPE_RUNGS))
         ladder = np.concatenate([times, times - SLOPE_DELTA])
-        if radial:
-            values = _ray_l_values(model, nu, ladder, log_amplitudes)
-        else:
-            values = np.array([ray_l_value(model, nu, h0, t, log_amplitudes) for t in ladder])
+        parts = [ladder] if radial else np.split(ladder, ladder.size)
+        values = np.concatenate(
+            [_ray_l_values(model, nu, part, log_amplitudes, radial) for part in parts]
+        )
         slopes = (values[:SLOPE_RUNGS] - values[SLOPE_RUNGS:]) / SLOPE_DELTA
         extrapolants = _neville_to_zero(1.0 / times, slopes)
         steps = np.abs(np.diff(extrapolants))

@@ -13,8 +13,7 @@ from qkrf.flows import FlowError
 from qkrf.hermforms import _held_form
 from qkrf.nanorms import DHMeasure
 from qkrf.experiments import (
-    DEFAULTS,
-    DESCRIPTIONS,
+    EXPERIMENTS,
     ExperimentConfig,
     ExperimentError,
     FIELD_SPECS,
@@ -70,7 +69,7 @@ def test_family_sine_profile(p1):
 
 def test_config_defaults_and_round_trip():
     cfg = ExperimentConfig.from_dict({"experiment": "monotonicity"})
-    assert cfg.params["k"] == DEFAULTS["monotonicity"]["k"]
+    assert cfg.params["k"] == EXPERIMENTS["monotonicity"].defaults["k"]
     assert cfg.params["seed"] == 0
     back = ExperimentConfig.from_dict(cfg.to_dict())
     assert back.to_dict() == cfg.to_dict()
@@ -90,6 +89,9 @@ def test_config_field_errors_carry_paths():
         ExperimentConfig.from_dict({"experiment": "monotonicity", "turbo": True})
     with pytest.raises(ExperimentError, match="thmB-entropy.amplitude"):
         ExperimentConfig.from_dict({"experiment": "thmB-entropy", "amplitude": 2.0})
+    # only the experiments that draw random inputs take a seed
+    with pytest.raises(ExperimentError, match="euler-gap.seed: unknown field"):
+        ExperimentConfig.from_dict({"experiment": "euler-gap", "seed": 7})
 
 
 def test_config_rejects_inconsistent_steps():
@@ -146,8 +148,8 @@ def test_thma_gap_runs_on_a_horizon_between_level_steps(tmp_path):
 
 
 def test_every_experiment_has_defaults_and_description():
-    assert set(DEFAULTS) == set(DESCRIPTIONS) == {e.experiment for e in METRICS.values()}
-    assert "thmA-gap" in DEFAULTS and "thmB-entropy" in DEFAULTS
+    assert set(EXPERIMENTS) == {e.experiment for e in METRICS.values()}
+    assert "thmA-gap" in EXPERIMENTS and "thmB-entropy" in EXPERIMENTS
 
 
 def _registered(experiment=None, status=None):
@@ -156,11 +158,11 @@ def _registered(experiment=None, status=None):
         key.format(k=k)
         for key, entry in METRICS.items()
         if experiment in (None, entry.experiment) and status in (None, entry.status)
-        for k in DEFAULTS[entry.experiment].get("k_list", [None])
+        for k in EXPERIMENTS[entry.experiment].defaults.get("k_list", [None])
     }
 
 
-@pytest.mark.parametrize("experiment", sorted(DEFAULTS))
+@pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
 def test_a_default_run_emits_exactly_its_registered_metrics(tmp_path, experiment):
     """Each default run emits each registry entry once, and fails exactly the "fails" ones."""
     manifest = run_experiment({"experiment": experiment}, str(tmp_path))
@@ -219,7 +221,7 @@ def test_run_writes_manifest_and_is_deterministic(tmp_path, payload, files):
 def test_cli_list_experiments(capsys):
     assert cli_main(["list-experiments"]) == 0
     out = capsys.readouterr().out
-    for name in DEFAULTS:
+    for name in EXPERIMENTS:
         assert name in out
 
 
@@ -403,6 +405,16 @@ def _atoms_over_k_plus_1(dh_empirical):
     return lambda nu: DHMeasure(nu.weights / (nu.level + 1), dh_empirical(nu).masses)
 
 
+def _twist_power_k(twisted_weights):
+    """``maps.twisted_weights`` with the twist power k in place of k + 1 in ``project``."""
+    return lambda log_mu0, values, power=1: twisted_weights(log_mu0, values, power - 1)
+
+
+def _negated_entropy(entropy_of_norms):
+    """``flows.entropy_of_norms`` with its sign flipped."""
+    return lambda b_norms: -entropy_of_norms(b_norms)
+
+
 def _linear_interpolation(interpolate_radial):
     """``ProjectiveLineModel.interpolate_radial`` as linear ``np.interp``, a lower-order rule."""
     return lambda model, profile, uq: np.interp(uq, model.u, profile)
@@ -430,6 +442,8 @@ CONTROLS = [
     ("duality", "duality_one_sided_k2", "nanorms.l_na_slope", _negated_slope),
     ("thmB-entropy", "thmb_resolution_control",
      "geometry.ProjectiveLineModel.interpolate_radial", _linear_interpolation),
+    ("thmB-entropy", "thmb_tail_increase", "maps.twisted_weights", _twist_power_k),
+    ("monotonicity", "monotonicity_excess", "flows.entropy_of_norms", _negated_entropy),
 ]
 
 

@@ -317,7 +317,8 @@ def _radial_norms(model, k):
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_radial_rays_match_the_node_evaluation(p1, k):
     for nu, h0 in _radial_norms(p1, k):
-        assert nanorms._ray_log_amplitudes(p1, nu, h0).shape == (nu.dim, p1.radial_count)
+        log_amplitudes, radial = nanorms._ray_log_amplitudes(p1, nu, h0)
+        assert radial and log_amplitudes.shape == (nu.dim, p1.radial_count)
         for t in (0.0, 1.0, 39.0, 40.0, 159.0, 320.0, 639.0, 640.0):
             assert abs(ray_l_value(p1, nu, h0, t) - _node_l_value(p1, nu, h0, t)) <= 1e-12
 
@@ -329,7 +330,8 @@ def test_unitary_and_discrete_norms_keep_the_node_path(p1, discrete):
         (discrete, diagonal_na(discrete, 2, rng.standard_normal(5)), HermForm(2, np.ones(5))),
     ]
     for model, nu, h0 in cases:
-        assert nanorms._ray_log_amplitudes(model, nu, h0).shape == (nu.dim, model.node_count)
+        log_amplitudes, radial = nanorms._ray_log_amplitudes(model, nu, h0)
+        assert not radial and log_amplitudes.shape == (nu.dim, model.node_count)
         for t in (0.0, 40.0):
             assert ray_l_value(model, nu, h0, t) == _node_l_value(model, nu, h0, t)
 
@@ -346,8 +348,8 @@ def test_each_ladder_value_equals_ray_l_value_bitwise(p1, discrete, monkeypatch)
     ladders = []
     stacked = nanorms._ray_l_values
 
-    def recorded(model, nu, times, log_amplitudes):
-        values = stacked(model, nu, times, log_amplitudes)
+    def recorded(model, nu, times, log_amplitudes, radial):
+        values = stacked(model, nu, times, log_amplitudes, radial)
         ladders.append((times, values))
         return values
 
@@ -365,7 +367,7 @@ def test_each_ladder_value_equals_ray_l_value_bitwise(p1, discrete, monkeypatch)
         ladders.clear()
         estimate = l_na_slope(model, nu, h0)
         calls = list(ladders)
-        radial = nanorms._ray_log_amplitudes(model, nu, h0).shape[-1] == model.radial_count
+        radial = nanorms._ray_log_amplitudes(model, nu, h0)[1]
         # one stacked call per horizon on the radial grid, one call per time at the nodes
         assert [len(times) for times, _ in calls] == [rungs if radial else 1] * len(calls)
         horizons = 1 + round(math.log2(estimate.ladder_times[0] / 40.0))
