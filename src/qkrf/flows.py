@@ -22,7 +22,7 @@ large k.
 ``quantized_flow_runs`` integrates several starts of one level as one
 stack, held as one ``HermForm`` with a leading stack axis: each RK4 stage
 forms e^Q of all of them with ``matrix_exp`` (elementwise on the radial
-path), balances them with one ``maps._bergman_step`` and takes the logarithm
+path), balances them with one ``maps.balancing`` and takes the logarithm
 of all the Grams at once; each sample reads its norms with one
 ``gen_eig`` and its energies L, E_k, D_k, S_k and the relative entropy
 as arrays over the stack.  Every start keeps its own contractions and
@@ -78,7 +78,7 @@ from .hermforms import (
     matrix_exp,
     matrix_log,
 )
-from .maps import QuantizationError, _bergman_step, _check_step, balancing, fubini_study, project
+from .maps import QuantizationError, _check_step, balancing, fubini_study, project
 
 TIME_TOL = 1e-9
 # classical solver: local tolerance, first trial step, extrapolation substeps
@@ -251,7 +251,7 @@ def quantized_flow_runs(
     level and one path (all diagonal on a radial model, or all dense),
     which is checked here; the runs are then integrated as stacks: Q is
     an (R, N, N) stack of matrices, or an (R, N) stack of diagonals, and
-    each RK4 stage takes one eigh of Q and one balancing of all R
+    each RK4 stage takes one eigh of Q and one ``balancing`` of all R
     forms.  Every start's contractions run on its own slice, so its trace
     equals that of a run from it alone, bit for bit.  A stack holds as
     many starts as fit FLOW_CHUNK_BYTES of work arrays and sampled
@@ -359,7 +359,7 @@ def _integrate_stack(
         formed = held is None
         if formed:
             held = _held_form(k, np.exp(q)) if diagonal else matrix_exp(k, q)
-        step = _bergman_step(model, held, diagonal)
+        step = balancing(model, held)
         spectrum = step.gram.data
         if diagonal:
             rate = k * (np.log(spectrum) - q)

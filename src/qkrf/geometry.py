@@ -222,8 +222,10 @@ class PotentialField:
     def refined(self, factor: int) -> "PotentialField":
         """This radial potential interpolated onto a grid ``factor`` times finer in u.
 
-        The refined model keeps k_max and takes 8 angular nodes: the
-        resolution controls built on it read only radial data.
+        The refined model keeps k_max but takes only 8 angular nodes, so
+        its node quadrature is exact only at level 1 (angular_nodes > 4 k):
+        above level 1 it is valid for radial-path work alone, which is all
+        that the resolution controls built on it read.
         """
         model = self.model
         fine = ProjectiveLineModel(model.k_max, factor * model.radial_count, 8)

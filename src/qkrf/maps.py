@@ -16,8 +16,8 @@ reference sections at x, and keeps no separate density.  The chain
 Bergman sum -> potential -> twisted Gram -> eigh is one step,
 ``_bergman_step``, on a ``HermForm`` that may be a stack of forms:
 ``fubini_study`` runs its first half on one form, ``project`` its second
-on one potential and ``balancing`` all of it on one form; the quantized
-flow runs it on its stack, whose Grams come back as one stacked form.  The
+on one potential and ``balancing`` all of it, on one form or on the
+quantized flow's stack, whose Grams come back as one stacked form.  The
 step computes without checks, on the tables of its level that the model
 builds once (``radial_section_sq``, the log weights of mu0); the public
 maps then check what they computed, and the flow folds the step's
@@ -208,7 +208,16 @@ def project(phi: PotentialField, k: int) -> HermForm:
 
 
 def balancing(model: PolarizedModel, h: HermForm) -> HermForm:
-    """One application of the balancing map b_k = project o fubini_study, checked."""
+    """One application of the balancing map b_k = project o fubini_study.
+
+    The quantized flow balances its stack of forms, a form whose ``data``
+    carry a leading stack axis and whose forms fit the section space, in
+    one call; it gets back the whole ``_BergmanStep`` unchecked, to check
+    with the rest of its stage, under its own np.errstate.  A stack takes
+    the radial path exactly when it is diagonal.
+    """
+    if h.data.ndim > 1:
+        return _bergman_step(model, h, h.is_diagonal)
     radial = _radial_path(model, h)
     with np.errstate(all="ignore"):
         step = _bergman_step(model, h, radial)

@@ -219,11 +219,11 @@ def _exponents(k, runs, seed):
 
 @pytest.mark.parametrize("model_name", ["p1", "discrete"])
 def test_a_dense_stack_equals_its_forms_alone(request, model_name):
-    """``matrix_exp``, the Bergman step and ``gen_eig`` of a stack, slice by slice, bitwise."""
+    """``matrix_exp``, ``balancing`` and ``gen_eig`` of a stack, slice by slice, bitwise."""
     model = request.getfixturevalue(model_name)
     q = _exponents(2, 3, seed=7)
     stack = matrix_exp(2, q)
-    step = maps._bergman_step(model, stack, False)
+    step = balancing(model, stack)
     norms = gen_eig(step.gram, stack)
     for i in range(3):
         form = matrix_exp(2, q[i])
@@ -238,10 +238,10 @@ def test_a_dense_stack_equals_its_forms_alone(request, model_name):
 
 
 def test_a_diagonal_stack_equals_its_forms_alone(p1):
-    """On the radial path: the Bergman step and ``gen_eig`` of a stack, slice by slice, bitwise."""
+    """On the radial path: ``balancing`` and ``gen_eig`` of a stack, slice by slice, bitwise."""
     data = np.exp(0.5 * np.random.default_rng(11).standard_normal((3, 7)))
     stack = _held_form(3, data)
-    step = maps._bergman_step(p1, stack, True)
+    step = balancing(p1, stack)
     norms = gen_eig(step.gram, stack)
     for i in range(3):
         form = HermForm(3, data[i])
@@ -300,7 +300,7 @@ def _zero_weights_of_slice_1(weights):
 
 @pytest.mark.parametrize("case", ["radial sum", "radial Gram", "dense Gram", "discrete Gram"])
 def test_a_stack_balancing_names_its_failing_slice(request, monkeypatch, case):
-    """The stacked Bergman step's checks raise what the slice's balancing raises, with start 1."""
+    """The stacked balancing's checks raise what the slice's own balancing raises, with start 1."""
     if case == "radial sum":
         # a form of 1e308 underflows its radial Bergman sum
         model = ProjectiveLineModel(32, radial_nodes=16, angular_nodes=8)
@@ -316,7 +316,7 @@ def test_a_stack_balancing_names_its_failing_slice(request, monkeypatch, case):
 
     def stacked():
         with np.errstate(all="ignore"):
-            step = maps._bergman_step(model, stack, stack.is_diagonal)
+            step = balancing(model, stack)
         maps._check_step(step)
 
     _assert_slice_1_fails_as_alone(stacked, lambda: balancing(model, form))
