@@ -85,6 +85,12 @@ TIME_TOL = 1e-9
 CLASSICAL_TOL = 1e-12
 CLASSICAL_FIRST_STEP = 1e-3
 EXTRAPOLATION_STEPS = (1, 2, 3, 4, 5, 6)
+# and how many later steps of the same size may reuse one step's LU factors:
+# against the solver refactoring every step at tolerance 1e-14, the worst
+# profile deviation over thmA-gap's default, sine 0.3 and sine -0.5 configs
+# is 5.5e-11 when every step refactors, 1.8e-10 with unbounded reuse and
+# 7.1e-11 with this cap
+CLASSICAL_REUSE = 5
 SERIES_FIELDS = ("E", "L", "S", "E_k", "D_k", "S_k")
 TRACE_KINDS = ("quantized", "bergman", "classical")
 
@@ -500,16 +506,22 @@ def classical_krf_run(
 
     The weighted Legendre operator behind the density term has modes
     near -M^2 for M radial nodes, so the flow is stiff.  Each macro step
-    H runs the linearly implicit Euler method with n = 1, ..., 6 substeps
-    against the exact Jacobian at the step's start and extrapolates the
-    six results to order 6 (Hairer & Wanner, Solving ODEs II, IV.9).  A
-    step is accepted when the last two diagonal entries of the
-    extrapolation table agree to CLASSICAL_TOL relative to 1 + |psi|_inf;
-    a substep or result that leaves the Kahler cone rejects the step and
-    halves it.  Steps are shortened to land on every sample time.
-    ``meta`` counts accepted ``steps``, ``rejected`` steps (also
-    as ``restarts``), field evaluations ``nfev`` and ``factorizations``;
-    ``dt`` is the mean accepted step.
+    H runs the linearly implicit Euler method with n = 1, ..., 6 substeps,
+    each solving against I - (H/n) W, and extrapolates the six results to
+    order 6 (Hairer & Wanner, Solving ODEs II, IV.9).  W is the exact
+    Jacobian at the start of the step that factored the six matrices; the
+    next steps of the same size H, at most CLASSICAL_REUSE of them, reuse
+    those factors.  The h-expansion holds for any fixed W, so the
+    extrapolation stays valid (a W-method, IV.7).  A change of H or a
+    rejected step refreshes the Jacobian and the factors.  A step is
+    accepted when the last two diagonal entries of the extrapolation table
+    agree to CLASSICAL_TOL relative to 1 + |psi|_inf; a substep or result
+    that leaves the Kahler cone rejects the step and halves it.  Steps are
+    shortened to land on every sample time.  ``meta`` counts accepted
+    ``steps``, ``rejected`` steps (also as ``restarts``), field
+    evaluations ``nfev``, Jacobian refreshes ``jacobians`` and
+    ``factorizations`` (six per refresh, fewer when a cone exit cuts the
+    refresh short); ``dt`` is the mean accepted step.
     """
     model.require_radial()
     if phi0.model is not model:
@@ -524,8 +536,10 @@ def classical_krf_run(
     import scipy.linalg  # imported on first use, to keep scipy out of qkrf's start-up
 
     lap_matrix = radial_laplacian_matrix(model)
-    shifted = np.empty_like(lap_matrix)
-    stats = {"steps": 0, "rejected": 0, "nfev": 0, "factorizations": 0}
+    # one Fortran-order slot per substep count, factored in place
+    slots = [np.empty_like(lap_matrix) for _ in EXTRAPOLATION_STEPS]
+    factors: list = [None] * len(slots)
+    stats = {"steps": 0, "rejected": 0, "nfev": 0, "jacobians": 0, "factorizations": 0}
 
     def field_at(psi: np.ndarray, lap: np.ndarray) -> np.ndarray:
         stats["nfev"] += 1
@@ -534,15 +548,24 @@ def classical_krf_run(
     def solve(lu, rhs: np.ndarray) -> np.ndarray:
         return scipy.linalg.lu_solve(lu, rhs, check_finite=False)
 
-    def macro_step(psi: np.ndarray, lap: np.ndarray, f0: np.ndarray, h: float) -> tuple:
-        """State at t + h with its error estimate, Laplacian and field."""
-        terms = krf_jacobian_terms(model, psi, lap)
+    def macro_step(psi: np.ndarray, lap: np.ndarray, f0: np.ndarray, h: float, reuse: bool) -> tuple:
+        """State at t + h with its error estimate, Laplacian and field.
+
+        Unless ``reuse``, the Jacobian is taken at psi and the slots are
+        refactored for h; otherwise they hold the factors of an earlier
+        step of the same size.
+        """
+        if not reuse:
+            terms = krf_jacobian_terms(model, psi, lap)
+            stats["jacobians"] += 1
         row: list = []
-        for j, n in enumerate(EXTRAPOLATION_STEPS):
+        for j, (slot, n) in enumerate(zip(slots, EXTRAPOLATION_STEPS)):
             sub = h / n
-            fill_shifted_jacobian(shifted, lap_matrix, terms, sub)
-            lu = scipy.linalg.lu_factor(shifted, overwrite_a=True, check_finite=False)
-            stats["factorizations"] += 1
+            if not reuse:
+                fill_shifted_jacobian(slot, lap_matrix, terms, sub)
+                factors[j] = scipy.linalg.lu_factor(slot, overwrite_a=True, check_finite=False)
+                stats["factorizations"] += 1
+            lu = factors[j]
             # Substeps carry the increment d = y - psi and its Laplacian
             # separately: the rounding of psi + d, seen through the stiff
             # Laplacian, would otherwise be amplified by the extrapolation.
@@ -564,6 +587,7 @@ def classical_krf_run(
     lap = model.radial_laplacian(psi)
     f = field_at(psi, lap)
     h = min(sample_dt, CLASSICAL_FIRST_STEP)
+    held, age = math.nan, 0  # the step size the slots are factored for, steps reusing them
     times = [0.0]
     profiles = [psi0.copy()]
     for i in range(n_samples):
@@ -572,19 +596,22 @@ def classical_krf_run(
             pieces = max(1, math.ceil(left / h - TIME_TOL))
             step = left / pieces
             cone_error = None
+            reuse = step == held and age < CLASSICAL_REUSE
+            age = age + 1 if reuse else 0
             try:
-                new_psi, error, new_lap, new_f = macro_step(psi, lap, f, step)
+                new_psi, error, new_lap, new_f = macro_step(psi, lap, f, step, reuse)
             except KahlerConeError as exc:
                 error, cone_error = math.inf, exc
             # the estimate is the local error of the order K - 1 column, O(H^K)
             ratio = 0.9 * (CLASSICAL_TOL / max(error, 1e-300)) ** (1 / len(EXTRAPOLATION_STEPS))
             if error <= CLASSICAL_TOL:
                 stats["steps"] += 1
-                psi, lap, f = new_psi, new_lap, new_f
+                psi, lap, f, held = new_psi, new_lap, new_f, step
                 left = 0.0 if pieces == 1 else left - step
                 h = step * min(4.0, ratio)
                 continue
             stats["rejected"] += 1
+            held = math.nan
             h = step * (max(0.2, ratio) if math.isfinite(error) else 0.5)
             if h < TIME_TOL * sample_dt:
                 raise FlowError(

@@ -336,7 +336,11 @@ def _ray_log_amplitudes(
             scale = np.abs(frame[rows, np.arange(nu.dim)]) ** 2
             return np.log(scale)[:, None] + np.log(model.radial_section_sq(nu.level)[rows]), True
         amplitudes = frame.T @ model.sections(nu.level)
-        return np.log(np.abs(amplitudes) ** 2), False
+        # one float array, squared and logged in place, once the complex one is gone
+        log_amplitudes = np.abs(amplitudes)
+        del amplitudes
+        np.square(log_amplitudes, out=log_amplitudes)
+        return np.log(log_amplitudes, out=log_amplitudes), False
 
 
 def _ray_l_values(

@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 import warnings
 
@@ -7,7 +8,7 @@ import pytest
 
 from qkrf import flows, maps
 from qkrf.energies import e_k, entropy_classical, entropy_of_norms, l_functional, log_ricci_profile
-from qkrf.experiments import family_potential
+from qkrf.experiments import family_potential, run_experiment
 from qkrf.flows import (
     FlowError,
     bergman_iterate,
@@ -115,7 +116,27 @@ def test_classical_entropy_decreases(p1, bump):
     assert trace.series["S"][-1] < trace.series["S"][0]
     assert trace.meta["steps"] >= 1
     assert trace.meta["rejected"] == trace.meta["restarts"]
-    assert trace.meta["factorizations"] == 6 * (trace.meta["steps"] + trace.meta["rejected"])
+    assert trace.meta["factorizations"] == 6 * trace.meta["jacobians"]
+    assert trace.meta["jacobians"] <= trace.meta["steps"] + trace.meta["rejected"]
+
+
+def test_classical_factors_reused_on_benchmark_config(tmp_path, monkeypatch):
+    """The krf-classical benchmark's seed-0 config refactored all 10 steps of each run (60 LUs)."""
+    metas = []
+
+    def recording(*args, **kwargs):
+        trace = classical_krf_run(*args, **kwargs)
+        metas.append(trace.meta)
+        return trace
+
+    monkeypatch.setattr(flows, "classical_krf_run", recording)
+    config = {"experiment": "thmA-gap", "k_list": [16, 32, 64], "t_max": 0.0625,
+              "radial_nodes": 128, "fine_factor": 2, "family": "bump", "amplitude": -0.264341}
+    run_experiment(config, str(tmp_path))
+    assert len(metas) == 2
+    for meta in metas:
+        assert meta["steps"] == 10
+        assert meta["factorizations"] <= 36
 
 
 @pytest.mark.parametrize("family", ["bump", "sine"])
@@ -163,15 +184,21 @@ def test_classical_jacobian_matches_finite_differences(family):
     assert np.max(np.abs(fd - jac)) <= 1e-6 * np.max(np.abs(jac))
 
 
-def test_classical_flow_matches_tight_reference(p1, bump):
-    """Agreement with DOP853 at rtol 1e-12, its step capped below the stiff limit."""
+@pytest.mark.parametrize("family, amplitude", [("bump", 0.3), ("sine", 0.3), ("sine", -0.5)])
+def test_classical_flow_matches_tight_reference(p1, family, amplitude):
+    """Agreement with DOP853 at rtol 1e-12, its step capped below the stiff limit.
+
+    The span holds several steps that reuse one step's factors.
+    """
     from scipy.integrate import solve_ivp
 
-    trace = classical_krf_run(p1, bump, t_max=0.05, sample_dt=0.01)
+    phi0 = family_potential(p1, family, amplitude)
+    trace = classical_krf_run(p1, phi0, t_max=0.2, sample_dt=0.02)
+    assert trace.meta["jacobians"] < trace.meta["steps"]
     ref = solve_ivp(
         lambda t, y: -log_ricci_profile(p1, y),
-        (0.0, 0.05),
-        bump.require_profile(),
+        (0.0, 0.2),
+        phi0.require_profile(),
         method="DOP853",
         rtol=1e-12,
         atol=1e-12,
@@ -187,18 +214,41 @@ def test_classical_flow_matches_tight_reference(p1, bump):
 
 
 def test_classical_cone_exit_rejects_only_that_step(p1, bump, monkeypatch):
+    events = []
+
+    def jacobian(model, psi, lap):
+        events.append("J")
+        return krf_jacobian_terms(model, psi, lap)
+
+    def field(model, psi, lap=None):
+        events.append("f")
+        return log_ricci_profile(model, psi, lap)
+
+    monkeypatch.setattr(flows, "krf_jacobian_terms", jacobian)
+    monkeypatch.setattr(flows, "log_ricci_profile", field)
     clean = classical_krf_run(p1, bump, t_max=0.05, sample_dt=0.01)
-    calls = []
+    assert clean.meta["rejected"] == 0
+    # after the first field, each step is an optional refresh J, its substeps'
+    # fields and the field of its result; the cone exit goes into the second
+    # field of the first step without a refresh
+    per_step = sum(n - 1 for n in flows.EXTRAPOLATION_STEPS) + 1
+    log = "".join(events)
+    reused = next(m for m in re.finditer(f"J?f{{{per_step}}}", log[1:]) if m.group()[0] == "f")
+    inject = log[: reused.start() + 1].count("f") + 2
+    events.clear()
 
     def leaves_cone_once(model, psi, lap=None):
-        calls.append(None)
-        if len(calls) == 3:
+        events.append("f")
+        if events.count("f") == inject:
+            events.append("exit")
             raise KahlerConeError("injected")
         return log_ricci_profile(model, psi, lap)
 
     monkeypatch.setattr(flows, "log_ricci_profile", leaves_cone_once)
     trace = classical_krf_run(p1, bump, t_max=0.05, sample_dt=0.01)
     assert trace.meta["rejected"] == clean.meta["rejected"] + 1
+    # the retried step refreshes the Jacobian before its first substep
+    assert events[events.index("exit") + 1] == "J"
     for a, b in zip(trace.states, clean.states):
         assert np.max(np.abs(a.require_profile() - b.require_profile())) <= 1e-12
 

@@ -332,6 +332,10 @@ def test_unitary_and_discrete_norms_keep_the_node_path(p1, discrete):
     for model, nu, h0 in cases:
         log_amplitudes, radial = nanorms._ray_log_amplitudes(model, nu, h0)
         assert not radial and log_amplitudes.shape == (nu.dim, model.node_count)
+        # the in-place square and log keep the bits of log(|amplitudes|^2)
+        frame = nanorms._orthonormalize_adapted(h0, nu.adapted_basis)
+        expected = np.log(np.abs(frame.T @ model.sections(nu.level)) ** 2)
+        assert np.array_equal(log_amplitudes, expected)
         for t in (0.0, 40.0):
             assert ray_l_value(model, nu, h0, t) == _node_l_value(model, nu, h0, t)
 
