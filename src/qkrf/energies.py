@@ -79,6 +79,15 @@ def _l_values(model: PolarizedModel, values: np.ndarray, radial: bool) -> np.nda
     return -log_int if radial else np.log(model.volume) - log_int
 
 
+def _l_from_log_z(model: PolarizedModel, log_z: np.ndarray) -> np.ndarray:
+    """L = log V - log Z of potentials from their log normalisers log Z = log int e^(-phi) mu0.
+
+    The radial reference weights have mass V as well, so radial profiles
+    take the same formula.
+    """
+    return np.log(model.volume) - log_z
+
+
 def log_ricci_profile(
     model: ProjectiveLineModel, psi: np.ndarray, lap: Optional[np.ndarray] = None
 ) -> np.ndarray:

@@ -25,9 +25,10 @@ forms e^Q of all of them with ``matrix_exp`` (elementwise on the radial
 path), balances them with one ``maps.balancing`` and takes the logarithm
 of all the Grams at once; each sample reads its norms with one
 ``gen_eig`` and its energies L, E_k, D_k, S_k and the relative entropy
-as arrays over the stack.  Every start keeps its own contractions and
-reductions, so a stacked run equals its start's run alone, bit for bit;
-``quantized_flow_run`` is the stack of one start.  A stage computes without checks, apart from those of
+as arrays over the stack, L from the log normalisers of its balancing.
+Every start keeps its own contractions and reductions, so a stacked run
+equals its start's run alone, bit for bit; ``quantized_flow_run`` is the
+stack of one start.  A stage computes without checks, apart from those of
 ``matrix_exp``, and then takes one test of all of them; only a stage that
 fails it runs the checks one by one, so the first failure is raised, with
 its start, as when each check ran in turn.
@@ -40,13 +41,14 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from .energies import (
-    _l_values,
+    _l_from_log_z,
     e_k,
     entropy_classical,
     entropy_of_norms,
@@ -418,7 +420,7 @@ def _integrate_stack(
                 continue
             # each sample's energies for the whole stack, each start's as for it alone
             norms = gen_eig(balanced.gram, held)
-            l_values = _l_values(model, balanced.potential, radial=diagonal)
+            l_values = _l_from_log_z(model, balanced.log_z)
             ek_values = e_k(held, initial)
             record["L"].append(l_values)
             record["E_k"].append(ek_values)
@@ -496,6 +498,42 @@ def fill_shifted_jacobian(
     return out
 
 
+def _lu_routines(a: np.ndarray) -> tuple:
+    """In-place LU ``factor`` and ``solve`` for matrices like ``a``, bitwise as scipy's wrappers.
+
+    LAPACK's getrf and getrs are looked up once and called directly,
+    which spares ``lu_factor`` and ``lu_solve`` their per-call lookup and
+    batch dispatch (a solve at M = 128 takes a third of the time).
+    ``factor(m)`` overwrites a Fortran-order m with its factors and
+    returns them as (lu, piv); ``solve(factors, b)`` may overwrite b.  An
+    illegal argument raises ValueError and an exactly singular m warns
+    ``LinAlgWarning``, as in ``lu_factor``.
+    """
+    import scipy.linalg  # imported on first use, to keep scipy out of qkrf's start-up
+
+    getrf, getrs = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), (a,))
+
+    def factor(m: np.ndarray) -> tuple:
+        lu, piv, info = getrf(m, overwrite_a=True)
+        if info < 0:
+            raise ValueError(f"illegal value in {-info}th argument of internal getrf (lu_factor)")
+        if info > 0:
+            warnings.warn(
+                f"Diagonal number {info} is exactly zero. Singular matrix.",
+                scipy.linalg.LinAlgWarning,
+                stacklevel=2,
+            )
+        return lu, piv
+
+    def solve(factors: tuple, b: np.ndarray) -> np.ndarray:
+        x, info = getrs(*factors, b, overwrite_b=True)
+        if info:
+            raise ValueError(f"illegal value in {-info}th argument of internal gesv|posv")
+        return x
+
+    return factor, solve
+
+
 def classical_krf_run(
     model: ProjectiveLineModel,
     phi0: PotentialField,
@@ -533,9 +571,8 @@ def classical_krf_run(
     n_samples = whole_steps(t_max, sample_dt)
     if not n_samples:
         raise FlowError(f"classical flow: span {t_max} is not a whole number of steps {sample_dt}")
-    import scipy.linalg  # imported on first use, to keep scipy out of qkrf's start-up
-
     lap_matrix = radial_laplacian_matrix(model)
+    factor, solve = _lu_routines(lap_matrix)
     # one Fortran-order slot per substep count, factored in place
     slots = [np.empty_like(lap_matrix) for _ in EXTRAPOLATION_STEPS]
     factors: list = [None] * len(slots)
@@ -544,9 +581,6 @@ def classical_krf_run(
     def field_at(psi: np.ndarray, lap: np.ndarray) -> np.ndarray:
         stats["nfev"] += 1
         return -log_ricci_profile(model, psi, lap)
-
-    def solve(lu, rhs: np.ndarray) -> np.ndarray:
-        return scipy.linalg.lu_solve(lu, rhs, check_finite=False)
 
     def macro_step(psi: np.ndarray, lap: np.ndarray, f0: np.ndarray, h: float, reuse: bool) -> tuple:
         """State at t + h with its error estimate, Laplacian and field.
@@ -563,7 +597,7 @@ def classical_krf_run(
             sub = h / n
             if not reuse:
                 fill_shifted_jacobian(slot, lap_matrix, terms, sub)
-                factors[j] = scipy.linalg.lu_factor(slot, overwrite_a=True, check_finite=False)
+                factors[j] = factor(slot)
                 stats["factorizations"] += 1
             lu = factors[j]
             # Substeps carry the increment d = y - psi and its Laplacian

@@ -22,7 +22,10 @@ has density (2 + (u(1-u) psi')') / (2 pi), with the derivative taken by
 barycentric spectral differentiation on the Gauss-Legendre nodes.
 
 The models own the reference measure mu0 and cache its log weights;
-``twisted_weights`` is the one log-space normalization of e^(-p phi) mu0.
+``twisted_weights`` normalizes e^(-p phi) mu0 in log space for any
+potential.  Balancing, whose potentials are Fubini-Study potentials,
+takes its Gram weights from the Bergman sum instead
+(``maps._gram_weights``).
 """
 
 from __future__ import annotations

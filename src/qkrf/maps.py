@@ -11,18 +11,23 @@ The three basic maps at level k are
 
 and the Bergman approximation of a potential is fubini_study o project.
 ``fubini_study`` is the one Bergman map: it takes the logarithm of the
-Bergman sum a(x)^T H^-1 conj(a(x)) at each node x, with a(x) the
+Bergman sum B(x) = a(x)^T H^-1 conj(a(x)) at each node x, with a(x) the
 reference sections at x, and keeps no separate density.  The chain
-Bergman sum -> potential -> twisted Gram -> eigh is one step,
-``_bergman_step``, on a ``HermForm`` that may be a stack of forms:
-``fubini_study`` runs its first half on one form, ``project`` its second
-on one potential and ``balancing`` all of it, on one form or on the
-quantized flow's stack, whose Grams come back as one stacked form.  The
-step computes without checks, on the tables of its level that the model
-builds once (``radial_section_sq``, the log weights of mu0); the public
-maps then check what they computed, and the flow folds the step's
-checks into one test per RK4 stage.  That sum and the Gram contraction
-are the model's: ``PolarizedModel.bergman_sum`` and
+Bergman sum -> potential and Gram weights -> Gram -> eigh is one step,
+``_bergman_step``, on a ``HermForm`` that may be a stack of forms.  Its
+middle link is one pass over the nodes, ``_gram_weights``: at
+phi = (1/k) log(B / N_k) the twist is exact, e^(-k phi) = N_k / B, so
+the weights e^(-(k+1) phi) mu0 / Z are the probability e^(-phi) mu0 / Z
+times N_k / B, and the pass also yields log Z, from which the flow reads
+L.  ``fubini_study`` runs the step's first link on one form,
+``project`` its Gram on one arbitrary potential, with the log-space
+weights of ``twisted_weights``, and ``balancing`` all of it, on one form
+or on the quantized flow's stack, whose Grams come back as one stacked
+form.  The step computes without checks, on the tables of its level
+that the model builds once (``radial_section_sq``, the log weights of
+mu0); the public maps then check what they computed, and the flow folds
+the step's checks into one test per RK4 stage.  The Bergman sum and the
+Gram contraction are the model's: ``PolarizedModel.bergman_sum`` and
 ``PolarizedModel.gram``.  The generic ones contract the section table,
 the Bergman sum in the form's eigenframe H = V diag(e^lam) V^* as
 sum_i e^(-lam_i) |(V^T a(x))_i|^2; the projective line regroups both
@@ -71,14 +76,16 @@ class _BergmanStep(NamedTuple):
     """One balancing of forms, stacked on leading axes.
 
     ``potential`` holds the Fubini-Study potentials (radial profiles on
-    the radial path, node values otherwise) and ``gram`` the twisted
-    Grams of the reference basis as one form: on the radial path a
-    diagonal form, otherwise held in its eigenframes with its matrices
-    as ``entries``.
+    the radial path, node values otherwise), ``gram`` the twisted Grams
+    of the reference basis as one form: on the radial path a diagonal
+    form, otherwise held in its eigenframes with its matrices as
+    ``entries``; ``log_z`` holds the log normalisers
+    log Z = log int e^(-phi) mu0 of the potentials.
     """
 
     potential: np.ndarray
     gram: HermForm
+    log_z: np.ndarray
 
 
 # The kernels below compute without checking, so that a valid input pays
@@ -88,31 +95,61 @@ class _BergmanStep(NamedTuple):
 # finite, as its logarithm is.
 
 
-def _potential(model: PolarizedModel, h: HermForm, radial: bool) -> np.ndarray:
-    """Fubini-Study potentials of a form or a stack of forms, radial profiles if ``radial``."""
+def _bergman_sum(model: PolarizedModel, h: HermForm, radial: bool) -> np.ndarray:
+    """Bergman sums of a form or a stack of forms, on the radial grid if ``radial``."""
     k, inverse = h.level, 1.0 / h.data
     if radial:
-        total = (model.radial_section_sq(k).T @ inverse[..., None])[..., 0]
-    else:
-        total = model.bergman_sum(k, h.frame, inverse)
-    return (np.log(total) - _log_count(h.dim)) / k
+        return (model.radial_section_sq(k).T @ inverse[..., None])[..., 0]
+    return model.bergman_sum(k, h.frame, inverse)
 
 
-def _gram(model: PolarizedModel, k: int, potential: np.ndarray, radial: bool) -> HermForm:
-    """Twisted Grams of potentials, stacked on leading axes, as one form.
+def _fs_potential(total: np.ndarray, n: int, k: int) -> np.ndarray:
+    """Fubini-Study potentials (log B - log N_k) / k of Bergman sums B."""
+    potential = np.log(total)
+    potential -= _log_count(n)
+    potential /= k
+    return potential
 
-    ``radial`` potentials are profiles on the radial grid.  A stack with a
-    non-finite Gram gets NaN spectra, which fail every check: ``eigh``
-    can raise LinAlgError on such input.
+
+def _gram_weights(log_mu0: np.ndarray, total: np.ndarray, n: int, k: int) -> tuple:
+    """Potentials, Gram weights e^(-(k+1) phi) mu0 / Z and log Z of Bergman sums, in one node pass.
+
+    At the Fubini-Study potential phi = (1/k) log(B / N) of a Bergman sum
+    B the twist is exact, e^(-k phi) = N / B, so the weights are
+    e^(-phi) mu0 / Z times N / B.  The probability e^(-phi) mu0 / Z is
+    normalised by its largest term: with s = log mu0 - phi and e =
+    e^(s - max s), it is e / sum e, and log Z = max s + log sum e.  A
+    stack of sums is reduced row by row, each as that sum alone.
+    """
+    potential = _fs_potential(total, n, k)
+    shifted = log_mu0 - potential
+    top = shifted.max(axis=-1, keepdims=True)
+    shifted -= top
+    e = np.exp(shifted, out=shifted)
+    mass = e.sum(axis=-1, keepdims=True)
+    e *= n / mass
+    e /= total
+    return potential, e, (top + np.log(mass))[..., 0]
+
+
+def _gram(model: PolarizedModel, k: int, weights: np.ndarray, radial: bool) -> HermForm:
+    """Grams of the reference basis against node weights, stacked on leading axes, as one form.
+
+    ``radial`` weights are on the radial grid.  A stack with a non-finite
+    Gram gets NaN spectra, which fail every check: ``eigh`` can raise
+    LinAlgError on such input.
     """
     if radial:
-        weights = twisted_weights(model.log_radial_mu0_weights, potential, k + 1)
         return _held_form(k, (model.radial_section_sq(k) @ weights[..., None])[..., 0])
-    gram = model.gram(k, twisted_weights(model.log_mu0_weights, potential, k + 1))
+    gram = model.gram(k, weights)
     spectrum = np.linalg.eigh(gram) if np.isfinite(gram).all() else (
         np.full(gram.shape[:-1], np.nan), np.full(gram.shape, np.nan, dtype=complex)
     )
     return _held_form(k, *spectrum, entries=gram)
+
+
+def _log_mu0(model: PolarizedModel, radial: bool) -> np.ndarray:
+    return model.log_radial_mu0_weights if radial else model.log_mu0_weights
 
 
 def _check_potential(potential: np.ndarray) -> None:
@@ -147,15 +184,17 @@ def _check_gram(gram: HermForm) -> None:
 
 
 def _bergman_step(model: PolarizedModel, h: HermForm, radial: bool) -> _BergmanStep:
-    """The chain Bergman sum -> potential -> twisted Gram -> eigh, for one form or a stack.
+    """The chain Bergman sum -> potential and Gram weights -> Gram -> eigh, for one form or a stack.
 
     Unchecked: ``_check_step`` raises for a Bergman sum that is not
     positive and finite or a singular Gram (QuantizationError) and for a
     non-finite Gram (HermitianError), and the error's ``start`` names the
     stack index it met (None for one form).
     """
-    potential = _potential(model, h, radial)
-    return _BergmanStep(potential, _gram(model, h.level, potential, radial))
+    k = h.level
+    total = _bergman_sum(model, h, radial)
+    potential, weights, log_z = _gram_weights(_log_mu0(model, radial), total, h.dim, k)
+    return _BergmanStep(potential, _gram(model, k, weights, radial), log_z)
 
 
 def _check_step(step: _BergmanStep) -> None:
@@ -188,7 +227,7 @@ def fubini_study(model: PolarizedModel, h: HermForm) -> PotentialField:
     """
     radial = _radial_path(model, h)
     with np.errstate(all="ignore"):
-        values = _potential(model, h, radial)
+        values = _fs_potential(_bergman_sum(model, h, radial), h.dim, h.level)
     _check_potential(values)
     return PotentialField(model, None, values) if radial else PotentialField(model, values)
 
@@ -202,7 +241,9 @@ def project(phi: PotentialField, k: int) -> HermForm:
     phi.model.require_level(k)
     radial = phi.is_radial
     with np.errstate(all="ignore"):
-        gram = _gram(phi.model, k, phi.radial_profile if radial else phi.values, radial)
+        values = phi.radial_profile if radial else phi.values
+        weights = twisted_weights(_log_mu0(phi.model, radial), values, k + 1)
+        gram = _gram(phi.model, k, weights, radial)
     _check_gram(gram)
     return _gram_form(gram)
 

@@ -349,8 +349,8 @@ def test_duality_csvs_carry_the_converged_flags(tmp_path):
 # negative controls: a named defect fails a gated metric at its own threshold
 
 
-def _drop_section_zero(potential):
-    """``maps._potential`` with section 0 left out of the radial Bergman sum.
+def _drop_section_zero(bergman_sum):
+    """``maps._bergman_sum`` with section 0 left out of the radial Bergman sum.
 
     An infinite eigenvalue 0 of the form weighs that section's term with 1/inf = 0.
     """
@@ -360,7 +360,7 @@ def _drop_section_zero(potential):
             data = h.data.copy()
             data[..., 0] = np.inf
             h = _held_form(h.level, data)
-        return potential(model, h, radial)
+        return bergman_sum(model, h, radial)
 
     return dropped
 
@@ -395,9 +395,9 @@ def _free_energy_over_k_plus_1(f_k_na):
     return lambda nu: float(np.log(nu.dim) - geometry.logsumexp(-nu.weights / (nu.level + 1)))
 
 
-def _doubled(l_values):
-    """``flows._l_values`` times two."""
-    return lambda *args, **kwargs: 2.0 * l_values(*args, **kwargs)
+def _doubled(l_from_log_z):
+    """``flows._l_from_log_z`` times two."""
+    return lambda model, log_z: 2.0 * l_from_log_z(model, log_z)
 
 
 def _atoms_over_k_plus_1(dh_empirical):
@@ -405,9 +405,14 @@ def _atoms_over_k_plus_1(dh_empirical):
     return lambda nu: DHMeasure(nu.weights / (nu.level + 1), dh_empirical(nu).masses)
 
 
-def _twist_power_k(twisted_weights):
-    """``maps.twisted_weights`` with the twist power k in place of k + 1 in ``project``."""
-    return lambda log_mu0, values, power=1: twisted_weights(log_mu0, values, power - 1)
+def _twist_power_k(gram_weights):
+    """``maps._gram_weights`` with the twist power k in place of k + 1 in the balancing's Gram."""
+
+    def power_k(log_mu0, total, n, k):
+        potential, weights, log_z = gram_weights(log_mu0, total, n, k)
+        return potential, weights * np.exp(potential), log_z
+
+    return power_k
 
 
 def _negated_entropy(entropy_of_norms):
@@ -423,10 +428,10 @@ def _linear_interpolation(interpolate_radial):
 # (experiment, metric, patched name under qkrf, defect): one row per default-run
 # metric whose registry status is "control"
 CONTROLS = [
-    ("balanced-fixed-point", "fixed_point_residual", "maps._potential", _drop_section_zero),
-    ("balanced-fixed-point", "fixed_point_entropy", "maps._potential", _drop_section_zero),
+    ("balanced-fixed-point", "fixed_point_residual", "maps._bergman_sum", _drop_section_zero),
+    ("balanced-fixed-point", "fixed_point_entropy", "maps._bergman_sum", _drop_section_zero),
     ("balanced-fixed-point", "gram_k1_oracle", "maps.twisted_weights", _without_log_z),
-    ("thmB-entropy", "thmb_zero_case", "maps._potential", _drop_section_zero),
+    ("thmB-entropy", "thmb_zero_case", "maps._bergman_sum", _drop_section_zero),
     ("na-panel", "na_constant_slope_deviation", "experiments.l_na_slope", _negated_slope),
     ("na-panel", "na_free_energy_oracle", "experiments.f_k_na", _without_log_nk),
     ("na-panel", "na_dh_moment_deviation", "experiments.dh_empirical", _atoms_over_k_plus_1),
@@ -434,7 +439,7 @@ CONTROLS = [
     ("duality", "duality_identity_k2", "nanorms.conjugate_value", _pairing_without_log_nk),
     ("slope-identity", "slope_identity_algebra", "nanorms.conjugate_value",
      _pairing_without_log_nk),
-    ("slope-identity", "slope_identity_ratio_low", "flows._l_values", _doubled),
+    ("slope-identity", "slope_identity_ratio_low", "flows._l_from_log_z", _doubled),
     ("na-panel", "na_translation_invariance", "nanorms.f_k_na", _free_energy_over_k_plus_1),
     ("duality", "duality_panel_max_k1", "nanorms.l_na_slope", _negated_slope),
     ("duality", "duality_panel_max_k2", "nanorms.l_na_slope", _negated_slope),
@@ -442,7 +447,7 @@ CONTROLS = [
     ("duality", "duality_one_sided_k2", "nanorms.l_na_slope", _negated_slope),
     ("thmB-entropy", "thmb_resolution_control",
      "geometry.ProjectiveLineModel.interpolate_radial", _linear_interpolation),
-    ("thmB-entropy", "thmb_tail_increase", "maps.twisted_weights", _twist_power_k),
+    ("thmB-entropy", "thmb_tail_increase", "maps._gram_weights", _twist_power_k),
     ("monotonicity", "monotonicity_excess", "flows.entropy_of_norms", _negated_entropy),
 ]
 

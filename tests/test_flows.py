@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 from qkrf import flows, maps
-from qkrf.energies import e_k, entropy_classical, entropy_of_norms, l_functional, log_ricci_profile
+from qkrf.energies import (
+    _l_from_log_z,
+    e_k,
+    entropy_classical,
+    entropy_of_norms,
+    log_ricci_profile,
+)
 from qkrf.experiments import family_potential, run_experiment
 from qkrf.flows import (
     FlowError,
@@ -137,6 +143,36 @@ def test_classical_factors_reused_on_benchmark_config(tmp_path, monkeypatch):
     for meta in metas:
         assert meta["steps"] == 10
         assert meta["factorizations"] <= 36
+
+
+@pytest.mark.parametrize("m", [128, 256])
+def test_the_lapack_lu_routines_equal_scipys_wrappers_bitwise(m):
+    """The classical solver's getrf and getrs give lu_factor's and lu_solve's bits, and warning."""
+    import scipy.linalg
+
+    model = ProjectiveLineModel(1, radial_nodes=m, angular_nodes=8)
+    psi = family_potential(model, "sine", 0.3).require_profile()
+    lap_matrix = radial_laplacian_matrix(model)
+    terms = krf_jacobian_terms(model, psi, model.radial_laplacian(psi))
+    factor, solve = flows._lu_routines(lap_matrix)
+    rhs = np.random.default_rng(m).standard_normal(m)
+    for h in (1e-3, 0.05, 1.0):
+        shifted = fill_shifted_jacobian(np.empty_like(lap_matrix), lap_matrix, terms, h)
+        want = scipy.linalg.lu_factor(shifted, check_finite=False)
+        got = factor(shifted.copy(order="F"))
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        x = scipy.linalg.lu_solve(want, rhs, check_finite=False)
+        assert np.array_equal(solve(got, rhs.copy()), x)
+
+    def warned(call):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            call(np.zeros((m, m), order="F"))
+        return [(w.category, str(w.message)) for w in caught]
+
+    assert warned(factor) == warned(scipy.linalg.lu_factor) == [
+        (scipy.linalg.LinAlgWarning, "Diagonal number 1 is exactly zero. Singular matrix.")
+    ]
 
 
 @pytest.mark.parametrize("family", ["bump", "sine"])
@@ -409,12 +445,19 @@ def test_non_finite_dense_state_raises_flow_error(p1):
 # stacked runs
 
 
+def _l_alone(model, form):
+    """L at a form, read as the flow reads it: from the log normaliser of the form's balancing."""
+    step = maps._bergman_step(model, form, maps._radial_path(model, form))
+    return float(_l_from_log_z(model, step.log_z))
+
+
 def _reference_run(model, h0, t_max, dt):
     """The quantized flow from one start, integrated with the single-form maps.
 
     This is the flow one start at a time, as the stacked integrator must
     reproduce it bit for bit: every state formed by ``matrix_exp`` and
-    balanced once, L read from ``fubini_study`` and the norms from ``gen_eig``.
+    balanced once, L read from its balancing's log normaliser and the
+    norms from ``gen_eig``.
     """
     k = h0.level
 
@@ -436,7 +479,7 @@ def _reference_run(model, h0, t_max, dt):
         form, b, f1 = evaluate(q, None if step else h0)
         states.append(form)
         norms = gen_eig(b, form)
-        l_value = l_functional(fubini_study(model, form))
+        l_value = _l_alone(model, form)
         series["L"].append(l_value)
         series["E_k"].append(e_k(form, h0))
         series["D_k"].append(l_value - e_k(form, h0))
@@ -570,7 +613,7 @@ def _replayed_energies(model, trace, h0):
     series = {name: [] for name in ("L", "E_k", "D_k", "S_k", "relent_ref")}
     for form in trace.states:
         norms = gen_eig(balancing(model, form), form)
-        l_value = l_functional(fubini_study(model, form))
+        l_value = _l_alone(model, form)
         series["L"].append(l_value)
         series["E_k"].append(e_k(form, h0))
         series["D_k"].append(l_value - e_k(form, h0))
@@ -667,14 +710,14 @@ def _spread_dense():
 
 
 def _spoil_weights(spoil):
-    """``maps.twisted_weights`` with the weights of the middle start of a stack spoiled."""
-    weights = maps.twisted_weights
+    """``maps._gram_weights`` with the Gram weights of the middle start of a stack spoiled."""
+    gram_weights = maps._gram_weights
 
-    def spoiled(log_mu0, values, power=1):
-        w = weights(log_mu0, values, power)
+    def spoiled(log_mu0, total, n, k):
+        potential, w, log_z = gram_weights(log_mu0, total, n, k)
         if w.ndim == 2:
             spoil(w, w.shape[0] // 2)
-        return w
+        return potential, w, log_z
 
     return spoiled
 
@@ -742,7 +785,7 @@ _FAILING_STAGES = {
     "dense Gram below the log floor": (
         2, _nearly_balanced_dense, lambda p1: _spread_dense(), 0.05, _rank_one_plus_1e18,
         PositivityError,
-        "matrix log: eigenvalue 1.009440e-19 below the relative floor 1e-14 * 4.959530e-05",
+        "matrix log: eigenvalue 1.009604e-19 below the relative floor 1e-14 * 4.959530e-05",
     ),
 }
 
@@ -773,7 +816,7 @@ def test_a_failing_stage_raises_its_first_check(p1, monkeypatch, case, runs):
     """
     k, good, bad, dt, spoil, error, message = _FAILING_STAGES[case]
     if spoil is not None:
-        monkeypatch.setattr(maps, "twisted_weights", _spoil_weights(spoil))
+        monkeypatch.setattr(maps, "_gram_weights", _spoil_weights(spoil))
     good = project(p1.zero_potential(), k) if good is None else good(p1)
     starts = [bad(p1)] if runs == 1 else [good, bad(p1), good]
     _assert_fails_as(p1, starts, dt, error, message)

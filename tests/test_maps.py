@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from qkrf import maps
+from qkrf.energies import _l_from_log_z, _l_values
+from qkrf.experiments import family_potential
 from qkrf.flows import FlowError, quantized_flow_run
 from qkrf.geometry import (
     DiscreteModel,
@@ -219,7 +221,7 @@ def _exponents(k, runs, seed):
 
 @pytest.mark.parametrize("model_name", ["p1", "discrete"])
 def test_a_dense_stack_equals_its_forms_alone(request, model_name):
-    """``matrix_exp``, ``balancing`` and ``gen_eig`` of a stack, slice by slice, bitwise."""
+    """``matrix_exp``, ``balancing`` with its log Z and ``gen_eig`` of a stack, slice by slice, bitwise."""
     model = request.getfixturevalue(model_name)
     q = _exponents(2, 3, seed=7)
     stack = matrix_exp(2, q)
@@ -232,13 +234,14 @@ def test_a_dense_stack_equals_its_forms_alone(request, model_name):
         b = balancing(model, form)
         assert not b.is_diagonal
         assert np.array_equal(step.potential[i], fubini_study(model, form).values)
+        assert np.array_equal(step.log_z[i], maps._bergman_step(model, form, False).log_z)
         for name in ("data", "frame", "entries"):
             assert np.array_equal(getattr(step.gram, name)[i], getattr(b, name))
         assert np.array_equal(norms[i], gen_eig(b, form))
 
 
 def test_a_diagonal_stack_equals_its_forms_alone(p1):
-    """On the radial path: ``balancing`` and ``gen_eig`` of a stack, slice by slice, bitwise."""
+    """On the radial path: ``balancing`` with its log Z and ``gen_eig`` of a stack, slice by slice."""
     data = np.exp(0.5 * np.random.default_rng(11).standard_normal((3, 7)))
     stack = _held_form(3, data)
     step = balancing(p1, stack)
@@ -248,8 +251,85 @@ def test_a_diagonal_stack_equals_its_forms_alone(p1):
         b = balancing(p1, form)
         assert b.is_diagonal and step.gram.is_diagonal
         assert np.array_equal(step.potential[i], fubini_study(p1, form).radial_profile)
+        assert np.array_equal(step.log_z[i], maps._bergman_step(p1, form, True).log_z)
         assert np.array_equal(step.gram.data[i], b.data)
         assert np.array_equal(norms[i], gen_eig(b, form))
+
+
+def _fused_and_log_space(model, h):
+    """The balancing's node pass at h, (potential, weights, log Z), and ``twisted_weights`` there."""
+    radial = maps._radial_path(model, h)
+    log_mu0 = maps._log_mu0(model, radial)
+    fused = maps._gram_weights(log_mu0, maps._bergman_sum(model, h, radial), h.dim, h.level)
+    return fused, twisted_weights(log_mu0, fused[0], h.level + 1)
+
+
+def _assert_fused_matches_log_space(model, h):
+    """Weights within 4 ulps per unit of exponent scale; L within 8 eps (1 + |log Z|).
+
+    The exponent scale 1 + |log mu0| + (k + 1)|phi| + |log Z| bounds the
+    terms of the exponent that ``twisted_weights`` rounds.  Measured: at
+    most 2.9 ulps per unit on the radial grid (58 ulps at k = 64) and 2.2
+    on the dense one; L at most 1e-15 apart.
+    """
+    (potential, weights, log_z), reference = _fused_and_log_space(model, h)
+    radial = maps._radial_path(model, h)
+    scale = 1.0 + np.abs(maps._log_mu0(model, radial)) + (h.level + 1) * np.abs(potential)
+    scale += abs(log_z)
+    assert np.all(np.abs(weights - reference) <= 4.0 * scale * np.spacing(reference))
+    l_reference = _l_values(model, potential, radial)
+    assert abs(_l_from_log_z(model, log_z) - l_reference) <= 8.0 * np.finfo(float).eps * (
+        1.0 + abs(log_z)
+    )
+
+
+def test_the_fused_weights_match_the_log_space_weights_on_the_radial_grid():
+    """Levels 1 to 64 on 160 radial nodes, at projections and at forms off balance."""
+    model = ProjectiveLineModel(64, radial_nodes=160, angular_nodes=8)
+    rng = np.random.default_rng(3)
+    for k in range(1, 65):
+        for family, amplitude in (("bump", 0.3), ("sine", -0.5)):
+            h = project(family_potential(model, family, amplitude), k)
+            _assert_fused_matches_log_space(model, h)
+            off = HermForm(k, h.data * np.exp(rng.standard_normal(h.dim)))
+            _assert_fused_matches_log_space(model, off)
+
+
+@pytest.mark.parametrize("angular", ["16", "4k+8"])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_the_fused_weights_match_the_log_space_weights_on_the_dense_path(k, angular):
+    model = ProjectiveLineModel(4, 64, angular_nodes=16 if angular == "16" else 4 * k + 8)
+    for spread in (0.5, 1.0, 2.0):
+        for seed in range(3):
+            rng = np.random.default_rng([k, seed])
+            h = HermForm(k, random_herm_pd(rng, 2 * k + 1, spread))
+            _assert_fused_matches_log_space(model, h)
+
+
+def test_the_fused_weights_stay_finite_where_the_log_space_weights_do():
+    """At k = 64, scaled forms whose Bergman sums fall below 1e-300 keep every finite Gram finite.
+
+    The unit form's scales run past the one where its largest weight
+    overflows, on both sides alike.
+    """
+    model = ProjectiveLineModel(64, radial_nodes=160, angular_nodes=8)
+    sq = model.radial_section_sq(64)
+    round_metric = project(model.zero_potential(), 64).data
+    finite = 0
+    for base, exponents in ((np.ones(129), np.arange(270.0, 272.0, 0.05)),
+                            (round_metric, np.arange(303.0, 308.5, 0.5))):
+        for e in exponents:
+            h = HermForm(64, base * 10.0**e)
+            with np.errstate(all="ignore"):
+                total = maps._bergman_sum(model, h, True)
+                (_, weights, _), reference = _fused_and_log_space(model, h)
+            assert total.min() < 1e-300 and np.isfinite(maps._fs_potential(total, 129, 64)).all()
+            if np.isfinite(sq @ reference).all():
+                finite += 1
+                gram = sq @ weights
+                assert np.isfinite(gram).all(), e
+                assert np.max(np.abs(gram / (sq @ reference) - 1.0)) <= 1e-12
+    assert finite >= 20
 
 
 def _raised(call):
@@ -287,13 +367,13 @@ def test_gen_eig_names_the_failing_slice_of_a_stack():
     )
 
 
-def _zero_weights_of_slice_1(weights):
-    """``maps.twisted_weights`` with the weights of slice 1 of a stack, or of one form, zeroed."""
+def _zero_weights_of_slice_1(gram_weights):
+    """``maps._gram_weights`` with the weights of slice 1 of a stack, or of one form, zeroed."""
 
-    def spoiled(log_mu0, values, power=1):
-        w = weights(log_mu0, values, power)
+    def spoiled(log_mu0, total, n, k):
+        potential, w, log_z = gram_weights(log_mu0, total, n, k)
         w[1 if w.ndim == 2 else slice(None)] = 0.0
-        return w
+        return potential, w, log_z
 
     return spoiled
 
@@ -306,7 +386,7 @@ def test_a_stack_balancing_names_its_failing_slice(request, monkeypatch, case):
         model = ProjectiveLineModel(32, radial_nodes=16, angular_nodes=8)
         stack = _held_form(32, np.array([[1.0], [1e308], [1.0]]) * np.ones(65))
     else:
-        monkeypatch.setattr(maps, "twisted_weights", _zero_weights_of_slice_1(twisted_weights))
+        monkeypatch.setattr(maps, "_gram_weights", _zero_weights_of_slice_1(maps._gram_weights))
         model = request.getfixturevalue("discrete" if case == "discrete Gram" else "p1")
         if case == "radial Gram":
             stack = _held_form(2, np.exp(0.5 * np.random.default_rng(9).standard_normal((3, 5))))
