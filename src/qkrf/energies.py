@@ -15,6 +15,10 @@ through log-sum-exp so geodesic rays at large time stay finite.
 
 Integrals against mu0 read the models' cached log weights.  L, S and S_k
 from balancing norms are defined here only; flows and ray slopes call them.
+L has one formula, log V - log Z with Z = int e^(-phi) mu0, for node
+values and radial profiles alike; its log Z comes from a log-sum-exp
+here or from the balancing's node pass.  The free energy of a norm's
+weights has one formula too, which the conjugate pairing reuses.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from .geometry import (
     radial_canonical_measure,
 )
 from .hermforms import HermForm, gen_eig
-from .maps import balancing, fubini_study
+from .maps import _log_mu0, balancing, fubini_study
 
 if TYPE_CHECKING:
     from .nanorms import NAForm
@@ -66,17 +70,8 @@ def l_functional(phi: PotentialField) -> float:
 
 
 def _l_values(model: PolarizedModel, values: np.ndarray, radial: bool) -> np.ndarray:
-    """L of potentials from their radial profiles or node values, stacked on leading axes.
-
-    One potential, stacked or not, takes the scalar reduction, which
-    gives the same bits at a smaller fixed cost, as ``twisted_weights`` does.
-    """
-    shifted = (model.log_radial_weights if radial else model.log_mu0_weights) - values
-    if shifted.size == shifted.shape[-1]:
-        log_int = np.reshape(logsumexp(shifted), shifted.shape[:-1])
-    else:
-        log_int = logsumexp(shifted, axis=-1)
-    return -log_int if radial else np.log(model.volume) - log_int
+    """L of potentials from their radial profiles or node values, stacked on leading axes."""
+    return _l_from_log_z(model, logsumexp(_log_mu0(model, radial) - values, axis=-1))
 
 
 def _l_from_log_z(model: PolarizedModel, log_z: np.ndarray) -> np.ndarray:
@@ -167,14 +162,16 @@ def canonical_conjugate_weights(b_norms: np.ndarray, k: int) -> np.ndarray:
 
 
 def conjugate_value(b_norms: np.ndarray, k: int, lam: np.ndarray) -> float:
-    """Pairing -(1/N) sum (lam_i / k) B_i - log((1/N) sum e^(-lam_i / k))."""
+    """Pairing -(1/N) sum (lam_i / k) B_i - log((1/N) sum e^(-lam_i / k)).
+
+    Its second term is the free energy of the weights lam, as ``f_k_na``.
+    """
     b = np.asarray(b_norms, dtype=float)
     lam = np.asarray(lam, dtype=float)
     if lam.shape != b.shape:
         raise FunctionalError("trial weights and norms differ in length")
-    n = b.size
-    linear = -float(np.dot(lam / k, b)) / n
-    return linear - float(logsumexp(-lam / k) - np.log(n))
+    linear = -float(np.dot(lam / k, b)) / b.size
+    return linear + _free_energy(lam, k)
 
 
 def f_k_na(nu: "NAForm") -> float:
@@ -182,6 +179,9 @@ def f_k_na(nu: "NAForm") -> float:
 
     Adding a constant c to every weight adds c/k.
     """
-    lam = np.asarray(nu.weights, dtype=float)
-    return float(np.log(lam.size) - logsumexp(-lam / nu.level))
+    return _free_energy(np.asarray(nu.weights, dtype=float), nu.level)
 
+
+def _free_energy(lam: np.ndarray, k: int) -> float:
+    """log N - log sum e^(-lam_i / k) of N weights lam at level k."""
+    return float(np.log(lam.size) - logsumexp(-lam / k))

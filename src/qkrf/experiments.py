@@ -683,29 +683,13 @@ def _run_duality(params: dict, out: Path) -> tuple:
             seed=params["seed"] + k,
             slope_t_max=params["slope_t_max"],
         )
-        write_table_csv(
-            out / f"duality-extracted-k{k}.csv",
-            ["t", "identity_residual", "s_na", "uncertainty", "converged", "base_spread"],
-            [
-                (
-                    e["t"], e["identity_residual"], e["s_na"], e["uncertainty"],
-                    e["converged"], e["base_spread"],
-                )
-                for e in report["extracted"]
-            ],
-        )
-        write_table_csv(
-            out / f"duality-panel-k{k}.csv",
-            ["kind", "s_na", "minus_s_na", "uncertainty", "converged", "one_sided_ok"],
-            [
-                (
-                    r["kind"], r["s_na"], r["minus_s_na"], r["uncertainty"],
-                    r["converged"], r["one_sided_ok"],
-                )
-                for r in report["panel"]
-            ],
-        )
-        artifacts += [f"duality-extracted-k{k}.csv", f"duality-panel-k{k}.csv"]
+        # each row dict holds its table's columns in header order
+        for table in ("extracted", "panel"):
+            rows = report[table]
+            write_table_csv(
+                out / f"duality-{table}-k{k}.csv", list(rows[0]), [r.values() for r in rows]
+            )
+            artifacts.append(f"duality-{table}-k{k}.csv")
         worst_identity = max(e["identity_residual"] for e in report["extracted"])
         metrics += [
             metric("duality_min_s_k_k{k}", report["min_s_k"], k=k),

@@ -21,11 +21,16 @@ For a radial potential psi(u) the curvature form of the twisted metric
 has density (2 + (u(1-u) psi')') / (2 pi), with the derivative taken by
 barycentric spectral differentiation on the Gauss-Legendre nodes.
 
-The models own the reference measure mu0 and cache its log weights;
-``twisted_weights`` normalizes e^(-p phi) mu0 in log space for any
+The models own the reference measure mu0 and cache its log weights; the
+radial mu0 weights of the projective line have mass V, as the 2-D ones
+do.  ``twisted_weights`` normalizes e^(-p phi) mu0 in log space for any
 potential.  Balancing, whose potentials are Fubini-Study potentials,
 takes its Gram weights from the Bergman sum instead
-(``maps._gram_weights``).
+(``maps._gram_weights``).  ``logsumexp`` reduces one vector, along an
+axis or not, by its scalar path, with the bits of a stacked reduction.
+The projective line keeps its per-level tables (radial sections,
+sections, angular modes) in one cache, each charged against
+RESOURCE_LIMIT before it is built.
 """
 
 from __future__ import annotations
@@ -40,8 +45,8 @@ import numpy as np
 TWO_PI = 2.0 * math.pi
 
 # The most bytes of tables one model may cache.  A ray of ``nanorms`` peaks
-# at 3.2 to 3.9 times its section table (tracemalloc, levels 2 to 8 on 64
-# to 256 radial and angular nodes), so this keeps it near 4 GiB.
+# at 3.15 to 3.37 times its section table (tracemalloc, levels 2 and 8 on
+# 128 to 256 radial and angular nodes), so this keeps it below 3.4 GiB.
 RESOURCE_LIMIT = 2**30
 
 
@@ -376,20 +381,29 @@ class ProjectiveLineModel(PolarizedModel):
         self.grid = QuadratureGrid(nodes, weights, domain_volume=TWO_PI)
         # round reference: density 1/pi with respect to du dtheta, volume 2
         self.mu0_density = np.full(self.node_count, 1.0 / math.pi)
-        self._sections: dict[int, np.ndarray] = {}
-        self._radial_sq: dict[int, np.ndarray] = {}
-        self._modes: dict[int, _ModeTables] = {}
+        self._tables: dict[tuple[str, int], object] = {}
         self._charged = 0
 
     def nk(self, k: int) -> int:
         self.require_level(k)
         return 2 * k + 1
 
-    def _charge(self, nbytes: int, what: str) -> None:
-        """Charge ``nbytes`` of cached tables against RESOURCE_LIMIT before allocating them."""
-        if self._charged + nbytes > RESOURCE_LIMIT:
-            raise ModelError(f"{what}: {nbytes} more bytes exceed the resource limit")
-        self._charged += nbytes
+    def _level_table(self, what: str, k: int, nbytes: int, build):
+        """The level-k table ``what``, built by ``build()`` on first use and cached.
+
+        The ``nbytes`` it will hold are charged against RESOURCE_LIMIT
+        before it is built.
+        """
+        self.require_level(k)
+        table = self._tables.get((what, k))
+        if table is None:
+            if self._charged + nbytes > RESOURCE_LIMIT:
+                raise ModelError(
+                    f"{what} at level {k}: {nbytes} more bytes exceed the resource limit"
+                )
+            self._charged += nbytes
+            table = self._tables[what, k] = build()
+        return table
 
     @cached_property
     def radial_mu0_weights(self) -> np.ndarray:
@@ -400,10 +414,6 @@ class ProjectiveLineModel(PolarizedModel):
     def log_radial_mu0_weights(self) -> np.ndarray:
         return np.log(self.radial_mu0_weights)
 
-    @cached_property
-    def log_radial_weights(self) -> np.ndarray:
-        return np.log(self.radial_weights)
-
     def radial_section_sq(self, k: int) -> np.ndarray:
         """Squared reference amplitudes u^m (1-u)^(2k-m) on the radial grid.
 
@@ -411,30 +421,25 @@ class ProjectiveLineModel(PolarizedModel):
         nodes may be far below unit scale but every term is nonnegative,
         so downstream positive sums lose no relative accuracy.
         """
-        self.require_level(k)
-        cached = self._radial_sq.get(k)
-        if cached is None:
-            self._charge(8 * (2 * k + 1) * self.radial_count, f"radial sections at level {k}")
+
+        def build() -> np.ndarray:
             m = np.arange(2 * k + 1, dtype=float)[:, None]
             logu = np.log(self.u)[None, :]
             log1mu = np.log1p(-self.u)[None, :]
-            cached = np.exp(m * logu + (2 * k - m) * log1mu)
-            self._radial_sq[k] = cached
-        return cached
+            return np.exp(m * logu + (2 * k - m) * log1mu)
+
+        return self._level_table("radial sections", k, 8 * (2 * k + 1) * self.radial_count, build)
 
     def sections(self, k: int) -> np.ndarray:
-        self.require_level(k)
-        cached = self._sections.get(k)
-        if cached is None:
-            self._charge(16 * (2 * k + 1) * self.node_count, f"sections at level {k}")
+        def build() -> np.ndarray:
             m = np.arange(2 * k + 1, dtype=float)
             radial = np.sqrt(self.radial_section_sq(k))
             phases = np.exp(1j * np.outer(m, self.theta))
-            cached = (radial[:, :, None] * phases[:, None, :]).reshape(
+            return (radial[:, :, None] * phases[:, None, :]).reshape(
                 2 * k + 1, self.node_count
             )
-            self._sections[k] = cached
-        return cached
+
+        return self._level_table("sections", k, 16 * (2 * k + 1) * self.node_count, build)
 
     def _mode_tables(self, k: int) -> _ModeTables:
         """The level-k tables of the structured contractions, built once.
@@ -446,15 +451,9 @@ class ProjectiveLineModel(PolarizedModel):
         give the gathers that read the Bergman coefficients from H^-1 and
         write the Gram from its d >= 0 modes.
         """
-        self.require_level(k)
-        cached = self._modes.get(k)
-        if cached is None:
-            n, s, a = 2 * k + 1, 4 * k + 1, self.angular_count
-            # float64 and intp entries, 8 bytes each
-            self._charge(
-                8 * (s * self.radial_count + 2 * n * a + 4 * s * n + 4 * n * n),
-                f"angular mode tables at level {k}",
-            )
+        n, s, a = 2 * k + 1, 4 * k + 1, self.angular_count
+
+        def build() -> _ModeTables:
             half = np.arange(s, dtype=float)[:, None] / 2.0
             products = np.exp(
                 half * np.log(self.u)[None, :] + (2 * k - half) * np.log1p(-self.u)[None, :]
@@ -485,11 +484,13 @@ class ProjectiveLineModel(PolarizedModel):
             gram_src[upper] = gram_src[lower] = total * 2 * n + d
             gram_src[upper + 1] = gram_src[lower + 1] = total * 2 * n + n + d
             gram_sign[lower[d > 0] + 1] = -1.0
-            cached = _ModeTables(
+            return _ModeTables(
                 products, phases, bergman_src, bergman_scale, gram_src, gram_sign
             )
-            self._modes[k] = cached
-        return cached
+
+        # float64 and intp entries, 8 bytes each
+        nbytes = 8 * (s * self.radial_count + 2 * n * a + 4 * s * n + 4 * n * n)
+        return self._level_table("angular mode tables", k, nbytes, build)
 
     def bergman_sum(
         self, k: int, frame: Optional[np.ndarray], inverse: np.ndarray
@@ -654,31 +655,35 @@ def logsumexp(a, axis=None):
     log1p(rest / ties) + log(ties), so results agree with it to the last
     bit, without its per-call array-API overhead on short vectors.  An
     all -inf input gives -inf, a +inf entry gives +inf, a NaN gives NaN.
-    With ``axis=None`` the result is a Python float.
+    With ``axis=None`` the result is a Python float.  An input that is
+    one vector along ``axis`` takes the scalar reduction, the same bits
+    as its row of a stacked reduction at about a third of the cost.
     """
     a = np.asarray(a, dtype=float)
-    if axis is None:
-        top = a.max()
-        if not math.isfinite(top):
-            with np.errstate(divide="ignore", over="ignore"):
-                return float(np.log(np.sum(np.exp(a))))
+    if axis is not None and a.size != a.shape[axis]:
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            top = np.max(a, axis=axis, keepdims=True)
+            ties = a == top
+            shifted = np.exp(a - top)
+            shifted[ties] = 0.0
+            n = np.count_nonzero(ties, axis=axis, keepdims=True)
+            rest = np.sum(shifted, axis=axis, keepdims=True) / n
+            out = np.log1p(rest) + np.log(n) + top
+            bad = ~np.isfinite(out)
+            if bad.any():
+                out[bad] = np.log(np.sum(np.exp(a), axis=axis, keepdims=True))[bad]
+        return np.squeeze(out, axis=axis)
+    top = a.max()
+    if math.isfinite(top):
         shifted = np.exp(a - top)
         ties = a == top
         shifted[ties] = 0.0
         n = np.count_nonzero(ties)
-        return float(np.log1p(shifted.sum() / n) + np.log(n) + top)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        top = np.max(a, axis=axis, keepdims=True)
-        ties = a == top
-        shifted = np.exp(a - top)
-        shifted[ties] = 0.0
-        n = np.count_nonzero(ties, axis=axis, keepdims=True)
-        rest = np.sum(shifted, axis=axis, keepdims=True) / n
-        out = np.log1p(rest) + np.log(n) + top
-        bad = ~np.isfinite(out)
-        if bad.any():
-            out[bad] = np.log(np.sum(np.exp(a), axis=axis, keepdims=True))[bad]
-    return np.squeeze(out, axis=axis)
+        value = np.log1p(shifted.sum() / n) + np.log(n) + top
+    else:
+        with np.errstate(divide="ignore", over="ignore"):
+            value = np.log(np.sum(np.exp(a)))
+    return float(value) if axis is None else value.reshape((1,) * (a.ndim - 1))
 
 
 def twisted_weights(log_mu0: np.ndarray, values: np.ndarray, power: int = 1) -> np.ndarray:
@@ -689,14 +694,7 @@ def twisted_weights(log_mu0: np.ndarray, values: np.ndarray, power: int = 1) -> 
     Potentials stacked on leading axes of ``values`` are normalized each
     on its own.
     """
-    shifted = log_mu0 - values
-    # One potential, stacked or not, takes the scalar reduction, which gives
-    # the same bits: the axis reduction's fixed cost on short radial vectors
-    # made the quantized-diagonal benchmark about 20% slower end to end.
-    if shifted.size == shifted.shape[-1]:
-        log_z = logsumexp(shifted)
-    else:
-        log_z = logsumexp(shifted, axis=-1)[..., None]
+    log_z = logsumexp(log_mu0 - values, axis=-1)[..., None]
     return np.exp(log_mu0 - power * values - log_z)
 
 

@@ -19,7 +19,9 @@ middle link is one pass over the nodes, ``_gram_weights``: at
 phi = (1/k) log(B / N_k) the twist is exact, e^(-k phi) = N_k / B, so
 the weights e^(-(k+1) phi) mu0 / Z are the probability e^(-phi) mu0 / Z
 times N_k / B, and the pass also yields log Z, from which the flow reads
-L.  ``fubini_study`` runs the step's first link on one form,
+L.  Every Fubini-Study potential, of a Bergman sum here or of a ray's
+log-sum-exp in ``nanorms``, is (log B - log N_k) / k from log B by
+``_fs_potential``.  ``fubini_study`` runs the step's first link on one form,
 ``project`` its Gram on one arbitrary potential, with the log-space
 weights of ``twisted_weights``, and ``balancing`` all of it, on one form
 or on the quantized flow's stack, whose Grams come back as one stacked
@@ -103,12 +105,11 @@ def _bergman_sum(model: PolarizedModel, h: HermForm, radial: bool) -> np.ndarray
     return model.bergman_sum(k, h.frame, inverse)
 
 
-def _fs_potential(total: np.ndarray, n: int, k: int) -> np.ndarray:
-    """Fubini-Study potentials (log B - log N_k) / k of Bergman sums B."""
-    potential = np.log(total)
-    potential -= _log_count(n)
-    potential /= k
-    return potential
+def _fs_potential(log_b: np.ndarray, n: int, k: int) -> np.ndarray:
+    """Fubini-Study potentials (log B - log N_k) / k from log B, computed in place."""
+    log_b -= _log_count(n)
+    log_b /= k
+    return log_b
 
 
 def _gram_weights(log_mu0: np.ndarray, total: np.ndarray, n: int, k: int) -> tuple:
@@ -121,7 +122,7 @@ def _gram_weights(log_mu0: np.ndarray, total: np.ndarray, n: int, k: int) -> tup
     e^(s - max s), it is e / sum e, and log Z = max s + log sum e.  A
     stack of sums is reduced row by row, each as that sum alone.
     """
-    potential = _fs_potential(total, n, k)
+    potential = _fs_potential(np.log(total), n, k)
     shifted = log_mu0 - potential
     top = shifted.max(axis=-1, keepdims=True)
     shifted -= top
@@ -227,7 +228,7 @@ def fubini_study(model: PolarizedModel, h: HermForm) -> PotentialField:
     """
     radial = _radial_path(model, h)
     with np.errstate(all="ignore"):
-        values = _fs_potential(_bergman_sum(model, h, radial), h.dim, h.level)
+        values = _fs_potential(np.log(_bergman_sum(model, h, radial)), h.dim, h.level)
     _check_potential(values)
     return PotentialField(model, None, values) if radial else PotentialField(model, values)
 

@@ -11,7 +11,9 @@ frame.
 
 Every ray quantity is evaluated in factored form: the Bergman sums
 along the ray are log-sum-exp combinations of per-section amplitudes,
-so no ill-conditioned matrix at large ray time is ever assembled.  When
+so no ill-conditioned matrix at large ray time is ever assembled.  Their
+logs become potentials and L through the package's one Fubini-Study
+potential (``maps``) and one L (``energies``).  When
 each h0-orthonormal adapted section is a multiple of one monomial, as
 for every norm adapted to the reference basis and every norm extracted
 from a radial flow, its amplitude is rotation invariant and the ray runs
@@ -40,7 +42,7 @@ from .energies import (
 from .flows import quantized_flow_run
 from .geometry import ModelError, PolarizedModel, PotentialField, logsumexp
 from .hermforms import HermForm, HermitianError, PositivityError
-from .maps import balancing, orthonormal_orthogonal, project
+from .maps import _fs_potential, balancing, orthonormal_orthogonal, project
 
 SUPPORT_TOL = 1e-12
 CONDITION_LIMIT = 1e13
@@ -355,7 +357,7 @@ def _ray_l_values(
     """
     with np.errstate(over="ignore", invalid="ignore"):
         exponents = nu.weights[:, None] * times[:, None, None] + log_amplitudes
-        values = (logsumexp(exponents, axis=-2) - math.log(nu.dim)) / nu.level
+        values = _fs_potential(logsumexp(exponents, axis=-2), nu.dim, nu.level)
     if not np.all(np.isfinite(values)):
         raise ModelError("the ray's potential is not finite")
     return _l_values(model, values, radial)

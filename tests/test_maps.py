@@ -323,7 +323,8 @@ def test_the_fused_weights_stay_finite_where_the_log_space_weights_do():
             with np.errstate(all="ignore"):
                 total = maps._bergman_sum(model, h, True)
                 (_, weights, _), reference = _fused_and_log_space(model, h)
-            assert total.min() < 1e-300 and np.isfinite(maps._fs_potential(total, 129, 64)).all()
+            assert total.min() < 1e-300
+            assert np.isfinite(maps._fs_potential(np.log(total), 129, 64)).all()
             if np.isfinite(sq @ reference).all():
                 finite += 1
                 gram = sq @ weights
@@ -408,13 +409,16 @@ def test_the_model_builds_its_level_tables_once_and_is_collected(monkeypatch):
     The maps keep no table of their own, so nothing keeps the model alive.
     """
     built = []
-    charge = ProjectiveLineModel._charge
+    level_table = ProjectiveLineModel._level_table
 
-    def counted(self, nbytes, what):
-        built.append(what)
-        charge(self, nbytes, what)
+    def counted(self, what, k, nbytes, build):
+        def recorded():
+            built.append(f"{what} at level {k}")
+            return build()
 
-    monkeypatch.setattr(ProjectiveLineModel, "_charge", counted)
+        return level_table(self, what, k, nbytes, recorded)
+
+    monkeypatch.setattr(ProjectiveLineModel, "_level_table", counted)
     model = ProjectiveLineModel(2, radial_nodes=16, angular_nodes=8)
     radial = project(model.zero_potential(), 2)
     dense = HermForm(2, random_herm_pd(np.random.default_rng(2), 5, spread=0.5))
