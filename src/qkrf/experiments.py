@@ -37,7 +37,7 @@ from .flows import (
     slope_identity_check,
     whole_steps,
 )
-from .geometry import PolarizedModel, PotentialField, ProjectiveLineModel, ma_density
+from .geometry import PolarizedModel, PotentialField, ProjectiveLineModel
 from .hermforms import HermForm, random_herm_pd
 from .maps import balancing, project
 from .nanorms import (
@@ -77,7 +77,7 @@ def family_potential(
     if family not in FAMILIES:
         raise ExperimentError(f"family: unknown name {family!r}")
     phi = PotentialField(model, None, FAMILIES[family](model.u, float(amplitude)))
-    ma_density(phi)
+    model.admissible_laplacian(phi.radial_profile)
     return phi
 
 
@@ -342,7 +342,7 @@ METRICS = {
         "coarse over fine residual of S_k = -dL/dt, which is first order in dt",
     ),
     "slope_identity_ratio_high": GatedMetric(
-        "slope-identity", "<=", 2.5, None,
+        "slope-identity", "<=", 2.5, "control",
         "coarse over fine residual of S_k = -dL/dt, which is first order in dt",
     ),
     "slope_identity_algebra": GatedMetric(
@@ -627,7 +627,7 @@ def _run_slope_identity(params: dict, out: Path) -> tuple:
         check = slope_identity_check(last_trace)
         prefix = out / f"slope-identity-{label}"
         last_trace.save(str(prefix))
-        artifacts += [f"slope-identity-{label}.json", f"slope-identity-{label}.csv"]
+        artifacts.append(f"slope-identity-{label}.csv")
         results.append((label, dt, check["max_residual"]))
     ratio = results[0][2] / results[1][2]
     write_table_csv(
@@ -660,9 +660,7 @@ def _run_monotonicity(params: dict, out: Path) -> tuple:
     write_table_csv(
         out / "monotonicity.csv", ["run", "worst_margin", "slack", "excess"], rows
     )
-    artifacts = ["monotonicity.csv"] + [
-        f"monotonicity-run{i}.{ext}" for i, *_ in rows for ext in ("json", "csv")
-    ]
+    artifacts = ["monotonicity.csv"] + [f"monotonicity-run{i}.csv" for i, *_ in rows]
     metrics = [metric("monotonicity_excess", max(r[3] for r in rows))]
     return metrics, artifacts
 

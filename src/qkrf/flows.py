@@ -34,12 +34,12 @@ fails it runs the checks one by one, so the first failure is raised, with
 its start, as when each check ran in turn.
 
 Every run starts at t = 0 from its initial state.  ``FlowTrace.save``
-writes a run's states as JSON and its series as CSV, as run artifacts.
+writes a run's series as CSV, as a run artifact; its states stay in
+memory, for the reports that read them.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -105,7 +105,7 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-@dataclass
+@dataclass(eq=False)
 class FlowTrace:
     """Immutable record of one run: sampled times, states and functionals.
 
@@ -153,35 +153,11 @@ class FlowTrace:
 
     # -- persistence ------------------------------------------------------
 
-    def save(self, prefix: str) -> tuple[str, str]:
-        """Write prefix.json (states) and prefix.csv (series); return paths."""
-        json_path = f"{prefix}.json"
+    def save(self, prefix: str) -> tuple[str]:
+        """Write the series to prefix.csv; return the written paths."""
         csv_path = f"{prefix}.csv"
-        payload = {
-            "kind": self.kind,
-            "level": self.level,
-            "times": [float(t) for t in self.times],
-            "states": [_encode_state(s) for s in self.states],
-            "series": {k: [float(x) for x in v] for k, v in self.series.items()},
-            "meta": self.meta,
-        }
-        with open(json_path, "w") as fh:
-            fh.write(json.dumps(payload))
         write_series_csv(csv_path, self.times, self.level, self.series)
-        return json_path, csv_path
-
-
-def _encode_state(state) -> dict:
-    if isinstance(state, HermForm):
-        if state.is_diagonal:
-            return {"diag": [float(x) for x in state.data]}
-        return {
-            "re": np.real(state.entries).tolist(),
-            "im": np.imag(state.entries).tolist(),
-        }
-    if isinstance(state, PotentialField):
-        return {"profile": [float(x) for x in state.require_profile()]}
-    raise FlowError(f"cannot serialize state of type {type(state).__name__}")
+        return (csv_path,)
 
 
 def write_series_csv(path: str, times: np.ndarray, level: Optional[int], series: dict) -> None:
@@ -326,16 +302,17 @@ def _start_bytes(model: PolarizedModel, k: int, diagonal: bool, samples: int) ->
     complex amplitudes at each node with their squares, 32 N bytes per
     node.  The state Q, the RK4 rates and the stage's forms add about 75
     bytes per diagonal entry, or 200 to 300 per dense matrix entry.  A
-    sampled diagonal state holds its diagonal and its logs, a dense one
-    its frame and, once saved, its matrix; either one holds about 300
-    bytes of Python objects, and its energies, rows of the stack's series
-    tables, about 50 more.
+    sampled state holds its eigenvalues and their logs, 16 N bytes, and a
+    dense one its frame, 16 N^2 bytes, too; with their Python objects and
+    energies, rows of the stack's series tables, a sample measures 16 N
+    plus about 400 bytes on the radial path and 16 N (N + 1) plus about
+    640 bytes on a dense one.
     """
     n = model.nk(k)
     if diagonal:
         return 48 * model.radial_count + 80 * n + samples * (16 * n + 512)
     per_node = 48 if isinstance(model, ProjectiveLineModel) else 48 + 32 * n
-    return per_node * model.node_count + 320 * n * n + samples * (32 * n * n + 512)
+    return per_node * model.node_count + 320 * n * n + samples * (16 * n * (n + 1) + 640)
 
 
 def _integrate_stack(

@@ -1,4 +1,4 @@
-"""Polarized model backends: quadrature grids, section bases, measures.
+"""Polarized model backends: quadrature weights, section bases, measures.
 
 Two backends are provided.  The projective-line backend carries the full
 geometric structure of the anti-canonically polarized Riemann sphere:
@@ -21,16 +21,18 @@ For a radial potential psi(u) the curvature form of the twisted metric
 has density (2 + (u(1-u) psi')') / (2 pi), with the derivative taken by
 barycentric spectral differentiation on the Gauss-Legendre nodes.
 
-The models own the reference measure mu0 and cache its log weights; the
-radial mu0 weights of the projective line have mass V, as the 2-D ones
-do.  ``twisted_weights`` normalizes e^(-p phi) mu0 in log space for any
-potential.  Balancing, whose potentials are Fubini-Study potentials,
-takes its Gram weights from the Bergman sum instead
-(``maps._gram_weights``).  ``logsumexp`` reduces one vector, along an
-axis or not, by its scalar path, with the bits of a stacked reduction.
-The projective line keeps its per-level tables (radial sections,
-sections, angular modes) in one cache, each charged against
-RESOURCE_LIMIT before it is built.
+A model holds its quadrature as one weight per node, ``node_weights``,
+with no table of node coordinates: the projective line's node i is
+(u[i // A], theta[i % A]) on its A angles.  The models own the reference
+measure mu0 and cache its log weights; the radial mu0 weights of the
+projective line have mass V, as the 2-D ones do.  ``twisted_weights``
+normalizes e^(-p phi) mu0 in log space for any potential.  Balancing,
+whose potentials are Fubini-Study potentials, takes its Gram weights
+from the Bergman sum instead (``maps._gram_weights``).  ``logsumexp``
+reduces one vector, along an axis or not, by its scalar path, with the
+bits of a stacked reduction.  The projective line keeps its per-level
+tables (radial sections, sections, angular modes) in one cache, each
+charged against RESOURCE_LIMIT before it is built.
 """
 
 from __future__ import annotations
@@ -141,44 +143,11 @@ def barycentric_interpolate(
     return out
 
 
-@dataclass(frozen=True)
-class QuadratureGrid:
-    """Node coordinates and positive weights on a coordinate domain.
-
-    The weights must reproduce the analytic volume of the coordinate
-    domain; builders state that volume explicitly so the invariant can be
-    checked at construction.
-    """
-
-    nodes: np.ndarray
-    weights: np.ndarray
-    domain_volume: float
-
-    def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
-        if weights.ndim != 1 or nodes.shape[0] != weights.shape[0]:
-            raise ModelError("grid nodes and weights must have matching length")
-        if np.any(weights <= 0.0):
-            raise ModelError("quadrature weights must be strictly positive")
-        total = float(weights.sum())
-        if not math.isclose(total, self.domain_volume, rel_tol=1e-12, abs_tol=1e-12):
-            raise ModelError(
-                f"weights sum to {total!r}, expected domain volume {self.domain_volume!r}"
-            )
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
-
-    @property
-    def size(self) -> int:
-        return self.weights.shape[0]
-
-
 # ---------------------------------------------------------------------------
 # potentials
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PotentialField:
     """A real potential sampled on a model's quadrature nodes.
 
@@ -251,17 +220,14 @@ class PolarizedModel:
     k_max: int
     supports_radial: bool = False
 
-    # subclasses fill these in
-    grid: QuadratureGrid
+    # subclasses set these: the positive quadrature weight and the density
+    # of the reference measure mu0 at each node
+    node_weights: np.ndarray
     mu0_density: np.ndarray
 
     @property
     def node_count(self) -> int:
-        return self.grid.size
-
-    @property
-    def node_weights(self) -> np.ndarray:
-        return self.grid.weights
+        return self.node_weights.shape[0]
 
     @cached_property
     def mu0_weights(self) -> np.ndarray:
@@ -373,12 +339,8 @@ class ProjectiveLineModel(PolarizedModel):
         self._bary = _legendre_barycentric_weights(radial_nodes)
         self.diff = diff_matrix(self.u, self._bary)
 
-        uu, tt = np.meshgrid(self.u, self.theta, indexing="ij")
-        nodes = np.column_stack([uu.ravel(), tt.ravel()])
-        weights = np.repeat(
-            self.radial_weights * (TWO_PI / angular_nodes), angular_nodes
-        )
-        self.grid = QuadratureGrid(nodes, weights, domain_volume=TWO_PI)
+        # each radial weight times the angular weight 2 pi / A, radial-major
+        self.node_weights = np.repeat(self.radial_weights * (TWO_PI / angular_nodes), angular_nodes)
         # round reference: density 1/pi with respect to du dtheta, volume 2
         self.mu0_density = np.full(self.node_count, 1.0 / math.pi)
         self._tables: dict[tuple[str, int], object] = {}
@@ -605,11 +567,8 @@ class DiscreteModel(PolarizedModel):
         self._levels = levels
         self.k_max = levels[-1]
         self.volume = 1.0
-        m = base.size
-        self.grid = QuadratureGrid(
-            np.arange(m, dtype=float)[:, None], base, domain_volume=total
-        )
-        self.mu0_density = np.ones(m)
+        self.node_weights = base
+        self.mu0_density = np.ones(base.size)
 
     @property
     def levels(self) -> list[int]:

@@ -121,7 +121,7 @@ def _require_spectra(values: np.ndarray) -> None:
     _require_positive(values.min(axis=-1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HermForm:
     """A positive definite Hermitian form on the level-k section space.
 
@@ -138,7 +138,7 @@ class HermForm:
 
     level: int
     data: np.ndarray
-    frame: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
+    frame: Optional[np.ndarray] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.level < 1:

@@ -63,7 +63,7 @@ class NANormError(ValueError):
     """Invalid ultrametric data."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NAForm:
     """Ultrametric norm: adapted basis columns s_i with weights lam_i.
 
@@ -241,7 +241,7 @@ def ultrametric_trials(
 # empirical jump measure
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DHMeasure:
     """Uniform atomic measure on the rescaled weights lam_i / k."""
 
@@ -278,7 +278,7 @@ def dh_empirical(nu: NAForm) -> DHMeasure:
 # ray slope estimation
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SlopeEstimate:
     value: float
     uncertainty: float

@@ -196,7 +196,7 @@ def test_metric_passes_rules():
         ({"experiment": "na-panel", "pairs": 100}, 1),
         ({"experiment": "euler-gap", "k_list": [2, 3, 4], "radial_nodes": 32,
           "angular_nodes": 24, "t_max": 1.0}, 2),
-        ({"experiment": "monotonicity", "runs": 3, "t_max": 0.5}, 1 + 2 * 3),
+        ({"experiment": "monotonicity", "runs": 3, "t_max": 0.5}, 1 + 3),
     ],
     ids=["na-panel", "euler-gap", "monotonicity"],
 )
@@ -400,6 +400,17 @@ def _doubled(l_from_log_z):
     return lambda model, log_z: 2.0 * l_from_log_z(model, log_z)
 
 
+def _s_k_mean_over_the_step(slope_identity_check):
+    """``experiments.slope_identity_check`` with the mean of S_k at both ends of a step in place of its start."""
+
+    def averaged(trace):
+        s = trace.series["S_k"]
+        mean = np.append(0.5 * (s[:-1] + s[1:]), s[-1])
+        return slope_identity_check(dataclasses.replace(trace, series={**trace.series, "S_k": mean}))
+
+    return averaged
+
+
 def _atoms_over_k_plus_1(dh_empirical):
     """``experiments.dh_empirical`` with atoms lam_i / (k + 1) in place of lam_i / k."""
     return lambda nu: DHMeasure(nu.weights / (nu.level + 1), dh_empirical(nu).masses)
@@ -440,6 +451,8 @@ CONTROLS = [
     ("slope-identity", "slope_identity_algebra", "nanorms.conjugate_value",
      _pairing_without_log_nk),
     ("slope-identity", "slope_identity_ratio_low", "flows._l_from_log_z", _doubled),
+    ("slope-identity", "slope_identity_ratio_high", "experiments.slope_identity_check",
+     _s_k_mean_over_the_step),
     ("na-panel", "na_translation_invariance", "nanorms.f_k_na", _free_energy_over_k_plus_1),
     ("duality", "duality_panel_max_k1", "nanorms.l_na_slope", _negated_slope),
     ("duality", "duality_panel_max_k2", "nanorms.l_na_slope", _negated_slope),

@@ -1,4 +1,3 @@
-import json
 import re
 import tracemalloc
 import warnings
@@ -72,42 +71,23 @@ def test_resume_equals_single_run(p1, bump):
     assert np.allclose(joined, full.series["S_k"], atol=1e-10)
 
 
-def _saved_payload(trace, prefix) -> tuple[dict, str]:
-    json_path, csv_path = trace.save(str(prefix))
-    with open(json_path) as fh:
-        return json.load(fh), csv_path
-
-
-def test_trace_save_load_round_trip(p1, bump, tmp_path):
-    h0 = project(bump, 2)
-    trace = quantized_flow_run(p1, h0, t_max=0.5, dt=0.125)
-    payload, csv_path = _saved_payload(trace, tmp_path / "run")
-    assert payload["kind"] == trace.kind and payload["level"] == trace.level
-    assert np.array_equal(payload["times"], trace.times)
-    for blob, state in zip(payload["states"], trace.states):
-        assert np.array_equal(blob["diag"], state.data)
-    for name in trace.series:
-        assert np.array_equal(payload["series"][name], trace.series[name])
-    with open(csv_path) as fh:
-        header = fh.readline().strip()
+@pytest.mark.parametrize("kind", ["quantized", "classical"])
+def test_trace_save_writes_its_series_as_csv_exactly(p1, bump, tmp_path, kind):
+    """``save`` writes one file, the series CSV, whose 17 significant digits read back bit for bit."""
+    if kind == "quantized":
+        trace = quantized_flow_run(p1, project(bump, 2), t_max=0.5, dt=0.125)
+    else:
+        trace = classical_krf_run(p1, bump, t_max=0.1, sample_dt=0.05)
+    assert trace.save(str(tmp_path / "run")) == (str(tmp_path / "run.csv"),)
+    assert [p.name for p in tmp_path.iterdir()] == ["run.csv"]
+    header, *rows = (tmp_path / "run.csv").read_text().splitlines()
     assert header == "t,k,E,L,S,E_k,D_k,S_k"
-
-
-def test_dense_trace_save_is_exact(p1, tmp_path):
-    rng = np.random.default_rng(89)
-    h0 = HermForm(2, random_herm_pd(rng, 5, spread=0.5))
-    trace = quantized_flow_run(p1, h0, t_max=0.1, dt=0.05, with_energies=False)
-    payload, _ = _saved_payload(trace, tmp_path / "dense")
-    for blob, state in zip(payload["states"], trace.states):
-        entries = np.asarray(blob["re"]) + 1j * np.asarray(blob["im"])
-        assert np.array_equal(entries, state.entries)
-
-
-def test_classical_save_load_round_trip(p1, bump, tmp_path):
-    trace = classical_krf_run(p1, bump, t_max=0.1, sample_dt=0.05)
-    payload, _ = _saved_payload(trace, tmp_path / "classical")
-    for blob, state in zip(payload["states"], trace.states):
-        assert np.array_equal(blob["profile"], state.require_profile())
+    table = np.array([[float(x) for x in row.split(",")] for row in rows])
+    assert np.array_equal(table[:, 0], trace.times)
+    assert np.all(table[:, 1] == (trace.level or 0))
+    for column, name in zip(table[:, 2:].T, flows.SERIES_FIELDS):
+        expected = trace.series.get(name, np.full(trace.size, np.nan))
+        assert np.array_equal(column, expected, equal_nan=True), name
 
 
 def test_classical_flow_fixes_round_metric(p1):
@@ -370,17 +350,6 @@ def test_diagonal_flow_keeps_states_vector_held(p1, bump):
     for state in trace.states:
         assert state.is_diagonal and state.data.ndim == 1
         assert "entries" not in vars(state)
-
-
-def test_diagonal_trace_save_load_is_exact(p1, bump, tmp_path):
-    trace = quantized_flow_run(p1, project(bump, 3), t_max=0.5, dt=0.125)
-    payload, _ = _saved_payload(trace, tmp_path / "diag")
-    assert len(payload["states"]) == len(trace.states)
-    for blob, state in zip(payload["states"], trace.states):
-        assert state.is_diagonal and set(blob) == {"diag"}
-        assert np.array_equal(blob["diag"], state.data)
-    for name in trace.series:
-        assert np.array_equal(payload["series"][name], trace.series[name])
 
 
 @pytest.mark.parametrize("with_energies", [True, False])

@@ -232,7 +232,7 @@ def test_potential_field_shift_and_radial_flag(p1):
     assert phi.is_radial
     moved = phi.shifted(2.0)
     assert np.allclose(moved.require_profile(), phi.require_profile() + 2.0)
-    dense = PotentialField(p1, np.sin(p1.grid.nodes[:, 1]))
+    dense = PotentialField(p1, np.tile(np.sin(p1.theta), p1.radial_count))
     assert not dense.is_radial
     with pytest.raises(ModelError):
         dense.require_profile()

@@ -7,6 +7,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import qkrf
 
 PUBLIC = [
@@ -56,6 +59,26 @@ def test_keywords_the_benchmark_binds_exist():
     assert {"t_max", "dt", "with_energies"} <= set(flow)
     slope = list(inspect.signature(qkrf.l_na_slope).parameters)
     assert slope[3] == "t_max"
+
+
+# Records that hold arrays, each built on a model from fixed inputs.
+RECORDS = {
+    "HermForm": lambda model: qkrf.HermForm(1, [1.0, 2.0, 3.0]),
+    "PotentialField": lambda model: qkrf.PotentialField(model, None, model.u),
+    "NAForm": lambda model: qkrf.diagonal_na(model, 1, [0.5, 0.0, -0.5]),
+    "DHMeasure": lambda model: qkrf.DHMeasure(np.array([0.0, 1.0]), np.array([0.5, 0.5])),
+    "SlopeEstimate": lambda model: qkrf.nanorms.SlopeEstimate(1.0, 0.0, True, *np.ones((3, 2))),
+    "FlowTrace": lambda model: qkrf.FlowTrace("quantized", 1, [0.0], [None], {"L": [0.0]}),
+}
+
+
+@pytest.mark.parametrize("make", RECORDS.values(), ids=RECORDS)
+def test_records_of_arrays_compare_and_hash_by_identity(p1, make):
+    """``==`` and ``hash`` neither raise on the arrays nor compare them: equal inputs stay two records."""
+    a, b = make(p1), make(p1)
+    assert a == a and a != b
+    assert hash(a) == hash(a)
+    assert len({a, b}) == 2
 
 
 # scipy is imported where it is used, so that ``import qkrf`` does not pay
