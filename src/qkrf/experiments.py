@@ -354,7 +354,7 @@ METRICS = {
         "largest excess of dS_k/dt over ((k+1)/N_k) R^2, less its slack, over the seeded runs",
     ),
     "duality_min_s_k_k{k}": GatedMetric(
-        "duality", "<=", 0.01, None,
+        "duality", "<=", 0.01, "control",
         "infimum of S_k along the flow, about 0 because P^1 is Kahler-Einstein",
     ),
     "duality_panel_max_k{k}": GatedMetric(
@@ -394,12 +394,12 @@ METRICS = {
         "slope of L along a constant-weight norm's ray against its weight 0.7",
     ),
     "na_slope_t_stability": GatedMetric(
-        "na-panel", "<=", None, None,
+        "na-panel", "<=", None, "smoke",
         "change of a monomial norm's slope when the horizon doubles; "
         "bound max(its uncertainty, SLOPE_TOL)",
     ),
     "na_slope_uncertainty": GatedMetric(
-        "na-panel", "<=", 1e-3, None,
+        "na-panel", "<=", 1e-3, "control",
         "stated uncertainty of that monomial norm's slope",
     ),
     "na_translation_invariance": GatedMetric(

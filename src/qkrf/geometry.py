@@ -31,8 +31,10 @@ whose potentials are Fubini-Study potentials, takes its Gram weights
 from the Bergman sum instead (``maps._gram_weights``).  ``logsumexp``
 reduces one vector, along an axis or not, by its scalar path, with the
 bits of a stacked reduction.  The projective line keeps its per-level
-tables (radial sections, sections, angular modes) in one cache, each
-charged against RESOURCE_LIMIT before it is built.
+tables (radial sections, sections, angular modes) in one cache that
+holds one level of each kind: a request for another level drops the held
+table of its kind first.  The bytes of the tables held, with those of the
+table to be built, are checked against RESOURCE_LIMIT before it is built.
 """
 
 from __future__ import annotations
@@ -46,9 +48,10 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
-# The most bytes of tables one model may cache.  A ray of ``nanorms`` peaks
-# at 3.15 to 3.37 times its section table (tracemalloc, levels 2 and 8 on
-# 128 to 256 radial and angular nodes), so this keeps it below 3.4 GiB.
+# The most bytes of tables one model may hold at once, one level of each
+# kind, counted from the tables held.  A ray of ``nanorms`` peaks at 3.15 to
+# 3.37 times its section table (tracemalloc, levels 2 and 8 on 128 to 256
+# radial and angular nodes), so this keeps it below 3.4 GiB.
 RESOURCE_LIMIT = 2**30
 
 
@@ -153,7 +156,8 @@ class PotentialField:
 
     Exactly one representation is given: ``node_values`` at every 2-D
     node, or ``radial_profile`` on the radial grid when the field is
-    rotation invariant, whose node values are then tiled on demand.
+    rotation invariant, whose node values are then tiled on demand.  The
+    given array is copied, so later writes to it do not reach the field.
     """
 
     model: "PolarizedModel"
@@ -168,7 +172,7 @@ class PotentialField:
             raise ModelError("radial profile on a backend without radial structure")
         name = "radial_profile" if radial else "node_values"
         count = self.model.radial_count if radial else self.model.node_count
-        v = np.asarray(getattr(self, name), dtype=float)
+        v = np.array(getattr(self, name), dtype=float)
         if v.shape != (count,):
             raise ModelError(f"potential {name} has shape {v.shape}, expected ({count},)")
         if not np.all(np.isfinite(v)):
@@ -343,29 +347,40 @@ class ProjectiveLineModel(PolarizedModel):
         self.node_weights = np.repeat(self.radial_weights * (TWO_PI / angular_nodes), angular_nodes)
         # round reference: density 1/pi with respect to du dtheta, volume 2
         self.mu0_density = np.full(self.node_count, 1.0 / math.pi)
-        self._tables: dict[tuple[str, int], object] = {}
-        self._charged = 0
+        # each kind of table to its one held level and table
+        self._tables: dict[str, tuple[int, object]] = {}
 
     def nk(self, k: int) -> int:
         self.require_level(k)
         return 2 * k + 1
 
     def _level_table(self, what: str, k: int, nbytes: int, build):
-        """The level-k table ``what``, built by ``build()`` on first use and cached.
+        """The level-k table ``what``, built by ``build()`` unless it is held.
 
-        The ``nbytes`` it will hold are charged against RESOURCE_LIMIT
-        before it is built.
+        One level of each kind is held: a request for another level drops
+        the held table of its kind before the new one is built.  The bytes
+        held, with the ``nbytes`` the new table will take, are checked
+        against RESOURCE_LIMIT before it is built.
         """
         self.require_level(k)
-        table = self._tables.get((what, k))
-        if table is None:
-            if self._charged + nbytes > RESOURCE_LIMIT:
-                raise ModelError(
-                    f"{what} at level {k}: {nbytes} more bytes exceed the resource limit"
-                )
-            self._charged += nbytes
-            table = self._tables[what, k] = build()
+        held = self._tables.get(what)
+        if held is not None and held[0] == k:
+            return held[1]
+        self._tables.pop(what, None)
+        if self._held_bytes() + nbytes > RESOURCE_LIMIT:
+            raise ModelError(
+                f"{what} at level {k}: {nbytes} more bytes exceed the resource limit"
+            )
+        table = build()
+        self._tables[what] = (k, table)
         return table
+
+    def _held_bytes(self) -> int:
+        """The bytes of the tables held, an array or a tuple of arrays each."""
+        return sum(
+            table.nbytes if isinstance(table, np.ndarray) else sum(a.nbytes for a in table)
+            for _, table in self._tables.values()
+        )
 
     @cached_property
     def radial_mu0_weights(self) -> np.ndarray:
@@ -393,9 +408,12 @@ class ProjectiveLineModel(PolarizedModel):
         return self._level_table("radial sections", k, 8 * (2 * k + 1) * self.radial_count, build)
 
     def sections(self, k: int) -> np.ndarray:
+        # the radial table first, so that it is held when the section table is charged
+        radial_sq = self.radial_section_sq(k)
+
         def build() -> np.ndarray:
             m = np.arange(2 * k + 1, dtype=float)
-            radial = np.sqrt(self.radial_section_sq(k))
+            radial = np.sqrt(radial_sq)
             phases = np.exp(1j * np.outer(m, self.theta))
             return (radial[:, :, None] * phases[:, None, :]).reshape(
                 2 * k + 1, self.node_count
@@ -535,12 +553,13 @@ class DiscreteModel(PolarizedModel):
     nominal volume is 1, so the reference functionals normalize the same
     way as on the geometric backend.  Section values are given per level
     as complex arrays of shape (N_k, points) and must have full row rank.
+    Both inputs are copied, so later writes to them do not reach the model.
     """
 
     supports_radial = False
 
     def __init__(self, section_values: dict[int, np.ndarray], base_weights: np.ndarray):
-        base = np.asarray(base_weights, dtype=float)
+        base = np.array(base_weights, dtype=float)
         if base.ndim != 1 or base.size < 1:
             raise ModelError("base weights must be a nonempty vector")
         if np.any(base <= 0.0):
@@ -555,7 +574,7 @@ class DiscreteModel(PolarizedModel):
             raise ModelError("levels must be positive integers")
         self._values: dict[int, np.ndarray] = {}
         for k in levels:
-            arr = np.asarray(section_values[k], dtype=complex)
+            arr = np.array(section_values[k], dtype=complex)
             if arr.ndim != 2 or arr.shape[1] != base.size:
                 raise ModelError(f"level {k}: section values must be (N_k, points)")
             if arr.shape[0] > arr.shape[1]:

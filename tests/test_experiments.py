@@ -431,6 +431,33 @@ def _negated_entropy(entropy_of_norms):
     return lambda b_norms: -entropy_of_norms(b_norms)
 
 
+def _shannon_entropy(entropy_of_norms):
+    """``flows.entropy_of_norms`` as the Shannon entropy of B_i / N_k, not their relative entropy."""
+
+    def shannon(b_norms):
+        p = b_norms / b_norms.shape[-1]
+        return -np.sum(p * np.log(p), axis=-1)
+
+    return shannon
+
+
+def _neville_with_swapped_abscissae(neville_to_zero):
+    """``nanorms._neville_to_zero`` with x_i and x_(i+level) swapped in the numerator."""
+
+    def swapped(xs, ys):
+        p = list(ys.astype(float))
+        out = [p[0]]
+        for level in range(1, xs.size):
+            p = [
+                (xs[i] * p[i] - xs[i + level] * p[i + 1]) / (xs[i + level] - xs[i])
+                for i in range(xs.size - level)
+            ]
+            out.append(p[0])
+        return np.asarray(out)
+
+    return swapped
+
+
 def _linear_interpolation(interpolate_radial):
     """``ProjectiveLineModel.interpolate_radial`` as linear ``np.interp``, a lower-order rule."""
     return lambda model, profile, uq: np.interp(uq, model.u, profile)
@@ -462,6 +489,10 @@ CONTROLS = [
      "geometry.ProjectiveLineModel.interpolate_radial", _linear_interpolation),
     ("thmB-entropy", "thmb_tail_increase", "maps._gram_weights", _twist_power_k),
     ("monotonicity", "monotonicity_excess", "flows.entropy_of_norms", _negated_entropy),
+    ("duality", "duality_min_s_k_k1", "flows.entropy_of_norms", _shannon_entropy),
+    ("duality", "duality_min_s_k_k2", "flows.entropy_of_norms", _shannon_entropy),
+    ("na-panel", "na_slope_uncertainty", "nanorms._neville_to_zero",
+     _neville_with_swapped_abscissae),
 ]
 
 

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from qkrf import flows, maps
 from qkrf.energies import (
@@ -19,6 +20,7 @@ from qkrf.flows import (
     bergman_iterate,
     common_grid,
     classical_krf_run,
+    euler_gap_at_level,
     fill_shifted_jacobian,
     format_float,
     krf_jacobian_terms,
@@ -56,6 +58,40 @@ def test_bergman_iterate_is_repeated_balancing(p1):
     for state in trace.states[1:]:
         form = balancing(p1, form)
         assert np.array_equal(state.entries, form.entries)
+
+
+@pytest.mark.parametrize("k", [2, 4, 8])
+def test_the_euler_gap_is_the_linear_gap_at_the_round_metric(k):
+    """Criterion 3's gap is the linear gap of the start's offset from the round Gram.
+
+    With J the Jacobian of q -> log b_k(e^q) at the round Gram (central
+    differences, eps = 1e-5), the Bergman iterates move the offset
+    delta = log p_k(phi0) - log p_k(0) by J^m and the flow by
+    e^(m (J - I)) at time m / k.  At the acceptance test's settings (bump
+    0.3, t <= 1, refine 4, 96 radial nodes), max_m |(J^m - e^(m (J - I))) delta|
+    meets euler_gap_at_level within 1.6% at k = 2, 4 and 8 (0.01110 against
+    0.01095 at k = 2).  Its growth in k is then the linear regime's: the
+    j = 2 mode's amplitude grows faster than its Euler defect falls.
+    """
+    model = build_p1_model(16, radial_nodes=96, angular_nodes=72)
+    phi0 = family_potential(model, "bump", 0.3)
+    q0 = np.log(project(model.zero_potential(), k).data)
+    delta = np.log(project(phi0, k).data) - q0
+    n, eps = q0.size, 1e-5
+
+    def log_b(q):
+        return balancing(model, HermForm(k, np.exp(q))).logs
+
+    columns = [(log_b(q0 + eps * e) - log_b(q0 - eps * e)) / (2.0 * eps) for e in np.eye(n)]
+    jac = np.column_stack(columns)
+    predicted = max(
+        np.linalg.norm(
+            (np.linalg.matrix_power(jac, m) - scipy.linalg.expm(m * (jac - np.eye(n)))) @ delta
+        )
+        for m in range(k + 1)
+    )
+    measured = euler_gap_at_level(model, phi0, t_max=1.0, k=k, refine=4)
+    assert abs(predicted - measured) <= 0.03 * measured
 
 
 def test_resume_equals_single_run(p1, bump):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.special
 
+from qkrf import geometry
 from qkrf.geometry import (
     RESOURCE_LIMIT,
     DiscreteModel,
@@ -200,7 +201,7 @@ def test_high_level_model_builds_and_balances():
     b = balancing(model, h)
     assert h.is_diagonal and b.is_diagonal
     assert np.allclose(b.diagonal(), h.diagonal(), rtol=1e-9, atol=0.0)
-    assert not any(what == "sections" for what, _ in model._tables)
+    assert "sections" not in model._tables
 
 
 def test_sections_past_the_resource_limit_raise():
@@ -209,6 +210,45 @@ def test_sections_past_the_resource_limit_raise():
     assert 16 * (2 * k + 1) * model.node_count > RESOURCE_LIMIT
     with pytest.raises(ModelError, match="resource limit"):
         model.sections(k)
+    assert model.sections(1).shape == (3, model.node_count)
+
+
+def test_walking_the_levels_holds_and_charges_only_the_last_level():
+    """After levels 1 .. 64, one table of each kind is held, at level 64, and only it is charged."""
+    model = ProjectiveLineModel(64, radial_nodes=160, angular_nodes=8)
+    for k in model.levels:
+        model.radial_section_sq(k)
+        model.sections(k)
+        model.gram(k, model.node_weights)
+    assert {what: k for what, (k, _) in model._tables.items()} == {
+        "radial sections": 64, "sections": 64, "angular mode tables": 64
+    }
+    n, s, m = 129, 257, model.radial_count
+    tables = 8 * n * m, 16 * n * model.node_count, 8 * (s * m + 16 * n + 4 * s * n + 4 * n * n)
+    assert model._held_bytes() == sum(tables)
+
+
+def test_two_levels_past_the_limit_together_build_in_turn(monkeypatch):
+    """A limit below two levels' section tables together, above each level's, refuses neither."""
+    model = ProjectiveLineModel(2, radial_nodes=16, angular_nodes=8)
+    radial = {k: 8 * (2 * k + 1) * 16 for k in (1, 2)}
+    sections = {k: 16 * (2 * k + 1) * model.node_count for k in (1, 2)}
+    limit = radial[2] + sections[2]
+    assert radial[1] + sections[1] < limit < sections[1] + sections[2]
+    monkeypatch.setattr(geometry, "RESOURCE_LIMIT", limit)
+    for k in (1, 2, 1, 2):
+        assert model.sections(k).shape == (2 * k + 1, model.node_count)
+        assert model._held_bytes() == radial[k] + sections[k]
+
+
+def test_a_table_past_the_limit_is_refused_and_not_charged(monkeypatch):
+    model = ProjectiveLineModel(2, radial_nodes=16, angular_nodes=8)
+    radial = 8 * 5 * 16
+    monkeypatch.setattr(geometry, "RESOURCE_LIMIT", radial + 16 * 5 * model.node_count - 1)
+    with pytest.raises(ModelError, match="sections at level 2: .* exceed the resource limit"):
+        model.sections(2)
+    assert list(model._tables) == ["radial sections"]
+    assert model._held_bytes() == radial
     assert model.sections(1).shape == (3, model.node_count)
 
 
@@ -244,6 +284,29 @@ def test_potential_field_takes_exactly_one_representation(p1):
         PotentialField(p1, p1.tile_radial(profile), profile)
     with pytest.raises(ModelError, match="exactly one"):
         PotentialField(p1)
+
+
+@pytest.mark.parametrize("radial", [True, False], ids=["radial_profile", "node_values"])
+def test_potential_field_copies_its_input(p1, radial):
+    given = 0.1 * p1.u if radial else np.tile(np.sin(p1.theta), p1.radial_count)
+    kept = given.copy()
+    phi = PotentialField(p1, None, given) if radial else PotentialField(p1, given)
+    values = phi.values.copy()
+    given[0] = math.inf
+    assert np.array_equal(phi.radial_profile if radial else phi.node_values, kept)
+    assert np.array_equal(phi.values, values)
+
+
+def test_discrete_model_copies_its_input():
+    weights = np.full(4, 0.25)
+    sections = np.eye(3, 4, dtype=complex)
+    model = DiscreteModel({1: sections}, weights)
+    mu0 = model.mu0_weights.copy()
+    weights[0] = -1.0
+    sections[0, 0] = 0.0
+    assert np.array_equal(model.node_weights, np.full(4, 0.25))
+    assert np.array_equal(model.mu0_weights, mu0)
+    assert np.array_equal(model.sections(1), np.eye(3, 4, dtype=complex))
 
 
 @pytest.mark.parametrize("name", ["mu0_weights", "radial_mu0_weights"])
@@ -409,7 +472,7 @@ def test_dense_bergman_sum_at_level_128_builds_no_section_table():
     rng = np.random.default_rng(128)
     h = HermForm(128, random_herm_pd(rng, model.nk(128), spread=0.5))
     got = model.bergman_sum(128, h.frame, 1.0 / h.data)
-    assert not any(what == "sections" for what, _ in model._tables)
+    assert "sections" not in model._tables
     nodes = rng.choice(model.node_count, size=64, replace=False)
     r, j = np.divmod(nodes, model.angular_count)
     m = np.arange(model.nk(128))[:, None]
