@@ -45,12 +45,18 @@ from .geometry import (
     canonical_measure,
     ma_density,
 )
-from .hermforms import HermForm, PositivityError, gen_eig, log_gap, random_herm_pd
+from .hermforms import (
+    HermForm,
+    PositivityError,
+    gen_eig,
+    log_gap,
+    orthonormal_orthogonal,
+    random_herm_pd,
+)
 from .maps import (
     QuantizationError,
     balancing,
     fubini_study,
-    orthonormal_orthogonal,
     project,
 )
 from .nanorms import (

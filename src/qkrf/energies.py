@@ -55,7 +55,6 @@ def ma_energy(phi: PotentialField) -> float:
     Shifts act affinely, E(phi + c) = E(phi) + c.
     """
     model = phi.model
-    model.require_radial()
     psi = phi.require_profile()
     lap = model.admissible_laplacian(psi)
     w = model.radial_weights
@@ -98,7 +97,6 @@ def log_ricci_profile(
 def entropy_classical(phi: PotentialField) -> float:
     """Relative entropy of d mu_phi against V^(-1) omega_phi^n; nonnegative."""
     model = phi.model
-    model.require_radial()
     psi = phi.require_profile()
     rho = log_ricci_profile(model, psi)
     cm = radial_canonical_measure(model, psi)
@@ -131,19 +129,15 @@ def d_k(model: PolarizedModel, h: HermForm, h_ref: HermForm) -> float:
     return l_functional(fubini_study(model, h)) - e_k(h, h_ref)
 
 
-def balancing_norms(model: PolarizedModel, h: HermForm, balanced: Optional[HermForm] = None) -> np.ndarray:
-    """Generalized eigenvalues of (b_k(h), h), ascending; they sum to N_k."""
-    b = balancing(model, h) if balanced is None else balanced
-    return gen_eig(b, h)
-
-
 def s_k(model: PolarizedModel, h: HermForm, balanced: Optional[HermForm] = None) -> float:
     """Quantized entropy (1/N_k) sum B_i log B_i with B = gen_eig(b_k(h), h).
 
-    The B_i sum to N_k, so the value is nonnegative and vanishes exactly
-    at balanced forms.
+    ``balanced`` is b_k(h) when the caller already has it.  The B_i sum
+    to N_k, so the value is nonnegative and vanishes exactly at balanced
+    forms.
     """
-    return entropy_of_norms(balancing_norms(model, h, balanced))
+    b = balancing(model, h) if balanced is None else balanced
+    return entropy_of_norms(gen_eig(b, h))
 
 
 def entropy_of_norms(b_norms: np.ndarray) -> float | np.ndarray:

@@ -3,8 +3,11 @@
 Each experiment is a named recipe, one entry of ``EXPERIMENTS``, that
 builds a projective-line model, exercises one identity or convergence
 statement, and writes plain CSV artifacts plus a manifest with pass/fail
-metrics, each judged by its entry in the one registry ``METRICS``.  The
-experiments that draw random inputs take a seed.  Identical configs
+metrics, each judged by its entry in the one registry ``METRICS``.  A
+runner writes through its ``_RunDirectory``, which names each file once
+for the manifest, and returns its metrics.  A ``k_list`` is validated
+into its sorted distinct levels.  The experiments that draw random
+inputs take a seed.  Identical configs
 reproduce byte-identical CSVs: floats are always written with 17
 significant digits, and the levels of a run are computed one after
 another in ascending k.  The monotonicity runs are one stacked quantized
@@ -131,7 +134,7 @@ def _validate_field(path: str, key: str, value):
             if not lo <= item <= hi:
                 raise ExperimentError(f"{path}[{i}]: {item} outside [{lo}, {hi}]")
             out.append(int(item))
-        return out
+        return sorted(set(out))
     lo, hi = spec[1], spec[2]
     if kind == "int":
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
@@ -156,7 +159,7 @@ RATE_EXPERIMENTS = ("euler-gap", "thmA-gap")
 def _check_consistency(name: str, params: dict) -> None:
     """Reject field combinations that pass the schema but cannot run."""
     if name in RATE_EXPERIMENTS:
-        if len(set(params["k_list"])) < 3:
+        if len(params["k_list"]) < 3:
             raise ExperimentError(f"{name}.k_list: rate fitting needs at least three distinct levels")
         # both compare two evolutions at every step 1/k within t_max; thmA-gap
         # samples the classical flow every 1/lcm(k_list) as well
@@ -173,10 +176,10 @@ def _check_consistency(name: str, params: dict) -> None:
                     f"{name}.t_max: {params['t_max']} is not a whole number of "
                     f"flow steps {DUALITY_STEP}/k at level {k}"
                 )
-    if name == "na-panel" and params["pairs"] < len(set(params["k_list"])):
+    if name == "na-panel" and params["pairs"] < len(params["k_list"]):
         raise ExperimentError(
             f"{name}.pairs: {params['pairs']} trials leave a level of k_list untested; "
-            f"the pairs are split evenly over its {len(set(params['k_list']))} levels"
+            f"the pairs are split evenly over its {len(params['k_list'])} levels"
         )
     if "dt" not in params:
         return
@@ -281,14 +284,14 @@ class GatedMetric:
     ``threshold`` is None when the run computes the bound.  ``status`` is
     "control" when a test injects a named defect that fails the metric
     (tests/test_experiments.py::test_a_defect_fails_its_metric), "smoke"
-    when no realistic defect can fail it, "fails" when the default run
-    fails it at its stated threshold, and None when it has no control yet.
+    when no realistic defect can fail it, and "fails" when the default run
+    fails it at its stated threshold.
     """
 
     experiment: str
     op: str
     threshold: Optional[float]
-    status: Optional[str]
+    status: str
     meaning: str
 
 
@@ -314,11 +317,11 @@ METRICS = {
         "slope in k of the log-gap between Bergman iterates and the flow (criterion 3)",
     ),
     "thma_slope": GatedMetric(
-        "thmA-gap", "<=", -0.8, None,
+        "thmA-gap", "<=", -0.8, "control",
         "slope in k of the sup gap between quantized and classical potentials",
     ),
     "thma_resolution_gap": GatedMetric(
-        "thmA-gap", "<=", 1e-5, None,
+        "thmA-gap", "<=", 1e-5, "control",
         "change of the classical potentials on a refined radial grid",
     ),
     "thmb_tail_increase": GatedMetric(
@@ -481,13 +484,18 @@ def entropy_convergence_report(
     The classical entropy is taken from a grid ``fine_factor`` times
     finer; the same refinement controls the discretization of each S_k.
     ``worst_tail_increase`` is the largest step up of |difference| over
-    the levels k >= TAIL_FROM.
+    the levels k >= TAIL_FROM.  ``s_k_zero`` holds S_k of the zero
+    potential's Gram, which is balanced, taken in the same walk over the
+    levels as S_k(p_k(phi0)), so that each level's tables are built once.
     """
-    model.require_radial()
     k_values = sorted(set(int(k) for k in k_list))
     fine_phi = phi0.refined(fine_factor)
     s_classical = entropy_classical(fine_phi)
-    s_k_values = [s_k(model, project(phi0, k)) for k in k_values]
+    zero = model.zero_potential()
+    s_k_values, s_k_zero = [], []
+    for k in k_values:
+        s_k_values.append(s_k(model, project(phi0, k)))
+        s_k_zero.append(s_k(model, project(zero, k)))
     s_k_fine = [s_k(fine_phi.model, project(fine_phi, k)) for k in k_values]
     diffs = [abs(v - s_classical) for v in s_k_values]
     tail = [d for k, d in zip(k_values, diffs) if k >= TAIL_FROM]
@@ -495,6 +503,7 @@ def entropy_convergence_report(
     return {
         "k_values": k_values,
         "s_k": s_k_values,
+        "s_k_zero": s_k_zero,
         "s_k_fine": s_k_fine,
         "s_classical": s_classical,
         "diffs": diffs,
@@ -510,6 +519,22 @@ def entropy_convergence_report(
 # experiment runners
 
 
+class _RunDirectory:
+    """A run's output directory, which records the name of each file written to it."""
+
+    def __init__(self, path: Path):
+        self.path, self.artifacts = path, []
+
+    def table(self, name: str, header: Sequence[str], rows: Sequence[Sequence]) -> None:
+        """Write a CSV table with ``write_table_csv``."""
+        write_table_csv(self.path / name, header, rows)
+        self.artifacts.append(name)
+
+    def trace(self, name: str, trace) -> None:
+        """Write a flow's series with ``FlowTrace.save``, under the prefix ``name``."""
+        self.artifacts += [Path(p).name for p in trace.save(str(self.path / name))]
+
+
 def _model_from(params: dict, k_top: int) -> ProjectiveLineModel:
     return ProjectiveLineModel(
         k_max=k_top,
@@ -518,7 +543,7 @@ def _model_from(params: dict, k_top: int) -> ProjectiveLineModel:
     )
 
 
-def _run_balanced_fixed_point(params: dict, out: Path) -> tuple:
+def _run_balanced_fixed_point(params: dict, out: _RunDirectory) -> list:
     model = _model_from(params, params["k_max"])
     zero = model.zero_potential()
     rows = []
@@ -527,69 +552,57 @@ def _run_balanced_fixed_point(params: dict, out: Path) -> tuple:
         b = balancing(model, h)
         residual = float(np.linalg.norm(b.data - h.data) / np.linalg.norm(h.data))
         rows.append((k, residual, s_k(model, h, balanced=b)))
-    gram = project(zero, 1).diagonal()
-    oracle = np.array([1.0 / 3.0, 1.0 / 6.0, 1.0 / 3.0])
-    gram_error = float(np.max(np.abs(gram - oracle)))
-    write_table_csv(out / "balanced-fixed-point.csv", ["k", "residual", "s_k"], rows)
-    metrics = [
+        if k == 1:
+            gram_error = float(np.max(np.abs(h.diagonal() - [1.0 / 3.0, 1.0 / 6.0, 1.0 / 3.0])))
+    out.table("balanced-fixed-point.csv", ["k", "residual", "s_k"], rows)
+    return [
         metric("fixed_point_residual", max(r[1] for r in rows)),
         metric("fixed_point_entropy", max(r[2] for r in rows)),
         metric("gram_k1_oracle", gram_error),
     ]
-    return metrics, ["balanced-fixed-point.csv"]
 
 
-def _run_euler_gap(params: dict, out: Path) -> tuple:
+def _run_euler_gap(params: dict, out: _RunDirectory) -> list:
     model = _model_from(params, max(params["k_list"]))
     phi0 = family_potential(model, params["family"], params["amplitude"])
     report = euler_gap_report(model, phi0, params["t_max"], params["k_list"], params["refine"])
-    write_table_csv(
-        out / "euler-gap.csv", ["k", "error"], list(zip(report["k_values"], report["errors"]))
-    )
-    write_table_csv(
-        out / "euler-gap-fit.csv",
+    out.table("euler-gap.csv", ["k", "error"], list(zip(report["k_values"], report["errors"])))
+    out.table(
+        "euler-gap-fit.csv",
         ["slope", "half_width"],
         [[report["slope"], report["slope_half_width"]]],
     )
-    metrics = [metric("euler_gap_slope", report["slope"])]
-    return metrics, ["euler-gap.csv", "euler-gap-fit.csv"]
+    return [metric("euler_gap_slope", report["slope"])]
 
 
-def _run_thma_gap(params: dict, out: Path) -> tuple:
-    k_values = sorted(set(params["k_list"]))
-    model = _model_from(params, max(k_values))
+def _run_thma_gap(params: dict, out: _RunDirectory) -> list:
+    model = _model_from(params, max(params["k_list"]))
     phi0 = family_potential(model, params["family"], params["amplitude"])
     report = flow_vs_krf_gap(
         model,
         phi0,
         params["t_max"],
-        k_values,
+        params["k_list"],
         refine=params["refine"],
         resolution_factor=params["fine_factor"],
     )
-    write_table_csv(
-        out / "thmA-gap.csv",
-        ["k", "error"],
-        list(zip(report["k_values"], report["errors"])),
-    )
-    write_table_csv(
-        out / "thmA-consistency.csv",
+    out.table("thmA-gap.csv", ["k", "error"], list(zip(report["k_values"], report["errors"])))
+    out.table(
+        "thmA-consistency.csv",
         ["resolution_gap", "slope", "slope_half_width"],
         [[report["resolution_gap"], report["slope"], report["slope_half_width"]]],
     )
-    metrics = [
+    return [
         metric("thma_slope", report["slope"]),
         metric("thma_resolution_gap", report["resolution_gap"]),
     ]
-    return metrics, ["thmA-gap.csv", "thmA-consistency.csv"]
 
 
-def _run_thmb_entropy(params: dict, out: Path) -> tuple:
-    k_values = sorted(set(params["k_list"]))
-    model = _model_from(params, max(k_values))
+def _run_thmb_entropy(params: dict, out: _RunDirectory) -> list:
+    model = _model_from(params, max(params["k_list"]))
     phi0 = family_potential(model, params["family"], params["amplitude"])
     report = entropy_convergence_report(
-        model, phi0, k_values, fine_factor=params["fine_factor"]
+        model, phi0, params["k_list"], fine_factor=params["fine_factor"]
     )
     rows = [
         (k, sk, report["s_classical"], d, skf)
@@ -597,54 +610,41 @@ def _run_thmb_entropy(params: dict, out: Path) -> tuple:
             report["k_values"], report["s_k"], report["diffs"], report["s_k_fine"]
         )
     ]
-    write_table_csv(
-        out / "thmB-entropy.csv", ["k", "S_k", "S", "abs_diff", "S_k_fine"], rows
-    )
-
-    zero = model.zero_potential()
-    zero_rows = [(k, s_k(model, project(zero, k))) for k in k_values]
-    write_table_csv(out / "thmB-zero.csv", ["k", "S_k"], zero_rows)
-
-    metrics = [
+    out.table("thmB-entropy.csv", ["k", "S_k", "S", "abs_diff", "S_k_fine"], rows)
+    out.table("thmB-zero.csv", ["k", "S_k"], list(zip(report["k_values"], report["s_k_zero"])))
+    return [
         metric("thmb_tail_increase", report["worst_tail_increase"]),
         metric("thmb_final_ratio", report["final_ratio"]),
-        metric("thmb_zero_case", max(r[1] for r in zero_rows)),
+        metric("thmb_zero_case", max(report["s_k_zero"])),
         metric("thmb_resolution_control", report["resolution_control"]),
     ]
-    return metrics, ["thmB-entropy.csv", "thmB-zero.csv"]
 
 
-def _run_slope_identity(params: dict, out: Path) -> tuple:
+def _run_slope_identity(params: dict, out: _RunDirectory) -> list:
     k = params["k"]
     model = _model_from(params, k)
     phi0 = family_potential(model, params["family"], params["amplitude"])
     h0 = project(phi0, k)
-    artifacts = []
     results = []
     last_trace = None
     for label, dt in (("coarse", params["dt"]), ("fine", params["dt"] / 2.0)):
         last_trace = quantized_flow_run(model, h0, params["t_max"], dt)
         check = slope_identity_check(last_trace)
-        prefix = out / f"slope-identity-{label}"
-        last_trace.save(str(prefix))
-        artifacts.append(f"slope-identity-{label}.csv")
+        out.trace(f"slope-identity-{label}", last_trace)
         results.append((label, dt, check["max_residual"]))
     ratio = results[0][2] / results[1][2]
-    write_table_csv(
-        out / "slope-identity.csv", ["grid", "dt", "max_residual"], results
-    )
+    out.table("slope-identity.csv", ["grid", "dt", "max_residual"], results)
     identity_residual = max(
         extract_na_from_flow(model, h)[1] for h in last_trace.states[:3]
     )
-    metrics = [
+    return [
         metric("slope_identity_ratio_low", ratio),
         metric("slope_identity_ratio_high", ratio),
         metric("slope_identity_algebra", identity_residual),
     ]
-    return metrics, ["slope-identity.csv"] + artifacts
 
 
-def _run_monotonicity(params: dict, out: Path) -> tuple:
+def _run_monotonicity(params: dict, out: _RunDirectory) -> list:
     k = params["k"]
     model = _model_from(params, k)
     n = model.nk(k)
@@ -655,23 +655,17 @@ def _run_monotonicity(params: dict, out: Path) -> tuple:
     rows = []
     for i, trace in enumerate(quantized_flow_runs(model, starts, params["t_max"], params["dt"])):
         probe = monotonicity_probe(trace)
-        trace.save(str(out / f"monotonicity-run{i}"))
+        out.trace(f"monotonicity-run{i}", trace)
         rows.append((i, probe["worst"], probe["slack"], probe["worst"] - probe["slack"]))
-    write_table_csv(
-        out / "monotonicity.csv", ["run", "worst_margin", "slack", "excess"], rows
-    )
-    artifacts = ["monotonicity.csv"] + [f"monotonicity-run{i}.csv" for i, *_ in rows]
-    metrics = [metric("monotonicity_excess", max(r[3] for r in rows))]
-    return metrics, artifacts
+    out.table("monotonicity.csv", ["run", "worst_margin", "slack", "excess"], rows)
+    return [metric("monotonicity_excess", max(r[3] for r in rows))]
 
 
-def _run_duality(params: dict, out: Path) -> tuple:
-    k_values = sorted(set(params["k_list"]))
-    model = _model_from(params, max(k_values))
+def _run_duality(params: dict, out: _RunDirectory) -> list:
+    model = _model_from(params, max(params["k_list"]))
     phi0 = family_potential(model, params["family"], params["amplitude"])
     metrics = []
-    artifacts = []
-    for k in k_values:
+    for k in params["k_list"]:
         report = duality_gap(
             model,
             k,
@@ -684,10 +678,7 @@ def _run_duality(params: dict, out: Path) -> tuple:
         # each row dict holds its table's columns in header order
         for table in ("extracted", "panel"):
             rows = report[table]
-            write_table_csv(
-                out / f"duality-{table}-k{k}.csv", list(rows[0]), [r.values() for r in rows]
-            )
-            artifacts.append(f"duality-{table}-k{k}.csv")
+            out.table(f"duality-{table}-k{k}.csv", list(rows[0]), [r.values() for r in rows])
         worst_identity = max(e["identity_residual"] for e in report["extracted"])
         metrics += [
             metric("duality_min_s_k_k{k}", report["min_s_k"], k=k),
@@ -696,11 +687,11 @@ def _run_duality(params: dict, out: Path) -> tuple:
             metric("duality_one_sided_k{k}", 1.0 if report["one_sided_all"] else 0.0, k=k),
             metric("duality_identity_k{k}", worst_identity, k=k),
         ]
-    return metrics, artifacts
+    return metrics
 
 
-def _run_na_panel(params: dict, out: Path) -> tuple:
-    k_values = sorted(set(params["k_list"]))
+def _run_na_panel(params: dict, out: _RunDirectory) -> list:
+    k_values = params["k_list"]
     model = _model_from(params, max(k_values))
     rng = np.random.default_rng(params["seed"])
     metrics = []
@@ -747,18 +738,18 @@ def _run_na_panel(params: dict, out: Path) -> tuple:
     translation_tol = before.uncertainty + after.uncertainty + TRANSLATION_SLACK
     metrics.append(metric("na_translation_invariance", translation_dev, translation_tol))
 
-    write_table_csv(
-        out / "na-panel.csv",
+    out.table(
+        "na-panel.csv",
         ["check", "value", "bound"],
         [(m["name"].removeprefix("na_"), m["value"], m["threshold"]) for m in metrics],
     )
-    return metrics, ["na-panel.csv"]
+    return metrics
 
 
 class _Experiment(NamedTuple):
     description: str
     defaults: dict
-    run: Callable[[dict, Path], tuple]
+    run: Callable[[dict, _RunDirectory], list]
 
 
 # Every experiment: its description, the config fields it takes besides
@@ -822,10 +813,10 @@ def run_experiment(config, output_dir: Optional[str] = None) -> RunManifest:
         if isinstance(config, ExperimentConfig)
         else ExperimentConfig.from_dict(config)
     )
-    out = Path(output_dir) if output_dir else Path(cfg.params["output_dir"])
-    out.mkdir(parents=True, exist_ok=True)
+    out = _RunDirectory(Path(output_dir) if output_dir else Path(cfg.params["output_dir"]))
+    out.path.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
-    metrics, artifacts = EXPERIMENTS[cfg.experiment].run(cfg.params, out)
+    metrics = EXPERIMENTS[cfg.experiment].run(cfg.params, out)
     elapsed = time.perf_counter() - start
     from qkrf import __version__
 
@@ -835,8 +826,8 @@ def run_experiment(config, output_dir: Optional[str] = None) -> RunManifest:
         version=__version__,
         wall_clock_seconds=float(elapsed),
         metrics=metrics,
-        artifacts=sorted(set(artifacts)),
+        artifacts=sorted(out.artifacts),
         passed=bool(all(m["passed"] for m in metrics)),
     )
-    manifest.to_json(out / "manifest.json")
+    manifest.to_json(out.path / "manifest.json")
     return manifest

@@ -80,7 +80,7 @@ from .hermforms import (
     matrix_exp,
     matrix_log,
 )
-from .maps import QuantizationError, _check_step, balancing, fubini_study, project
+from .maps import QuantizationError, _check_step, _radial_path, balancing, fubini_study, project
 
 TIME_TOL = 1e-9
 # classical solver: local tolerance, first trial step, extrapolation substeps
@@ -259,13 +259,10 @@ def quantized_flow_runs(
     if not starts:
         raise FlowError("quantized flow needs at least one start")
     k = starts[0].level
-    n = model.nk(k)
     if any(h.level != k for h in starts):
         raise FlowError("quantized flow starts must share one level")
-    if any(h.dim != n for h in starts):
-        raise ModelError("initial form does not match the section space")
-    diagonal = model.supports_radial and starts[0].is_diagonal
-    if any((model.supports_radial and h.is_diagonal) != diagonal for h in starts):
+    diagonal = _radial_path(model, starts[0])
+    if any(_radial_path(model, h) != diagonal for h in starts[1:]):
         raise FlowError("quantized flow starts must share one path: all diagonal or all dense")
     n_steps = whole_steps(t_max, dt)
     if not n_steps:
@@ -538,7 +535,6 @@ def classical_krf_run(
     ``factorizations`` (six per refresh, fewer when a cone exit cuts the
     refresh short); ``dt`` is the mean accepted step.
     """
-    model.require_radial()
     if phi0.model is not model:
         raise ModelError("initial potential belongs to a different model")
     psi0 = phi0.require_profile()
@@ -716,7 +712,6 @@ def flow_vs_krf_gap(
     shift.  A run on a grid ``resolution_factor`` times finer reports the
     quadrature self-consistency of the classical trajectory.
     """
-    model.require_radial()
     k_values = sorted(set(int(k) for k in k_list))
     if not k_values or k_values[0] < 1:
         raise FlowError("k_list must contain positive levels")
@@ -758,21 +753,28 @@ def flow_vs_krf_gap(
     }
 
 
+def _probe_series(trace: FlowTrace, probe: str, names: Sequence[str]) -> list:
+    """The named series of a quantized trace of three samples or more, for ``probe``.
+
+    Any other trace raises a FlowError that names the probe.
+    """
+    if trace.kind != "quantized":
+        raise FlowError(f"{probe} needs a quantized trace")
+    if any(name not in trace.series for name in names):
+        raise FlowError(f"{probe}: trace was recorded without energies")
+    if trace.size < 3:
+        raise FlowError(f"{probe}: need at least three samples")
+    return [trace.series[name] for name in names]
+
+
 def slope_identity_check(trace: FlowTrace) -> dict:
     """Residuals of S_k = -d/dt L(f_k(H_t)) by forward differences.
 
     The residual at a sample is first order in the sampling step, so a
     halved step should roughly halve the maximum residual.
     """
-    if trace.kind != "quantized":
-        raise FlowError("slope identity needs a quantized trace")
-    if "L" not in trace.series or "S_k" not in trace.series:
-        raise FlowError("trace was recorded without energies")
-    if trace.size < 3:
-        raise FlowError("need at least three samples")
+    l_values, s_values = _probe_series(trace, "slope identity", ("L", "S_k"))
     t = trace.times
-    l_values = trace.series["L"]
-    s_values = trace.series["S_k"]
     dt = np.diff(t)
     residuals = np.abs(s_values[:-1] + np.diff(l_values) / dt)
     return {
@@ -791,18 +793,11 @@ def monotonicity_probe(trace: FlowTrace) -> dict:
     The finite-difference slack is estimated from the recorded series'
     second differences.
     """
-    if trace.kind != "quantized":
-        raise FlowError("monotonicity probe needs a quantized trace")
-    if "S_k" not in trace.series or "relent_ref" not in trace.series:
-        raise FlowError("trace was recorded without energies")
-    if trace.size < 3:
-        raise FlowError("need at least three samples")
+    s_values, relent = _probe_series(trace, "monotonicity probe", ("S_k", "relent_ref"))
     k = trace.level
     n = trace.states[0].dim
     t = trace.times
     dt = np.diff(t)
-    s_values = trace.series["S_k"]
-    relent = trace.series["relent_ref"]
     lhs = np.diff(s_values) / dt
     rhs = ((k + 1.0) / n) * relent[:-1] ** 2
     margins = lhs - rhs

@@ -208,9 +208,9 @@ class PotentialField:
         above level 1 it is valid for radial-path work alone, which is all
         that the resolution controls built on it read.
         """
-        model = self.model
+        profile, model = self.require_profile(), self.model
         fine = ProjectiveLineModel(model.k_max, factor * model.radial_count, 8)
-        return PotentialField(fine, None, model.interpolate_radial(self.require_profile(), fine.u))
+        return PotentialField(fine, None, model.interpolate_radial(profile, fine.u))
 
 
 # ---------------------------------------------------------------------------
@@ -400,12 +400,14 @@ class ProjectiveLineModel(PolarizedModel):
         """
 
         def build() -> np.ndarray:
-            m = np.arange(2 * k + 1, dtype=float)[:, None]
-            logu = np.log(self.u)[None, :]
-            log1mu = np.log1p(-self.u)[None, :]
-            return np.exp(m * logu + (2 * k - m) * log1mu)
+            return self._sigma(np.arange(2 * k + 1, dtype=float), k)
 
         return self._level_table("radial sections", k, 8 * (2 * k + 1) * self.radial_count, build)
+
+    def _sigma(self, e: np.ndarray, k: int) -> np.ndarray:
+        """Rows u^e (1-u)^(2k-e) on the radial grid, one per exponent e, through logarithms."""
+        e = e[:, None]
+        return np.exp(e * np.log(self.u)[None, :] + (2 * k - e) * np.log1p(-self.u)[None, :])
 
     def sections(self, k: int) -> np.ndarray:
         # the radial table first, so that it is held when the section table is charged
@@ -434,10 +436,7 @@ class ProjectiveLineModel(PolarizedModel):
         n, s, a = 2 * k + 1, 4 * k + 1, self.angular_count
 
         def build() -> _ModeTables:
-            half = np.arange(s, dtype=float)[:, None] / 2.0
-            products = np.exp(
-                half * np.log(self.u)[None, :] + (2 * k - half) * np.log1p(-self.u)[None, :]
-            )
+            products = self._sigma(np.arange(s, dtype=float) / 2.0, k)
             # the angle d * theta_j reduced mod 2 pi exactly, on its index
             turns = np.outer(np.arange(n), np.arange(a)) % a
             angle = (TWO_PI / a) * turns
@@ -693,6 +692,5 @@ def ma_density(phi: PotentialField) -> np.ndarray:
     integral against the node weights is the model volume.  A nonpositive
     value anywhere means phi left the Kahler cone.
     """
-    model = phi.model
-    model.require_radial()
-    return model.tile_radial((2.0 + model.admissible_laplacian(phi.require_profile())) / TWO_PI)
+    psi, model = phi.require_profile(), phi.model
+    return model.tile_radial((2.0 + model.admissible_laplacian(psi)) / TWO_PI)

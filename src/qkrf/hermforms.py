@@ -23,10 +23,12 @@ stays each form's spectrum vector.  Only the package stacks forms
 (``_stack``, and ``_slice`` for one back); ``entries``, ``diagonal``,
 ``scaled``, ``matrix_log``, ``matrix_exp`` and ``gen_eig`` answer for
 each form of a stack as for it alone, bit for bit, and a failed check
-names the stack index it met as the error's ``start``.  Dense spectral
-operations refuse eigenvalues below a relative floor instead of
-clamping them; silent regularization would corrupt the decay-rate
-measurements built on top of this module.
+names the stack index it met as the error's ``start``.  ``gen_eig`` and
+``orthonormal_orthogonal`` whiten one matrix against a form's eigenframe
+in one place, ``_whitened``.  Dense spectral operations refuse
+eigenvalues below a relative floor instead of clamping them; silent
+regularization would corrupt the decay-rate measurements built on top
+of this module.
 """
 
 from __future__ import annotations
@@ -320,10 +322,38 @@ def gen_eig(a, b) -> np.ndarray:
         return np.sort(da / values)
     _floor_check(values, "generalized eigenvalues")
     am = da[..., None] * np.eye(da.shape[-1], dtype=complex) if diagonal else da
+    return np.linalg.eigvalsh(_whitened(am, values, frame)[0])
+
+
+def _whitened(a: np.ndarray, values: np.ndarray, frame: Optional[np.ndarray]) -> tuple:
+    """e^(-lam/2) V^* a V e^(-lam/2) and the scales e^(-lam/2), against b = V diag(e^lam) V^*.
+
+    ``values`` are b's eigenvalues e^lam and ``frame`` is V, None for a
+    diagonal b; stacks are whitened each on its own.
+    """
     if frame is not None:
-        am = frame.conj().swapaxes(-1, -2) @ am @ frame
+        a = frame.conj().swapaxes(-1, -2) @ a @ frame
     scale = 1.0 / np.sqrt(values)
-    return np.linalg.eigvalsh(scale[..., :, None] * am * scale[..., None, :])
+    return scale[..., :, None] * a * scale[..., None, :], scale
+
+
+def orthonormal_orthogonal(h: HermForm, b: HermForm) -> tuple[np.ndarray, np.ndarray]:
+    """Frame that is h-orthonormal and b-orthogonal, with its b-norms.
+
+    Returns (frame, norms): columns satisfy S^H h S = I and
+    S^H b S = diag(norms), norms ascending.  The norms are the generalized
+    eigenvalues of (b, h).  With W = V e^(-lam/2) from h's eigenframe
+    (V = I for a diagonal h) and the whitened W^H b W = U diag(norms) U^*,
+    S = W U.
+    """
+    if h.dim != b.dim:
+        raise HermitianError("forms differ in dimension")
+    whitened, scale = _whitened(b.entries, h.data, h.frame)
+    norms, rotation = np.linalg.eigh(whitened)
+    if norms[0] <= 0.0:
+        raise PositivityError("second form is not positive on the frame")
+    frame = scale[:, None] * rotation
+    return (frame if h.is_diagonal else h.frame @ frame), norms
 
 
 def log_gap(h1: HermForm, h2: HermForm) -> float:

@@ -28,12 +28,14 @@ or on the quantized flow's stack, whose Grams come back as one stacked
 form.  The step computes without checks, on the tables of its level
 that the model builds once (``radial_section_sq``, the log weights of
 mu0); the public maps then check what they computed, and the flow folds
-the step's checks into one test per RK4 stage.  The Bergman sum and the
-Gram contraction are the model's: ``PolarizedModel.bergman_sum`` and
-``PolarizedModel.gram``.  The generic ones contract the section table,
-the Bergman sum in the form's eigenframe H = V diag(e^lam) V^* as
-sum_i e^(-lam_i) |(V^T a(x))_i|^2; the projective line regroups both
-over the angular modes of its tensor grid.  No solve and no explicit
+the step's checks into one test per RK4 stage.  ``_radial_path`` is the
+one test of a form's dimension and path, which the flow takes per start.
+The Bergman sum and the Gram contraction are the model's:
+``PolarizedModel.bergman_sum`` and ``PolarizedModel.gram``.  The generic
+ones contract the section table, the Bergman sum in the form's
+eigenframe H = V diag(e^lam) V^* as sum_i e^(-lam_i) |(V^T a(x))_i|^2;
+the projective line regroups both over the angular modes of its tensor
+grid.  No solve and no explicit
 orthonormalization is ever performed.  Rotation-invariant data rides a
 diagonal fast path: the reference monomial Gram is exponentially ill
 scaled in k, and keeping diagonal forms as diagonal vectors preserves
@@ -57,7 +59,6 @@ from .geometry import (
 from .hermforms import (
     HermForm,
     HermitianError,
-    PositivityError,
     _held_form,
     _offdiagonal_is_zero,
     _require,
@@ -266,22 +267,3 @@ def balancing(model: PolarizedModel, h: HermForm) -> HermForm:
     _check_step(step)
     return _gram_form(step.gram)
 
-
-def orthonormal_orthogonal(h: HermForm, b: HermForm) -> tuple[np.ndarray, np.ndarray]:
-    """Frame that is h-orthonormal and b-orthogonal, with its b-norms.
-
-    Returns (frame, norms): columns satisfy S^H h S = I and
-    S^H b S = diag(norms), norms ascending.  The norms are the generalized
-    eigenvalues of (b, h).  The frame is built from h's eigenframe
-    h = V diag(e^lam) V^*, as in ``gen_eig``: with W = V diag(e^(-lam/2))
-    (V = I for a diagonal h) and W^H b W = U diag(norms) U^*, S = W U.
-    """
-    if h.dim != b.dim:
-        raise HermitianError("forms differ in dimension")
-    scale = 1.0 / np.sqrt(h.data)
-    whitened = b.entries if h.is_diagonal else h.frame.conj().T @ b.entries @ h.frame
-    norms, rotation = np.linalg.eigh(scale[:, None] * whitened * scale)
-    if norms[0] <= 0.0:
-        raise PositivityError("second form is not positive on the frame")
-    frame = scale[:, None] * rotation
-    return (frame if h.is_diagonal else h.frame @ frame), norms

@@ -41,8 +41,8 @@ from .energies import (
 )
 from .flows import quantized_flow_run
 from .geometry import ModelError, PolarizedModel, PotentialField, logsumexp
-from .hermforms import HermForm, HermitianError, PositivityError
-from .maps import _fs_potential, balancing, orthonormal_orthogonal, project
+from .hermforms import HermForm, HermitianError, PositivityError, orthonormal_orthogonal
+from .maps import _fs_potential, balancing, project
 
 SUPPORT_TOL = 1e-12
 CONDITION_LIMIT = 1e13

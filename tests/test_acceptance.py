@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from qkrf.energies import (
-    balancing_norms,
     canonical_conjugate_weights,
     conjugate_value,
     entropy_classical,
@@ -144,7 +143,7 @@ def test_criterion_06_convex_conjugate(p1):
     for _ in range(10):
         h = HermForm(2, random_herm_pd(rng, 5, spread=0.8))
         value = s_k(p1, h)
-        b = balancing_norms(p1, h)
+        b = gen_eig(balancing(p1, h), h)
         for _ in range(100):
             lam = 2.0 * rng.standard_normal(5)
             worst_excess = max(worst_excess, conjugate_value(b, 2, lam) - value)

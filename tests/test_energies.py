@@ -16,7 +16,7 @@ from qkrf.energies import (
 )
 from qkrf.experiments import family_potential
 from qkrf.geometry import PotentialField, canonical_measure
-from qkrf.hermforms import HermForm, random_herm_pd
+from qkrf.hermforms import HermForm, gen_eig, random_herm_pd
 from qkrf.maps import balancing, project
 from qkrf.nanorms import NAForm
 
@@ -113,22 +113,18 @@ def test_s_k_scale_invariance(p1):
 
 
 def test_conjugate_canonical_weights_attain(p1):
-    from qkrf.energies import balancing_norms
-
     rng = np.random.default_rng(73)
     h = HermForm(2, random_herm_pd(rng, 5, spread=0.6))
-    b = balancing_norms(p1, h)
+    b = gen_eig(balancing(p1, h), h)
     lam = canonical_conjugate_weights(b, 2)
     assert conjugate_value(b, 2, lam) == pytest.approx(s_k(p1, h), abs=1e-12)
 
 
 def test_conjugate_trials_never_exceed(p1):
-    from qkrf.energies import balancing_norms
-
     rng = np.random.default_rng(79)
     h = HermForm(2, random_herm_pd(rng, 5, spread=0.6))
     value = s_k(p1, h)
-    b = balancing_norms(p1, h)
+    b = gen_eig(balancing(p1, h), h)
     trials = [rng.standard_normal(5) for _ in range(40)]
     best = max(conjugate_value(b, 2, lam) for lam in trials)
     assert best <= value + 1e-12

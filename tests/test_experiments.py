@@ -172,6 +172,12 @@ def test_a_default_run_emits_exactly_its_registered_metrics(tmp_path, experiment
     assert failed == _registered(experiment, "fails")
 
 
+def test_every_registered_metric_has_a_status():
+    """Each entry has a control, is a smoke test, or is a standing failure."""
+    for name, entry in METRICS.items():
+        assert entry.status in ("control", "smoke", "fails"), name
+
+
 def test_metric_passes_rules():
     assert make_metric("m", 0.5, 1.0, "<=")["passed"]
     assert not make_metric("m", 2.0, 1.0, "<=")["passed"]
@@ -179,7 +185,6 @@ def test_metric_passes_rules():
     assert not make_metric("m", float("nan"), 1.0, "<=")["passed"]
     with pytest.raises(ExperimentError):
         make_metric("m", 0.5, 1.0, "<")
-    assert {e.status for e in METRICS.values()} == {"control", "smoke", "fails", None}
     assert experiments.metric("duality_min_s_k_k{k}", 0.0, k=3) == make_metric(
         "duality_min_s_k_k3", 0.0, 0.01, "<="
     )
@@ -216,6 +221,44 @@ def test_run_writes_manifest_and_is_deterministic(tmp_path, payload, files):
     assert loaded.metrics == m1.metrics and loaded.passed == m1.passed
     statuses = [line.split()[0] for line in loaded.summary_lines()]
     assert statuses == ["PASS" if m["passed"] else "FAIL" for m in m1.metrics]
+
+
+def test_a_run_lists_only_the_files_it_writes(tmp_path):
+    """A file already in the output directory is not among the run's artifacts."""
+    (tmp_path / "notes.txt").write_text("not written by the run\n")
+    manifest = run_experiment({"experiment": "monotonicity", "runs": 2, "t_max": 0.5}, str(tmp_path))
+    assert manifest.artifacts == ["monotonicity-run0.csv", "monotonicity-run1.csv", "monotonicity.csv"]
+    held = sorted(p.name for p in tmp_path.iterdir())
+    assert held == sorted(manifest.artifacts + ["manifest.json", "notes.txt"])
+
+
+def test_a_k_list_is_recorded_sorted_and_distinct(tmp_path):
+    """Levels in any order, repeated or not, run and are recorded as the sorted distinct levels."""
+    given = run_experiment({"experiment": "euler-gap", "k_list": [16, 8, 4, 2, 8]}, str(tmp_path / "a"))
+    canonical = run_experiment({"experiment": "euler-gap", "k_list": [2, 4, 8, 16]}, str(tmp_path / "b"))
+    assert RunManifest.from_json(tmp_path / "a" / "manifest.json").config["k_list"] == [2, 4, 8, 16]
+    assert given.metrics == canonical.metrics and given.artifacts == canonical.artifacts
+    for name in canonical.artifacts:
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("experiment", ["balanced-fixed-point", "thmB-entropy"])
+def test_a_default_run_builds_each_level_table_once(tmp_path, monkeypatch, experiment):
+    """A model holds one level of each kind of table, and a run walks its levels once."""
+    level_table = geometry.ProjectiveLineModel._level_table
+    built, models = [], []
+
+    def counted(model, what, k, nbytes, build):
+        def counting_build():
+            models.append(model)  # kept alive, so that no two models share an id
+            built.append((id(model), what, k))
+            return build()
+
+        return level_table(model, what, k, nbytes, counting_build)
+
+    monkeypatch.setattr(geometry.ProjectiveLineModel, "_level_table", counted)
+    run_experiment({"experiment": experiment}, str(tmp_path))
+    assert built and len(built) == len(set(built))
 
 
 def test_cli_list_experiments(capsys):
@@ -458,6 +501,17 @@ def _neville_with_swapped_abscissae(neville_to_zero):
     return swapped
 
 
+def _without_the_diagonal(diff_matrix):
+    """``geometry.diff_matrix`` with its diagonal left at 0: the negative-sum step dropped."""
+
+    def dropped(x, w=None):
+        d = diff_matrix(x, w)
+        np.fill_diagonal(d, 0.0)
+        return d
+
+    return dropped
+
+
 def _linear_interpolation(interpolate_radial):
     """``ProjectiveLineModel.interpolate_radial`` as linear ``np.interp``, a lower-order rule."""
     return lambda model, profile, uq: np.interp(uq, model.u, profile)
@@ -493,6 +547,8 @@ CONTROLS = [
     ("duality", "duality_min_s_k_k2", "flows.entropy_of_norms", _shannon_entropy),
     ("na-panel", "na_slope_uncertainty", "nanorms._neville_to_zero",
      _neville_with_swapped_abscissae),
+    ("thmA-gap", "thma_slope", "maps._gram_weights", _twist_power_k),
+    ("thmA-gap", "thma_resolution_gap", "geometry.diff_matrix", _without_the_diagonal),
 ]
 
 

@@ -13,8 +13,9 @@ from qkrf.energies import (
     entropy_classical,
     entropy_of_norms,
     log_ricci_profile,
+    ma_energy,
 )
-from qkrf.experiments import family_potential, run_experiment
+from qkrf.experiments import entropy_convergence_report, family_potential, run_experiment
 from qkrf.flows import (
     FlowError,
     bergman_iterate,
@@ -22,6 +23,7 @@ from qkrf.flows import (
     classical_krf_run,
     euler_gap_at_level,
     fill_shifted_jacobian,
+    flow_vs_krf_gap,
     format_float,
     krf_jacobian_terms,
     level_steps,
@@ -33,7 +35,13 @@ from qkrf.flows import (
     whole_steps,
     write_series_csv,
 )
-from qkrf.geometry import KahlerConeError, ProjectiveLineModel, build_p1_model
+from qkrf.geometry import (
+    KahlerConeError,
+    ModelError,
+    ProjectiveLineModel,
+    build_p1_model,
+    ma_density,
+)
 from qkrf.hermforms import (
     EIG_FLOOR,
     HermForm,
@@ -683,6 +691,33 @@ def test_a_start_that_leaves_the_cone_is_named_by_its_index(p1):
     with pytest.raises(FlowError, match=r"near t = 0\.000000: matrix log: .*floor") as err:
         quantized_flow_run(p1, starts[1], t_max=0.1, dt=0.05)
     assert "(start" not in str(err.value)
+
+
+def test_a_start_off_the_section_space_is_refused(p1):
+    with pytest.raises(ModelError, match="^form dimension 3 does not match N_k = 5$"):
+        quantized_flow_run(p1, HermForm(2, np.ones(3)), t_max=0.1, dt=0.05)
+    with pytest.raises(ModelError, match="^form dimension 3 does not match N_k = 5$"):
+        quantized_flow_runs(p1, [HermForm(2, np.ones(5)), HermForm(2, np.ones(3))], t_max=0.1, dt=0.05)
+
+
+@pytest.mark.parametrize(
+    "operation",
+    [
+        ma_energy,
+        entropy_classical,
+        ma_density,
+        lambda phi: phi.refined(2),
+        lambda phi: classical_krf_run(phi.model, phi, 1.0, 0.5),
+        lambda phi: flow_vs_krf_gap(phi.model, phi, 1.0, [1, 2, 3]),
+        lambda phi: entropy_convergence_report(phi.model, phi, [1, 2]),
+    ],
+    ids=["ma_energy", "entropy_classical", "ma_density", "refined", "classical_krf_run",
+         "flow_vs_krf_gap", "entropy_convergence_report"],
+)
+def test_classical_operations_need_a_radial_profile(discrete, operation):
+    """On a backend without radial structure a potential has no profile, and these refuse it."""
+    with pytest.raises(ModelError, match="^operation needs a rotation-invariant potential$"):
+        operation(discrete.zero_potential())
 
 
 def test_stacked_runs_refuse_mixed_starts(p1, bump):

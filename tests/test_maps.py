@@ -26,13 +26,13 @@ from qkrf.hermforms import (
     gen_eig,
     matrix_exp,
     matrix_log,
+    orthonormal_orthogonal,
     random_herm_pd,
 )
 from qkrf.maps import (
     QuantizationError,
     balancing,
     fubini_study,
-    orthonormal_orthogonal,
     project,
 )
 
