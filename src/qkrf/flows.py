@@ -20,18 +20,24 @@ immune to the severe ill-scaling of the monomial Gram matrices at
 large k.
 
 ``quantized_flow_runs`` integrates several starts of one level as one
-stack, held as one ``HermForm`` with a leading stack axis: each RK4 stage
-forms e^Q of all of them with ``matrix_exp`` (elementwise on the radial
-path), balances them with one ``maps.balancing`` and takes the logarithm
-of all the Grams at once; each sample reads its norms with one
+stack: each RK4 stage forms e^Q of all of them, balances them with one
+Bergman step and takes the logarithm of all the Grams at once.  On the
+radial path the stage runs on the (R, N) array of the diagonals of Q:
+e^Q elementwise, ``maps._bergman_step`` on its inverse (the Bergman sum,
+the node pass ``maps._gram_weights`` and the Gram), k (log g - Q) and
+one finiteness test, and builds no form.  On a dense path e^Q is a
+stack of forms from ``matrix_exp``, balanced by one ``maps.balancing``,
+whose Grams come back as arrays in their eigenframes.  Forms are built
+only for the sampled states; each sample reads its norms with one
 ``gen_eig`` and its energies L, E_k, D_k, S_k and the relative entropy
-as arrays over the stack, L from the log normalisers of its balancing.
-Every start keeps its own contractions and reductions, so a stacked run
-equals its start's run alone, bit for bit; ``quantized_flow_run`` is the
-stack of one start.  A stage computes without checks, apart from those of
-``matrix_exp``, and then takes one test of all of them; only a stage that
-fails it runs the checks one by one, so the first failure is raised, with
-its start, as when each check ran in turn.
+as arrays over the stack, L from the log normalisers of its Bergman
+step.  Every start keeps its own contractions and reductions, so a
+stacked run equals its start's run alone, bit for bit;
+``quantized_flow_run`` is the stack of one start.  A stage computes
+without checks, apart from those of ``matrix_exp``, and then takes one
+test of all of them; only a stage that fails it runs the checks one by
+one, so the first failure is raised, with its start, as when each check
+ran in turn.
 
 Every run starts at t = 0 from its initial state.  ``FlowTrace.save``
 writes a run's series as CSV, as a run artifact; its states stay in
@@ -80,7 +86,16 @@ from .hermforms import (
     matrix_exp,
     matrix_log,
 )
-from .maps import QuantizationError, _check_step, _radial_path, balancing, fubini_study, project
+from .maps import (
+    QuantizationError,
+    _bergman_step,
+    _check_step,
+    _held_gram,
+    _radial_path,
+    balancing,
+    fubini_study,
+    project,
+)
 
 TIME_TOL = 1e-9
 # classical solver: local tolerance, first trial step, extrapolation substeps
@@ -235,12 +250,13 @@ def quantized_flow_runs(
     level and one path (all diagonal on a radial model, or all dense),
     which is checked here; the runs are then integrated as stacks: Q is
     an (R, N, N) stack of matrices, or an (R, N) stack of diagonals, and
-    each RK4 stage takes one eigh of Q and one ``balancing`` of all R
-    forms.  Every start's contractions run on its own slice, so its trace
-    equals that of a run from it alone, bit for bit.  A stack holds as
-    many starts as fit FLOW_CHUNK_BYTES of work arrays and sampled
-    states; the traces come in start order as each stack finishes, so a
-    caller that saves each trace as it arrives holds one stack at a time.
+    each RK4 stage takes one Bergman step of all R states (with one eigh
+    of Q on a dense path).  Every start's contractions run on its own
+    slice, so its trace equals that of a run from it alone, bit for bit.
+    A stack holds as many starts as fit FLOW_CHUNK_BYTES of work arrays
+    and sampled states; the traces come in start order as each stack
+    finishes, so a caller that saves each trace as it arrives holds one
+    stack at a time.
 
     Each state reached at the end of a step (the start itself at t = 0)
     is formed and balanced once: its b_k(H) is the next step's first RK4
@@ -293,23 +309,27 @@ def _start_bytes(model: PolarizedModel, k: int, diagonal: bool, samples: int) ->
     """Bytes one start of a stack holds: its RK4 work arrays and sampled states.
 
     Measured with tracemalloc as the growth of a run's peak per start
-    added to a stack, the work arrays of a stage take 42 to 50 bytes per
-    node on the radial path and on the projective line's mode
-    contraction; the generic section contraction adds the start's N
-    complex amplitudes at each node with their squares, 32 N bytes per
-    node.  The state Q, the RK4 rates and the stage's forms add about 75
-    bytes per diagonal entry, or 200 to 300 per dense matrix entry.  A
-    sampled state holds its eigenvalues and their logs, 16 N bytes, and a
-    dense one its frame, 16 N^2 bytes, too; with their Python objects and
-    energies, rows of the stack's series tables, a sample measures 16 N
-    plus about 400 bytes on the radial path and 16 N (N + 1) plus about
-    640 bytes on a dense one.
+    added to a stack (16 to 256 radial nodes, 24 to 864 atoms, N = 3 to
+    7, 2 and 11 samples).  The work arrays of a stage take 40 bytes per
+    node on the radial path, its Bergman sum, potential and node pass,
+    and about 44 on the projective line's mode contraction; the generic
+    section contraction adds the start's N complex amplitudes at each
+    node, their squares and a contiguous copy for the matrix product, up
+    to 48 + 48 N bytes per node.  The state Q and the RK4 rates take 76
+    bytes per diagonal entry, and about 150 per dense matrix entry with
+    its frames, Gram and exponentials.  A sampled state holds its
+    eigenvalues and their logs, 16 N bytes, and a dense one its frame,
+    16 N^2 bytes, too; with their Python objects and energies, rows of
+    the stack's series tables, a sample measures 16 N plus about 330
+    bytes on the radial path and 16 N (N + 1) plus about 600 on a dense
+    one.  The constants below round these up, so that each measured
+    start is charged 1.1 to 1.9 times what it allocated.
     """
     n = model.nk(k)
     if diagonal:
-        return 48 * model.radial_count + 80 * n + samples * (16 * n + 512)
-    per_node = 48 if isinstance(model, ProjectiveLineModel) else 48 + 32 * n
-    return per_node * model.node_count + 320 * n * n + samples * (16 * n * (n + 1) + 640)
+        return 40 * model.radial_count + 80 * n + samples * (16 * n + 480)
+    per_node = 44 if isinstance(model, ProjectiveLineModel) else 48 + 48 * n
+    return per_node * model.node_count + 200 * n * n + samples * (16 * n * (n + 1) + 640)
 
 
 def _integrate_stack(
@@ -332,24 +352,30 @@ def _integrate_stack(
     diagonal, with_energies = meta["diagonal_path"], meta["with_energies"]
 
     def evaluate(q: np.ndarray, held: Optional[HermForm] = None) -> tuple:
-        """Forms at q = log H unless given, with their balancing and k (log b_k(H) - q).
+        """The states e^Q at q unless ``held``, their Bergman step and k (log b_k(H) - q).
 
-        Computed unchecked, under the caller's np.errstate, apart from the
-        checks of ``matrix_exp``; when the one test of the stage fails,
+        On the radial path the states are the (R, N) array of their
+        diagonals and the step is taken on it directly; on a dense one
+        they are a stack of forms, which ``balancing`` takes.  Computed
+        unchecked, under the caller's np.errstate, apart from the checks
+        of ``matrix_exp``; when the one test of the stage fails,
         ``require`` runs its checks one by one.
         """
         formed = held is None
-        if formed:
-            held = _held_form(k, np.exp(q)) if diagonal else matrix_exp(k, q)
-        step = balancing(model, held)
-        spectrum = step.gram.data
         if diagonal:
-            rate = k * (np.log(spectrum) - q)
+            held = np.exp(q) if formed else held.data
+            step = _bergman_step(model, k, 1.0 / held)
+            rate = k * (np.log(step.gram.spectrum) - q)
             # One sum over the stack is finite only if every term is: e^Q, the
             # potentials (a zero in e^Q makes every Bergman sum infinite) and
             # log b_k, finite only for positive finite Grams.
-            ok = math.isfinite(held.data.sum() + step.potential.sum() + rate.sum())
+            add = np.add.reduce
+            ok = math.isfinite(add(held, None) + add(step.potential, None) + add(rate, None))
         else:
+            if formed:
+                held = matrix_exp(k, q)
+            step = balancing(model, held)
+            spectrum = step.gram.spectrum
             low, top = spectrum[..., 0], spectrum[..., -1]
             ok = np.isfinite(step.potential.sum(axis=-1)) & (low > EIG_FLOOR * top) & (top > 0.0)
             ok = ok.all()
@@ -359,13 +385,13 @@ def _integrate_stack(
             rate = k * (_frame_matrix(step.gram.frame, np.log(spectrum)) - q)
         return held, step, rate
 
-    def require(held: HermForm, formed: bool, step) -> None:
+    def require(held, formed: bool, step) -> None:
         """The stage's checks in order: a diagonal e^Q formed here, the balancing, the log."""
         if formed and diagonal:
-            _require_spectra(held.data)
-        _check_step(step)
+            _require_spectra(held)
+        _check_step(k, step)
         if not diagonal:
-            _floor_check(step.gram.data, "matrix log")
+            _floor_check(step.gram.spectrum, "matrix log")
 
     r = len(starts)
     initial = _stack(starts, dense=not diagonal)
@@ -386,6 +412,9 @@ def _integrate_stack(
                 held, balanced, f1 = evaluate(q, None if step else initial)
             if step % sample_every:
                 continue
+            # the sampled states as forms, built here on the radial path
+            if diagonal:
+                held = _held_form(k, held) if step else initial
             times.append(t)
             forms = [_slice(held, i) for i in range(r)] if step else starts
             for run, form in zip(states, forms):
@@ -393,7 +422,7 @@ def _integrate_stack(
             if not with_energies:
                 continue
             # each sample's energies for the whole stack, each start's as for it alone
-            norms = gen_eig(balanced.gram, held)
+            norms = gen_eig(_held_gram(k, balanced.gram), held)
             l_values = _l_from_log_z(model, balanced.log_z)
             ek_values = e_k(held, initial)
             record["L"].append(l_values)

@@ -341,7 +341,6 @@ class ProjectiveLineModel(PolarizedModel):
         self.u, self.radial_weights = gauss_legendre_01(radial_nodes)
         self.theta = TWO_PI * np.arange(angular_nodes) / angular_nodes
         self._bary = _legendre_barycentric_weights(radial_nodes)
-        self.diff = diff_matrix(self.u, self._bary)
 
         # each radial weight times the angular weight 2 pi / A, radial-major
         self.node_weights = np.repeat(self.radial_weights * (TWO_PI / angular_nodes), angular_nodes)
@@ -350,22 +349,29 @@ class ProjectiveLineModel(PolarizedModel):
         # each kind of table to its one held level and table
         self._tables: dict[str, tuple[int, object]] = {}
 
+    @cached_property
+    def diff(self) -> np.ndarray:
+        """The spectral differentiation matrix on the radial grid, built on first use."""
+        return diff_matrix(self.u, self._bary)
+
     def nk(self, k: int) -> int:
         self.require_level(k)
         return 2 * k + 1
 
+    def _held_table(self, what: str, k: int):
+        """The table ``what`` if it is held at level k, else None; ModelError for a bad level."""
+        self.require_level(k)
+        held = self._tables.get(what)
+        return held[1] if held is not None and held[0] == k else None
+
     def _level_table(self, what: str, k: int, nbytes: int, build):
-        """The level-k table ``what``, built by ``build()`` unless it is held.
+        """The level-k table ``what``, built by ``build()``; its callers ask ``_held_table`` first.
 
         One level of each kind is held: a request for another level drops
         the held table of its kind before the new one is built.  The bytes
         held, with the ``nbytes`` the new table will take, are checked
         against RESOURCE_LIMIT before it is built.
         """
-        self.require_level(k)
-        held = self._tables.get(what)
-        if held is not None and held[0] == k:
-            return held[1]
         self._tables.pop(what, None)
         if self._held_bytes() + nbytes > RESOURCE_LIMIT:
             raise ModelError(
@@ -398,6 +404,8 @@ class ProjectiveLineModel(PolarizedModel):
         nodes may be far below unit scale but every term is nonnegative,
         so downstream positive sums lose no relative accuracy.
         """
+        if (held := self._held_table("radial sections", k)) is not None:
+            return held
 
         def build() -> np.ndarray:
             return self._sigma(np.arange(2 * k + 1, dtype=float), k)
@@ -410,6 +418,8 @@ class ProjectiveLineModel(PolarizedModel):
         return np.exp(e * np.log(self.u)[None, :] + (2 * k - e) * np.log1p(-self.u)[None, :])
 
     def sections(self, k: int) -> np.ndarray:
+        if (held := self._held_table("sections", k)) is not None:
+            return held
         # the radial table first, so that it is held when the section table is charged
         radial_sq = self.radial_section_sq(k)
 
@@ -433,6 +443,8 @@ class ProjectiveLineModel(PolarizedModel):
         give the gathers that read the Bergman coefficients from H^-1 and
         write the Gram from its d >= 0 modes.
         """
+        if (held := self._held_table("angular mode tables", k)) is not None:
+            return held
         n, s, a = 2 * k + 1, 4 * k + 1, self.angular_count
 
         def build() -> _ModeTables:

@@ -14,29 +14,35 @@ and the Bergman approximation of a potential is fubini_study o project.
 Bergman sum B(x) = a(x)^T H^-1 conj(a(x)) at each node x, with a(x) the
 reference sections at x, and keeps no separate density.  The chain
 Bergman sum -> potential and Gram weights -> Gram -> eigh is one step,
-``_bergman_step``, on a ``HermForm`` that may be a stack of forms.  Its
-middle link is one pass over the nodes, ``_gram_weights``: at
-phi = (1/k) log(B / N_k) the twist is exact, e^(-k phi) = N_k / B, so
-the weights e^(-(k+1) phi) mu0 / Z are the probability e^(-phi) mu0 / Z
-times N_k / B, and the pass also yields log Z, from which the flow reads
-L.  Every Fubini-Study potential, of a Bergman sum here or of a ray's
-log-sum-exp in ``nanorms``, is (log B - log N_k) / k from log B by
-``_fs_potential``.  ``fubini_study`` runs the step's first link on one form,
-``project`` its Gram on one arbitrary potential, with the log-space
-weights of ``twisted_weights``, and ``balancing`` all of it, on one form
-or on the quantized flow's stack, whose Grams come back as one stacked
-form.  The step computes without checks, on the tables of its level
-that the model builds once (``radial_section_sq``, the log weights of
-mu0); the public maps then check what they computed, and the flow folds
-the step's checks into one test per RK4 stage.  ``_radial_path`` is the
-one test of a form's dimension and path, which the flow takes per start.
-The Bergman sum and the Gram contraction are the model's:
-``PolarizedModel.bergman_sum`` and ``PolarizedModel.gram``.  The generic
-ones contract the section table, the Bergman sum in the form's
-eigenframe H = V diag(e^lam) V^* as sum_i e^(-lam_i) |(V^T a(x))_i|^2;
-the projective line regroups both over the angular modes of its tensor
-grid.  No solve and no explicit
-orthonormalization is ever performed.  Rotation-invariant data rides a
+``_bergman_step``, an array kernel: it takes the inverse spectra of
+level-k forms, one or stacked on leading axes, with their eigenframes
+off the radial path, and returns the potentials, the Grams' spectra
+(with frames and matrices off the radial path) and log Z, looking the
+level's radial table up once.  Its middle link is one pass over the
+nodes, ``_gram_weights``: at phi = (1/k) log(B / N_k) the twist is exact,
+e^(-k phi) = N_k / B, so the weights e^(-(k+1) phi) mu0 / Z are the
+probability e^(-phi) mu0 / Z times N_k / B, and the pass also yields
+log Z, from which the flow reads L.  Every Fubini-Study potential, of a
+Bergman sum here or of a ray's log-sum-exp in ``nanorms``, is
+(log B - log N_k) / k from log B by ``_fs_potential``.  The public maps
+wrap the kernel's links: ``fubini_study`` runs the Bergman sum on one
+form, ``project`` the Gram on one arbitrary potential, with the
+log-space weights of ``twisted_weights``, and ``balancing`` the whole
+step, on one form or on the quantized flow's dense stack, which gets
+the step back as arrays.  The flow's radial stage calls the kernel on
+the (R, N) array of its states' diagonals directly, so no form is built
+in a stage.  The kernel computes without checks, on the tables of its
+level that the model builds once (``radial_section_sq``, the log
+weights of mu0); the public maps then check what they computed, and the
+flow folds the step's checks into one test per RK4 stage.
+``_radial_path`` is the one test of a form's dimension and path, which
+the flow takes per start.  The Bergman sum and the Gram contraction are
+the model's: ``PolarizedModel.bergman_sum`` and ``PolarizedModel.gram``.
+The generic ones contract the section table, the Bergman sum in the
+form's eigenframe H = V diag(e^lam) V^* as sum_i e^(-lam_i)
+|(V^T a(x))_i|^2; the projective line regroups both over the angular
+modes of its tensor grid.  No solve and no explicit orthonormalization
+is ever performed.  Rotation-invariant data rides a
 diagonal fast path: the reference monomial Gram is exponentially ill
 scaled in k, and keeping diagonal forms as diagonal vectors preserves
 full relative accuracy elementwise where a dense spectral route would
@@ -46,7 +52,7 @@ drown the small entries in rounding.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -75,19 +81,31 @@ def _log_count(n: int) -> np.float64:
     return np.log(n)
 
 
+class _Grams(NamedTuple):
+    """Grams of the reference basis, stacked on leading axes, as arrays.
+
+    On the radial path ``spectrum`` holds their diagonals and ``frame``
+    and ``entries`` are None; otherwise it holds their ascending
+    eigenvalues in the eigenframes ``frame``, and ``entries`` the Gram
+    matrices.
+    """
+
+    spectrum: np.ndarray
+    frame: Optional[np.ndarray]
+    entries: Optional[np.ndarray]
+
+
 class _BergmanStep(NamedTuple):
-    """One balancing of forms, stacked on leading axes.
+    """One balancing of forms, stacked on leading axes, as arrays.
 
     ``potential`` holds the Fubini-Study potentials (radial profiles on
     the radial path, node values otherwise), ``gram`` the twisted Grams
-    of the reference basis as one form: on the radial path a diagonal
-    form, otherwise held in its eigenframes with its matrices as
-    ``entries``; ``log_z`` holds the log normalisers
-    log Z = log int e^(-phi) mu0 of the potentials.
+    and ``log_z`` the log normalisers log Z = log int e^(-phi) mu0 of the
+    potentials.
     """
 
     potential: np.ndarray
-    gram: HermForm
+    gram: _Grams
     log_z: np.ndarray
 
 
@@ -95,15 +113,15 @@ class _BergmanStep(NamedTuple):
 # for no check on the way.  Their callers run them under np.errstate, so
 # that a failing input warns nothing, and then check the results.  A
 # potential is finite exactly where its Bergman sum is positive and
-# finite, as its logarithm is.
+# finite, as its logarithm is.  On the radial path they read the level's
+# radial section table ``sigma`` (``radial_section_sq``), None otherwise.
 
 
-def _bergman_sum(model: PolarizedModel, h: HermForm, radial: bool) -> np.ndarray:
-    """Bergman sums of a form or a stack of forms, on the radial grid if ``radial``."""
-    k, inverse = h.level, 1.0 / h.data
-    if radial:
-        return (model.radial_section_sq(k).T @ inverse[..., None])[..., 0]
-    return model.bergman_sum(k, h.frame, inverse)
+def _bergman_sum(model: PolarizedModel, k: int, inverse: np.ndarray, frame, sigma) -> np.ndarray:
+    """Bergman sums of level-k forms from inverse spectra and frames, stacked on leading axes."""
+    if sigma is not None:
+        return (sigma.T @ inverse[..., None])[..., 0]
+    return model.bergman_sum(k, frame, inverse)
 
 
 def _fs_potential(log_b: np.ndarray, n: int, k: int) -> np.ndarray:
@@ -134,20 +152,19 @@ def _gram_weights(log_mu0: np.ndarray, total: np.ndarray, n: int, k: int) -> tup
     return potential, e, (top + np.log(mass))[..., 0]
 
 
-def _gram(model: PolarizedModel, k: int, weights: np.ndarray, radial: bool) -> HermForm:
-    """Grams of the reference basis against node weights, stacked on leading axes, as one form.
+def _gram(model: PolarizedModel, k: int, weights: np.ndarray, sigma) -> _Grams:
+    """Grams of the reference basis against node weights, stacked on leading axes.
 
-    ``radial`` weights are on the radial grid.  A stack with a non-finite
-    Gram gets NaN spectra, which fail every check: ``eigh`` can raise
-    LinAlgError on such input.
+    A stack with a non-finite Gram gets NaN spectra, which fail every
+    check: ``eigh`` can raise LinAlgError on such input.
     """
-    if radial:
-        return _held_form(k, (model.radial_section_sq(k) @ weights[..., None])[..., 0])
+    if sigma is not None:
+        return _Grams((sigma @ weights[..., None])[..., 0], None, None)
     gram = model.gram(k, weights)
     spectrum = np.linalg.eigh(gram) if np.isfinite(gram).all() else (
         np.full(gram.shape[:-1], np.nan), np.full(gram.shape, np.nan, dtype=complex)
     )
-    return _held_form(k, *spectrum, entries=gram)
+    return _Grams(*spectrum, gram)
 
 
 def _log_mu0(model: PolarizedModel, radial: bool) -> np.ndarray:
@@ -162,46 +179,51 @@ def _check_potential(potential: np.ndarray) -> None:
     )
 
 
-def _check_gram(gram: HermForm) -> None:
+def _check_gram(k: int, gram: _Grams) -> None:
     """HermitianError for a non-finite Gram, then QuantizationError for a singular one."""
-    radial = gram.is_diagonal
-    entries = gram.data if radial else gram.entries
+    spectrum, radial = gram.spectrum, gram.entries is None
+    values = spectrum if radial else gram.entries
     _require(
-        np.isfinite(entries).all(axis=-1 if radial else (-2, -1)),
+        np.isfinite(values).all(axis=-1 if radial else (-2, -1)),
         HermitianError,
         lambda i: "form has non-finite entries",
     )
 
     def singular(i: tuple) -> str:
-        eigs = np.sort(entries[i]) if radial else np.linalg.eigvalsh(entries[i])
+        eigs = np.sort(values[i]) if radial else np.linalg.eigvalsh(values[i])
         cond = float("inf") if eigs[0] <= 0 else float(eigs[-1] / eigs[0])
         return (
-            f"Gram matrix numerically singular at level {gram.level} "
+            f"Gram matrix numerically singular at level {k} "
             f"(condition estimate {cond:.3e}); the quadrature grid likely "
-            f"cannot resolve N_k = {gram.dim} sections"
+            f"cannot resolve N_k = {spectrum.shape[-1]} sections"
         )
 
-    low = gram.data.min(axis=-1) if radial else gram.data[..., 0]
+    low = spectrum.min(axis=-1) if radial else spectrum[..., 0]
     _require(low > 0.0, QuantizationError, singular)
 
 
-def _bergman_step(model: PolarizedModel, h: HermForm, radial: bool) -> _BergmanStep:
-    """The chain Bergman sum -> potential and Gram weights -> Gram -> eigh, for one form or a stack.
+def _bergman_step(model: PolarizedModel, k: int, inverse: np.ndarray, frame=None) -> _BergmanStep:
+    """The chain Bergman sum -> potential and Gram weights -> Gram -> eigh, on arrays.
 
-    Unchecked: ``_check_step`` raises for a Bergman sum that is not
-    positive and finite or a singular Gram (QuantizationError) and for a
-    non-finite Gram (HermitianError), and the error's ``start`` names the
-    stack index it met (None for one form).
+    Level-k forms, one or stacked on leading axes, are given by their
+    inverse spectra 1 / data and, off the radial path, their eigenframes.
+    Forms without a frame on a model with radial structure take the
+    radial path, whose table is looked up once.  Unchecked:
+    ``_check_step`` raises for a Bergman sum that is not positive and
+    finite or a singular Gram (QuantizationError) and for a non-finite
+    Gram (HermitianError), and the error's ``start`` names the stack
+    index it met (None for one form).
     """
-    k = h.level
-    total = _bergman_sum(model, h, radial)
-    potential, weights, log_z = _gram_weights(_log_mu0(model, radial), total, h.dim, k)
-    return _BergmanStep(potential, _gram(model, k, weights, radial), log_z)
+    radial = frame is None and model.supports_radial
+    sigma = model.radial_section_sq(k) if radial else None
+    total = _bergman_sum(model, k, inverse, frame, sigma)
+    potential, weights, log_z = _gram_weights(_log_mu0(model, radial), total, inverse.shape[-1], k)
+    return _BergmanStep(potential, _gram(model, k, weights, sigma), log_z)
 
 
-def _check_step(step: _BergmanStep) -> None:
+def _check_step(k: int, step: _BergmanStep) -> None:
     _check_potential(step.potential)
-    _check_gram(step.gram)
+    _check_gram(k, step.gram)
 
 
 def _radial_path(model: PolarizedModel, h: HermForm) -> bool:
@@ -212,14 +234,21 @@ def _radial_path(model: PolarizedModel, h: HermForm) -> bool:
     return model.supports_radial and h.is_diagonal
 
 
-def _gram_form(gram: HermForm) -> HermForm:
-    """A checked Gram form, held as its diagonal when its off-diagonal part is zero.
+def _held_gram(k: int, gram: _Grams) -> HermForm:
+    """Level-k Grams as one form, or one stack of forms, held as computed."""
+    if gram.frame is None:
+        return _held_form(k, gram.spectrum)
+    return _held_form(k, gram.spectrum, gram.frame, entries=gram.entries)
+
+
+def _gram_form(k: int, gram: _Grams) -> HermForm:
+    """A checked Gram as its form, held as its diagonal when its off-diagonal part is zero.
 
     That is how ``HermForm`` holds such a matrix.
     """
-    if gram.is_diagonal or not _offdiagonal_is_zero(gram.entries):
-        return gram
-    return _held_form(gram.level, gram.diagonal())
+    if gram.frame is not None and _offdiagonal_is_zero(gram.entries):
+        return _held_form(k, np.real(np.diagonal(gram.entries)).copy())
+    return _held_gram(k, gram)
 
 
 def fubini_study(model: PolarizedModel, h: HermForm) -> PotentialField:
@@ -228,8 +257,10 @@ def fubini_study(model: PolarizedModel, h: HermForm) -> PotentialField:
     A diagonal form on a model with radial structure gives a radial profile.
     """
     radial = _radial_path(model, h)
+    sigma = model.radial_section_sq(h.level) if radial else None
     with np.errstate(all="ignore"):
-        values = _fs_potential(np.log(_bergman_sum(model, h, radial)), h.dim, h.level)
+        total = _bergman_sum(model, h.level, 1.0 / h.data, h.frame, sigma)
+        values = _fs_potential(np.log(total), h.dim, h.level)
     _check_potential(values)
     return PotentialField(model, None, values) if radial else PotentialField(model, values)
 
@@ -240,30 +271,30 @@ def project(phi: PotentialField, k: int) -> HermForm:
     The Gram of a radial potential, or any Gram whose off-diagonal part
     is zero, is held as its diagonal, any other in its eigenframe.
     """
-    phi.model.require_level(k)
+    model = phi.model
+    model.require_level(k)
     radial = phi.is_radial
+    sigma = model.radial_section_sq(k) if radial else None
     with np.errstate(all="ignore"):
         values = phi.radial_profile if radial else phi.values
-        weights = twisted_weights(_log_mu0(phi.model, radial), values, k + 1)
-        gram = _gram(phi.model, k, weights, radial)
-    _check_gram(gram)
-    return _gram_form(gram)
+        weights = twisted_weights(_log_mu0(model, radial), values, k + 1)
+        gram = _gram(model, k, weights, sigma)
+    _check_gram(k, gram)
+    return _gram_form(k, gram)
 
 
 def balancing(model: PolarizedModel, h: HermForm) -> HermForm:
     """One application of the balancing map b_k = project o fubini_study.
 
-    The quantized flow balances its stack of forms, a form whose ``data``
-    carry a leading stack axis and whose forms fit the section space, in
-    one call; it gets back the whole ``_BergmanStep`` unchecked, to check
-    with the rest of its stage, under its own np.errstate.  A stack takes
-    the radial path exactly when it is diagonal.
+    The quantized flow balances its dense stack of forms, a form whose
+    ``data`` carry a leading stack axis and whose forms fit the section
+    space, in one call; it gets back the ``_BergmanStep`` unchecked, to
+    check with the rest of its stage, under its own np.errstate.
     """
     if h.data.ndim > 1:
-        return _bergman_step(model, h, h.is_diagonal)
-    radial = _radial_path(model, h)
+        return _bergman_step(model, h.level, 1.0 / h.data, h.frame)
+    _radial_path(model, h)
     with np.errstate(all="ignore"):
-        step = _bergman_step(model, h, radial)
-    _check_step(step)
-    return _gram_form(step.gram)
-
+        step = _bergman_step(model, h.level, 1.0 / h.data, h.frame)
+    _check_step(h.level, step)
+    return _gram_form(h.level, step.gram)

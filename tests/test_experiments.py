@@ -10,7 +10,6 @@ import pytest
 from qkrf import experiments, geometry, maps
 from qkrf.cli import main as cli_main
 from qkrf.flows import FlowError
-from qkrf.hermforms import _held_form
 from qkrf.nanorms import DHMeasure
 from qkrf.experiments import (
     EXPERIMENTS,
@@ -395,15 +394,14 @@ def test_duality_csvs_carry_the_converged_flags(tmp_path):
 def _drop_section_zero(bergman_sum):
     """``maps._bergman_sum`` with section 0 left out of the radial Bergman sum.
 
-    An infinite eigenvalue 0 of the form weighs that section's term with 1/inf = 0.
+    The inverse spectrum's entry 0 set to 0 weighs that section's term with 0.
     """
 
-    def dropped(model, h, radial):
-        if radial:
-            data = h.data.copy()
-            data[..., 0] = np.inf
-            h = _held_form(h.level, data)
-        return bergman_sum(model, h, radial)
+    def dropped(model, k, inverse, frame, sigma):
+        if sigma is not None:
+            inverse = inverse.copy()
+            inverse[..., 0] = 0.0
+        return bergman_sum(model, k, inverse, frame, sigma)
 
     return dropped
 

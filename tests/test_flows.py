@@ -461,7 +461,7 @@ def test_non_finite_dense_state_raises_flow_error(p1):
 
 def _l_alone(model, form):
     """L at a form, read as the flow reads it: from the log normaliser of the form's balancing."""
-    step = maps._bergman_step(model, form, maps._radial_path(model, form))
+    step = maps._bergman_step(model, form.level, 1.0 / form.data, form.frame)
     return float(_l_from_log_z(model, step.log_z))
 
 

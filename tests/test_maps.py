@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from qkrf import maps
-from qkrf.energies import _l_from_log_z, _l_values
+from qkrf.energies import _l_from_log_z, _l_values, s_k
 from qkrf.experiments import family_potential
-from qkrf.flows import FlowError, quantized_flow_run
+from qkrf.flows import FlowError, quantized_flow_run, quantized_flow_runs
 from qkrf.geometry import (
     DiscreteModel,
     ModelError,
@@ -226,7 +226,7 @@ def test_a_dense_stack_equals_its_forms_alone(request, model_name):
     q = _exponents(2, 3, seed=7)
     stack = matrix_exp(2, q)
     step = balancing(model, stack)
-    norms = gen_eig(step.gram, stack)
+    norms = gen_eig(maps._held_gram(2, step.gram), stack)
     for i in range(3):
         form = matrix_exp(2, q[i])
         for name in ("data", "frame", "logs"):
@@ -234,9 +234,10 @@ def test_a_dense_stack_equals_its_forms_alone(request, model_name):
         b = balancing(model, form)
         assert not b.is_diagonal
         assert np.array_equal(step.potential[i], fubini_study(model, form).values)
-        assert np.array_equal(step.log_z[i], maps._bergman_step(model, form, False).log_z)
-        for name in ("data", "frame", "entries"):
-            assert np.array_equal(getattr(step.gram, name)[i], getattr(b, name))
+        alone = maps._bergman_step(model, 2, 1.0 / form.data, form.frame)
+        assert np.array_equal(step.log_z[i], alone.log_z)
+        for name, held in (("spectrum", "data"), ("frame", "frame"), ("entries", "entries")):
+            assert np.array_equal(getattr(step.gram, name)[i], getattr(b, held))
         assert np.array_equal(norms[i], gen_eig(b, form))
 
 
@@ -245,22 +246,28 @@ def test_a_diagonal_stack_equals_its_forms_alone(p1):
     data = np.exp(0.5 * np.random.default_rng(11).standard_normal((3, 7)))
     stack = _held_form(3, data)
     step = balancing(p1, stack)
-    norms = gen_eig(step.gram, stack)
+    norms = gen_eig(maps._held_gram(3, step.gram), stack)
     for i in range(3):
         form = HermForm(3, data[i])
         b = balancing(p1, form)
-        assert b.is_diagonal and step.gram.is_diagonal
+        assert b.is_diagonal and step.gram.frame is None and step.gram.entries is None
         assert np.array_equal(step.potential[i], fubini_study(p1, form).radial_profile)
-        assert np.array_equal(step.log_z[i], maps._bergman_step(p1, form, True).log_z)
-        assert np.array_equal(step.gram.data[i], b.data)
+        assert np.array_equal(step.log_z[i], maps._bergman_step(p1, 3, 1.0 / form.data).log_z)
+        assert np.array_equal(step.gram.spectrum[i], b.data)
         assert np.array_equal(norms[i], gen_eig(b, form))
+
+
+def _bergman_sum(model, h):
+    """``maps._bergman_sum`` of a form, on its own path."""
+    sigma = model.radial_section_sq(h.level) if maps._radial_path(model, h) else None
+    return maps._bergman_sum(model, h.level, 1.0 / h.data, h.frame, sigma)
 
 
 def _fused_and_log_space(model, h):
     """The balancing's node pass at h, (potential, weights, log Z), and ``twisted_weights`` there."""
     radial = maps._radial_path(model, h)
     log_mu0 = maps._log_mu0(model, radial)
-    fused = maps._gram_weights(log_mu0, maps._bergman_sum(model, h, radial), h.dim, h.level)
+    fused = maps._gram_weights(log_mu0, _bergman_sum(model, h), h.dim, h.level)
     return fused, twisted_weights(log_mu0, fused[0], h.level + 1)
 
 
@@ -321,7 +328,7 @@ def test_the_fused_weights_stay_finite_where_the_log_space_weights_do():
         for e in exponents:
             h = HermForm(64, base * 10.0**e)
             with np.errstate(all="ignore"):
-                total = maps._bergman_sum(model, h, True)
+                total = _bergman_sum(model, h)
                 (_, weights, _), reference = _fused_and_log_space(model, h)
             assert total.min() < 1e-300
             assert np.isfinite(maps._fs_potential(np.log(total), 129, 64)).all()
@@ -398,7 +405,7 @@ def test_a_stack_balancing_names_its_failing_slice(request, monkeypatch, case):
     def stacked():
         with np.errstate(all="ignore"):
             step = balancing(model, stack)
-        maps._check_step(step)
+        maps._check_step(stack.level, step)
 
     _assert_slice_1_fails_as_alone(stacked, lambda: balancing(model, form))
 
@@ -617,3 +624,63 @@ def test_a_rotation_off_the_grid_breaks_the_symmetry():
     model = ProjectiveLineModel(2, radial_nodes=96, angular_nodes=ANGULAR_NODES)
     h = random_herm_pd(np.random.default_rng([2, 20]), 5, spread=2.0)
     assert _conjugation_defect(model, 2, h, _rotation(2, 0.7)) >= 1e-3
+
+
+def _moved_runs(path, k, spread):
+    """Runs of one stack from a start H and its moves g H g^* by the grid symmetries.
+
+    Returns (g, trace of H, trace of g H g^*, s_k(H), s_k(g H g^*)) for
+    each symmetry.  On the dense path every symmetry of
+    ``_grid_symmetries`` moves a random start; on the radial path the
+    reflection moves a diagonal start, which every rotation fixes.
+    """
+    model = ProjectiveLineModel(4, radial_nodes=96, angular_nodes=ANGULAR_NODES)
+    rng = np.random.default_rng([k, round(10 * spread)])
+    if path == "dense":
+        h = random_herm_pd(rng, 2 * k + 1, spread=spread)
+        moves = [g for _, g in _grid_symmetries(model, k)]
+    else:
+        h = np.diag(project(family_potential(model, "bump", 0.3), k).data)
+        h *= np.exp(spread * rng.standard_normal(2 * k + 1))
+        moves = [np.eye(2 * k + 1)[::-1]]
+    starts = [HermForm(k, h)] + [HermForm(k, g @ h @ g.conj().T) for g in moves]
+    assert all((form.frame is None) == (path == "radial") for form in starts)
+    first, *traces = quantized_flow_runs(model, starts, t_max=0.25, dt=0.05)
+    s_first = s_k(model, starts[0])
+    return [
+        (g, first, trace, s_first, s_k(model, start))
+        for g, trace, start in zip(moves, traces, starts[1:])
+    ]
+
+
+@pytest.mark.parametrize("spread", [0.5, 2.0])
+@pytest.mark.parametrize("path, k", [("dense", 1), ("dense", 2), ("radial", 2), ("radial", 4)])
+def test_the_stacked_flow_and_s_k_commute_with_the_symmetries_of_the_grid(path, k, spread):
+    """A start moved by a grid symmetry, g H g^*, flows to the moved states with the same series.
+
+    The moved starts run in one stack with H, so each run also checks the
+    stack.  L, E_k, D_k, S_k, the relative entropy and s_k of the start
+    are invariant; the states move as g H_t g^*.  Up to rounding, bounded
+    by 8 N eps, times cond(H) on the dense path as in the balancing test
+    above: the dense states differ by at most 3.1e-15 relative (Frobenius),
+    the radial ones by 1.4e-15 entrywise, the series by 4.8e-15.
+    """
+    n = 2 * k + 1
+    for g, first, moved, s_first, s_moved in _moved_runs(path, k, spread):
+        assert np.array_equal(moved.times, first.times)
+        rounding = 8 * n * np.finfo(float).eps
+        if path == "dense":
+            rounding *= np.linalg.cond(first.states[0].entries)
+        for state, moved_state in zip(first.states, moved.states):
+            expected = g @ state.entries @ g.conj().T
+            if path == "dense":
+                defect = np.linalg.norm(moved_state.entries - expected) / np.linalg.norm(expected)
+            else:
+                diagonal = np.real(np.diagonal(expected))
+                defect = np.max(np.abs(moved_state.data - diagonal) / diagonal)
+            assert defect <= rounding
+        for name in ("L", "E_k", "D_k", "S_k", "relent_ref"):
+            values = first.series[name]
+            scale = max(1.0, np.max(np.abs(values)))
+            assert np.max(np.abs(moved.series[name] - values)) <= rounding * scale, name
+        assert abs(s_moved - s_first) <= rounding * max(1.0, s_first)
