@@ -69,6 +69,9 @@ def _cmd_run(args) -> int:
     except RUN_ERRORS as exc:
         print(f"error: run failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:
+        print(f"error: cannot write run directory: {exc}", file=sys.stderr)
+        return 2
     for line in manifest.summary_lines():
         print(line)
     print(

@@ -23,21 +23,22 @@ large k.
 stack: each RK4 stage forms e^Q of all of them, balances them with one
 Bergman step and takes the logarithm of all the Grams at once.  On the
 radial path the stage runs on the (R, N) array of the diagonals of Q:
-e^Q elementwise, ``maps._bergman_step`` on its inverse (the Bergman sum,
-the node pass ``maps._gram_weights`` and the Gram), k (log g - Q) and
-one finiteness test, and builds no form.  On a dense path e^Q is a
-stack of forms from ``matrix_exp``, balanced by one ``maps.balancing``,
-whose Grams come back as arrays in their eigenframes.  Forms are built
-only for the sampled states; each sample reads its norms with one
-``gen_eig`` and its energies L, E_k, D_k, S_k and the relative entropy
-as arrays over the stack, L from the log normalisers of its Bergman
-step.  Every start keeps its own contractions and reductions, so a
-stacked run equals its start's run alone, bit for bit;
-``quantized_flow_run`` is the stack of one start.  A stage computes
-without checks, apart from those of ``matrix_exp``, and then takes one
-test of all of them; only a stage that fails it runs the checks one by
-one, so the first failure is raised, with its start, as when each check
-ran in turn.
+e^Q elementwise, ``maps._bergman_step`` on its inverse (the Bergman
+sum, the node pass ``maps._gram_weights`` and the Gram), k (log g - Q)
+and one finiteness test, and builds no form of the states.  On a dense
+path e^Q is a stack of forms from ``matrix_exp``, balanced by one
+``maps.balancing``.  Either step holds its Grams as one stack of forms,
+diagonals on the radial path and eigenframes on a dense one.  Forms of
+the states are built only for the samples; each sample reads its norms
+with one ``gen_eig`` of the Grams and its energies L, E_k, D_k, S_k and
+the relative entropy as arrays over the stack, L from the log
+normalisers of its Bergman step.  Every start keeps its own
+contractions and reductions, so a stacked run equals its start's run
+alone, bit for bit; ``quantized_flow_run`` is the stack of one start.
+A stage computes without checks, apart from those of ``matrix_exp``,
+and then takes one test of all of them; only a stage that fails it runs
+the checks one by one, so the first failure is raised, with its start,
+as when each check ran in turn.
 
 Every run starts at t = 0 from its initial state.  ``FlowTrace.save``
 writes a run's series as CSV, as a run artifact; its states stay in
@@ -90,7 +91,6 @@ from .maps import (
     QuantizationError,
     _bergman_step,
     _check_step,
-    _held_gram,
     _radial_path,
     balancing,
     fubini_study,
@@ -365,7 +365,7 @@ def _integrate_stack(
         if diagonal:
             held = np.exp(q) if formed else held.data
             step = _bergman_step(model, k, 1.0 / held)
-            rate = k * (np.log(step.gram.spectrum) - q)
+            rate = k * (np.log(step.gram.data) - q)
             # One sum over the stack is finite only if every term is: e^Q, the
             # potentials (a zero in e^Q makes every Bergman sum infinite) and
             # log b_k, finite only for positive finite Grams.
@@ -375,7 +375,7 @@ def _integrate_stack(
             if formed:
                 held = matrix_exp(k, q)
             step = balancing(model, held)
-            spectrum = step.gram.spectrum
+            spectrum = step.gram.data
             low, top = spectrum[..., 0], spectrum[..., -1]
             ok = np.isfinite(step.potential.sum(axis=-1)) & (low > EIG_FLOOR * top) & (top > 0.0)
             ok = ok.all()
@@ -391,7 +391,7 @@ def _integrate_stack(
             _require_spectra(held)
         _check_step(k, step)
         if not diagonal:
-            _floor_check(step.gram.spectrum, "matrix log")
+            _floor_check(step.gram.data, "matrix log")
 
     r = len(starts)
     initial = _stack(starts, dense=not diagonal)
@@ -422,7 +422,7 @@ def _integrate_stack(
             if not with_energies:
                 continue
             # each sample's energies for the whole stack, each start's as for it alone
-            norms = gen_eig(_held_gram(k, balanced.gram), held)
+            norms = gen_eig(balanced.gram, held)
             l_values = _l_from_log_z(model, balanced.log_z)
             ek_values = e_k(held, initial)
             record["L"].append(l_values)

@@ -107,11 +107,9 @@ def _legendre_barycentric_weights(m: int) -> np.ndarray:
     return w
 
 
-def diff_matrix(x: np.ndarray, w: Optional[np.ndarray] = None) -> np.ndarray:
-    """Spectral differentiation matrix on arbitrary nodes (barycentric form)."""
+def diff_matrix(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Spectral differentiation matrix on nodes x with barycentric weights w."""
     x = np.asarray(x, dtype=float)
-    if w is None:
-        w = barycentric_weights(x)
     dx = x[:, None] - x[None, :]
     np.fill_diagonal(dx, 1.0)
     d = (w[None, :] / w[:, None]) / dx
@@ -122,9 +120,9 @@ def diff_matrix(x: np.ndarray, w: Optional[np.ndarray] = None) -> np.ndarray:
 
 
 def barycentric_interpolate(
-    x: np.ndarray, fx: np.ndarray, xq: np.ndarray, w: Optional[np.ndarray] = None
+    x: np.ndarray, fx: np.ndarray, xq: np.ndarray, w: np.ndarray
 ) -> np.ndarray:
-    """Evaluate the polynomial interpolant of (x, fx) at query points xq.
+    """Evaluate the interpolant of (x, fx), with barycentric weights w, at query points xq.
 
     A query that falls on a node takes that node's value.  Each query's
     numerator is a dot product of its own row, a stack of (1, m) @ (m, 1)
@@ -134,8 +132,6 @@ def barycentric_interpolate(
     x = np.asarray(x, dtype=float)
     fx = np.asarray(fx, dtype=float)
     xq = np.atleast_1d(np.asarray(xq, dtype=float))
-    if w is None:
-        w = barycentric_weights(x)
     d = xq[:, None] - x[None, :]
     hit = d == 0.0
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -7,10 +7,11 @@ column c is c^H M c and an orthonormal frame S satisfies S^H M S = I.
 A diagonal form is held as its real diagonal vector, checked in O(N),
 and every spectral operation on diagonal forms is elementwise.  A dense
 form is held in its eigenframe, H = V diag(e^lam) V^*, decomposed once;
-its logarithm, its generalized spectra against other matrices and its
+its logarithm, its generalized spectra against other forms and its
 Bergman sums all read that frame.  The matrix of either kind of form is
-built only when asked for.  Matrices enter through ``HermForm`` (or
-``gen_eig``), which checks and symmetrizes them, (A + A^H)/2, once.
+built only when asked for.  Matrices enter only through ``HermForm``,
+which checks and symmetrizes them, (A + A^H)/2, once; every operation
+here takes forms.
 ``matrix_log`` and ``matrix_exp`` are the quantized flow's maps between
 forms and Hermitian matrices Q = log H; ``matrix_exp`` builds its form
 from the eigen-decomposition of Q, positive by construction, and checks
@@ -53,44 +54,22 @@ class PositivityError(ValueError):
     """A spectral operation met a nonpositive or floored eigenvalue."""
 
 
-def _check_and_symmetrize(a: np.ndarray, what: str) -> np.ndarray:
+def _check_and_symmetrize(a: np.ndarray) -> np.ndarray:
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
-        raise HermitianError(f"{what} must be a nonempty square matrix, got shape {a.shape}")
+        raise HermitianError(f"form must be a nonempty square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a.view(float))):
-        raise HermitianError(f"{what} has non-finite entries")
+        raise HermitianError("form has non-finite entries")
     scale = float(np.max(np.abs(a)))
     resid = float(np.max(np.abs(a - a.conj().T)))
     if resid > HERMITIAN_TOL * max(scale, 1.0):
         raise HermitianError(
-            f"{what} is not Hermitian: asymmetry {resid:.3e} at scale {scale:.3e}"
+            f"form is not Hermitian: asymmetry {resid:.3e} at scale {scale:.3e}"
         )
     return 0.5 * (a + a.conj().T)
 
 
 def _offdiagonal_is_zero(a: np.ndarray) -> bool:
     return bool(np.count_nonzero(a - np.diag(np.diagonal(a))) == 0)
-
-
-def _hermitian_data(a, what: str) -> np.ndarray:
-    """Checked data of a Hermitian input: its real diagonal if it is diagonal.
-
-    A form gives its diagonal or its matrix as it is.  A 1-D input is a
-    diagonal, checked in O(N); a matrix is checked in full and symmetrized.
-    """
-    if isinstance(a, HermForm):
-        return a.data if a.is_diagonal else a.entries
-    a = np.asarray(a)
-    if a.ndim != 1:
-        m = _check_and_symmetrize(a.astype(complex, copy=False), what)
-        return np.real(np.diagonal(m)).copy() if _offdiagonal_is_zero(m) else m
-    if a.size == 0:
-        raise HermitianError(f"{what} must be nonempty")
-    if np.iscomplexobj(a):
-        raise HermitianError(f"{what}: a diagonal must be given as a real vector")
-    d = np.array(a, dtype=float)
-    if not np.all(np.isfinite(d)):
-        raise HermitianError(f"{what} has non-finite entries")
-    return d
 
 
 def _require(ok: np.ndarray, error: type, message: Callable[[tuple], str]) -> None:
@@ -145,18 +124,28 @@ class HermForm:
     def __post_init__(self):
         if self.level < 1:
             raise HermitianError("level must be a positive integer")
-        matrix = _hermitian_data(self.data, "form")
-        if matrix.ndim == 1:
-            # LAPACK returns a diagonal matrix's eigenvalues exactly, so the
-            # smallest diagonal entry is the number eigh would give (beyond
-            # magnitudes of about 1e+-145 LAPACK rescales first, which can move
-            # the last bit of its answer but never the sign).
-            values, frame = matrix, None
-            smallest = values.min()
+        # A 1-D input is a diagonal, checked in O(N); a matrix is checked in
+        # full and symmetrized, and held as its real diagonal if it is diagonal.
+        values, frame = np.asarray(self.data), None
+        if values.ndim != 1:
+            matrix = _check_and_symmetrize(values.astype(complex, copy=False))
+            if _offdiagonal_is_zero(matrix):
+                values = np.real(np.diagonal(matrix)).copy()
+            else:
+                values, frame = np.linalg.eigh(matrix)
+        elif values.size == 0:
+            raise HermitianError("form must be nonempty")
+        elif np.iscomplexobj(values):
+            raise HermitianError("form: a diagonal must be given as a real vector")
         else:
-            values, frame = np.linalg.eigh(matrix)
-            smallest = values[0]
-        _require_positive(smallest)
+            values = np.array(values, dtype=float)
+            if not np.all(np.isfinite(values)):
+                raise HermitianError("form has non-finite entries")
+        # LAPACK returns a diagonal matrix's eigenvalues exactly, so the
+        # smallest diagonal entry is the number eigh would give (beyond
+        # magnitudes of about 1e+-145 LAPACK rescales first, which can move
+        # the last bit of its answer but never the sign).
+        _require_positive(values.min() if frame is None else values[0])
         object.__setattr__(self, "data", values)
         if frame is not None:
             object.__setattr__(self, "frame", frame)
@@ -289,39 +278,28 @@ def _slice(form: HermForm, i: int) -> HermForm:
     return _held_form(form.level, form.data[i], frame, **held)
 
 
-def _eigenframe(b, what: str) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """Eigenvalues and eigenframe of a form or a Hermitian input (None if diagonal)."""
-    if isinstance(b, HermForm):
-        return b.data, b.frame
-    db = _hermitian_data(b, what)
-    return (db, None) if db.ndim == 1 else np.linalg.eigh(db)
-
-
-def gen_eig(a, b) -> np.ndarray:
+def gen_eig(a: HermForm, b: HermForm) -> np.ndarray:
     """Generalized eigenvalues of (a, b), ascending; b must be positive.
 
     These are the eigenvalues of b^(-1/2) a b^(-1/2); in a basis that is
     b-orthonormal and a-orthogonal they are the squared a-norms of the
     frame vectors.  In the eigenframe b = V diag(e^lam) V^* they are the
-    eigenvalues of e^(-lam/2) V^* a V e^(-lam/2).  Forms and matrices are
-    both accepted, and so are stacks of forms; a failed check names the
-    stack index it met.
+    eigenvalues of e^(-lam/2) V^* a V e^(-lam/2).  Stacks of forms are
+    accepted too; a failed check names the stack index it met.
     """
-    da = _hermitian_data(a, "left matrix")
-    # a stack of diagonals has the ndim of one matrix
-    diagonal = a.is_diagonal if isinstance(a, HermForm) else da.ndim == 1
-    values, frame = _eigenframe(b, "right matrix")
-    if da.shape[-1] != values.shape[-1]:
+    values, frame = b.data, b.frame
+    if a.dim != b.dim:
         raise HermitianError("generalized eigenvalue inputs differ in shape")
-    if diagonal and frame is None:
+    if a.is_diagonal and frame is None:
         _require(
             values.min(axis=-1) > 0.0,
             PositivityError,
             lambda i: "right matrix has a nonpositive diagonal entry",
         )
-        return np.sort(da / values)
+        return np.sort(a.data / values)
     _floor_check(values, "generalized eigenvalues")
-    am = da[..., None] * np.eye(da.shape[-1], dtype=complex) if diagonal else da
+    # a diagonal a is not asked for its entries, which would be cached on it
+    am = a.data[..., None] * np.eye(a.dim, dtype=complex) if a.is_diagonal else a.entries
     return np.linalg.eigvalsh(_whitened(am, values, frame)[0])
 
 

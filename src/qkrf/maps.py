@@ -16,25 +16,26 @@ reference sections at x, and keeps no separate density.  The chain
 Bergman sum -> potential and Gram weights -> Gram -> eigh is one step,
 ``_bergman_step``, an array kernel: it takes the inverse spectra of
 level-k forms, one or stacked on leading axes, with their eigenframes
-off the radial path, and returns the potentials, the Grams' spectra
-(with frames and matrices off the radial path) and log Z, looking the
-level's radial table up once.  Its middle link is one pass over the
-nodes, ``_gram_weights``: at phi = (1/k) log(B / N_k) the twist is exact,
-e^(-k phi) = N_k / B, so the weights e^(-(k+1) phi) mu0 / Z are the
-probability e^(-phi) mu0 / Z times N_k / B, and the pass also yields
-log Z, from which the flow reads L.  Every Fubini-Study potential, of a
-Bergman sum here or of a ray's log-sum-exp in ``nanorms``, is
-(log B - log N_k) / k from log B by ``_fs_potential``.  The public maps
-wrap the kernel's links: ``fubini_study`` runs the Bergman sum on one
-form, ``project`` the Gram on one arbitrary potential, with the
-log-space weights of ``twisted_weights``, and ``balancing`` the whole
-step, on one form or on the quantized flow's dense stack, which gets
-the step back as arrays.  The flow's radial stage calls the kernel on
-the (R, N) array of its states' diagonals directly, so no form is built
-in a stage.  The kernel computes without checks, on the tables of its
-level that the model builds once (``radial_section_sq``, the log
-weights of mu0); the public maps then check what they computed, and the
-flow folds the step's checks into one test per RK4 stage.
+off the radial path, and returns the potentials, the Grams as one
+``HermForm`` (their diagonals on the radial path, their eigenframes and
+matrices off it) and log Z, looking the level's radial table up once.
+Its middle link is one pass over the nodes, ``_gram_weights``: at phi =
+(1/k) log(B / N_k) the twist is exact, e^(-k phi) = N_k / B, so the
+weights e^(-(k+1) phi) mu0 / Z are the probability e^(-phi) mu0 / Z
+times N_k / B, and the pass also yields log Z, from which the flow reads
+L.  Every Fubini-Study potential, of a Bergman sum here or of a ray's
+log-sum-exp in ``nanorms``, is (log B - log N_k) / k from log B by
+``_fs_potential``.  The public maps wrap the kernel's links:
+``fubini_study`` runs the Bergman sum on one form, ``project`` the Gram
+on one arbitrary potential, with the log-space weights of
+``twisted_weights``, and ``balancing`` the whole step, on one form or on
+the quantized flow's dense stack, which gets the step back unchecked.
+The flow's radial stage calls the kernel on the (R, N) array of its
+states' diagonals directly, so no form of the states is built in a
+stage.  The kernel computes without checks, on the tables of its level
+that the model builds once (``radial_section_sq``, the log weights of
+mu0); the public maps then check what they computed, and the flow folds
+the step's checks into one test per RK4 stage.
 ``_radial_path`` is the one test of a form's dimension and path, which
 the flow takes per start.  The Bergman sum and the Gram contraction are
 the model's: ``PolarizedModel.bergman_sum`` and ``PolarizedModel.gram``.
@@ -52,7 +53,7 @@ drown the small entries in rounding.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -81,31 +82,17 @@ def _log_count(n: int) -> np.float64:
     return np.log(n)
 
 
-class _Grams(NamedTuple):
-    """Grams of the reference basis, stacked on leading axes, as arrays.
-
-    On the radial path ``spectrum`` holds their diagonals and ``frame``
-    and ``entries`` are None; otherwise it holds their ascending
-    eigenvalues in the eigenframes ``frame``, and ``entries`` the Gram
-    matrices.
-    """
-
-    spectrum: np.ndarray
-    frame: Optional[np.ndarray]
-    entries: Optional[np.ndarray]
-
-
 class _BergmanStep(NamedTuple):
-    """One balancing of forms, stacked on leading axes, as arrays.
+    """One balancing of forms, stacked on leading axes.
 
     ``potential`` holds the Fubini-Study potentials (radial profiles on
     the radial path, node values otherwise), ``gram`` the twisted Grams
-    and ``log_z`` the log normalisers log Z = log int e^(-phi) mu0 of the
-    potentials.
+    as one form, held as computed, and ``log_z`` the log normalisers
+    log Z = log int e^(-phi) mu0 of the potentials.
     """
 
     potential: np.ndarray
-    gram: _Grams
+    gram: HermForm
     log_z: np.ndarray
 
 
@@ -152,19 +139,19 @@ def _gram_weights(log_mu0: np.ndarray, total: np.ndarray, n: int, k: int) -> tup
     return potential, e, (top + np.log(mass))[..., 0]
 
 
-def _gram(model: PolarizedModel, k: int, weights: np.ndarray, sigma) -> _Grams:
+def _gram(model: PolarizedModel, k: int, weights: np.ndarray, sigma) -> HermForm:
     """Grams of the reference basis against node weights, stacked on leading axes.
 
     A stack with a non-finite Gram gets NaN spectra, which fail every
     check: ``eigh`` can raise LinAlgError on such input.
     """
     if sigma is not None:
-        return _Grams((sigma @ weights[..., None])[..., 0], None, None)
+        return _held_form(k, (sigma @ weights[..., None])[..., 0])
     gram = model.gram(k, weights)
-    spectrum = np.linalg.eigh(gram) if np.isfinite(gram).all() else (
+    values, frame = np.linalg.eigh(gram) if np.isfinite(gram).all() else (
         np.full(gram.shape[:-1], np.nan), np.full(gram.shape, np.nan, dtype=complex)
     )
-    return _Grams(*spectrum, gram)
+    return _held_form(k, values, frame, entries=gram)
 
 
 def _log_mu0(model: PolarizedModel, radial: bool) -> np.ndarray:
@@ -179,9 +166,9 @@ def _check_potential(potential: np.ndarray) -> None:
     )
 
 
-def _check_gram(k: int, gram: _Grams) -> None:
+def _check_gram(k: int, gram: HermForm) -> None:
     """HermitianError for a non-finite Gram, then QuantizationError for a singular one."""
-    spectrum, radial = gram.spectrum, gram.entries is None
+    spectrum, radial = gram.data, gram.is_diagonal
     values = spectrum if radial else gram.entries
     _require(
         np.isfinite(values).all(axis=-1 if radial else (-2, -1)),
@@ -234,21 +221,14 @@ def _radial_path(model: PolarizedModel, h: HermForm) -> bool:
     return model.supports_radial and h.is_diagonal
 
 
-def _held_gram(k: int, gram: _Grams) -> HermForm:
-    """Level-k Grams as one form, or one stack of forms, held as computed."""
-    if gram.frame is None:
-        return _held_form(k, gram.spectrum)
-    return _held_form(k, gram.spectrum, gram.frame, entries=gram.entries)
-
-
-def _gram_form(k: int, gram: _Grams) -> HermForm:
+def _gram_form(gram: HermForm) -> HermForm:
     """A checked Gram as its form, held as its diagonal when its off-diagonal part is zero.
 
     That is how ``HermForm`` holds such a matrix.
     """
-    if gram.frame is not None and _offdiagonal_is_zero(gram.entries):
-        return _held_form(k, np.real(np.diagonal(gram.entries)).copy())
-    return _held_gram(k, gram)
+    if not gram.is_diagonal and _offdiagonal_is_zero(gram.entries):
+        return _held_form(gram.level, np.real(np.diagonal(gram.entries)).copy())
+    return gram
 
 
 def fubini_study(model: PolarizedModel, h: HermForm) -> PotentialField:
@@ -280,7 +260,7 @@ def project(phi: PotentialField, k: int) -> HermForm:
         weights = twisted_weights(_log_mu0(model, radial), values, k + 1)
         gram = _gram(model, k, weights, sigma)
     _check_gram(k, gram)
-    return _gram_form(k, gram)
+    return _gram_form(gram)
 
 
 def balancing(model: PolarizedModel, h: HermForm) -> HermForm:
@@ -297,4 +277,4 @@ def balancing(model: PolarizedModel, h: HermForm) -> HermForm:
     with np.errstate(all="ignore"):
         step = _bergman_step(model, h.level, 1.0 / h.data, h.frame)
     _check_step(h.level, step)
-    return _gram_form(h.level, step.gram)
+    return _gram_form(step.gram)

@@ -77,7 +77,7 @@ def test_criterion_02_normalization_identity(p1, discrete):
             rng = np.random.default_rng([2026, k, model.node_count])
             for _ in range(50):
                 h = HermForm(k, random_herm_pd(rng, n, spread=0.8))
-                mu = gen_eig(balancing(model, h).entries, h.entries)
+                mu = gen_eig(balancing(model, h), h)
                 worst = max(worst, abs(float(np.sum(mu)) - n))
     print(f"criterion 2: worst |sum(gen_eig) - N_k| = {worst:.3e}")
     assert worst <= 1e-10

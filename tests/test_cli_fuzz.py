@@ -6,7 +6,8 @@ angular nodes, and horizons of at most 50 time steps.  Horizons are drawn
 on the experiment's time grid, just off it, and below one step.  Whatever
 is drawn, ``qkrf run`` must exit 0 (metrics passed), 1 (a metric failed),
 2 (the config was rejected) or 3 (the run failed numerically), and no run
-fails on its time grid: parsing rejects every horizon off it.
+fails on its time grid: parsing rejects every horizon off it.  A run
+directory that cannot be written exits 2 as well.
 """
 
 import contextlib
@@ -120,6 +121,27 @@ def test_cli_run_never_ends_in_a_traceback(name):
             assert not GRID_ERRORS.search(output), output
 
     check()
+
+
+@pytest.mark.parametrize("where", ["config", "option"])
+def test_cli_run_that_cannot_write_its_directory_exits_2(tmp_path, where):
+    """A run directory below a file (config) or naming a file (option) is one stderr line."""
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    config, option = {"experiment": "balanced-fixed-point", "k_max": 2}, []
+    if where == "config":
+        config["output_dir"] = str(blocker / "x")
+    else:
+        option = ["--output-dir", str(blocker)]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_main(["run", str(path), *option])
+    assert code == 2
+    assert out.getvalue() == ""
+    assert err.getvalue().startswith("error: cannot write run directory: ")
+    assert err.getvalue().count("\n") == 1 and "Traceback" not in err.getvalue()
 
 
 def test_cli_run_of_an_unstable_dense_flow_exits_3(monkeypatch):

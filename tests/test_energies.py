@@ -146,5 +146,5 @@ def test_balanced_entropy_matches_rel_entropy(p1):
 
     rng = np.random.default_rng(83)
     h = HermForm(1, random_herm_pd(rng, 3, spread=0.5))
-    mu = gen_eig(balancing(p1, h).entries, h.entries)
+    mu = gen_eig(balancing(p1, h), h)
     assert s_k(p1, h) == pytest.approx(float(np.sum(mu * np.log(mu)) / 3.0), abs=1e-12)

@@ -502,7 +502,7 @@ def _neville_with_swapped_abscissae(neville_to_zero):
 def _without_the_diagonal(diff_matrix):
     """``geometry.diff_matrix`` with its diagonal left at 0: the negative-sum step dropped."""
 
-    def dropped(x, w=None):
+    def dropped(x, w):
         d = diff_matrix(x, w)
         np.fill_diagonal(d, 0.0)
         return d

@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg
 
 from qkrf.energies import e_k, l_functional, s_k
+from qkrf.flows import quantized_flow_run
 from qkrf.hermforms import (
     HermForm,
     HermitianError,
@@ -16,7 +17,7 @@ from qkrf.hermforms import (
     matrix_log,
     random_herm_pd,
 )
-from qkrf.maps import fubini_study, project
+from qkrf.maps import _check_step, balancing, fubini_study, project
 from qkrf.nanorms import NAForm, ray_l_value
 
 
@@ -106,11 +107,11 @@ def test_gen_eig_congruence_invariance():
     a = random_herm_pd(rng, 5, spread=0.8)
     b = random_herm_pd(rng, 5, spread=0.8)
     s = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-    mu = gen_eig(a, b)
-    mu_s = gen_eig(s.conj().T @ a @ s, s.conj().T @ b @ s)
+    mu = gen_eig(HermForm(1, a), HermForm(1, b))
+    mu_s = gen_eig(HermForm(1, s.conj().T @ a @ s), HermForm(1, s.conj().T @ b @ s))
     assert np.allclose(mu, mu_s, rtol=1e-10)
     assert np.all(np.diff(mu) >= 0.0)
-    assert np.allclose(gen_eig(b, b), np.ones(5), atol=1e-13)
+    assert np.allclose(gen_eig(HermForm(1, b), HermForm(1, b)), np.ones(5), atol=1e-13)
 
 
 def test_rel_entropy_oracle(p1):
@@ -207,7 +208,7 @@ def test_vector_and_matrix_diagonal_forms_agree_bitwise():
     rng = np.random.default_rng(17)
     d = np.exp(3.0 * rng.standard_normal(7))
     d_ref = np.exp(rng.standard_normal(7))
-    dense = random_herm_pd(rng, 7)
+    dense = HermForm(3, random_herm_pd(rng, 7))
     vec, mat = HermForm(3, d), HermForm(3, np.diag(d))
     ref_vec, ref_mat = HermForm(3, d_ref), HermForm(3, np.diag(d_ref))
     assert vec.is_diagonal and mat.is_diagonal
@@ -223,7 +224,8 @@ def test_vector_and_matrix_diagonal_forms_agree_bitwise():
     assert np.array_equal(vec.scaled(2.5).diagonal(), mat.scaled(2.5).diagonal())
 
 
-def test_diagonal_paths_leave_the_dense_matrix_unbuilt():
+def test_diagonal_paths_leave_the_dense_matrix_unbuilt(p1):
+    """The radial path of the forms, maps, entropy and flow, with its checks, builds no matrix."""
     h = HermForm(2, np.array([2.0, 1.0, 4.0, 1.0, 2.0]))
     ref = HermForm(2, np.ones(5))
     gen_eig(h, ref)
@@ -231,7 +233,16 @@ def test_diagonal_paths_leave_the_dense_matrix_unbuilt():
     e_k(h, ref)
     matrix_log(h)
     h.scaled(2.0)
-    assert "entries" not in vars(h) and "entries" not in vars(ref)
+    b = balancing(p1, h)
+    gram = project(fubini_study(p1, h), 2)
+    s_k(p1, h)
+    s_k(p1, h, balanced=b)
+    step = balancing(p1, _stack([h, ref], dense=False))
+    _check_step(2, step)
+    trace = quantized_flow_run(p1, h, t_max=0.5, dt=0.25)
+    assert len(trace.states) == 3
+    for form in (h, ref, b, gram, step.gram, *trace.states):
+        assert form.is_diagonal and "entries" not in vars(form)
     assert h.entries is h.entries
 
 
