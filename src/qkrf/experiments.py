@@ -322,7 +322,8 @@ METRICS = {
     ),
     "thma_resolution_gap": GatedMetric(
         "thmA-gap", "<=", 1e-5, "control",
-        "change of the classical potentials on a refined radial grid",
+        "largest Legendre coefficient of the classical potentials in their top "
+        "M / (2 fine_factor) degrees on the M radial nodes",
     ),
     "thmb_tail_increase": GatedMetric(
         "thmB-entropy", "<=", 0.0, "control",

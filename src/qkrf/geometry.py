@@ -411,7 +411,9 @@ class ProjectiveLineModel(PolarizedModel):
     def _sigma(self, e: np.ndarray, k: int) -> np.ndarray:
         """Rows u^e (1-u)^(2k-e) on the radial grid, one per exponent e, through logarithms."""
         e = e[:, None]
-        return np.exp(e * np.log(self.u)[None, :] + (2 * k - e) * np.log1p(-self.u)[None, :])
+        out = e * np.log(self.u)
+        out += (2 * k - e) * np.log1p(-self.u)
+        return np.exp(out, out=out)
 
     def sections(self, k: int) -> np.ndarray:
         if (held := self._held_table("sections", k)) is not None:

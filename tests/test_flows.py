@@ -152,7 +152,10 @@ def test_classical_entropy_decreases(p1, bump):
 
 
 def test_classical_factors_reused_on_benchmark_config(tmp_path, monkeypatch):
-    """The krf-classical benchmark's seed-0 config refactored all 10 steps of each run (60 LUs)."""
+    """The krf-classical benchmark's seed-0 config runs one classical solve, reusing its factors.
+
+    Its 10 steps take 24 LUs, against 60 when every step refactors.
+    """
     metas = []
 
     def recording(*args, **kwargs):
@@ -164,10 +167,53 @@ def test_classical_factors_reused_on_benchmark_config(tmp_path, monkeypatch):
     config = {"experiment": "thmA-gap", "k_list": [16, 32, 64], "t_max": 0.0625,
               "radial_nodes": 128, "fine_factor": 2, "family": "bump", "amplitude": -0.264341}
     run_experiment(config, str(tmp_path))
-    assert len(metas) == 2
-    for meta in metas:
-        assert meta["steps"] == 10
-        assert meta["factorizations"] <= 36
+    [meta] = metas
+    assert meta["steps"] == 10
+    assert meta["factorizations"] <= 36
+
+
+def _legendre_tail_of(trace):
+    profiles = np.array([s.require_profile() for s in trace.states])
+    return flows._legendre_tail(trace.states[0].model, profiles, 2)
+
+
+@pytest.mark.parametrize("m, amplitude", [(16, 0.6), (20, 0.7), (24, 0.8)])
+def test_the_legendre_tail_bounds_the_change_on_a_finer_grid(m, amplitude):
+    """On an under-resolved grid the tail is at least what a 2M-node solve changes.
+
+    The change is the sup gap, over the samples, between the M-node profiles
+    and the 2M-node solve's profiles interpolated back to the M nodes; on
+    these configs the tail exceeds it by 10^2 to 10^3.
+    """
+    model = ProjectiveLineModel(1, radial_nodes=m, angular_nodes=8)
+    phi0 = family_potential(model, "sine", amplitude)
+    fine_phi0 = phi0.refined(2)
+    coarse = classical_krf_run(model, phi0, t_max=0.25, sample_dt=1 / 16)
+    fine = classical_krf_run(fine_phi0.model, fine_phi0, t_max=0.25, sample_dt=1 / 16)
+    change = max(
+        float(np.max(np.abs(
+            fine_phi0.model.interpolate_radial(f.require_profile(), model.u) - c.require_profile()
+        )))
+        for c, f in zip(coarse.states, fine.states)
+    )
+    assert change > 1e-10
+    assert _legendre_tail_of(coarse) >= change
+
+
+def test_the_legendre_tail_is_at_round_off_on_the_default_thma_config():
+    """The default thmA-gap solve (bump 0.3 on 128 nodes, samples 1/32) is resolved to round-off."""
+    model = ProjectiveLineModel(1, radial_nodes=128, angular_nodes=8)
+    trace = classical_krf_run(model, family_potential(model, "bump", 0.3), 1.0, sample_dt=1 / 32)
+    assert _legendre_tail_of(trace) < 1e-12
+
+
+def test_the_legendre_tail_needs_a_degree_to_read():
+    model = ProjectiveLineModel(1, radial_nodes=16, angular_nodes=8)
+    profiles = np.zeros((1, 16))
+    assert flows._legendre_tail(model, profiles, 4) == 0.0
+    for factor in (0, 9):
+        with pytest.raises(FlowError, match=f"^resolution_factor {factor} leaves no Legendre tail"):
+            flows._legendre_tail(model, profiles, factor)
 
 
 @pytest.mark.parametrize("m", [128, 256])

@@ -112,9 +112,14 @@ SCIPY_CONFIGS = [
 ]
 
 
-def _run_fresh(script: str, *args: str):
-    """Run ``script`` in a new interpreter on this qkrf; return its last line as JSON."""
+def _run_fresh(script: str, *args: str, blas_threads: int | None = None):
+    """Run ``script`` in a new interpreter on this qkrf; return its last line as JSON.
+
+    ``blas_threads``, when given, is the interpreter's OPENBLAS_NUM_THREADS.
+    """
     env = dict(os.environ)
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = str(blas_threads)
     package_root = str(Path(qkrf.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     done = subprocess.run(
@@ -164,3 +169,23 @@ print(json.dumps([before, "scipy.linalg" in sys.modules]))
         for name in csvs:
             here = (tmp_path / "here" / str(i) / name).read_bytes()
             assert (fresh / str(i) / name).read_bytes() == here, name
+
+
+def test_the_default_thma_gap_run_is_byte_identical_under_one_and_two_blas_threads(tmp_path):
+    """Fresh default thmA-gap runs write the same CSVs under 1 and 2 BLAS threads.
+
+    The threaded LU's last bits can move the classical solver's step
+    sequence on 256 nodes or more; the default run solves on 128 alone.
+    """
+    script = """
+import sys
+import qkrf
+qkrf.run_experiment({"experiment": "thmA-gap"}, sys.argv[1])
+print("null")
+"""
+    for threads in (1, 2):
+        _run_fresh(script, str(tmp_path / str(threads)), blas_threads=threads)
+    names = sorted(p.name for p in (tmp_path / "1").glob("*.csv"))
+    assert names == ["thmA-consistency.csv", "thmA-gap.csv"]
+    for name in names:
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name
