@@ -20,25 +20,24 @@ immune to the severe ill-scaling of the monomial Gram matrices at
 large k.
 
 ``quantized_flow_runs`` integrates several starts of one level as one
-stack: each RK4 stage forms e^Q of all of them, balances them with one
-Bergman step and takes the logarithm of all the Grams at once.  On the
-radial path the stage runs on the (R, N) array of the diagonals of Q:
-e^Q elementwise, ``maps._bergman_step`` on its inverse (the Bergman
-sum, the node pass ``maps._gram_weights`` and the Gram), k (log g - Q)
-and one finiteness test, and builds no form of the states.  On a dense
-path e^Q is a stack of forms from ``matrix_exp``, balanced by one
-``maps.balancing``.  Either step holds its Grams as one stack of forms,
-diagonals on the radial path and eigenframes on a dense one.  Forms of
-the states are built only for the samples; each sample reads its norms
-with one ``gen_eig`` of the Grams and its energies L, E_k, D_k, S_k and
-the relative entropy as arrays over the stack, L from the log
-normalisers of its Bergman step.  Every start keeps its own
-contractions and reductions, so a stacked run equals its start's run
-alone, bit for bit; ``quantized_flow_run`` is the stack of one start.
-A stage computes without checks, apart from those of ``matrix_exp``,
-and then takes one test of all of them; only a stage that fails it runs
-the checks one by one, so the first failure is raised, with its start,
-as when each check ran in turn.
+stack: each RK4 stage balances all of them with one Bergman step.  On
+the radial path a run binds its level's ``maps._BergmanKernel`` once,
+and a stage runs on the (R, N) array of the diagonals of Q: e^(-Q), one
+kernel call, k (log g - Q) in place and one finiteness test over the
+Bergman sums and the rate, with no lookup and no form, log Z or
+potential built.  On a dense path e^Q is a stack of forms from
+``matrix_exp``, balanced by one ``maps.balancing``.  Forms of the states
+(radial ones with Q as their logarithms) are built only for the samples;
+each sample reads its norms with one ``gen_eig`` of the Grams and its
+energies L, E_k, D_k, S_k and the relative entropy as arrays over the
+stack, L from the node pass of its Bergman step.  Every start keeps its
+own contractions and reductions, so a stacked run equals its start's
+run alone, bit for bit; ``quantized_flow_run`` is the stack of one
+start.  A stage computes without checks, apart from those of
+``matrix_exp``, and then takes one test of all of them; only a stage
+that fails it runs the checks one by one, so the first failure is
+raised, with its start, as when each check ran in turn.  e^Q of a
+radial state is checked there and where a sample forms it.
 
 Every run starts at t = 0 from its initial state.  ``FlowTrace.save``
 writes a run's series as CSV, as a run artifact; its states stay in
@@ -89,8 +88,9 @@ from .hermforms import (
 )
 from .maps import (
     QuantizationError,
-    _bergman_step,
+    _BergmanKernel,
     _check_step,
+    _log_z,
     _radial_path,
     balancing,
     fubini_study,
@@ -310,9 +310,9 @@ def _start_bytes(model: PolarizedModel, k: int, diagonal: bool, samples: int) ->
 
     Measured with tracemalloc as the growth of a run's peak per start
     added to a stack (16 to 256 radial nodes, 24 to 864 atoms, N = 3 to
-    7, 2 and 11 samples).  The work arrays of a stage take 40 bytes per
-    node on the radial path, its Bergman sum, potential and node pass,
-    and about 44 on the projective line's mode contraction; the generic
+    7, 2 and 11 samples).  The work arrays of a stage take about 12 bytes
+    per node on the radial path, its Bergman sum and node pass, and about
+    17 on the projective line's mode contraction; the generic
     section contraction adds the start's N complex amplitudes at each
     node, their squares and a contiguous copy for the matrix product, up
     to 48 + 48 N bytes per node.  The state Q and the RK4 rates take 76
@@ -323,12 +323,12 @@ def _start_bytes(model: PolarizedModel, k: int, diagonal: bool, samples: int) ->
     the stack's series tables, a sample measures 16 N plus about 330
     bytes on the radial path and 16 N (N + 1) plus about 600 on a dense
     one.  The constants below round these up, so that each measured
-    start is charged 1.1 to 1.9 times what it allocated.
+    start is charged 1.08 to 1.6 times what it allocated.
     """
     n = model.nk(k)
     if diagonal:
-        return 40 * model.radial_count + 80 * n + samples * (16 * n + 480)
-    per_node = 44 if isinstance(model, ProjectiveLineModel) else 48 + 48 * n
+        return 24 * model.radial_count + 80 * n + samples * (16 * n + 480)
+    per_node = 24 if isinstance(model, ProjectiveLineModel) else 48 + 48 * n
     return per_node * model.node_count + 200 * n * n + samples * (16 * n * (n + 1) + 640)
 
 
@@ -350,48 +350,44 @@ def _integrate_stack(
     """
     k = starts[0].level
     diagonal, with_energies = meta["diagonal_path"], meta["with_energies"]
+    # the radial path's Bergman step, bound to its level once per run
+    kernel = _BergmanKernel(model, k, radial=True) if diagonal else None
 
     def evaluate(q: np.ndarray, held: Optional[HermForm] = None) -> tuple:
-        """The states e^Q at q unless ``held``, their Bergman step and k (log b_k(H) - q).
+        """A stage at q: states, b_k's Grams and node-pass pair, rate k (log b_k - q).
 
-        On the radial path the states are the (R, N) array of their
-        diagonals and the step is taken on it directly; on a dense one
-        they are a stack of forms, which ``balancing`` takes.  Computed
-        unchecked, under the caller's np.errstate, apart from the checks
-        of ``matrix_exp``; when the one test of the stage fails,
-        ``require`` runs its checks one by one.
+        States are ``held`` or, on a dense path, e^q from ``matrix_exp``.
+        Unchecked, under the caller's np.errstate, apart from ``matrix_exp``;
+        only when the stage's one test fails do its checks run in turn.
         """
-        formed = held is None
         if diagonal:
-            held = np.exp(q) if formed else held.data
-            step = _bergman_step(model, k, 1.0 / held)
-            rate = k * (np.log(step.gram.data) - q)
-            # One sum over the stack is finite only if every term is: e^Q, the
-            # potentials (a zero in e^Q makes every Bergman sum infinite) and
-            # log b_k, finite only for positive finite Grams.
+            total, gram, shift = kernel(np.exp(-q))
+            rate = np.log(gram)
+            rate -= q
+            rate *= k
+            # One sum is finite only if every term is: a Bergman sum that is
+            # zero leaves NaN weights, so a NaN rate, and log b_k is finite
+            # only for positive finite Grams.
             add = np.add.reduce
-            ok = math.isfinite(add(held, None) + add(step.potential, None) + add(rate, None))
+            ok = math.isfinite(add(total, None) + add(rate, None))
         else:
-            if formed:
+            if held is None:
                 held = matrix_exp(k, q)
-            step = balancing(model, held)
-            spectrum = step.gram.data
+            total, gram, shift = balancing(model, held)
+            spectrum = gram.data
             low, top = spectrum[..., 0], spectrum[..., -1]
-            ok = np.isfinite(step.potential.sum(axis=-1)) & (low > EIG_FLOOR * top) & (top > 0.0)
+            ok = np.isfinite(total.sum(axis=-1) + shift[0]) & (low > EIG_FLOOR * top) & (top > 0.0)
             ok = ok.all()
         if not ok:
-            require(held, formed, step)
+            # the stage's checks in order: the diagonal e^Q, the balancing, the log
+            if diagonal:
+                _require_spectra(np.exp(q))
+            _check_step(k, total, gram)
+            if not diagonal:
+                _floor_check(spectrum, "matrix log")
         if not diagonal:
-            rate = k * (_frame_matrix(step.gram.frame, np.log(spectrum)) - q)
-        return held, step, rate
-
-    def require(held, formed: bool, step) -> None:
-        """The stage's checks in order: a diagonal e^Q formed here, the balancing, the log."""
-        if formed and diagonal:
-            _require_spectra(held)
-        _check_step(k, step)
-        if not diagonal:
-            _floor_check(step.gram.data, "matrix log")
+            rate = k * (_frame_matrix(gram.frame, np.log(spectrum)) - q)
+        return held, gram, shift, rate
 
     r = len(starts)
     initial = _stack(starts, dense=not diagonal)
@@ -404,17 +400,19 @@ def _integrate_stack(
             # a state that leaves the cone raises from its checks, not as a warning
             with np.errstate(all="ignore"):
                 if step:
-                    f2 = evaluate(q + 0.5 * dt * f1)[2]
-                    f3 = evaluate(q + 0.5 * dt * f2)[2]
-                    f4 = evaluate(q + dt * f3)[2]
+                    f2 = evaluate(q + 0.5 * dt * f1)[-1]
+                    f3 = evaluate(q + 0.5 * dt * f2)[-1]
+                    f4 = evaluate(q + dt * f3)[-1]
                     q = q + (dt / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
                     t = step * dt
-                held, balanced, f1 = evaluate(q, None if step else initial)
-            if step % sample_every:
-                continue
-            # the sampled states as forms, built here on the radial path
-            if diagonal:
-                held = _held_form(k, held) if step else initial
+                held, gram, shift, f1 = evaluate(q, None if step else initial)
+                if step % sample_every:
+                    continue
+                if diagonal and step:
+                    # the sampled states as forms, with Q as their logs: the stages
+                    # test what they compute from e^(-Q), and e^Q is checked here
+                    _require_spectra(held := np.exp(q))
+                    held = _held_form(k, held, logs=q)
             times.append(t)
             forms = [_slice(held, i) for i in range(r)] if step else starts
             for run, form in zip(states, forms):
@@ -422,8 +420,8 @@ def _integrate_stack(
             if not with_energies:
                 continue
             # each sample's energies for the whole stack, each start's as for it alone
-            norms = gen_eig(balanced.gram, held)
-            l_values = _l_from_log_z(model, balanced.log_z)
+            norms = gen_eig(_held_form(k, gram) if diagonal else gram, held)
+            l_values = _l_from_log_z(model, _log_z(shift, initial.dim, k))
             ek_values = e_k(held, initial)
             record["L"].append(l_values)
             record["E_k"].append(ek_values)

@@ -28,13 +28,16 @@ measure mu0 and cache its log weights; the radial mu0 weights of the
 projective line have mass V, as the 2-D ones do.  ``twisted_weights``
 normalizes e^(-p phi) mu0 in log space for any potential.  Balancing,
 whose potentials are Fubini-Study potentials, takes its Gram weights
-from the Bergman sum instead (``maps._gram_weights``).  ``logsumexp``
+from the Bergman sum instead (``maps._node_pass``).  ``logsumexp``
 reduces one vector, along an axis or not, by its scalar path, with the
 bits of a stacked reduction.  The projective line keeps its per-level
 tables (radial sections, sections, angular modes) in one cache that
 holds one level of each kind: a request for another level drops the held
-table of its kind first.  The bytes of the tables held, with those of the
-table to be built, are checked against RESOURCE_LIMIT before it is built.
+table of its kind first.  Each level's radial tables are products of two
+power rows, u^j and (1-u)^j with j up to 2 k_max, which the cache holds
+once, so no level takes a logarithm or an exponential.  The bytes of the
+tables held, with those of the table to be built, are checked against
+RESOURCE_LIMIT before it is built.
 """
 
 from __future__ import annotations
@@ -393,27 +396,38 @@ class ProjectiveLineModel(PolarizedModel):
     def log_radial_mu0_weights(self) -> np.ndarray:
         return np.log(self.radial_mu0_weights)
 
-    def radial_section_sq(self, k: int) -> np.ndarray:
-        """Squared reference amplitudes u^m (1-u)^(2k-m) on the radial grid.
+    def _power_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """u^j and (1-u)^(2 k_max - j), j = 0 .. 2 k_max, as (radial, 2 k_max + 1) columns.
 
-        Computed through logarithms; entries at high level and extreme
-        nodes may be far below unit scale but every term is nonnegative,
-        so downstream positive sums lose no relative accuracy.
+        Built once, by ``np.power``, and held and charged as a table at level k_max.
         """
-        if (held := self._held_table("radial sections", k)) is not None:
+        k = self.k_max
+        if (held := self._held_table("power rows", k)) is not None:
             return held
 
+        def build() -> tuple[np.ndarray, np.ndarray]:
+            j = np.arange(2 * k + 1, dtype=float)
+            return np.power(self.u[:, None], j), np.power((1.0 - self.u)[:, None], j[::-1])
+
+        return self._level_table("power rows", k, 16 * (2 * k + 1) * self.radial_count, build)
+
+    def radial_section_sq(self, k: int) -> np.ndarray:
+        """Squared reference amplitudes u^m (1-u)^(2k-m) on the radial grid, (N, radial).
+
+        Each is a product of two powers; entries at high level and extreme
+        nodes may be far below unit scale but every term is nonnegative,
+        so downstream positive sums lose no relative accuracy.  The table
+        is held as its contiguous transpose, which the Bergman step reads.
+        """
+        if (held := self._held_table("radial sections", k)) is not None:
+            return held.T
+        u_rows, v_rows = self._power_rows()
+
         def build() -> np.ndarray:
-            return self._sigma(np.arange(2 * k + 1, dtype=float), k)
+            return u_rows[:, : 2 * k + 1] * v_rows[:, 2 * (self.k_max - k) :]
 
-        return self._level_table("radial sections", k, 8 * (2 * k + 1) * self.radial_count, build)
-
-    def _sigma(self, e: np.ndarray, k: int) -> np.ndarray:
-        """Rows u^e (1-u)^(2k-e) on the radial grid, one per exponent e, through logarithms."""
-        e = e[:, None]
-        out = e * np.log(self.u)
-        out += (2 * k - e) * np.log1p(-self.u)
-        return np.exp(out, out=out)
+        nbytes = 8 * (2 * k + 1) * self.radial_count
+        return self._level_table("radial sections", k, nbytes, build).T
 
     def sections(self, k: int) -> np.ndarray:
         if (held := self._held_table("sections", k)) is not None:
@@ -445,8 +459,15 @@ class ProjectiveLineModel(PolarizedModel):
             return held
         n, s, a = 2 * k + 1, 4 * k + 1, self.angular_count
 
+        u_rows, v_rows = self._power_rows()
+
         def build() -> _ModeTables:
-            products = self._sigma(np.arange(s, dtype=float) / 2.0, k)
+            # sigma_s is u^j (1-u)^(2k-j) at s = 2j, and u^j (1-u)^(2k-j-1)
+            # times sqrt(u (1-u)) at s = 2j + 1
+            top, products = 2 * (self.k_max - k), np.empty((s, self.radial_count))
+            products[0::2] = (u_rows[:, : 2 * k + 1] * v_rows[:, top:]).T
+            odd = u_rows[:, : 2 * k] * v_rows[:, top + 1 :]
+            products[1::2] = (odd * np.sqrt(self.u * (1.0 - self.u))[:, None]).T
             # the angle d * theta_j reduced mod 2 pi exactly, on its index
             turns = np.outer(np.arange(n), np.arange(a)) % a
             angle = (TWO_PI / a) * turns

@@ -240,20 +240,22 @@ def matrix_exp(level: int, q: np.ndarray) -> HermForm:
     return _held_form(level, np.exp(values), frame, logs=values)
 
 
-def _held_form(
-    level: int, data: np.ndarray, frame: Optional[np.ndarray] = None, **held
-) -> HermForm:
+def _held_form(level: int, data: np.ndarray, frame=None, logs=None, entries=None) -> HermForm:
     """A form from parts built in the package, around ``__post_init__``.
 
     ``data`` and ``frame`` already satisfy the form's invariants (a
     positive diagonal without a frame, or ascending positive eigenvalues
     in a unitary frame), so they are not checked again; they may carry
-    leading stack axes.  ``held`` gives cached ``logs`` or ``entries``
-    that are known already.
+    leading stack axes.  ``logs`` and ``entries``, when known already,
+    are cached on the form; otherwise they stay out of its ``vars``.
     """
     form = object.__new__(HermForm)
+    held = form.__dict__
     held["level"], held["data"], held["frame"] = level, data, frame
-    form.__dict__.update(held)
+    if logs is not None:
+        held["logs"] = logs
+    if entries is not None:
+        held["entries"] = entries
     return form
 
 
@@ -273,9 +275,8 @@ def _stack(forms: Sequence[HermForm], dense: bool) -> HermForm:
 
 def _slice(form: HermForm, i: int) -> HermForm:
     """Form i of a stack, with the logarithms and matrix the stack holds already."""
-    held = {name: form.__dict__[name][i] for name in ("logs", "entries") if name in form.__dict__}
-    frame = None if form.frame is None else form.frame[i]
-    return _held_form(form.level, form.data[i], frame, **held)
+    parts = (form.__dict__.get(name) for name in ("frame", "logs", "entries"))
+    return _held_form(form.level, form.data[i], *(None if a is None else a[i] for a in parts))
 
 
 def gen_eig(a: HermForm, b: HermForm) -> np.ndarray:

@@ -13,47 +13,42 @@ and the Bergman approximation of a potential is fubini_study o project.
 ``fubini_study`` is the one Bergman map: it takes the logarithm of the
 Bergman sum B(x) = a(x)^T H^-1 conj(a(x)) at each node x, with a(x) the
 reference sections at x, and keeps no separate density.  The chain
-Bergman sum -> potential and Gram weights -> Gram -> eigh is one step,
-``_bergman_step``, an array kernel: it takes the inverse spectra of
-level-k forms, one or stacked on leading axes, with their eigenframes
-off the radial path, and returns the potentials, the Grams as one
-``HermForm`` (their diagonals on the radial path, their eigenframes and
-matrices off it) and log Z, looking the level's radial table up once.
-Its middle link is one pass over the nodes, ``_gram_weights``: at phi =
-(1/k) log(B / N_k) the twist is exact, e^(-k phi) = N_k / B, so the
-weights e^(-(k+1) phi) mu0 / Z are the probability e^(-phi) mu0 / Z
-times N_k / B, and the pass also yields log Z, from which the flow reads
-L.  Every Fubini-Study potential, of a Bergman sum here or of a ray's
-log-sum-exp in ``nanorms``, is (log B - log N_k) / k from log B by
-``_fs_potential``.  The public maps wrap the kernel's links:
-``fubini_study`` runs the Bergman sum on one form, ``project`` the Gram
-on one arbitrary potential, with the log-space weights of
-``twisted_weights``, and ``balancing`` the whole step, on one form or on
-the quantized flow's dense stack, which gets the step back unchecked.
-The flow's radial stage calls the kernel on the (R, N) array of its
-states' diagonals directly, so no form of the states is built in a
-stage.  The kernel computes without checks, on the tables of its level
-that the model builds once (``radial_section_sq``, the log weights of
-mu0); the public maps then check what they computed, and the flow folds
-the step's checks into one test per RK4 stage.
-``_radial_path`` is the one test of a form's dimension and path, which
-the flow takes per start.  The Bergman sum and the Gram contraction are
-the model's: ``PolarizedModel.bergman_sum`` and ``PolarizedModel.gram``.
-The generic ones contract the section table, the Bergman sum in the
-form's eigenframe H = V diag(e^lam) V^* as sum_i e^(-lam_i)
-|(V^T a(x))_i|^2; the projective line regroups both over the angular
-modes of its tensor grid.  No solve and no explicit orthonormalization
-is ever performed.  Rotation-invariant data rides a
-diagonal fast path: the reference monomial Gram is exponentially ill
-scaled in k, and keeping diagonal forms as diagonal vectors preserves
-full relative accuracy elementwise where a dense spectral route would
-drown the small entries in rounding.
+Bergman sum -> Gram weights -> Gram -> eigh is one kernel,
+``_BergmanKernel``, bound to a model, a level and a path, which holds
+the level's tables.  Its middle link is one pass over the nodes,
+``_node_pass``: at phi = (1/k) log(B / N_k) the twist is exact,
+e^(-k phi) = N_k / B, so the weights e^(-(k+1) phi) mu0 / Z are the
+probability e^(-phi) mu0 / Z times N_k / B.  Shifted by m = min log B,
+with x = mu0 e^((m - log B) / k), they are N_k x / (B sum x), and
+log Z = (log N_k - m) / k + log sum x, which ``_log_z`` reads where it
+is needed; no potential is built.  Every Fubini-Study potential, of a
+Bergman sum here or of a ray's log-sum-exp in ``nanorms``, is
+(log B - log N_k) / k from log B by ``_fs_potential``.  The public maps
+bind a kernel per call and check what it computed: ``fubini_study``
+takes its Bergman sums, ``project`` its Gram on the log-space weights of
+``twisted_weights`` at an arbitrary potential, and ``balancing`` the
+whole step, on one form or on the quantized flow's dense stack, which
+gets the step back unchecked.  The flow binds the radial kernel once
+per run and calls it on the (R, N) array e^(-Q) of its states, so a
+stage looks nothing up and builds no form; it folds the step's checks
+into one test per RK4 stage.  ``_radial_path`` is the one test of a
+form's dimension and path, which the flow takes per start.  Off the
+radial path the Bergman sum and the Gram contraction are the model's:
+``PolarizedModel.bergman_sum`` and ``PolarizedModel.gram``.  The generic
+ones contract the section table, the Bergman sum in the form's
+eigenframe H = V diag(e^lam) V^* as sum_i e^(-lam_i) |(V^T a(x))_i|^2;
+the projective line regroups both over the angular modes of its tensor
+grid.  No solve and no explicit orthonormalization is ever performed.
+Rotation-invariant data rides a diagonal fast path: the reference
+monomial Gram is exponentially ill scaled in k, and keeping diagonal
+forms as diagonal vectors preserves full relative accuracy elementwise
+where a dense spectral route would drown the small entries in rounding.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Optional
 
 import numpy as np
 
@@ -82,35 +77,6 @@ def _log_count(n: int) -> np.float64:
     return np.log(n)
 
 
-class _BergmanStep(NamedTuple):
-    """One balancing of forms, stacked on leading axes.
-
-    ``potential`` holds the Fubini-Study potentials (radial profiles on
-    the radial path, node values otherwise), ``gram`` the twisted Grams
-    as one form, held as computed, and ``log_z`` the log normalisers
-    log Z = log int e^(-phi) mu0 of the potentials.
-    """
-
-    potential: np.ndarray
-    gram: HermForm
-    log_z: np.ndarray
-
-
-# The kernels below compute without checking, so that a valid input pays
-# for no check on the way.  Their callers run them under np.errstate, so
-# that a failing input warns nothing, and then check the results.  A
-# potential is finite exactly where its Bergman sum is positive and
-# finite, as its logarithm is.  On the radial path they read the level's
-# radial section table ``sigma`` (``radial_section_sq``), None otherwise.
-
-
-def _bergman_sum(model: PolarizedModel, k: int, inverse: np.ndarray, frame, sigma) -> np.ndarray:
-    """Bergman sums of level-k forms from inverse spectra and frames, stacked on leading axes."""
-    if sigma is not None:
-        return (sigma.T @ inverse[..., None])[..., 0]
-    return model.bergman_sum(k, frame, inverse)
-
-
 def _fs_potential(log_b: np.ndarray, n: int, k: int) -> np.ndarray:
     """Fubini-Study potentials (log B - log N_k) / k from log B, computed in place."""
     log_b -= _log_count(n)
@@ -118,58 +84,92 @@ def _fs_potential(log_b: np.ndarray, n: int, k: int) -> np.ndarray:
     return log_b
 
 
-def _gram_weights(log_mu0: np.ndarray, total: np.ndarray, n: int, k: int) -> tuple:
-    """Potentials, Gram weights e^(-(k+1) phi) mu0 / Z and log Z of Bergman sums, in one node pass.
+def _node_pass(mu0: np.ndarray, total: np.ndarray, n: int, k: int) -> tuple:
+    """Gram weights N x / (B sum x) of Bergman sums B, and the pair (min log B, sum x).
 
-    At the Fubini-Study potential phi = (1/k) log(B / N) of a Bergman sum
-    B the twist is exact, e^(-k phi) = N / B, so the weights are
-    e^(-phi) mu0 / Z times N / B.  The probability e^(-phi) mu0 / Z is
-    normalised by its largest term: with s = log mu0 - phi and e =
-    e^(s - max s), it is e / sum e, and log Z = max s + log sum e.  A
-    stack of sums is reduced row by row, each as that sum alone.
+    x = mu0 e^((min log B - log B) / k), at most mu0; a stack of sums is
+    reduced row by row, each as that sum alone.  Unchecked: a zero,
+    infinite or NaN sum leaves NaN weights.
     """
-    potential = _fs_potential(np.log(total), n, k)
-    shifted = log_mu0 - potential
-    top = shifted.max(axis=-1, keepdims=True)
-    shifted -= top
-    e = np.exp(shifted, out=shifted)
-    mass = e.sum(axis=-1, keepdims=True)
-    e *= n / mass
-    e /= total
-    return potential, e, (top + np.log(mass))[..., 0]
+    x = np.log(total)
+    low = np.minimum.reduce(x, axis=-1, keepdims=True)
+    np.subtract(low, x, out=x)
+    x /= k
+    np.exp(x, out=x)
+    x *= mu0
+    mass = np.add.reduce(x, axis=-1, keepdims=True)
+    x *= n / mass
+    x /= total
+    return x, (low[..., 0], mass[..., 0])
 
 
-def _gram(model: PolarizedModel, k: int, weights: np.ndarray, sigma) -> HermForm:
-    """Grams of the reference basis against node weights, stacked on leading axes.
+class _BergmanKernel:
+    """The Bergman step of level-k forms on one model and path, bound once.
 
-    A stack with a non-finite Gram gets NaN spectra, which fail every
-    check: ``eigh`` can raise LinAlgError on such input.
+    ``sigma_t`` is the model's contiguous (radial, N) table on the radial
+    path, None off it.  A call takes inverse spectra 1 / data, stacked on
+    leading axes, with eigenframes off the radial path, and returns the
+    Bergman sums, the Grams (diagonals on the radial path, one form off
+    it) and the node pass's pair, unchecked (``_check_step``).  Each form
+    of a stack gets the bits it gets alone.
     """
-    if sigma is not None:
-        return _held_form(k, (sigma @ weights[..., None])[..., 0])
-    gram = model.gram(k, weights)
-    values, frame = np.linalg.eigh(gram) if np.isfinite(gram).all() else (
-        np.full(gram.shape[:-1], np.nan), np.full(gram.shape, np.nan, dtype=complex)
-    )
-    return _held_form(k, values, frame, entries=gram)
+
+    __slots__ = ("model", "k", "n", "sigma_t", "mu0")
+
+    def __init__(self, model: PolarizedModel, k: int, radial: bool):
+        self.model, self.k, self.n = model, k, model.nk(k)
+        self.sigma_t = model.radial_section_sq(k).T if radial else None
+        self.mu0 = model.radial_mu0_weights if radial else model.mu0_weights
+
+    def __call__(self, inverse: np.ndarray, frame: Optional[np.ndarray] = None) -> tuple:
+        total = self.sums(inverse, frame)
+        weights, shift = _node_pass(self.mu0, total, self.n, self.k)
+        return total, self.gram(weights), shift
+
+    def sums(self, inverse: np.ndarray, frame: Optional[np.ndarray] = None) -> np.ndarray:
+        """Bergman sums of forms from their inverse spectra and frames, stacked on leading axes."""
+        if self.sigma_t is not None:
+            return (self.sigma_t @ inverse[..., None])[..., 0]
+        return self.model.bergman_sum(self.k, frame, inverse)
+
+    def gram(self, weights: np.ndarray):
+        """Grams of the reference basis against node weights, stacked on leading axes.
+
+        A stack with a non-finite Gram gets NaN spectra, which fail every
+        check: ``eigh`` can raise LinAlgError on such input.
+        """
+        if self.sigma_t is not None:
+            return (weights[..., None, :] @ self.sigma_t)[..., 0, :]
+        gram = self.model.gram(self.k, weights)
+        values, frame = np.linalg.eigh(gram) if np.isfinite(gram).all() else (
+            np.full(gram.shape[:-1], np.nan), np.full(gram.shape, np.nan, dtype=complex)
+        )
+        return _held_form(self.k, values, frame, entries=gram)
+
+
+def _log_z(shift: tuple, n: int, k: int) -> np.ndarray:
+    """log Z = log int e^(-phi) mu0 from a node pass's pair (min log B, sum x)."""
+    low, mass = shift
+    return (_log_count(n) - low) / k + np.log(mass)
 
 
 def _log_mu0(model: PolarizedModel, radial: bool) -> np.ndarray:
     return model.log_radial_mu0_weights if radial else model.log_mu0_weights
 
 
-def _check_potential(potential: np.ndarray) -> None:
+def _check_sums(total: np.ndarray) -> None:
     _require(
-        np.isfinite(potential).all(axis=-1),
+        ((total > 0.0) & (total < np.inf)).all(axis=-1),
         QuantizationError,
         lambda i: "Bergman sum is not strictly positive",
     )
 
 
-def _check_gram(k: int, gram: HermForm) -> None:
-    """HermitianError for a non-finite Gram, then QuantizationError for a singular one."""
-    spectrum, radial = gram.data, gram.is_diagonal
-    values = spectrum if radial else gram.entries
+def _check_gram(k: int, gram) -> None:
+    """HermitianError for a non-finite kernel's Gram, then QuantizationError for a singular one."""
+    radial = isinstance(gram, np.ndarray)
+    spectrum = gram if radial else gram.data
+    values = gram if radial else gram.entries
     _require(
         np.isfinite(values).all(axis=-1 if radial else (-2, -1)),
         HermitianError,
@@ -189,28 +189,9 @@ def _check_gram(k: int, gram: HermForm) -> None:
     _require(low > 0.0, QuantizationError, singular)
 
 
-def _bergman_step(model: PolarizedModel, k: int, inverse: np.ndarray, frame=None) -> _BergmanStep:
-    """The chain Bergman sum -> potential and Gram weights -> Gram -> eigh, on arrays.
-
-    Level-k forms, one or stacked on leading axes, are given by their
-    inverse spectra 1 / data and, off the radial path, their eigenframes.
-    Forms without a frame on a model with radial structure take the
-    radial path, whose table is looked up once.  Unchecked:
-    ``_check_step`` raises for a Bergman sum that is not positive and
-    finite or a singular Gram (QuantizationError) and for a non-finite
-    Gram (HermitianError), and the error's ``start`` names the stack
-    index it met (None for one form).
-    """
-    radial = frame is None and model.supports_radial
-    sigma = model.radial_section_sq(k) if radial else None
-    total = _bergman_sum(model, k, inverse, frame, sigma)
-    potential, weights, log_z = _gram_weights(_log_mu0(model, radial), total, inverse.shape[-1], k)
-    return _BergmanStep(potential, _gram(model, k, weights, sigma), log_z)
-
-
-def _check_step(k: int, step: _BergmanStep) -> None:
-    _check_potential(step.potential)
-    _check_gram(k, step.gram)
+def _check_step(k: int, total: np.ndarray, gram) -> None:
+    _check_sums(total)
+    _check_gram(k, gram)
 
 
 def _radial_path(model: PolarizedModel, h: HermForm) -> bool:
@@ -221,13 +202,12 @@ def _radial_path(model: PolarizedModel, h: HermForm) -> bool:
     return model.supports_radial and h.is_diagonal
 
 
-def _gram_form(gram: HermForm) -> HermForm:
-    """A checked Gram as its form, held as its diagonal when its off-diagonal part is zero.
-
-    That is how ``HermForm`` holds such a matrix.
-    """
-    if not gram.is_diagonal and _offdiagonal_is_zero(gram.entries):
-        return _held_form(gram.level, np.real(np.diagonal(gram.entries)).copy())
+def _gram_form(k: int, gram) -> HermForm:
+    """A kernel's checked Gram as a form, held as its diagonal when its off-diagonal part is zero."""
+    if isinstance(gram, np.ndarray):
+        return _held_form(k, gram)
+    if _offdiagonal_is_zero(gram.entries):
+        return _held_form(k, np.real(np.diagonal(gram.entries)).copy())
     return gram
 
 
@@ -237,11 +217,10 @@ def fubini_study(model: PolarizedModel, h: HermForm) -> PotentialField:
     A diagonal form on a model with radial structure gives a radial profile.
     """
     radial = _radial_path(model, h)
-    sigma = model.radial_section_sq(h.level) if radial else None
     with np.errstate(all="ignore"):
-        total = _bergman_sum(model, h.level, 1.0 / h.data, h.frame, sigma)
-        values = _fs_potential(np.log(total), h.dim, h.level)
-    _check_potential(values)
+        total = _BergmanKernel(model, h.level, radial).sums(1.0 / h.data, h.frame)
+    _check_sums(total)
+    values = _fs_potential(np.log(total), h.dim, h.level)
     return PotentialField(model, None, values) if radial else PotentialField(model, values)
 
 
@@ -254,27 +233,28 @@ def project(phi: PotentialField, k: int) -> HermForm:
     model = phi.model
     model.require_level(k)
     radial = phi.is_radial
-    sigma = model.radial_section_sq(k) if radial else None
     with np.errstate(all="ignore"):
         values = phi.radial_profile if radial else phi.values
         weights = twisted_weights(_log_mu0(model, radial), values, k + 1)
-        gram = _gram(model, k, weights, sigma)
+        gram = _BergmanKernel(model, k, radial).gram(weights)
     _check_gram(k, gram)
-    return _gram_form(gram)
+    return _gram_form(k, gram)
 
 
-def balancing(model: PolarizedModel, h: HermForm) -> HermForm:
+def balancing(model: PolarizedModel, h: HermForm):
     """One application of the balancing map b_k = project o fubini_study.
 
     The quantized flow balances its dense stack of forms, a form whose
     ``data`` carry a leading stack axis and whose forms fit the section
-    space, in one call; it gets back the ``_BergmanStep`` unchecked, to
-    check with the rest of its stage, under its own np.errstate.
+    space, in one call; it gets back the kernel's (B, Grams, pair)
+    unchecked, to check with the rest of its stage, under its own
+    np.errstate.
     """
     if h.data.ndim > 1:
-        return _bergman_step(model, h.level, 1.0 / h.data, h.frame)
-    _radial_path(model, h)
+        radial = model.supports_radial and h.is_diagonal
+        return _BergmanKernel(model, h.level, radial)(1.0 / h.data, h.frame)
+    radial = _radial_path(model, h)
     with np.errstate(all="ignore"):
-        step = _bergman_step(model, h.level, 1.0 / h.data, h.frame)
-    _check_step(h.level, step)
-    return _gram_form(step.gram)
+        total, gram, _ = _BergmanKernel(model, h.level, radial)(1.0 / h.data, h.frame)
+    _check_step(h.level, total, gram)
+    return _gram_form(h.level, gram)

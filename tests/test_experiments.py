@@ -391,17 +391,17 @@ def test_duality_csvs_carry_the_converged_flags(tmp_path):
 # negative controls: a named defect fails a gated metric at its own threshold
 
 
-def _drop_section_zero(bergman_sum):
-    """``maps._bergman_sum`` with section 0 left out of the radial Bergman sum.
+def _drop_section_zero(sums):
+    """``maps._BergmanKernel.sums`` with section 0 left out of the radial Bergman sum.
 
     The inverse spectrum's entry 0 set to 0 weighs that section's term with 0.
     """
 
-    def dropped(model, k, inverse, frame, sigma):
-        if sigma is not None:
+    def dropped(kernel, inverse, frame=None):
+        if kernel.sigma_t is not None:
             inverse = inverse.copy()
             inverse[..., 0] = 0.0
-        return bergman_sum(model, k, inverse, frame, sigma)
+        return sums(kernel, inverse, frame)
 
     return dropped
 
@@ -457,12 +457,15 @@ def _atoms_over_k_plus_1(dh_empirical):
     return lambda nu: DHMeasure(nu.weights / (nu.level + 1), dh_empirical(nu).masses)
 
 
-def _twist_power_k(gram_weights):
-    """``maps._gram_weights`` with the twist power k in place of k + 1 in the balancing's Gram."""
+def _twist_power_k(node_pass):
+    """``maps._node_pass`` with the twist power k in place of k + 1 in the balancing's Gram.
 
-    def power_k(log_mu0, total, n, k):
-        potential, weights, log_z = gram_weights(log_mu0, total, n, k)
-        return potential, weights * np.exp(potential), log_z
+    Its weights times e^phi = (B / N_k)^(1/k) are e^(-k phi) mu0 / Z.
+    """
+
+    def power_k(mu0, total, n, k):
+        weights, shift = node_pass(mu0, total, n, k)
+        return weights * (total / n) ** (1.0 / k), shift
 
     return power_k
 
@@ -518,10 +521,13 @@ def _linear_interpolation(interpolate_radial):
 # (experiment, metric, patched name under qkrf, defect): one row per default-run
 # metric whose registry status is "control"
 CONTROLS = [
-    ("balanced-fixed-point", "fixed_point_residual", "maps._bergman_sum", _drop_section_zero),
-    ("balanced-fixed-point", "fixed_point_entropy", "maps._bergman_sum", _drop_section_zero),
+    ("balanced-fixed-point", "fixed_point_residual", "maps._BergmanKernel.sums",
+     _drop_section_zero),
+    ("balanced-fixed-point", "fixed_point_entropy", "maps._BergmanKernel.sums",
+     _drop_section_zero),
     ("balanced-fixed-point", "gram_k1_oracle", "maps.twisted_weights", _without_log_z),
-    ("thmB-entropy", "thmb_zero_case", "maps._bergman_sum", _drop_section_zero),
+    ("thmB-entropy", "thmb_zero_case", "maps._BergmanKernel.sums",
+     _drop_section_zero),
     ("na-panel", "na_constant_slope_deviation", "experiments.l_na_slope", _negated_slope),
     ("na-panel", "na_free_energy_oracle", "experiments.f_k_na", _without_log_nk),
     ("na-panel", "na_dh_moment_deviation", "experiments.dh_empirical", _atoms_over_k_plus_1),
@@ -539,13 +545,13 @@ CONTROLS = [
     ("duality", "duality_one_sided_k2", "nanorms.l_na_slope", _negated_slope),
     ("thmB-entropy", "thmb_resolution_control",
      "geometry.ProjectiveLineModel.interpolate_radial", _linear_interpolation),
-    ("thmB-entropy", "thmb_tail_increase", "maps._gram_weights", _twist_power_k),
+    ("thmB-entropy", "thmb_tail_increase", "maps._node_pass", _twist_power_k),
     ("monotonicity", "monotonicity_excess", "flows.entropy_of_norms", _negated_entropy),
     ("duality", "duality_min_s_k_k1", "flows.entropy_of_norms", _shannon_entropy),
     ("duality", "duality_min_s_k_k2", "flows.entropy_of_norms", _shannon_entropy),
     ("na-panel", "na_slope_uncertainty", "nanorms._neville_to_zero",
      _neville_with_swapped_abscissae),
-    ("thmA-gap", "thma_slope", "maps._gram_weights", _twist_power_k),
+    ("thmA-gap", "thma_slope", "maps._node_pass", _twist_power_k),
     ("thmA-gap", "thma_resolution_gap", "geometry.diff_matrix", _without_the_diagonal),
 ]
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from qkrf import flows, maps
+from qkrf import flows, hermforms, maps
 from qkrf.energies import (
     _l_from_log_z,
     e_k,
@@ -492,6 +492,46 @@ def test_quantized_flow_forms_and_balances_each_state_once(
     assert calls == {"gram": grams, "exp": exponentials}
 
 
+@pytest.mark.parametrize("with_energies", [True, False])
+def test_a_radial_run_forms_only_its_samples_and_binds_its_kernel_once(
+    p1, monkeypatch, with_energies
+):
+    """The same five samples from 4 or 16 steps build the same forms, and one kernel per run.
+
+    A radial stage runs on arrays: forms are built only where a sample
+    needs them (its state, the state's slice and, with energies, its
+    Gram), so four times the stages build no more of them, and the
+    level's Bergman kernel is bound once for the whole run.
+    """
+    counts = {"forms": 0, "kernels": 0}
+    held_form, bind = hermforms._held_form, maps._BergmanKernel.__init__
+
+    def counted_form(*args, **kwargs):
+        counts["forms"] += 1
+        return held_form(*args, **kwargs)
+
+    def counted_bind(kernel, *args, **kwargs):
+        counts["kernels"] += 1
+        bind(kernel, *args, **kwargs)
+
+    for module in (hermforms, maps, flows):
+        monkeypatch.setattr(module, "_held_form", counted_form)
+    monkeypatch.setattr(maps._BergmanKernel, "__init__", counted_bind)
+    h0 = project(family_potential(p1, "bump", 0.3), 3)
+    seen = []
+    for sample_every in (1, 4):
+        counts.update(forms=0, kernels=0)
+        trace = quantized_flow_run(
+            p1, h0, t_max=0.5, dt=0.125 / sample_every, sample_every=sample_every,
+            with_energies=with_energies,
+        )
+        assert trace.size == 5
+        seen.append(dict(counts))
+    assert seen[0] == seen[1]
+    assert seen[0]["kernels"] == 1
+    assert seen[0]["forms"] == 1 + 4 * 2 + (5 if with_energies else 0)
+
+
 def test_non_finite_dense_state_raises_flow_error(p1):
     """An RK4 step of 1e308 overflows Q to inf; the run ends in FlowError at that time."""
     rng = np.random.default_rng(0)
@@ -505,10 +545,21 @@ def test_non_finite_dense_state_raises_flow_error(p1):
 # stacked runs
 
 
+def _balanced_alone(model, form):
+    """b_k at a form and L there, read as the flow reads them: from the form's Bergman step alone.
+
+    A radial state is balanced from e^(-Q) of its logs Q, a dense one
+    from its inverse spectrum; L comes from the step's node pass.
+    """
+    radial = maps._radial_path(model, form)
+    inverse = np.exp(-form.logs) if radial else 1.0 / form.data
+    _, gram, shift = maps._BergmanKernel(model, form.level, radial)(inverse, form.frame)
+    l_value = _l_from_log_z(model, maps._log_z(shift, form.dim, form.level))
+    return maps._gram_form(form.level, gram), float(l_value)
+
+
 def _l_alone(model, form):
-    """L at a form, read as the flow reads it: from the log normaliser of the form's balancing."""
-    step = maps._bergman_step(model, form.level, 1.0 / form.data, form.frame)
-    return float(_l_from_log_z(model, step.log_z))
+    return _balanced_alone(model, form)[1]
 
 
 def _reference_run(model, h0, t_max, dt):
@@ -672,8 +723,8 @@ def _replayed_energies(model, trace, h0):
     """A trace's sampled energies from each sampled state alone, with the single-form functions."""
     series = {name: [] for name in ("L", "E_k", "D_k", "S_k", "relent_ref")}
     for form in trace.states:
-        norms = gen_eig(balancing(model, form), form)
-        l_value = _l_alone(model, form)
+        balanced, l_value = _balanced_alone(model, form)
+        norms = gen_eig(balanced, form)
         series["L"].append(l_value)
         series["E_k"].append(e_k(form, h0))
         series["D_k"].append(l_value - e_k(form, h0))
@@ -797,14 +848,14 @@ def _spread_dense():
 
 
 def _spoil_weights(spoil):
-    """``maps._gram_weights`` with the Gram weights of the middle start of a stack spoiled."""
-    gram_weights = maps._gram_weights
+    """``maps._node_pass`` with the Gram weights of the middle start of a stack spoiled."""
+    node_pass = maps._node_pass
 
-    def spoiled(log_mu0, total, n, k):
-        potential, w, log_z = gram_weights(log_mu0, total, n, k)
+    def spoiled(mu0, total, n, k):
+        w, shift = node_pass(mu0, total, n, k)
         if w.ndim == 2:
             spoil(w, w.shape[0] // 2)
-        return potential, w, log_z
+        return w, shift
 
     return spoiled
 
@@ -913,7 +964,7 @@ def test_a_failing_stage_raises_its_first_check(p1, monkeypatch, case, runs):
     """
     k, good, bad, dt, spoil, error, message = _FAILING_STAGES[case]
     if spoil is not None:
-        monkeypatch.setattr(maps, "_gram_weights", _spoil_weights(spoil))
+        monkeypatch.setattr(maps, "_node_pass", _spoil_weights(spoil))
     good = project(p1.zero_potential(), k) if good is None else good(p1)
     starts = [bad(p1)] if runs == 1 else [good, bad(p1), good]
     _assert_fails_as(p1, starts, dt, error, message)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -205,12 +206,64 @@ def test_high_level_model_builds_and_balances():
 
 
 def test_sections_past_the_resource_limit_raise():
+    """Every level's tables come from the power rows up to 2 k_max, past the limit here too."""
     k = 2**24
     model = ProjectiveLineModel(k_max=k, radial_nodes=16, angular_nodes=8)
     assert 16 * (2 * k + 1) * model.node_count > RESOURCE_LIMIT
     with pytest.raises(ModelError, match="resource limit"):
         model.sections(k)
-    assert model.sections(1).shape == (3, model.node_count)
+    with pytest.raises(ModelError, match="power rows at level 16777216: .* exceed the resource limit"):
+        model.sections(1)
+    assert model._tables == {}
+
+
+def _exp_of_log_sum(model, e, k):
+    """Rows u^e (1-u)^(2k-e) on the radial grid, one per exponent e, through logarithms.
+
+    Returns the rows and the magnitude |e log u| + |(2k - e) log(1-u)| of
+    each exponent, which bounds the rounding of the formula itself.
+    """
+    e = np.asarray(e, dtype=float)[:, None]
+    a, b = e * np.log(model.u), (2 * k - e) * np.log1p(-model.u)
+    return np.exp(a + b), np.abs(a) + np.abs(b)
+
+
+def test_level_tables_from_power_rows_match_the_exp_of_log_sum():
+    """Every level k <= 64 on 160 nodes: the radial table and the mode products, odd s included.
+
+    Wherever the formula's entry is normal the power rows agree with it to
+    2 eps (2 + 2k + |exponent|): the formula rounds its exponent, about eps
+    |exponent| of relative error, and the rows round 1 - u and two powers,
+    at most about 2k + 2 eps.  Measured: at most 0.55 of that bound.
+    """
+    model = ProjectiveLineModel(64, radial_nodes=160, angular_nodes=8)
+    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+    worst = 0.0
+    for k in model.levels:
+        for got, e in ((model.radial_section_sq(k), np.arange(2 * k + 1)),
+                       (model._mode_tables(k).products, np.arange(4 * k + 1) / 2.0)):
+            want, exponent = _exp_of_log_sum(model, e, k)
+            normal = want >= tiny
+            bound = 2.0 * eps * (2.0 + 2 * k + exponent[normal])
+            worst = max(worst, np.max(np.abs(got[normal] / want[normal] - 1.0) / bound))
+    assert worst <= 1.0
+
+
+def test_power_rows_past_the_resource_limit_are_refused_before_they_are_built():
+    """A model whose power rows would pass RESOURCE_LIMIT raises ModelError, allocating nothing."""
+    k = 2**22
+    model = ProjectiveLineModel(k_max=k, radial_nodes=16, angular_nodes=8)
+    assert 16 * (2 * k + 1) * model.radial_count > RESOURCE_LIMIT
+    tracemalloc.start()
+    try:
+        for table in (model.radial_section_sq, model.sections, model._mode_tables):
+            with pytest.raises(ModelError, match=f"power rows at level {k}: .* resource limit"):
+                table(1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert model._tables == {}
 
 
 def test_walking_the_levels_holds_and_charges_only_the_last_level():
@@ -221,34 +274,35 @@ def test_walking_the_levels_holds_and_charges_only_the_last_level():
         model.sections(k)
         model.gram(k, model.node_weights)
     assert {what: k for what, (k, _) in model._tables.items()} == {
-        "radial sections": 64, "sections": 64, "angular mode tables": 64
+        "power rows": 64, "radial sections": 64, "sections": 64, "angular mode tables": 64
     }
     n, s, m = 129, 257, model.radial_count
     tables = 8 * n * m, 16 * n * model.node_count, 8 * (s * m + 16 * n + 4 * s * n + 4 * n * n)
-    assert model._held_bytes() == sum(tables)
+    assert model._held_bytes() == 16 * n * m + sum(tables)
 
 
 def test_two_levels_past_the_limit_together_build_in_turn(monkeypatch):
     """A limit below two levels' section tables together, above each level's, refuses neither."""
     model = ProjectiveLineModel(2, radial_nodes=16, angular_nodes=8)
+    rows = 16 * 5 * 16
     radial = {k: 8 * (2 * k + 1) * 16 for k in (1, 2)}
     sections = {k: 16 * (2 * k + 1) * model.node_count for k in (1, 2)}
-    limit = radial[2] + sections[2]
-    assert radial[1] + sections[1] < limit < sections[1] + sections[2]
+    limit = rows + radial[2] + sections[2]
+    assert rows + radial[1] + sections[1] < limit < rows + sections[1] + sections[2]
     monkeypatch.setattr(geometry, "RESOURCE_LIMIT", limit)
     for k in (1, 2, 1, 2):
         assert model.sections(k).shape == (2 * k + 1, model.node_count)
-        assert model._held_bytes() == radial[k] + sections[k]
+        assert model._held_bytes() == rows + radial[k] + sections[k]
 
 
 def test_a_table_past_the_limit_is_refused_and_not_charged(monkeypatch):
     model = ProjectiveLineModel(2, radial_nodes=16, angular_nodes=8)
-    radial = 8 * 5 * 16
-    monkeypatch.setattr(geometry, "RESOURCE_LIMIT", radial + 16 * 5 * model.node_count - 1)
+    rows, radial = 16 * 5 * 16, 8 * 5 * 16
+    monkeypatch.setattr(geometry, "RESOURCE_LIMIT", rows + radial + 16 * 5 * model.node_count - 1)
     with pytest.raises(ModelError, match="sections at level 2: .* exceed the resource limit"):
         model.sections(2)
-    assert list(model._tables) == ["radial sections"]
-    assert model._held_bytes() == radial
+    assert list(model._tables) == ["power rows", "radial sections"]
+    assert model._held_bytes() == rows + radial
     assert model.sections(1).shape == (3, model.node_count)
 
 
@@ -494,4 +548,5 @@ def test_mode_tables_past_the_level_or_resource_limit_raise():
     assert 8 * (4 * k + 1) * big.radial_count > RESOURCE_LIMIT
     with pytest.raises(ModelError, match="resource limit"):
         big.gram(k, np.ones(big.node_count))
-    assert big.gram(1, np.ones(big.node_count)).shape == (3, 3)
+    with pytest.raises(ModelError, match="power rows at level 67108864: .* resource limit"):
+        big.gram(1, np.ones(big.node_count))

@@ -237,11 +237,12 @@ def test_diagonal_paths_leave_the_dense_matrix_unbuilt(p1):
     gram = project(fubini_study(p1, h), 2)
     s_k(p1, h)
     s_k(p1, h, balanced=b)
-    step = balancing(p1, _stack([h, ref], dense=False))
-    _check_step(2, step)
+    total, step_gram, _ = balancing(p1, _stack([h, ref], dense=False))
+    _check_step(2, total, step_gram)
+    assert isinstance(step_gram, np.ndarray)
     trace = quantized_flow_run(p1, h, t_max=0.5, dt=0.25)
     assert len(trace.states) == 3
-    for form in (h, ref, b, gram, step.gram, *trace.states):
+    for form in (h, ref, b, gram, *trace.states):
         assert form.is_diagonal and "entries" not in vars(form)
     assert h.entries is h.entries
 
@@ -277,6 +278,18 @@ def test_a_stack_of_diagonals_is_not_read_as_one_matrix():
     assert np.array_equal(stack.entries, [np.diag(d) for d in stack.data])
     assert np.array_equal(matrix_log(stack), [np.diag(np.log(d)) for d in stack.data])
     assert np.array_equal(stack.scaled(2.0).data, 2.0 * stack.data)
+
+
+def test_a_held_form_caches_only_what_its_caller_gives():
+    """``_held_form`` keeps ``logs`` and ``entries`` out of the form unless given; a slice keeps them."""
+    data = np.arange(1.0, 10.0).reshape(3, 3)
+    assert set(vars(_held_form(1, data))) == {"level", "data", "frame"}
+    logs = np.log(data)
+    stack = _held_form(1, data, logs=logs)
+    assert set(vars(stack)) == {"level", "data", "frame", "logs"} and stack.logs is logs
+    one = _slice(stack, 1)
+    assert set(vars(one)) == {"level", "data", "frame", "logs"}
+    assert np.array_equal(one.logs, logs[1]) and np.array_equal(one.data, data[1])
 
 
 def test_scaled_refuses_what_it_cannot_hold():

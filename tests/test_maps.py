@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qkrf import maps
-from qkrf.energies import _l_from_log_z, _l_values, s_k
+from qkrf.energies import s_k
 from qkrf.experiments import family_potential
 from qkrf.flows import FlowError, quantized_flow_run, quantized_flow_runs
 from qkrf.geometry import (
@@ -15,6 +15,7 @@ from qkrf.geometry import (
     PotentialField,
     ProjectiveLineModel,
     build_p1_model,
+    logsumexp,
     twisted_weights,
 )
 from qkrf.hermforms import (
@@ -221,123 +222,165 @@ def _exponents(k, runs, seed):
 
 @pytest.mark.parametrize("model_name", ["p1", "discrete"])
 def test_a_dense_stack_equals_its_forms_alone(request, model_name):
-    """``matrix_exp``, ``balancing`` with its log Z and ``gen_eig`` of a stack, slice by slice, bitwise."""
+    """``matrix_exp``, ``balancing`` with its node pass and ``gen_eig`` of a stack, slice by slice."""
     model = request.getfixturevalue(model_name)
     q = _exponents(2, 3, seed=7)
     stack = matrix_exp(2, q)
-    step = balancing(model, stack)
-    norms = gen_eig(step.gram, stack)
+    total, gram, shift = balancing(model, stack)
+    norms = gen_eig(gram, stack)
     for i in range(3):
         form = matrix_exp(2, q[i])
         for name in ("data", "frame", "logs"):
             assert np.array_equal(getattr(stack, name)[i], getattr(form, name))
         b = balancing(model, form)
         assert not b.is_diagonal
-        assert np.array_equal(step.potential[i], fubini_study(model, form).values)
-        alone = maps._bergman_step(model, 2, 1.0 / form.data, form.frame)
-        assert np.array_equal(step.log_z[i], alone.log_z)
+        potential = maps._fs_potential(np.log(total[i]), 5, 2)
+        assert np.array_equal(potential, fubini_study(model, form).values)
+        alone = maps._BergmanKernel(model, 2, radial=False)(1.0 / form.data, form.frame)
+        assert np.array_equal(total[i], alone[0])
+        assert all(np.array_equal(a[i], b_) for a, b_ in zip(shift, alone[2]))
         for name in ("data", "frame", "entries"):
-            assert np.array_equal(getattr(step.gram, name)[i], getattr(b, name))
+            assert np.array_equal(getattr(gram, name)[i], getattr(b, name))
         assert np.array_equal(norms[i], gen_eig(b, form))
 
 
 def test_a_diagonal_stack_equals_its_forms_alone(p1):
-    """On the radial path: ``balancing`` with its log Z and ``gen_eig`` of a stack, slice by slice."""
+    """On the radial path: ``balancing`` with its node pass and ``gen_eig`` of a stack, slice by slice."""
     data = np.exp(0.5 * np.random.default_rng(11).standard_normal((3, 7)))
     stack = _held_form(3, data)
-    step = balancing(p1, stack)
-    norms = gen_eig(step.gram, stack)
+    total, gram, shift = balancing(p1, stack)
+    assert isinstance(gram, np.ndarray)
+    norms = gen_eig(_held_form(3, gram), stack)
     for i in range(3):
         form = HermForm(3, data[i])
         b = balancing(p1, form)
-        assert b.is_diagonal and step.gram.frame is None and "entries" not in vars(step.gram)
-        assert np.array_equal(step.potential[i], fubini_study(p1, form).radial_profile)
-        assert np.array_equal(step.log_z[i], maps._bergman_step(p1, 3, 1.0 / form.data).log_z)
-        assert np.array_equal(step.gram.data[i], b.data)
+        assert b.is_diagonal and "entries" not in vars(b)
+        potential = maps._fs_potential(np.log(total[i]), 7, 3)
+        assert np.array_equal(potential, fubini_study(p1, form).radial_profile)
+        alone = maps._BergmanKernel(p1, 3, radial=True)(1.0 / form.data)
+        assert all(np.array_equal(a[i], b_) for a, b_ in zip(shift, alone[2]))
+        assert np.array_equal(gram[i], b.data)
         assert np.array_equal(norms[i], gen_eig(b, form))
 
 
-def _bergman_sum(model, h):
-    """``maps._bergman_sum`` of a form, on its own path."""
-    sigma = model.radial_section_sq(h.level) if maps._radial_path(model, h) else None
-    return maps._bergman_sum(model, h.level, 1.0 / h.data, h.frame, sigma)
+def _node_pass_and_log_space(model, h):
+    """The kernel's node pass at h, (potential, weights, log Z), and its log-space oracle.
 
-
-def _fused_and_log_space(model, h):
-    """The balancing's node pass at h, (potential, weights, log Z), and ``twisted_weights`` there."""
+    The oracle is ``twisted_weights`` at the twist k + 1 and ``logsumexp``
+    of log mu0 - phi, at the Fubini-Study potential phi of the kernel's sums.
+    """
     radial = maps._radial_path(model, h)
+    kernel = maps._BergmanKernel(model, h.level, radial)
+    total = kernel.sums(1.0 / h.data, h.frame)
+    weights, shift = maps._node_pass(kernel.mu0, total, h.dim, h.level)
+    potential = maps._fs_potential(np.log(total), h.dim, h.level)
     log_mu0 = maps._log_mu0(model, radial)
-    fused = maps._gram_weights(log_mu0, _bergman_sum(model, h), h.dim, h.level)
-    return fused, twisted_weights(log_mu0, fused[0], h.level + 1)
+    oracle = (
+        twisted_weights(log_mu0, potential, h.level + 1),
+        logsumexp(log_mu0 - potential, axis=-1),
+    )
+    return (potential, weights, maps._log_z(shift, h.dim, h.level)), oracle
 
 
-def _assert_fused_matches_log_space(model, h):
-    """Weights within 4 ulps per unit of exponent scale; L within 8 eps (1 + |log Z|).
+def _assert_node_pass_matches_log_space(model, h):
+    """Weights within 4 ulps per unit of exponent scale; log Z within 8 eps (1 + |log Z|).
 
     The exponent scale 1 + |log mu0| + (k + 1)|phi| + |log Z| bounds the
-    terms of the exponent that ``twisted_weights`` rounds.  Measured: at
-    most 2.9 ulps per unit on the radial grid (58 ulps at k = 64) and 2.2
-    on the dense one; L at most 1e-15 apart.
+    terms of the exponent that ``twisted_weights`` rounds, so it sets the
+    oracle's own error.  Measured: at most 3.3 ulps per unit on the radial
+    grid and 2.1 on the dense one; log Z at most 1.6 eps (1 + |log Z|) apart.
     """
-    (potential, weights, log_z), reference = _fused_and_log_space(model, h)
+    (potential, weights, log_z), (reference, reference_log_z) = _node_pass_and_log_space(model, h)
     radial = maps._radial_path(model, h)
     scale = 1.0 + np.abs(maps._log_mu0(model, radial)) + (h.level + 1) * np.abs(potential)
     scale += abs(log_z)
     assert np.all(np.abs(weights - reference) <= 4.0 * scale * np.spacing(reference))
-    l_reference = _l_values(model, potential, radial)
-    assert abs(_l_from_log_z(model, log_z) - l_reference) <= 8.0 * np.finfo(float).eps * (
-        1.0 + abs(log_z)
-    )
+    eps = np.finfo(float).eps
+    assert abs(log_z - reference_log_z) <= 8.0 * eps * (1.0 + abs(reference_log_z))
 
 
-def test_the_fused_weights_match_the_log_space_weights_on_the_radial_grid():
-    """Levels 1 to 64 on 160 radial nodes, at projections and at forms off balance."""
+def test_the_node_pass_matches_the_log_space_weights_on_the_radial_grid():
+    """Levels 1 to 64 on 160 radial nodes, at projections and at forms off balance.
+
+    Each form also runs scaled by 1e-150 and 1e150, so that its Bergman sums
+    move by 300 decades and the sums of all the inputs span more than that.
+    """
     model = ProjectiveLineModel(64, radial_nodes=160, angular_nodes=8)
     rng = np.random.default_rng(3)
+    low, high = np.inf, -np.inf
     for k in range(1, 65):
         for family, amplitude in (("bump", 0.3), ("sine", -0.5)):
             h = project(family_potential(model, family, amplitude), k)
-            _assert_fused_matches_log_space(model, h)
             off = HermForm(k, h.data * np.exp(rng.standard_normal(h.dim)))
-            _assert_fused_matches_log_space(model, off)
+            for form in (h, off):
+                for scale in (1.0, 1e-150, 1e150):
+                    scaled = HermForm(k, form.data * scale)
+                    _assert_node_pass_matches_log_space(model, scaled)
+                    total = maps._BergmanKernel(model, k, radial=True).sums(1.0 / scaled.data)
+                    low, high = min(low, total.min()), max(high, total.max())
+    assert np.log10(high) - np.log10(low) >= 300.0
 
 
 @pytest.mark.parametrize("angular", ["16", "4k+8"])
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
-def test_the_fused_weights_match_the_log_space_weights_on_the_dense_path(k, angular):
+def test_the_node_pass_matches_the_log_space_weights_on_the_dense_path(k, angular):
     model = ProjectiveLineModel(4, 64, angular_nodes=16 if angular == "16" else 4 * k + 8)
     for spread in (0.5, 1.0, 2.0):
         for seed in range(3):
             rng = np.random.default_rng([k, seed])
             h = HermForm(k, random_herm_pd(rng, 2 * k + 1, spread))
-            _assert_fused_matches_log_space(model, h)
+            for scale in (1.0, 1e-150, 1e150):
+                _assert_node_pass_matches_log_space(model, h.scaled(scale))
 
 
-def test_the_fused_weights_stay_finite_where_the_log_space_weights_do():
-    """At k = 64, scaled forms whose Bergman sums fall below 1e-300 keep every finite Gram finite.
+def _max_shift_pass(log_mu0, total, n, k):
+    """The node pass shifted by the largest exponent, as the Bergman step once took it.
 
-    The unit form's scales run past the one where its largest weight
-    overflows, on both sides alike.
+    With s = log mu0 - phi and e = e^(s - max s), the weights are
+    e N / (sum e B).
+    """
+    s = log_mu0 - maps._fs_potential(np.log(total), n, k)
+    e = np.exp(s - s.max(axis=-1, keepdims=True))
+    return e * (n / e.sum(axis=-1, keepdims=True)) / total
+
+
+def test_the_min_shift_stays_finite_and_normal_where_the_max_shift_does():
+    """Scaled forms whose Bergman sums fall below 1e-300 or rise past 1e300.
+
+    At k = 64 the unit form's scales run past the one where its largest
+    weight overflows, on both sides alike; at k = 1 and 2, where the
+    exponent (m - log B) / k is widest, unit forms run over 10^-307 to
+    10^307.  Wherever the max-shift pass gives a normal weight, the
+    min-shift pass gives a normal weight too, within 1e-12 of it, and
+    every Gram that the log-space weights give finite the kernel gives
+    finite, within 1e-12.
     """
     model = ProjectiveLineModel(64, radial_nodes=160, angular_nodes=8)
-    sq = model.radial_section_sq(64)
     round_metric = project(model.zero_potential(), 64).data
-    finite = 0
-    for base, exponents in ((np.ones(129), np.arange(270.0, 272.0, 0.05)),
-                            (round_metric, np.arange(303.0, 308.5, 0.5))):
+    cases = [(64, np.ones(129), np.arange(270.0, 272.0, 0.05)),
+             (64, round_metric, np.arange(303.0, 308.5, 0.5)),
+             (64, np.ones(129), np.arange(-307.0, -300.5, 1.0))]
+    cases += [(k, np.ones(2 * k + 1), np.arange(-307.0, 308.0, 7.0)) for k in (1, 2)]
+    tiny, finite, low, high = np.finfo(float).tiny, 0, np.inf, -np.inf
+    for k, base, exponents in cases:
+        kernel = maps._BergmanKernel(model, k, radial=True)
         for e in exponents:
-            h = HermForm(64, base * 10.0**e)
+            h = HermForm(k, base * 10.0**e)
             with np.errstate(all="ignore"):
-                total = _bergman_sum(model, h)
-                (_, weights, _), reference = _fused_and_log_space(model, h)
-            assert total.min() < 1e-300
-            assert np.isfinite(maps._fs_potential(np.log(total), 129, 64)).all()
-            if np.isfinite(sq @ reference).all():
+                total = kernel.sums(1.0 / h.data)
+                weights, _ = maps._node_pass(kernel.mu0, total, h.dim, k)
+                old = _max_shift_pass(maps._log_mu0(model, True), total, h.dim, k)
+                (_, _, _), (reference, _) = _node_pass_and_log_space(model, h)
+                gram, ref_gram = kernel.gram(weights), kernel.gram(reference)
+            low, high = min(low, total.min()), max(high, total.max())
+            normal = np.isfinite(old) & (np.abs(old) >= tiny)
+            assert np.all(np.isfinite(weights[normal]) & (weights[normal] >= tiny)), (k, e)
+            assert np.max(np.abs(weights[normal] / old[normal] - 1.0), initial=0.0) <= 1e-12
+            if np.isfinite(ref_gram).all():
                 finite += 1
-                gram = sq @ weights
-                assert np.isfinite(gram).all(), e
-                assert np.max(np.abs(gram / (sq @ reference) - 1.0)) <= 1e-12
-    assert finite >= 20
+                assert np.isfinite(gram).all(), (k, e)
+                assert np.max(np.abs(gram / ref_gram - 1.0)) <= 1e-12
+    assert low < 1e-300 and high > 1e300 and finite >= 100
 
 
 def _raised(call):
@@ -375,13 +418,13 @@ def test_gen_eig_names_the_failing_slice_of_a_stack():
     )
 
 
-def _zero_weights_of_slice_1(gram_weights):
-    """``maps._gram_weights`` with the weights of slice 1 of a stack, or of one form, zeroed."""
+def _zero_weights_of_slice_1(node_pass):
+    """``maps._node_pass`` with the weights of slice 1 of a stack, or of one form, zeroed."""
 
-    def spoiled(log_mu0, total, n, k):
-        potential, w, log_z = gram_weights(log_mu0, total, n, k)
+    def spoiled(mu0, total, n, k):
+        w, shift = node_pass(mu0, total, n, k)
         w[1 if w.ndim == 2 else slice(None)] = 0.0
-        return potential, w, log_z
+        return w, shift
 
     return spoiled
 
@@ -394,7 +437,7 @@ def test_a_stack_balancing_names_its_failing_slice(request, monkeypatch, case):
         model = ProjectiveLineModel(32, radial_nodes=16, angular_nodes=8)
         stack = _held_form(32, np.array([[1.0], [1e308], [1.0]]) * np.ones(65))
     else:
-        monkeypatch.setattr(maps, "_gram_weights", _zero_weights_of_slice_1(maps._gram_weights))
+        monkeypatch.setattr(maps, "_node_pass", _zero_weights_of_slice_1(maps._node_pass))
         model = request.getfixturevalue("discrete" if case == "discrete Gram" else "p1")
         if case == "radial Gram":
             stack = _held_form(2, np.exp(0.5 * np.random.default_rng(9).standard_normal((3, 5))))
@@ -404,8 +447,8 @@ def test_a_stack_balancing_names_its_failing_slice(request, monkeypatch, case):
 
     def stacked():
         with np.errstate(all="ignore"):
-            step = balancing(model, stack)
-        maps._check_step(stack.level, step)
+            total, gram, _ = balancing(model, stack)
+        maps._check_step(stack.level, total, gram)
 
     _assert_slice_1_fails_as_alone(stacked, lambda: balancing(model, form))
 
@@ -436,6 +479,7 @@ def test_the_model_builds_its_level_tables_once_and_is_collected(monkeypatch):
     project(model.zero_potential(), 1)
     assert sorted(built) == [
         "angular mode tables at level 2",
+        "power rows at level 2",
         "radial sections at level 1",
         "radial sections at level 2",
     ]
